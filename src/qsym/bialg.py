@@ -12,13 +12,14 @@ from itertools import combinations, permutations
 
 from .liealg import (
     casimir,
-    chevalley_basis,
     highest_weight_module,
+    shared_type,
     _mcomm,
     _mcompose,
     _mscaled_sum,
 )
-from .rootsys import build_root_system, cominuscule_nodes
+from .rootsys import cominuscule_nodes
+from .scalars import echelon
 
 
 class InconsistentConstraints(ValueError):
@@ -191,47 +192,29 @@ def bd_r_matrix(alg, triple):
     def var(i, j):
         return i * rank + j
 
-    rows = []
-    rhs = []
+    # augmented rows over the deterministic column order var(0,0), var(0,1),
+    # ..., with the right-hand side last
+    aug = []
     for i in range(rank):
         for j in range(i, rank):
-            row = [Q(0)] * nvar
+            row = [Q(0)] * (nvar + 1)
             row[var(i, j)] += 1
             row[var(j, i)] += 1
-            rows.append(row)
-            rhs.append(c0.get((alg.h_idx[i], alg.h_idx[j]), Q(0)))
+            row[nvar] = c0.get((alg.h_idx[i], alg.h_idx[j]), Q(0))
+            aug.append(row)
     for a1 in triple.delta1:
         a = a1 - 1
         ta = triple.tau[a1] - 1
         for j in range(rank):
-            row = [Q(0)] * nvar
+            row = [Q(0)] * (nvar + 1)
             for i in range(rank):
                 row[var(i, j)] += Q(rs.cartan[ta][i])
                 row[var(j, i)] += Q(rs.cartan[a][i])
-            rows.append(row)
-            rhs.append(Q(0))
+            aug.append(row)
 
-    # exact echelon with the deterministic column order var(0,0), var(0,1), ...
-    m = len(rows)
-    aug = [rows[k] + [rhs[k]] for k in range(m)]
-    pivots = []
-    prow = 0
-    for col in range(nvar):
-        piv = next((r for r in range(prow, m) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[prow], aug[piv] = aug[piv], aug[prow]
-        lead = aug[prow][col]
-        aug[prow] = [x / lead for x in aug[prow]]
-        for r in range(m):
-            if r != prow and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[prow])]
-        pivots.append(col)
-        prow += 1
-    for r in range(prow, m):
-        if aug[r][nvar] != 0:
-            raise InconsistentConstraints("r0 system has no solution")
+    pivots = echelon(aug, nvar)
+    if any(row[nvar] for row in aug[len(pivots):]):
+        raise InconsistentConstraints("r0 system has no solution")
 
     free = [c for c in range(nvar) if c not in pivots]
     sol = [Q(0)] * nvar
@@ -280,26 +263,37 @@ def bd_r_matrix(alg, triple):
 # ---------------------------------------------------------------------------
 
 def _cybe_tensor(carrier, r):
-    """[r12, r13] + [r12, r23] + [r13, r23] in carrier^(x)3."""
+    """[r12, r13] + [r12, r23] + [r13, r23] in carrier^(x)3.
+
+    This is also the Schouten square [[r, r]] expanded through the structure
+    constants, which the Poisson criterion applies to modules.
+    """
     out = {}
-
-    def add(key, val):
-        s = out.get(key, Q(0)) + val
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-
     items = list(r.items())
     for (a, b), v in items:
         for (c, d), w in items:
             vw = v * w
             for k, x in carrier.bracket_idx(a, c).items():
-                add((k, b, d), vw * x)
+                key = (k, b, d)
+                s = out.get(key, Q(0)) + vw * x
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
             for k, x in carrier.bracket_idx(b, c).items():
-                add((a, k, d), vw * x)
+                key = (a, k, d)
+                s = out.get(key, Q(0)) + vw * x
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
             for k, x in carrier.bracket_idx(b, d).items():
-                add((a, c, k), vw * x)
+                key = (a, c, k)
+                s = out.get(key, Q(0)) + vw * x
+                if s:
+                    out[key] = s
+                elif key in out:
+                    del out[key]
     return out
 
 
@@ -638,17 +632,6 @@ def semidirect_algebra(alg, lam, central_scalars=()):
     return SemidirectAlgebra(names, table, range(n), range(n, n + mod.dim))
 
 
-_AMBIENT_CACHE = {}
-
-
-def _ambient(rs):
-    alg = _AMBIENT_CACHE.get(rs.label)
-    if alg is None:
-        alg = chevalley_basis(rs)
-        _AMBIENT_CACHE[rs.label] = alg
-    return alg
-
-
 def parabolic_semidirect(rs_ambient, node, triple=None):
     """Restrict the ambient BD cobracket to the parabolic at a cominuscule node.
 
@@ -656,7 +639,8 @@ def parabolic_semidirect(rs_ambient, node, triple=None):
     abelian nilradical, with S.cobracket attached; report records closure of
     delta on the parabolic and the bialgebra axiom fields.
     """
-    rs = build_root_system(rs_ambient) if isinstance(rs_ambient, str) else rs_ambient
+    ambient = shared_type(rs_ambient if isinstance(rs_ambient, str) else rs_ambient.label)
+    rs = ambient.rs
     if node not in cominuscule_nodes(rs):
         raise NotCominuscule("node %d has a non-abelian nilradical in %s"
                              % (node, rs.label))
@@ -664,7 +648,7 @@ def parabolic_semidirect(rs_ambient, node, triple=None):
         triple = BDTriple((), (), {})
     if node in triple.delta1 or node in triple.delta2:
         raise TripleTouchesNode("triple uses node %d" % node)
-    alg = _ambient(rs)
+    alg = ambient.algebra
     r, _ = bd_r_matrix(alg, triple)
     k = node - 1
     levi = ([alg.e_idx[g] for g in alg.pos_roots if g[k] == 0]

@@ -24,8 +24,8 @@ from .bialg import (
 )
 from .liealg import (
     abelian_radical_module,
-    chevalley_basis,
     highest_weight_module,
+    shared_type,
     weyl_dimension_and_weights,
 )
 from .poisson import (
@@ -36,7 +36,6 @@ from .poisson import (
 )
 from .rootsys import (
     NotDominant,
-    build_root_system,
     cominuscule_nodes,
     normalize_type,
     weight_multiplicities,
@@ -50,25 +49,8 @@ class BudgetExceeded(ValueError):
     """The requested module is larger than the configured dimension budget."""
 
 
-_RS_CACHE = {}
-_ALG_CACHE = {}
-
-
 def _root_system(letter, rank):
-    key = "%s%d" % (letter, rank)
-    rs = _RS_CACHE.get(key)
-    if rs is None:
-        rs = build_root_system(letter, rank)
-        _RS_CACHE[key] = rs
-    return rs
-
-
-def _algebra(rs):
-    alg = _ALG_CACHE.get(rs.label)
-    if alg is None:
-        alg = chevalley_basis(rs)
-        _ALG_CACHE[rs.label] = alg
-    return alg
+    return shared_type("%s%d" % (letter, rank)).rs
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +280,15 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
                   extended=False):
     """Evaluate every verdict for one pair; see ClassificationRow."""
     letter, rank, lam, aliases = _canonical_pair(g_type, lam)
-    rs = _root_system(letter, rank)
+    typ = shared_type("%s%d" % (letter, rank))
+    rs = typ.rs
     if not any(lam):
         raise NotDominant("the zero weight is out of scope")
     dim, mults = weyl_dimension_and_weights(rs, lam)
     if dim > dim_budget:
         raise BudgetExceeded("dim V = %d exceeds the budget %d" % (dim, dim_budget))
     wf = weight_filter(rs, lam)
-    alg = _algebra(rs)
+    alg = typ.algebra
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
     r = standard_r(alg)
@@ -357,16 +340,18 @@ def _dominant_weights_within(rs, dim_budget):
     return out
 
 
-def classification_table(max_rank, dim_budget, all_bd=False, extended=False,
-                         threads=1):
+def classification_table(max_rank, dim_budget, all_bd=False, extended=False):
     """One row per simple type of rank <= max_rank and dominant weight in budget.
 
     Canonical series only: B2 and D3 rows are emitted under C2 and A3. The
     E series joins the sweep only under `extended` (its smallest faithful
     modules are already large). Ordering is deterministic: type label, then
-    weight lexicographically; with threads > 1 the rows are evaluated in a
-    pool but merged back in submission order.
+    weight lexicographically.
     """
+    if max_rank < 1:
+        raise ValueError("max_rank must be at least 1, got %d" % max_rank)
+    if dim_budget < 1:
+        raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
     types = []
     for r in range(1, max_rank + 1):
         types.append(("A", r))
@@ -383,22 +368,13 @@ def classification_table(max_rank, dim_budget, all_bd=False, extended=False,
         if r == 2:
             types.append(("G", 2))
     types.sort()
-    jobs = []
+    rows = []
     for lt, rk in types:
         rs = _root_system(lt, rk)
         for lam in _dominant_weights_within(rs, dim_budget):
-            jobs.append(((lt, rk), lam))
-
-    def run(job):
-        pair, lam = job
-        return classify_pair(pair, lam, dim_budget=dim_budget, all_bd=all_bd,
-                             extended=extended)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+            rows.append(classify_pair((lt, rk), lam, dim_budget=dim_budget,
+                                      all_bd=all_bd, extended=extended))
+    return rows
 
 
 def paper_diff(rows):

@@ -3,13 +3,12 @@ sweep, and the quantized sl2 constructions.
 
 Output is JSON with sorted keys (expressions from the qsl2 subcommands are
 printed as plain lines), exact scalars rendered as strings, and byte-wise
-deterministic regardless of the thread count. Exit codes: 0 on success, 2
-when --diff-paper finds a mismatch, 1 for usage and mathematical errors.
+deterministic. Exit codes: 0 on success, 2 when --diff-paper finds a
+mismatch, 1 for usage and mathematical errors.
 """
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction as Q
 
@@ -168,12 +167,8 @@ def _cmd_classify(args):
 
 
 def _cmd_table(args):
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("QSYM_THREADS", "1"))
     rows = classification_table(args.max_rank, args.dim_budget,
-                                all_bd=args.all_bd, extended=args.extended,
-                                threads=threads)
+                                all_bd=args.all_bd, extended=args.extended)
     out = {"count": len(rows), "rows": [_row_json(r) for r in rows]}
     code = 0
     if args.diff_paper:
@@ -204,6 +199,8 @@ def _cmd_qsl2(args):
         t = qsl2.sigma(args.left, args.right, variant=args.variant)
         return qsl2.x_tensor_str(qsl2.x_basis_tensor(t)) + "\n", 0
     if args.qsl2_cmd == "copoisson":
+        if args.power < 1:
+            raise ValueError("--power must be at least 1, got %d" % args.power)
         elem = _qsl2_element(args.element)
         for _ in range(args.power - 1):
             elem = elem * _qsl2_element(args.element)
@@ -288,8 +285,6 @@ def build_parser():
     p.add_argument("--diff-paper", action="store_true")
     p.add_argument("--all-bd", action="store_true")
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default QSYM_THREADS or 1); output is identical")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("qsl2", parents=[common], help="quantized sl2 constructions")

@@ -11,6 +11,7 @@ path, with F_gamma rescaled so that [E_gamma, F_gamma] = H_gamma exactly.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import cached_property
 
 from .rootsys import (
     NotDominant,
@@ -19,6 +20,7 @@ from .rootsys import (
     weight_multiplicities,
     weyl_dim,
 )
+from .scalars import echelon
 
 
 class DegenerateForm(ValueError):
@@ -88,22 +90,6 @@ def _scalar_ratio(m, base):
     return ratio
 
 
-def _solve_dense(a, b):
-    """Solve a x = b exactly; a is a list of rows, b a list."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        m[col] = [x / lead for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # irreducible highest-weight modules
 # ---------------------------------------------------------------------------
@@ -166,23 +152,9 @@ def module_matrices(rs, lam):
                         if g:
                             total += g * val
                     gram[a][c] = total
-            # exact symmetric elimination to find a pivot set
+            # exact elimination of the Gram matrix picks the kept candidates
             red = [row[:] for row in gram]
-            pivots = []
-            prow = 0
-            for col in range(m):
-                piv = next((r for r in range(prow, m) if red[r][col] != 0), None)
-                if piv is None:
-                    continue
-                red[prow], red[piv] = red[piv], red[prow]
-                lead = red[prow][col]
-                red[prow] = [x / lead for x in red[prow]]
-                for r in range(m):
-                    if r != prow and red[r][col] != 0:
-                        fac = red[r][col]
-                        red[r] = [x - fac * y for x, y in zip(red[r], red[prow])]
-                pivots.append(col)
-                prow += 1
+            pivots = echelon(red, m)
             base = len(weights)
             local = {}
             for k, col in enumerate(pivots):
@@ -198,17 +170,15 @@ def module_matrices(rs, lam):
                         _vadd_into(vec, {b: Q(weights[b][i])})
                     if vec:
                         e[j][idx] = vec
+            # a rejected candidate is the combination of kept ones that its
+            # reduced Gram column records (unique: the pivot block of a
+            # symmetric matrix is nonsingular)
             for c in range(m):
                 if c in local:
                     continue
                 b, i = group[c]
-                if not pivots:
-                    continue
-                sub = [[gram[p][pp] for pp in pivots] for p in pivots]
-                rhs = [gram[p][c] for p in pivots]
-                sol = _solve_dense(sub, rhs)
-                expansion = {local[pivots[k]]: sol[k]
-                             for k in range(len(pivots)) if sol[k]}
+                expansion = {local[col]: red[k][c]
+                             for k, col in enumerate(pivots) if red[k][c]}
                 if expansion:
                     f[i][b] = expansion
             for a, col_a in enumerate(pivots):
@@ -467,6 +437,32 @@ def chevalley_basis(rs, central_dims=0):
     return ChevalleyAlgebra(rs, central_dims)
 
 
+class SharedType:
+    """A root system and, built on first use, its Chevalley basis."""
+
+    def __init__(self, rs):
+        self.rs = rs
+
+    @cached_property
+    def algebra(self):
+        return chevalley_basis(self.rs)
+
+
+_SHARED_TYPES = {}
+
+
+def shared_type(label):
+    """The memoised SharedType of a type label such as "C2" or "A2xA1".
+
+    The classification sweep and the parabolic construction draw their root
+    systems and algebras from this one cache; no caller mutates them.
+    """
+    entry = _SHARED_TYPES.get(label)
+    if entry is None:
+        entry = _SHARED_TYPES[label] = SharedType(build_root_system(label))
+    return entry
+
+
 class Module:
     """Action matrices of every algebra basis element on V(lam)."""
 
@@ -521,22 +517,18 @@ def casimir(alg):
         half = rs.inner(g, g) / 2
         c[(alg.e_idx[g], alg.f_idx[g])] = half
         c[(alg.f_idx[g], alg.e_idx[g])] = half
-    bmat = [[4 * rs.bform[i][j] / (rs.norms[i] * rs.norms[j]) for j in range(alg.rank)]
-            for i in range(alg.rank)]
     n = alg.rank
     if n == 0:
         raise DegenerateForm("no semisimple part")
-    inv = []
-    for col in range(n):
-        rhs = [Q(1) if r == col else Q(0) for r in range(n)]
-        try:
-            inv.append(_solve_dense([row[:] for row in bmat], rhs))
-        except StopIteration:
-            raise DegenerateForm("coroot Gram matrix is singular") from None
+    # [B | I] reduces to [I | B^-1]
+    aug = [[4 * rs.bform[i][j] / (rs.norms[i] * rs.norms[j]) for j in range(n)]
+           + [Q(int(i == j)) for j in range(n)] for i in range(n)]
+    if len(echelon(aug, n)) < n:
+        raise DegenerateForm("coroot Gram matrix is singular")
     c0 = {}
     for i in range(n):
         for j in range(n):
-            v = inv[j][i]
+            v = aug[i][n + j]
             if v:
                 c0[(alg.h_idx[i], alg.h_idx[j])] = v
                 c[(alg.h_idx[i], alg.h_idx[j])] = v

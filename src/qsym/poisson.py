@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .bialg import tt_skew
+from .bialg import _cybe_tensor, tt_skew
 from .liealg import highest_weight_module, _mcompose, _mscaled_sum
 
 # Mode promoted by the sl2 dim-2..5 calibration battery: the raw verdict on
@@ -105,37 +105,6 @@ def schouten_square(P):
     return total
 
 
-def _abstract_square(alg, t):
-    """[[t, t]] expanded in g^(x)3 through the structure constants."""
-    out = {}
-    items = list(t.items())
-    for (a, b), v in items:
-        for (c, d), w in items:
-            vw = v * w
-            for k, x in alg.bracket_idx(a, c).items():
-                key = (k, b, d)
-                s = out.get(key, Q(0)) + vw * x
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-            for k, x in alg.bracket_idx(b, c).items():
-                key = (a, k, d)
-                s = out.get(key, Q(0)) + vw * x
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-            for k, x in alg.bracket_idx(b, d).items():
-                key = (a, c, k)
-                s = out.get(key, Q(0)) + vw * x
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return out
-
-
 def _apply_abstract(tensor, mats, triple):
     """Apply an element of g^(x)3 to a pure tensor e_a (x) e_b (x) e_c."""
     a, b, c = triple
@@ -174,7 +143,7 @@ def schouten_criterion(P):
     projected = True
     if P.source is not None:
         alg, t, mats = P.source
-        tensor = _abstract_square(alg, t)
+        tensor = _cybe_tensor(alg, t)
 
         def image(i, j, k):
             acc = {}
@@ -248,7 +217,7 @@ def schouten_promoted(P):
     dim = P.dim
     alg, t, mats = P.source
     groups = {}
-    for (x, y, z), v in _abstract_square(alg, t).items():
+    for (x, y, z), v in _cybe_tensor(alg, t).items():
         groups.setdefault(x, []).append((y, z, v))
     lead = []
     for a in range(dim):

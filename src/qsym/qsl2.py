@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .poisson import BracketTable
-from .scalars import QRat, divided_bracket, one, qpow, zero
+from .scalars import QRat, divided_bracket, echelon, one, qpow, zero
 
 
 class NotInSpan(ValueError):
@@ -433,11 +433,6 @@ def normal_form(expr, coeff=1):
     return out
 
 
-def hopf_ops(x):
-    """(Delta(x), S(x), epsilon(x)) with every tensor leg normal-formed."""
-    return _ENGINE.coproduct(x), _ENGINE.antipode(x), _ENGINE.counit(x)
-
-
 def adjoint_action(x, y):
     """ad(x)(y) = sum x_(1) y S(x_(2)) in canonical form."""
     return _ENGINE.adjoint(x, y)
@@ -499,28 +494,9 @@ def _solve_span(basis, target):
     keys = sorted(keys)
     rows = [[b.get(k, zero) for b in basis] + [target.get(k, zero)] for k in keys]
     ncols = len(basis)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
-            return None
+    pivots = echelon(rows, ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     coeffs = [zero] * ncols
     for i, col in enumerate(pivots):
         coeffs[col] = rows[i][ncols]
@@ -1253,28 +1229,8 @@ def commutor_matrix(l, normalization="sign"):
 
 
 def _rank(rows, ncols):
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    # zero rows add nothing to the rank; dropping them keeps them out of the swaps
+    return len(echelon([r for r in rows if any(r)], ncols))
 
 
 def _eigen_kernel_dim(l, sigma_m, eig):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
+from .scalars import echelon
+
 
 class InvalidType(ValueError):
     """Unknown series letter or rank out of range for the series."""
@@ -77,19 +79,12 @@ def _rank_ok(letter, n):
 
 
 def _inv(mat):
-    """Exact inverse of a small Fraction matrix by Gauss-Jordan."""
+    """Exact inverse of a small nonsingular Fraction matrix."""
     n = len(mat)
-    a = [[Q(x) for x in row] + [Q(1) if i == j else Q(0) for j in range(n)]
+    a = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)]
          for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        lead = a[col][col]
-        a[col] = [x / lead for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    pivots = echelon(a, n)
+    assert len(pivots) == n, "singular matrix"
     return [row[n:] for row in a]
 
 
@@ -216,21 +211,6 @@ class RootSystem:
                     break
             else:
                 return x
-
-    def weyl_orbit(self, x):
-        start = tuple(Q(v) for v in x)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for j in range(self.rank):
-                    w = self.reflect(v, j)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return seen
 
 
 def cominuscule_nodes(rs):

@@ -273,6 +273,34 @@ def specialize_q1(x):
     return x.eval(1)
 
 
+def echelon(rows, ncols):
+    """Gauss-Jordan elimination in place over an exact field; returns the pivots.
+
+    rows is a list of equal-length row lists of Fraction or QRat entries.
+    Only the first ncols columns are pivoted on; any further (augmented)
+    columns are carried through every row operation. Each pivot is the first
+    nonzero entry at or below the current row. On return, row k holds a 1 in
+    column pivots[k] and zeros in the other pivot columns, and every row from
+    len(pivots) on is zero in the first ncols columns.
+    """
+    pivots = []
+    m = len(rows)
+    for col in range(ncols):
+        prow = len(pivots)
+        piv = next((r for r in range(prow, m) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[prow], rows[piv] = rows[piv], rows[prow]
+        lead = rows[prow][col]
+        top = rows[prow] = [x / lead for x in rows[prow]]
+        for r in range(m):
+            if r != prow and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        pivots.append(col)
+    return pivots
+
+
 def divided_bracket(n, d=1):
     """The quantum integer [n]_{q^d} = (q^{nd} - q^{-nd})/(q^d - q^{-d})."""
     if d <= 0:

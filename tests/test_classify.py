@@ -172,10 +172,3 @@ def test_table_rank_five_invariants():
     # deterministic ordering: series label, then weight lexicographically
     keys = [((r.g_type[0], r.g_type[1]), r.lam) for r in rows]
     assert keys == sorted(keys)
-
-
-def test_table_threads_merge_deterministically():
-    one = classification_table(2, 8)
-    two = classification_table(2, 8, threads=3)
-    assert [(r.label, r.lam, r.passing) for r in one] == \
-        [(r.label, r.lam, r.passing) for r in two]

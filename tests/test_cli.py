@@ -85,10 +85,14 @@ def test_math_error_single_line(capsys):
         (["roots", "--type", "Z", "--rank", "4"], "InvalidType"),
         (["module", "--type", "A", "--rank", "2", "--weight", "1"],
          "ValueError"),
+        (["qsl2", "copoisson", "--element", "X+", "--power", "0"], "ValueError"),
+        (["qsl2", "copoisson", "--element", "X+", "--power", "-3"], "ValueError"),
+        (["table", "--max-rank", "2", "--dim-budget", "-5"], "ValueError"),
+        (["table", "--max-rank", "0", "--dim-budget", "16"], "ValueError"),
     ]
     for argv, errname in cases:
         code, out = run_cli(argv, capsys)
-        assert code == 1
+        assert code == 1, argv
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: %s:" % errname)
@@ -102,15 +106,15 @@ def test_alias_types_normalize(capsys):
         assert json.loads(out)["type"] == label
 
 
-def test_output_is_deterministic_across_threads(capsys):
-    """Table output is byte-identical for any worker count."""
+def test_output_is_deterministic_across_runs(capsys):
+    """Table output is byte-identical with cold and with warm caches."""
     outs = []
-    for threads in ("1", "2", "5"):
-        code, out = run_cli(["table", "--max-rank", "2", "--dim-budget", "16",
-                             "--threads", threads], capsys)
+    for _ in range(2):
+        code, out = run_cli(["table", "--max-rank", "2", "--dim-budget", "16"],
+                            capsys)
         assert code == 0
         outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from qsym.scalars import PoleAtOne, QRat, divided_bracket, one, q, qpow, specialize_q1, zero
+from qsym.scalars import (PoleAtOne, QRat, divided_bracket, echelon, one, q, qpow,
+                          specialize_q1, zero)
 
 
 def test_reduction_and_monic_denominator():
@@ -87,3 +88,90 @@ def test_eval_at_other_points():
     x = (q ** 3 - 8) / (q - 2)
     assert x.eval(2) == 12
     assert x.eval(0) == 4
+
+
+def _fractions(rows):
+    return [[Q(x) for x in row] for row in rows]
+
+
+def test_echelon_rank_deficient():
+    """The second row is twice the first; the third supplies column 1."""
+    rows = _fractions([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    assert echelon(rows, 3) == [0, 1]
+    assert rows == _fractions([[1, 0, 1], [0, 1, 1], [0, 0, 0]])
+
+
+def test_echelon_zero_rows():
+    rows = _fractions([[0, 0, 0], [0, 0, 0]])
+    assert echelon(rows, 3) == []
+    assert rows == _fractions([[0, 0, 0], [0, 0, 0]])
+    assert echelon([], 4) == []
+    # a zero row ahead of a nonzero one is swapped below it
+    rows = _fractions([[0, 0], [0, 3]])
+    assert echelon(rows, 2) == [1]
+    assert rows == _fractions([[0, 1], [0, 0]])
+
+
+def test_echelon_inconsistent_augmented_column():
+    """x + y = 1 and 2x + 2y = 3 leave a row 0 = 1 below the pivots."""
+    rows = _fractions([[1, 1, 1], [2, 2, 3]])
+    pivots = echelon(rows, 2)
+    assert pivots == [0]
+    assert rows[1] == _fractions([[0, 0, 1]])[0]
+    consistent = _fractions([[1, 1, 1], [2, 2, 2]])
+    assert echelon(consistent, 2) == [0]
+    assert not consistent[1][2]
+
+
+def test_echelon_over_qrat():
+    """[[q, 1], [1, q]] x = (1, 0) over Q(q), checked by substitution."""
+    rows = [[q, one, one], [one, q, zero]]
+    assert echelon(rows, 2) == [0, 1]
+    x, y = rows[0][2], rows[1][2]
+    assert x == q / (q * q - 1)
+    assert y == -1 / (q * q - 1)
+    assert q * x + y == one and x + q * y == zero
+    assert [r[:2] for r in rows] == [[one, zero], [zero, one]]
+
+
+def test_echelon_narrow_ncols():
+    """Columns past ncols are carried but never pivoted on."""
+    rows = _fractions([[2, 2, 5], [3, 4, 6]])
+    assert echelon(rows, 1) == [0]
+    assert rows == [[Q(1), Q(1), Q(5, 2)], [Q(0), Q(1), Q(-3, 2)]]
+    rows = _fractions([[0, 1], [0, 2]])
+    assert echelon(rows, 1) == []
+    assert rows == _fractions([[0, 1], [0, 2]])
+    rows = _fractions([[1, 2]])
+    assert echelon(rows, 0) == []
+    assert rows == _fractions([[1, 2]])
+
+
+def _random_matrix(rng, m, n):
+    rows = [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(m)]
+    # mix in dependent rows so that many draws are rank deficient
+    for _ in range(rng.randint(0, m - 1)):
+        i, j, k = (rng.randrange(m) for _ in range(3))
+        c = Q(rng.randint(-2, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[j], rows[k])]
+    return rows
+
+
+def test_echelon_matches_sympy_rref():
+    """Fixed-seed random matrices against sympy's reduced row echelon form,
+    with the identity carried as augmented columns recording the row moves."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261017)
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_matrix(rng, m, n)
+        rows = [row + [Q(int(i == j)) for j in range(m)] for i, row in enumerate(a)]
+        pivots = echelon(rows, n)
+        ref, ref_pivots = sympy.Matrix(a).rref()
+        assert tuple(pivots) == ref_pivots
+        left = [row[:n] for row in rows]
+        assert left == [[Q(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(m)]
+        # the carried columns hold T with T * a equal to the reduced left block
+        t = sympy.Matrix([row[n:] for row in rows])
+        assert t * sympy.Matrix(a) == sympy.Matrix(left)
