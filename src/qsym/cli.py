@@ -308,12 +308,34 @@ def build_parser():
     return parser
 
 
+_WEIGHT_OPTIONS = ("--weight", "--module")
+
+
+def _attach_weight_values(argv):
+    """Join a weight option to a value that starts with a minus sign.
+
+    argparse reads "-1,0" as an option name rather than as a negative number,
+    so "--weight -1,0" becomes "--weight=-1,0", which it reads as the value;
+    the weight's own checks then reject it.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _WEIGHT_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = "%s=%s" % (out[-1], tok)
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_weight_values(argv))
     try:
         text, code = args.func(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, AssertionError) as exc:
+        # an AssertionError is a failed internal invariant (liealg, bialg);
+        # it is reported on one line like the domain errors
         sys.stdout.write("error: %s: %s\n" % (type(exc).__name__, exc))
         return 1
     if getattr(args, "out", None):

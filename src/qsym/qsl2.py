@@ -1192,6 +1192,14 @@ def _casimir_eigenvalue(n):
     return (qpow(2 * (n + 1)) + qpow(-2 * (n + 1))) / (qpow(2) + qpow(-2))
 
 
+def _weight_blocks(l):
+    """Indices i(l+1) + j of the basis w_i (x) w_j of the square, one list per
+    weight 2l - 2s, where s = i + j runs over 0..2l."""
+    n = l + 1
+    return [[i * n + s - i for i in range(max(0, s - l), min(s, l) + 1)]
+            for s in range(2 * l + 1)]
+
+
 def commutor_matrix(l, normalization="sign"):
     """The braiding involution on the tensor square of the simple module.
 
@@ -1200,31 +1208,40 @@ def commutor_matrix(l, normalization="sign"):
     is the assignment whose q -> 1 limit is the classical flip. The
     "qpower" normalization multiplies each component by the natural
     v-power as well; the symmetric-power dimensions do not depend on it.
+
+    C preserves the weight 2l - 2i - 2j of w_i (x) w_j, and the components
+    meeting the weight-w block are the n >= |w|, one per basis vector of the
+    block. So each projector is built on its block from those components only.
     """
     ae, af, ak = _pair_action(l)
     gens, _ = locally_finite_generators()
     nn = (l + 1) * (l + 1)
     cmat = _matrix_of_element(gens["C"], ae, af, ak)
-    comps = list(range(2 * l, -1, -2))
     sigma_m = [[zero] * nn for _ in range(nn)]
-    for idx, n in enumerate(comps):
-        proj = [[one if i == j else zero for j in range(nn)] for i in range(nn)]
-        cn = _casimir_eigenvalue(n)
-        for k in comps:
-            if k == n:
-                continue
-            ck = _casimir_eigenvalue(k)
-            shifted = [[cmat[i][j] - (ck if i == j else zero) for j in range(nn)]
-                       for i in range(nn)]
-            proj = _mat_mul(proj, shifted)
-            proj = [[v / (cn - ck) for v in row] for row in proj]
-        sign = one if idx % 2 == 0 else -one
-        if normalization == "qpower":
-            sign = sign * qpow(n * (n + 2) // 2 - l * (l + 2))
-        for i in range(nn):
-            for j in range(nn):
-                if proj[i][j]:
-                    sigma_m[i][j] = sigma_m[i][j] + sign * proj[i][j]
+    for s, idxs in enumerate(_weight_blocks(l)):
+        b = len(idxs)
+        block = [[cmat[r][c] for c in idxs] for r in idxs]
+        comps = list(range(2 * l, abs(2 * l - 2 * s) - 1, -2))
+        for idx, n in enumerate(comps):
+            proj = [[one if i == j else zero for j in range(b)] for i in range(b)]
+            cn = _casimir_eigenvalue(n)
+            scale = one
+            for k in comps:
+                if k == n:
+                    continue
+                ck = _casimir_eigenvalue(k)
+                shifted = [[block[i][j] - (ck if i == j else zero) for j in range(b)]
+                           for i in range(b)]
+                proj = _mat_mul(proj, shifted)
+                scale = scale * (cn - ck)
+            sign = one if idx % 2 == 0 else -one
+            if normalization == "qpower":
+                sign = sign * qpow(n * (n + 2) // 2 - l * (l + 2))
+            sign = sign / scale
+            for i, r in enumerate(idxs):
+                for j, c in enumerate(idxs):
+                    if proj[i][j]:
+                        sigma_m[r][c] = sigma_m[r][c] + sign * proj[i][j]
     return sigma_m
 
 
@@ -1235,13 +1252,8 @@ def _rank(rows, ncols):
 
 def _eigen_kernel_dim(l, sigma_m, eig):
     """dim Ker(sigma - eig) on the square, blocked by weight."""
-    n = l + 1
-    blocks = {}
-    for i in range(n):
-        for j in range(n):
-            blocks.setdefault(2 * l - 2 * i - 2 * j, []).append(i * n + j)
     total = 0
-    for idxs in blocks.values():
+    for idxs in _weight_blocks(l):
         rows = []
         for r in idxs:
             rows.append([sigma_m[r][c] - (eig if r == c else zero) for c in idxs])

@@ -1,13 +1,21 @@
 """Exact scalar arithmetic: rationals and rational functions of q.
 
-Everything downstream works over Fraction or over QRat, a reduced ratio of two
-polynomials in q with Fraction coefficients. Negative powers of q are ordinary
-QRat values with a q-power denominator, so no separate Laurent type exists.
+Everything downstream works over Fraction or over QRat, a rational function of
+q stored as two coprime polynomials with integer coefficients, that is, over
+Z[q]. Negative powers of q are ordinary QRat values with a q-power
+denominator, so no separate Laurent type exists.
+
+QRat arithmetic stays in Python ints. A primitive pseudo-remainder sequence
+finds the gcd of numerator and denominator, and both are divided by it
+exactly: by Gauss's lemma the quotients have integer coefficients. Fractions
+appear only at the boundary. QRat accepts Fraction coefficients, and its
+num and den views are Fraction lists with a monic denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 
 class PoleAtOne(ArithmeticError):
@@ -15,72 +23,164 @@ class PoleAtOne(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (little-endian coefficient lists of Fractions)
+# dense polynomials over Z (little-endian lists of ints, no trailing zeros)
 # ---------------------------------------------------------------------------
 
-def _trim(cs):
-    n = len(cs)
-    while n > 0 and cs[n - 1] == 0:
-        n -= 1
-    return cs[:n]
+# the polynomial 1; coefficient lists are never changed in place, so it is shared
+_ONE = [1]
 
 
-def _padd(a, b):
+def _zadd(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _trim(out)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def _pneg(a):
-    return [-c for c in a]
-
-
-def _pmul(a, b):
+def _zmul(a, b):
     if not a or not b:
         return []
-    out = [Q(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb != 0:
-                out[i + j] += ca * cb
-    return _trim(out)
+    if len(b) == 1:
+        c = b[0]
+        return [x * c for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
-def _pdivmod(a, b):
-    """Exact polynomial long division, returns (quotient, remainder)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _zquo(a, b):
+    """The quotient a / b, which the caller knows to be exact in Z[q]."""
     rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quo = [Q(0)] * max(len(a) - db, 0)
-    while len(_trim(rem)) - 1 >= db and _trim(rem):
-        rem = _trim(rem)
-        shift = len(rem) - 1 - db
-        coef = rem[-1] / lead
-        quo[shift] = coef
-        for j, cb in enumerate(b):
-            rem[shift + j] -= coef * cb
-    return _trim(quo), _trim(rem)
+    nb, lead = len(b), b[-1]
+    out = [0] * (len(a) - nb + 1)
+    for shift in range(len(a) - nb, -1, -1):
+        c = rem[shift + nb - 1]
+        if c:
+            c //= lead
+            out[shift] = c
+            for j, y in enumerate(b):
+                rem[shift + j] -= c * y
+    return out
 
 
-def _pgcd(a, b):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-        # keep coefficients small: make the new leading coefficient 1
-        if b:
-            lead = b[-1]
-            b = [c / lead for c in b]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _zprem(a, b):
+    """A pseudo-remainder of a by b: the remainder of a times a power of lead(b)."""
+    rem = list(a)
+    nb, lead = len(b), b[-1]
+    while len(rem) >= nb:
+        c = rem[-1]
+        k, m = divmod(c, lead)
+        if m:
+            rem = [x * lead for x in rem]
+            k = c
+        shift = len(rem) - nb
+        for j in range(nb - 1):
+            rem[shift + j] -= k * b[j]
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def _zprim(a):
+    """a divided by its content, with a positive leading coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else [x // c for x in a]
+
+
+def _zgcd(a, b):
+    """The gcd in Z[q] of two nonzero polynomials, leading coefficient > 0.
+
+    Common powers of q and the integer content are split off first; the
+    rest is a primitive pseudo-remainder sequence.
+    """
+    i = next(k for k, x in enumerate(a) if x)
+    j = next(k for k, x in enumerate(b) if x)
+    shift = [0] * min(i, j)
+    a, b = a[i:], b[j:]
+    c = gcd(*a, *b)
+    if len(a) == 1 or len(b) == 1:
+        return shift + [c]
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _zprim(a), _zprim(b)
+    while True:
+        r = _zprem(a, b)
+        if not r:
+            return shift + (b if c == 1 else [c * x for x in b])
+        if len(r) == 1:
+            return shift + [c]
+        a, b = b, _zprim(r)
+
+
+def _cancel(a, b):
+    """a and b divided by their gcd; b's leading coefficient keeps its sign."""
+    if b == _ONE:
+        return a, b
+    g = _zgcd(a, b)
+    if g == _ONE:
+        return a, b
+    return _zquo(a, g), _zquo(b, g)
+
+
+def _reduce(n, d):
+    """The canonical form of n / d: coprime, positive leading denominator."""
+    if not n:
+        return [], _ONE
+    n, d = _cancel(n, d)
+    if d[-1] < 0:
+        n, d = [-x for x in n], [-x for x in d]
+    return n, d
+
+
+def _mul(a, b, c, d):
+    """(a/b) * (c/d) for canonical inputs, cancelling across before multiplying."""
+    if not a or not c:
+        return [], _ONE
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _zmul(a, c), _zmul(b, d)
+
+
+def _add(a, b, c, d):
+    """(a/b) + (c/d) for canonical inputs: with g = gcd(b, d), only g can
+    share a factor with the new numerator."""
+    g = b if b == d else _zgcd(b, d)
+    if g == _ONE:
+        return _zadd(_zmul(a, d), _zmul(c, b)), _zmul(b, d)
+    b1, d1 = _zquo(b, g), _zquo(d, g)
+    t = _zadd(_zmul(a, d1), _zmul(c, b1))
+    if not t:
+        return [], _ONE
+    t, g = _cancel(t, g)
+    return t, _zmul(_zmul(b1, d1), g)
+
+
+_INT = {int}
+
+
+def _ints(cs):
+    """(int polynomial, L) with cs = polynomial / L, for int or Fraction input."""
+    if isinstance(cs, (int, Q)):
+        cs = [cs]
+    if set(map(type, cs)) <= _INT:
+        out, scale = list(cs), 1
+    else:
+        cs = [Q(c) for c in cs]
+        scale = lcm(*(c.denominator for c in cs))
+        out = [c.numerator * (scale // c.denominator) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out, scale
 
 
 def _peval(cs, x):
@@ -121,35 +221,47 @@ def _pstr(cs, var="q"):
 # ---------------------------------------------------------------------------
 
 class QRat:
-    """A rational function of q in lowest terms with a monic denominator."""
+    """A rational function of q in lowest terms over Z[q].
 
-    __slots__ = ("num", "den")
+    The numerator and denominator are coprime integer polynomials with the
+    content included: no integer > 1 divides every coefficient of both, and
+    the denominator's leading coefficient is positive. That form is unique,
+    so equality and hashing compare coefficient lists. The constructor takes
+    int or Fraction coefficients (little-endian lists, or a constant) and
+    reduces them. num and den read the same value as Fraction lists with a
+    monic denominator.
+    """
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (int, Q)):
-            num = [Q(num)] if num != 0 else []
-        else:
-            num = _trim([Q(c) for c in num])
-        if den is None:
-            den = [Q(1)]
-        elif isinstance(den, (int, Q)):
-            den = [Q(den)]
-        else:
-            den = _trim([Q(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num, self.den = [], [Q(1)]
+    __slots__ = ("_n", "_d")
+
+    def __init__(self, num, den=None, _reduced=False):
+        if _reduced:
+            # int lists already in canonical form, from the arithmetic below
+            self._n, self._d = num, den
             return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = [c / lead for c in num]
-            den = [c / lead for c in den]
-        self.num, self.den = num, den
+        n, scale_n = _ints(num)
+        if den is None:
+            d, scale_d = _ONE, 1
+        else:
+            d, scale_d = _ints(den)
+            if not d:
+                raise ZeroDivisionError("zero denominator")
+        if scale_n != scale_d:
+            n = [c * scale_d for c in n]
+            d = [c * scale_n for c in d]
+        self._n, self._d = _reduce(n, d)
+
+    @property
+    def num(self):
+        """Numerator coefficients as Fractions, over the monic denominator."""
+        lead = self._d[-1]
+        return [Q(c, lead) for c in self._n]
+
+    @property
+    def den(self):
+        """Denominator coefficients as Fractions, divided to be monic."""
+        lead = self._d[-1]
+        return [Q(c, lead) for c in self._d]
 
     # -- constructors ------------------------------------------------------
 
@@ -164,23 +276,22 @@ class QRat:
     # -- predicates --------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def is_one(self):
-        return self.num == [Q(1)] and self.den == [Q(1)]
+        return self._n == [1] and self._d == [1]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         other = QRat.of(other)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return QRat(num, _pmul(self.den, other.den))
+        return QRat(*_add(self._n, self._d, other._n, other._d), _reduced=True)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = QRat.__new__(QRat)
-        out.num, out.den = _pneg(self.num), list(self.den)
+        out._n, out._d = [-c for c in self._n], self._d
         return out
 
     def __sub__(self, other):
@@ -191,15 +302,18 @@ class QRat:
 
     def __mul__(self, other):
         other = QRat.of(other)
-        return QRat(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return QRat(*_mul(self._n, self._d, other._n, other._d), _reduced=True)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = QRat.of(other)
-        if not other.num:
+        c, d = other._n, other._d
+        if not c:
             raise ZeroDivisionError("division by zero rational function")
-        return QRat(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        if c[-1] < 0:
+            c, d = [-x for x in c], [-x for x in d]
+        return QRat(*_mul(self._n, self._d, d, c), _reduced=True)
 
     def __rtruediv__(self, other):
         return QRat.of(other) / self
@@ -221,31 +335,35 @@ class QRat:
             other = QRat.of(other)
         except TypeError:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        return hash((tuple(self.num), tuple(self.den)))
+        # a constant equals an int or Fraction, so it hashes like one
+        if len(self._n) <= 1 and len(self._d) == 1:
+            return hash(Q(self._n[0] if self._n else 0, self._d[0]))
+        return hash((tuple(self._n), tuple(self._d)))
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, point):
-        """Evaluate at a rational point, cancelling (q - point) factors first."""
+        """Evaluate at a rational point; PoleAtOne if the denominator vanishes.
+
+        Numerator and denominator are coprime, so they have no common root:
+        a zero denominator is a genuine pole, with no factor to cancel.
+        """
         point = Q(point)
-        num, den = self.num, self.den
-        root = [-point, Q(1)]  # q - point
-        while _peval(den, point) == 0:
-            if _peval(num, point) != 0:
-                raise PoleAtOne("pole at q = %s" % point)
-            num = _pdivmod(num, root)[0]
-            den = _pdivmod(den, root)[0]
-        return _peval(num, point) / _peval(den, point)
+        den = _peval(self._d, point)
+        if den == 0:
+            raise PoleAtOne("pole at q = %s" % point)
+        return _peval(self._n, point) / den
 
     # -- formatting --------------------------------------------------------
 
     def to_str(self, var="q"):
-        if self.den == [Q(1)]:
-            return _pstr(self.num, var)
-        return "(%s)/(%s)" % (_pstr(self.num, var), _pstr(self.den, var))
+        num, den = self.num, self.den
+        if len(den) == 1:
+            return _pstr(num, var)
+        return "(%s)/(%s)" % (_pstr(num, var), _pstr(den, var))
 
     def __str__(self):
         return self.to_str()
@@ -254,7 +372,7 @@ class QRat:
         return "QRat(%s)" % self.to_str()
 
 
-q = QRat([Q(0), Q(1)])
+q = QRat([0, 1])
 one = QRat(1)
 zero = QRat(0)
 
@@ -262,8 +380,8 @@ zero = QRat(0)
 def qpow(k):
     """q**k for any integer k, as a QRat."""
     if k >= 0:
-        return QRat([Q(0)] * k + [Q(1)])
-    return QRat([Q(1)], [Q(0)] * (-k) + [Q(1)])
+        return QRat([0] * k + [1])
+    return QRat([1], [0] * (-k) + [1])
 
 
 def specialize_q1(x):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qsym import cli
 from qsym.cli import main
 
 
@@ -89,6 +90,13 @@ def test_math_error_single_line(capsys):
         (["qsl2", "copoisson", "--element", "X+", "--power", "-3"], "ValueError"),
         (["table", "--max-rank", "2", "--dim-budget", "-5"], "ValueError"),
         (["table", "--max-rank", "0", "--dim-budget", "16"], "ValueError"),
+        # a weight starting with a minus sign is a value, not an option
+        (["module", "--type", "A", "--rank", "2", "--weight", "-1,0"],
+         "NotDominant"),
+        (["classify", "--type", "A", "--rank", "2", "--weight", "-1,0"],
+         "NotDominant"),
+        (["rmatrix", "--type", "A", "--rank", "2", "--module", "-1,0"],
+         "NotDominant"),
     ]
     for argv, errname in cases:
         code, out = run_cli(argv, capsys)
@@ -96,6 +104,17 @@ def test_math_error_single_line(capsys):
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: %s:" % errname)
+
+
+def test_internal_assertion_single_line(capsys, monkeypatch):
+    """A failed internal invariant is one error line with exit 1, too."""
+    def broken(args):
+        raise AssertionError("bracket table is not antisymmetric")
+
+    monkeypatch.setattr(cli, "_cmd_roots", broken)
+    code, out = run_cli(["roots", "--type", "A", "--rank", "2"], capsys)
+    assert code == 1
+    assert out == "error: AssertionError: bracket table is not antisymmetric\n"
 
 
 def test_alias_types_normalize(capsys):

@@ -351,7 +351,7 @@ def test_braided_flatness_dimensions():
 def test_braided_eigenvalue_structure():
     """The square decomposes into components of dims 2n+1 with alternating
     signs, so dim S2 and dim L2 match the classical sign bookkeeping."""
-    for l in (1, 2, 3):
+    for l in (1, 2, 3, 4):
         flat = qsl2.braided_flatness(l, max_degree=2)
         s2 = sum(2 * n + 1 for n in range(l, -1, -1) if (l - n) % 2 == 0)
         l2 = sum(2 * n + 1 for n in range(l, -1, -1) if (l - n) % 2 == 1)
@@ -360,7 +360,7 @@ def test_braided_eigenvalue_structure():
 
 
 def test_commutor_involution_equivariance_and_classical_limit():
-    for l in (1, 2):
+    for l in (1, 2, 3):
         s = qsl2.commutor_matrix(l)
         nn = (l + 1) ** 2
         ident = [[one if i == j else zero for j in range(nn)] for i in range(nn)]

@@ -175,3 +175,141 @@ def test_echelon_matches_sympy_rref():
         # the carried columns hold T with T * a equal to the reduced left block
         t = sympy.Matrix([row[n:] for row in rows])
         assert t * sympy.Matrix(a) == sympy.Matrix(left)
+
+
+# ---------------------------------------------------------------------------
+# the Z[q] kernel against independent references
+# ---------------------------------------------------------------------------
+
+def _conv(a, b):
+    """Product of two little-endian coefficient lists, written out plainly."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _horner(cs, x):
+    out = Q(0)
+    for c in reversed(cs):
+        out = out * x + c
+    return out
+
+
+def _random_poly(rng, lo, hi):
+    cs = [rng.randint(-4, 4) for _ in range(rng.randint(lo, hi))]
+    cs[-1] = cs[-1] or 1
+    return cs
+
+
+def test_qrat_matches_sympy_cancel():
+    """QRat(n, d) against sympy.cancel in monic-denominator form, on fixed-seed
+    random integer pairs built with common factors so that most gcds are
+    nontrivial; the same pair with Fraction coefficients reduces alike."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+
+    def expr(cs):
+        return sum(c * x ** k for k, c in enumerate(cs))
+
+    def little_endian(e):
+        return [Q(int(c.p), int(c.q)) for c in sympy.Poly(e, x).all_coeffs()[::-1]]
+
+    rng = random.Random(20261018)
+    for _ in range(80):
+        g = rng.choice([[1], [0, 1], [-1, 1], [1, 2, 1], [0, 0, 3],
+                        _random_poly(rng, 2, 3)])
+        n = _conv(_random_poly(rng, 1, 4), g)
+        d = _conv(_random_poly(rng, 1, 4), g)
+        if rng.random() < 0.2:
+            n = [0] * len(n)
+        num, den = sympy.fraction(sympy.cancel(expr(n) / expr(d)))
+        if num == 0:
+            want = ([], [Q(1)])
+        else:
+            wn, wd = little_endian(num), little_endian(den)
+            want = ([c / wd[-1] for c in wn], [c / wd[-1] for c in wd])
+        got = QRat(n, d)
+        assert (got.num, got.den) == want, (n, d)
+        scaled = QRat([Q(c, 3) for c in n], [Q(c, 2) for c in d])
+        assert scaled == got * Q(2, 3)
+
+
+def _hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(st.integers(-6, 6),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    poly = st.lists(coeff, min_size=1, max_size=4)
+    settings = hypothesis.settings(max_examples=150, deadline=None,
+                                   database=None, derandomize=True)
+    return hypothesis, st, poly, settings
+
+
+def test_qrat_field_axioms_property():
+    hypothesis, st, poly, settings = _hypothesis()
+    qrats = st.builds(QRat, poly, poly.filter(any))
+
+    @settings
+    @hypothesis.given(qrats, qrats, qrats)
+    def check(a, b, c):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a and a * one == a
+        assert a - a == zero and not (a - a)
+        if a:
+            assert a * (1 / a) == one
+            assert (b * a) / a == b
+        assert -(-a) == a and (a - b) + b == a
+
+    check()
+
+
+def test_qrat_equal_values_hash_equal_property():
+    """Equal values from different inputs share one form, hence one hash."""
+    hypothesis, st, poly, settings = _hypothesis()
+
+    @settings
+    @hypothesis.given(poly, poly.filter(any), poly.filter(any))
+    def check(n, d, g):
+        a = QRat(n, d)
+        b = QRat(_conv(n, g), _conv(d, g))
+        c = QRat(g) * a / QRat(g)
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert (a.num, a.den) == (b.num, b.den)
+        assert a.den[-1] == 1
+
+    check()
+    # a constant equals the int or Fraction it holds, and hashes like it
+    for c in (0, 3, -2, Q(3, 4), Q(-5, 2)):
+        assert QRat(c) == c and hash(QRat(c)) == hash(c)
+        assert len({QRat(c), c}) == 1
+
+
+def test_qrat_eval_with_cancelling_factors_property():
+    """At q = 1 and q = 1/2, n*L^k / (d*L^k) with L the vanishing linear factor
+    evaluates to n(p)/d(p); a leftover L in the denominator is a pole."""
+    hypothesis, st, poly, settings = _hypothesis()
+
+    @settings
+    @hypothesis.given(poly, poly.filter(any), st.integers(0, 3),
+                      st.sampled_from([(Q(1), [-1, 1]), (Q(1, 2), [-1, 2])]))
+    def check(n, d, k, point_and_factor):
+        point, lin = point_and_factor
+        hypothesis.assume(_horner(d, point) != 0)
+        lk = [1]
+        for _ in range(k):
+            lk = _conv(lk, lin)
+        want = _horner(n, point) / _horner(d, point)
+        x = QRat(_conv(n, lk), _conv(d, lk))
+        assert x.eval(point) == want
+        assert (x * QRat(lin)).eval(point) == 0
+        if want:
+            with pytest.raises(PoleAtOne):
+                (x / QRat(lin)).eval(point)
+
+    check()
