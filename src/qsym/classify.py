@@ -29,7 +29,7 @@ from .liealg import (
     weyl_dimension_and_weights,
 )
 from .poisson import (
-    generator_brackets,
+    bracket_table,
     jacobi_oracle,
     r_minus_operator,
     schouten_promoted,
@@ -292,8 +292,9 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
     r = standard_r(alg)
-    schouten = schouten_promoted(r_minus_operator(alg, r, mod))
-    jacobi = jacobi_oracle(generator_brackets(alg, r, mod))
+    op = r_minus_operator(alg, r, mod)
+    schouten = schouten_promoted(op)
+    jacobi = jacobi_oracle(bracket_table(op))
     bd_verdicts = None
     if all_bd:
         bd_verdicts = {}

@@ -4,11 +4,20 @@ Operators on V (x) V and V^(x)3 are dict-sparse over packed integer indices
 (a*dim + b, (a*dim + b)*dim + c). The Jacobi oracle extends the degree-2
 bracket table by the Leibniz rule and is the ground truth the Schouten
 modes are calibrated against.
+
+The sweep's Schouten verdict (schouten_promoted) runs on Python ints. It
+asks only whether an image vanishes, and vanishing survives a uniform
+positive scaling: with the module matrices multiplied by the lcm L of their
+denominators and the [[r, r]] coefficients by the lcm D of theirs, every
+term is multiplied by the same D*L^3 > 0, so an image is zero over the
+scaled ints exactly when it is zero over Fractions. schouten_criterion,
+schouten_square and jacobi_oracle stay on Fraction as the references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
 
 from .bialg import _cybe_tensor, tt_skew
 from .liealg import highest_weight_module, _mcompose, _mscaled_sum
@@ -204,6 +213,11 @@ def schouten_verdict(report):
     return report[key]
 
 
+def _lcm_den(values):
+    """Least common multiple of the denominators of ints and Fractions."""
+    return lcm(1, *{v.denominator for v in values})
+
+
 def schouten_promoted(P):
     """Promoted-mode verdict only, cheap enough for a classification sweep.
 
@@ -211,14 +225,25 @@ def schouten_promoted(P):
     the first nonzero wedge image instead of going on to settle the other
     mode, and the abstract terms are grouped by their first leg so that
     wedges annihilated early skip whole groups.
+
+    The kernel runs on ints: the module matrices are scaled by the lcm L of
+    their denominators and the [[r, r]] coefficients by the lcm D of theirs,
+    exactly (numerator times the cofactor, never a truncation). Each term
+    v * va * vb * vc then carries the same factor D * L^3 > 0, which does not
+    change whether a wedge image vanishes.
     """
     if _DEFAULT_MODE != "raw" or P.source is None:
         return schouten_verdict(schouten_criterion(P))
     dim = P.dim
     alg, t, mats = P.source
+    tensor = _cybe_tensor(alg, t)
+    big_d = _lcm_den(tensor.values())
+    big_l = _lcm_den(v for m in mats for col in m.values() for v in col.values())
+    mats = [{c: {r: v.numerator * (big_l // v.denominator) for r, v in col.items()}
+             for c, col in m.items()} for m in mats]
     groups = {}
-    for (x, y, z), v in _cybe_tensor(alg, t).items():
-        groups.setdefault(x, []).append((y, z, v))
+    for (x, y, z), v in tensor.items():
+        groups.setdefault(x, []).append((y, z, v.numerator * (big_d // v.denominator)))
     lead = []
     for a in range(dim):
         lead.append([(mats[x].get(a), lst) for x, lst in groups.items()
@@ -244,7 +269,7 @@ def schouten_promoted(P):
                                     vv = sv * va * vb
                                     for rc, vc in colz.items():
                                         key = (ra, rb, rc)
-                                        s = acc.get(key, Q(0)) + vv * vc
+                                        s = acc.get(key, 0) + vv * vc
                                         if s:
                                             acc[key] = s
                                         elif key in acc:
@@ -276,7 +301,11 @@ class BracketTable:
 
 def generator_brackets(alg, r, module):
     """{v_i, v_j} = symmetrized r-(v_i (x) v_j), stored for i < j."""
-    op = r_minus_operator(alg, r, module)
+    return bracket_table(r_minus_operator(alg, r, module))
+
+
+def bracket_table(op):
+    """The bracket table of a pair operator: op(v_i (x) v_j) read in S^2 V."""
     dim = op.dim
     table = {}
     for i in range(dim):

@@ -1,15 +1,17 @@
 """Schouten criterion, Poisson bracket tables, and the Jacobi oracle."""
 
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
-from qsym.rootsys import build_root_system
+from qsym.rootsys import build_root_system, weyl_dim
 from qsym.liealg import chevalley_basis, highest_weight_module, _mcompose, _mscaled_sum
-from qsym.bialg import standard_r, tt_add, tt_op
+from qsym.bialg import BDTriple, bd_r_matrix, standard_r, tt_add, tt_op
 from qsym.poisson import (
     BracketTable,
     PairOperator,
+    bracket_table,
     generator_brackets,
     jacobi_oracle,
     leg_embed,
@@ -214,19 +216,85 @@ def test_schouten_square_is_flip_skew_and_equivariant():
         assert _comm(diag, sq) == {}, sl2.names[x]
 
 
+def _denominators(values):
+    return {v.denominator for v in values}
+
+
 def test_promoted_verdict_matches_full_report():
+    """The int kernel of schouten_promoted agrees with the Fraction reference,
+    on passing and failing rows, half-integer module matrices, a BD r-matrix
+    with denominators up to 8, and zero operators."""
     cases = [
-        ("A1", (1,)),
-        ("A1", (2,)),
-        ("A1", (3,)),
-        ("A2", (1, 0)),
-        ("A2", (1, 1)),
-        ("C2", (0, 1)),
-        ("G2", (1, 0)),
+        ("A1", (1,), True),
+        ("A1", (2,), True),
+        ("A1", (3,), False),
+        ("A2", (1, 0), True),
+        ("A2", (1, 1), False),
+        ("C2", (0, 1), True),
+        ("G2", (1, 0), False),
+        ("B3", (0, 0, 1), False),
+        ("C3", (0, 1, 0), False),
     ]
-    for label, lam in cases:
+    halves = set()
+    for label, lam, want in cases:
         alg = chevalley_basis(build_root_system(label))
         mod = highest_weight_module(alg, lam)
+        if 2 in _denominators(v for m in mod.mats for col in m.values()
+                              for v in col.values()):
+            halves.add(label)
         op = r_minus_operator(alg, standard_r(alg), mod)
         fast = schouten_promoted(op)
-        assert fast == schouten_verdict(schouten_criterion(op)), (label, lam)
+        assert fast == schouten_verdict(schouten_criterion(op)) == want, (label, lam)
+    # the scaling is exercised: these modules act with halves
+    assert {"C2", "G2"} <= halves
+
+    a3 = chevalley_basis(build_root_system("A3"))
+    r_bd, _ = bd_r_matrix(a3, BDTriple((1, 2), (2, 3), {1: 2, 2: 3}))
+    assert 8 in _denominators(r_bd.values())
+    for lam, want in [((2, 0, 0), True), ((1, 0, 1), False)]:
+        op = r_minus_operator(a3, r_bd, highest_weight_module(a3, lam))
+        assert schouten_promoted(op) == schouten_verdict(schouten_criterion(op)) == want, lam
+
+    sl2 = chevalley_basis(build_root_system("A1"))
+    e, h, f = sl2.e_idx[(1,)], sl2.h_idx[0], sl2.f_idx[(1,)]
+    sym = {(e, f): Q(1), (f, e): Q(1), (h, h): Q(2)}
+    zero_ops = [PairOperator(3, {}, skew=True),
+                r_minus_operator(sl2, sym, (3,)),
+                r_minus_operator(sl2, {}, (2,))]
+    for op in zero_ops:
+        assert op.matrix == {}
+        assert schouten_promoted(op) is True
+        assert schouten_verdict(schouten_criterion(op)) is True
+
+
+# (type, weight) pairs of rank <= 3 with Weyl dimension <= 15; B2 is C2
+_SMALL_TYPES = ["A1", "A2", "A3", "B3", "C2", "C3", "G2"]
+
+
+def _small_weights(label):
+    rs = build_root_system(label)
+    return [lam for lam in product(range(4), repeat=rs.rank)
+            if any(lam) and weyl_dim(rs, lam) <= 15]
+
+
+def test_schouten_equals_jacobi_property():
+    """For random small (type, weight): the int-kernel verdict, the Jacobi
+    oracle on the bracket table and the Fraction Schouten report agree."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = {label: _small_weights(label) for label in _SMALL_TYPES}
+    pairs = st.sampled_from(_SMALL_TYPES).flatmap(
+        lambda label: st.tuples(st.just(label), st.sampled_from(weights[label])))
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(pairs)
+    def check(pair):
+        label, lam = pair
+        alg = chevalley_basis(build_root_system(label))
+        op = r_minus_operator(alg, standard_r(alg), highest_weight_module(alg, lam))
+        fast = schouten_promoted(op)
+        assert fast == jacobi_oracle(bracket_table(op)), pair
+        assert fast == schouten_verdict(schouten_criterion(op)), pair
+
+    check()
