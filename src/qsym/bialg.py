@@ -2,7 +2,8 @@
 
 Two-tensors are sparse maps (basis index, basis index) -> Fraction over a
 carrier algebra. Carriers are duck-typed: anything with dim, names and
-bracket_idx(i, j) works (ChevalleyAlgebra, SemidirectAlgebra, DoubleAlgebra).
+bracket_idx(i, j) works. The carriers built here (ChevalleyAlgebra,
+SemidirectAlgebra, the Drinfeld double) are all liealg.BracketTable.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ from fractions import Fraction as Q
 from itertools import combinations, permutations
 
 from .liealg import (
+    BracketTable,
     casimir,
     highest_weight_module,
     shared_type,
     _mcomm,
-    _mcompose,
     _mscaled_sum,
 )
 from .rootsys import cominuscule_nodes
@@ -297,47 +298,14 @@ def _cybe_tensor(carrier, r):
     return out
 
 
-def _tensor_cube_op(mats, r, dim):
-    ops = []
-    for legs in [(0, 1), (0, 2), (1, 2)]:
-        op = {}
-        for (a, b), v in r.items():
-            pair = {legs[0]: mats[a], legs[1]: mats[b]}
-            factors = [pair.get(leg) for leg in range(3)]
-            cols = [list(f.items()) if f is not None
-                    else [(c, {c: Q(1)}) for c in range(dim)] for f in factors]
-            for c0, v0 in cols[0]:
-                for c1, v1 in cols[1]:
-                    for c2, v2 in cols[2]:
-                        col = (c0 * dim + c1) * dim + c2
-                        acc = op.setdefault(col, {})
-                        for r0, x0 in v0.items():
-                            for r1, x1 in v1.items():
-                                for r2, x2 in v2.items():
-                                    row = (r0 * dim + r1) * dim + r2
-                                    s = acc.get(row, Q(0)) + v * x0 * x1 * x2
-                                    if s:
-                                        acc[row] = s
-                                    elif row in acc:
-                                        del acc[row]
-                        if not acc:
-                            del op[col]
-        ops.append(op)
-    r12, r13, r23 = ops
-    total = {}
-    for a, b in [(r12, r13), (r12, r23), (r13, r23)]:
-        tt = _mscaled_sum([(Q(1), _mcompose(a, b)), (Q(-1), _mcompose(b, a))])
-        total = _mscaled_sum([(Q(1), total), (Q(1), tt)])
-    return total
-
-
 def check_cybe(alg, r, module=None):
     """CYBE and invariance report for r, certified through a faithful module.
 
     The brackets are expanded exactly in g^(x)3; with a faithful module the
     tensor cube of the representation is injective, so vanishing there is
     equivalent. For small modules the operators on V^(x)3 are also built
-    explicitly and the two routes are required to agree.
+    explicitly, as the Schouten square of the rho (x) rho image of r, and the
+    two routes are required to agree.
     """
     if module is None:
         mats = alg.adjoint_rep()
@@ -352,7 +320,9 @@ def check_cybe(alg, r, module=None):
     tensor = _cybe_tensor(alg, r)
     holds = not tensor
     if dim ** 3 <= 1000:
-        cube = _tensor_cube_op(mats, r, dim)
+        # poisson imports this module, so its names are imported here
+        from .poisson import PairOperator, _pair_matrix, schouten_square
+        cube = schouten_square(PairOperator(dim, _pair_matrix(mats, dim, r)))
         assert (not cube) == holds, "tensor-cube route disagrees"
     sym = tt_add(tt_add({}, r), tt_op(r))
     invariant = all(not ad_two_tensor(alg, x, sym) for x in range(alg.dim))
@@ -373,6 +343,17 @@ class Cobracket:
         return self.delta.items()
 
 
+def _delta(carrier, r, x):
+    """[r, x (x) 1 + 1 (x) x] for a basis index x of carrier."""
+    t = {}
+    for (a, b), v in r.items():
+        for k, c in carrier.bracket_idx(a, x).items():
+            tt_add(t, {(k, b): v * c})
+        for k, c in carrier.bracket_idx(b, x).items():
+            tt_add(t, {(a, k): v * c})
+    return t
+
+
 def cobracket_from_r(carrier, r, verify=True):
     """delta(x) = [r, x (x) 1 + 1 (x) x], verified antisymmetric.
 
@@ -387,12 +368,7 @@ def cobracket_from_r(carrier, r, verify=True):
                 raise ValueError("r must be supported on the g-part")
     delta = {}
     for x in range(carrier.dim):
-        t = {}
-        for (a, b), v in r.items():
-            for k, c in carrier.bracket_idx(a, x).items():
-                tt_add(t, {(k, b): v * c})
-            for k, c in carrier.bracket_idx(b, x).items():
-                tt_add(t, {(a, k): v * c})
+        t = _delta(carrier, r, x)
         if verify and tt_add(dict(t), tt_op(t)):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
         if t:
@@ -448,36 +424,6 @@ def check_lie_bialgebra(carrier, cob):
 # Drinfeld double
 # ---------------------------------------------------------------------------
 
-class DoubleAlgebra:
-    """L + L* with the mixed coadjoint bracket."""
-
-    def __init__(self, names, table):
-        self.names = names
-        self.dim = len(names)
-        self.table = table
-
-    def bracket_idx(self, i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -v for k, v in self.table.get((j, i), {}).items()}
-
-    def bracket(self, x, y):
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                c = xi * yj
-                if c:
-                    for k, v in self.bracket_idx(i, j).items():
-                        s = out.get(k, Q(0)) + c * v
-                        if s:
-                            out[k] = s
-                        elif k in out:
-                            del out[k]
-        return out
-
-
 def drinfeld_double(alg, cob):
     """D = L + L*, the canonical element, and a Jacobi/CYBE/Manin report."""
     delta = cob.delta if isinstance(cob, Cobracket) else cob
@@ -512,7 +458,8 @@ def drinfeld_double(alg, cob):
             entry = {k: v for k, v in entry.items() if v}
             if entry:
                 table[(i, n + j)] = entry
-    D = DoubleAlgebra(names, table)
+    D = BracketTable(2 * n, table)
+    D.names = names
 
     r_canonical = {(i, n + i): Q(1) for i in range(n)}
 
@@ -574,36 +521,14 @@ def drinfeld_double(alg, cob):
 # semidirect carriers
 # ---------------------------------------------------------------------------
 
-class SemidirectAlgebra:
+class SemidirectAlgebra(BracketTable):
     """g acting on an abelian ideal V: [x + v, x' + v'] = [x,x'] + x.v' - x'.v."""
 
     def __init__(self, names, table, g_indices, v_indices):
+        super().__init__(len(names), table)
         self.names = names
-        self.dim = len(names)
-        self.table = table
         self.g_indices = list(g_indices)
         self.v_indices = list(v_indices)
-
-    def bracket_idx(self, i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -v for k, v in self.table.get((j, i), {}).items()}
-
-    def bracket(self, x, y):
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                c = xi * yj
-                if c:
-                    for k, v in self.bracket_idx(i, j).items():
-                        s = out.get(k, Q(0)) + c * v
-                        if s:
-                            out[k] = s
-                        elif k in out:
-                            del out[k]
-        return out
 
 
 def semidirect_algebra(alg, lam, central_scalars=()):
@@ -673,12 +598,7 @@ def parabolic_semidirect(rs_ambient, node, triple=None):
     closure = True
     delta = {}
     for x_amb in p_indices:
-        t = {}
-        for (a, b), v in r.items():
-            for k2, c in alg.bracket_idx(a, x_amb).items():
-                tt_add(t, {(k2, b): v * c})
-            for k2, c in alg.bracket_idx(b, x_amb).items():
-                tt_add(t, {(a, k2): v * c})
+        t = _delta(alg, r, x_amb)
         if any(a not in pos or b not in pos for (a, b) in t):
             closure = False
             continue

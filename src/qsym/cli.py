@@ -327,6 +327,11 @@ def _attach_weight_values(argv):
     return out
 
 
+def _error(exc):
+    sys.stdout.write("error: %s: %s\n" % (type(exc).__name__, exc))
+    return 1
+
+
 def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -336,11 +341,13 @@ def main(argv=None):
     except (ValueError, ArithmeticError, AssertionError) as exc:
         # an AssertionError is a failed internal invariant (liealg, bialg);
         # it is reported on one line like the domain errors
-        sys.stdout.write("error: %s: %s\n" % (type(exc).__name__, exc))
-        return 1
+        return _error(exc)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _error(exc)
     else:
         sys.stdout.write(text)
     return code

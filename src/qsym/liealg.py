@@ -194,7 +194,39 @@ def module_matrices(rs, lam):
 # Chevalley basis via the adjoint bootstrap
 # ---------------------------------------------------------------------------
 
-class ChevalleyAlgebra:
+class BracketTable:
+    """A skew bracket on the basis 0..dim-1, stored for i < j only.
+
+    table[(i, j)] is the bracket of basis elements i < j as a sparse map;
+    the other order is its negative and the diagonal is empty. The values
+    are vectors over the basis for a Lie algebra, and polynomials keyed by
+    sorted monomials for a Poisson bracket table on S(V).
+    """
+
+    def __init__(self, dim, table):
+        self.dim = dim
+        self.table = table
+
+    def bracket_idx(self, i, j):
+        """Bracket of basis elements i and j, with sign, for any index order."""
+        if i == j:
+            return {}
+        if i < j:
+            return self.table.get((i, j), {})
+        return {k: -v for k, v in self.table.get((j, i), {}).items()}
+
+    def bracket(self, x, y):
+        """Bilinear extension of bracket_idx to sparse vectors x and y."""
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                c = xi * yj
+                if c:
+                    _vadd_into(out, self.bracket_idx(i, j), c)
+        return out
+
+
+class ChevalleyAlgebra(BracketTable):
     """Basis E_gamma, H_i, F_gamma (+ optional central z_k), exact brackets.
 
     Signs of the non-simple root vectors are fixed by the deterministic
@@ -398,22 +430,6 @@ class ChevalleyAlgebra:
         return form
 
     # -- public interface ----------------------------------------------------
-
-    def bracket_idx(self, i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -v for k, v in self.table.get((j, i), {}).items()}
-
-    def bracket(self, x, y):
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                c = xi * yj
-                if c:
-                    _vadd_into(out, self.bracket_idx(i, j), c)
-        return out
 
     def form(self, i, j):
         return self._form.get((i, j), Q(0))

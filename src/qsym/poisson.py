@@ -1,9 +1,10 @@
 """Schouten-square criterion and the induced Poisson bracket on S(V).
 
 Operators on V (x) V and V^(x)3 are dict-sparse over packed integer indices
-(a*dim + b, (a*dim + b)*dim + c). The Jacobi oracle extends the degree-2
-bracket table by the Leibniz rule and is the ground truth the Schouten
-modes are calibrated against.
+(a*dim + b, (a*dim + b)*dim + c). The Schouten criterion asks whether
+[[P, P]] vanishes on Lambda^3 V. The Jacobi oracle extends the degree-2
+bracket table (a liealg.BracketTable over monomials) by the Leibniz rule
+and is the independent ground truth the criterion is checked against.
 
 The sweep's Schouten verdict (schouten_promoted) runs on Python ints. It
 asks only whether an image vanishes, and vanishing survives a uniform
@@ -20,12 +21,7 @@ from fractions import Fraction as Q
 from math import lcm
 
 from .bialg import _cybe_tensor, tt_skew
-from .liealg import highest_weight_module, _mcompose, _mscaled_sum
-
-# Mode promoted by the sl2 dim-2..5 calibration battery: the raw verdict on
-# Lambda^3 V agreed with jacobi_oracle on every case, tying with the
-# symmetrized mode, so the raw reading is the default.
-_DEFAULT_MODE = "raw"
+from .liealg import BracketTable, highest_weight_module, _mcomm, _mscaled_sum, _vadd_into
 
 
 class PairOperator:
@@ -52,13 +48,11 @@ def _resolve_module(alg, module):
     return highest_weight_module(alg, module)
 
 
-def pair_operator(alg, t, module, skew=False):
-    """Operator sum rho(a) (x) rho(b) over the terms a (x) b of t."""
-    mod = _resolve_module(alg, module)
-    dim = mod.dim
+def _pair_matrix(mats, dim, t):
+    """Sparse matrix of sum rho(a) (x) rho(b) over the terms a (x) b of t."""
     matrix = {}
     for (a, b), v in t.items():
-        ma, mb = mod.mats[a], mod.mats[b]
+        ma, mb = mats[a], mats[b]
         for ca, rows_a in ma.items():
             for cb, rows_b in mb.items():
                 col = ca * dim + cb
@@ -73,7 +67,13 @@ def pair_operator(alg, t, module, skew=False):
                             del acc[row]
                 if not acc:
                     del matrix[col]
-    return PairOperator(dim, matrix, skew=skew,
+    return matrix
+
+
+def pair_operator(alg, t, module, skew=False):
+    """Operator sum rho(a) (x) rho(b) over the terms a (x) b of t."""
+    mod = _resolve_module(alg, module)
+    return PairOperator(mod.dim, _pair_matrix(mod.mats, mod.dim, t), skew=skew,
                         source=(alg, dict(t), mod.mats))
 
 
@@ -109,8 +109,7 @@ def schouten_square(P):
     p23 = leg_embed(P.matrix, dim, (1, 2))
     total = {}
     for a, b in [(p12, p13), (p12, p23), (p13, p23)]:
-        comm = _mscaled_sum([(Q(1), _mcompose(a, b)), (Q(-1), _mcompose(b, a))])
-        total = _mscaled_sum([(Q(1), total), (Q(1), comm)])
+        total = _mscaled_sum([(Q(1), total), (Q(1), _mcomm(a, b))])
     return total
 
 
@@ -137,10 +136,8 @@ _WEDGE_PERMS = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
 
 
 def schouten_criterion(P):
-    """Evaluate [[P, P]] on a basis of Lambda^3 V.
+    """Whether [[P, P]] vanishes on a basis of Lambda^3 V, over Fractions.
 
-    Report: vanishes_raw (image zero in V^(x)3), vanishes_sym_projected
-    (image zero after projecting V^(x)3 -> S^3 V), and the promoted mode.
     When generator provenance is available, [[P, P]] is expanded abstractly
     in g^(x)3 and applied term-by-term; otherwise the operator commutators
     are formed on V^(x)3 directly. The two routes agree (representations
@@ -148,69 +145,31 @@ def schouten_criterion(P):
     tests pin that agreement.
     """
     dim = P.dim
-    raw = True
-    projected = True
     if P.source is not None:
         alg, t, mats = P.source
         tensor = _cybe_tensor(alg, t)
 
-        def image(i, j, k):
-            acc = {}
-            for perm, sign in _WEDGE_PERMS:
-                trip = (i, j, k)[perm[0]], (i, j, k)[perm[1]], (i, j, k)[perm[2]]
-                for key, v in _apply_abstract(tensor, mats, trip).items():
-                    s = acc.get(key, Q(0)) + sign * v
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
-            return acc
+        def image(trip):
+            return _apply_abstract(tensor, mats, trip)
     else:
         sq = schouten_square(P)
 
-        def image(i, j, k):
-            acc = {}
-            for perm, sign in _WEDGE_PERMS:
-                trip = (i, j, k)[perm[0]], (i, j, k)[perm[1]], (i, j, k)[perm[2]]
-                col = (trip[0] * dim + trip[1]) * dim + trip[2]
-                for row, v in sq.get(col, {}).items():
-                    ab, c = divmod(row, dim)
-                    a, b = divmod(ab, dim)
-                    key = (a, b, c)
-                    s = acc.get(key, Q(0)) + sign * v
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
-            return acc
+        def image(trip):
+            out = {}
+            for row, v in sq.get((trip[0] * dim + trip[1]) * dim + trip[2], {}).items():
+                ab, c = divmod(row, dim)
+                out[divmod(ab, dim) + (c,)] = v
+            return out
 
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                img = image(i, j, k)
-                if img:
-                    raw = False
-                    sym = {}
-                    for key, v in img.items():
-                        mono = tuple(sorted(key))
-                        s = sym.get(mono, Q(0)) + v
-                        if s:
-                            sym[mono] = s
-                        elif mono in sym:
-                            del sym[mono]
-                    if sym:
-                        projected = False
-                if not raw and not projected:
-                    return {"vanishes_raw": False, "vanishes_sym_projected": False,
-                            "mode": _DEFAULT_MODE}
-    return {"vanishes_raw": raw, "vanishes_sym_projected": projected,
-            "mode": _DEFAULT_MODE}
-
-
-def schouten_verdict(report):
-    """The verdict in the promoted mode."""
-    key = "vanishes_raw" if report["mode"] == "raw" else "vanishes_sym_projected"
-    return report[key]
+                acc = {}
+                for perm, sign in _WEDGE_PERMS:
+                    _vadd_into(acc, image(tuple((i, j, k)[p] for p in perm)), sign)
+                if acc:
+                    return False
+    return True
 
 
 def _lcm_den(values):
@@ -219,12 +178,11 @@ def _lcm_den(values):
 
 
 def schouten_promoted(P):
-    """Promoted-mode verdict only, cheap enough for a classification sweep.
+    """The Schouten verdict, cheap enough for a classification sweep.
 
-    Same answer as schouten_verdict(schouten_criterion(P)), but it stops at
-    the first nonzero wedge image instead of going on to settle the other
-    mode, and the abstract terms are grouped by their first leg so that
-    wedges annihilated early skip whole groups.
+    Same answer as schouten_criterion(P), but the abstract terms are grouped
+    by their first leg so that wedges annihilated early skip whole groups.
+    Without generator provenance it is schouten_criterion(P).
 
     The kernel runs on ints: the module matrices are scaled by the lcm L of
     their denominators and the [[r, r]] coefficients by the lcm D of theirs,
@@ -232,8 +190,8 @@ def schouten_promoted(P):
     v * va * vb * vc then carries the same factor D * L^3 > 0, which does not
     change whether a wedge image vanishes.
     """
-    if _DEFAULT_MODE != "raw" or P.source is None:
-        return schouten_verdict(schouten_criterion(P))
+    if P.source is None:
+        return schouten_criterion(P)
     dim = P.dim
     alg, t, mats = P.source
     tensor = _cybe_tensor(alg, t)
@@ -283,22 +241,6 @@ def schouten_promoted(P):
 # the Poisson bracket on S(V) and its Jacobi oracle
 # ---------------------------------------------------------------------------
 
-class BracketTable:
-    """{v_i, v_j} for i < j as degree-2 polynomials in the v basis."""
-
-    def __init__(self, dim, table):
-        self.dim = dim
-        self.table = table
-
-    def pair(self, i, j):
-        """Bracket with sign for any index order; {} on the diagonal."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {m: -v for m, v in self.table.get((j, i), {}).items()}
-
-
 def generator_brackets(alg, r, module):
     """{v_i, v_j} = symmetrized r-(v_i (x) v_j), stored for i < j."""
     return bracket_table(r_minus_operator(alg, r, module))
@@ -330,7 +272,7 @@ def jacobi_oracle(B):
         out = {}
         for (a, b), v in poly.items():
             for one, other in [(a, b), (b, a)]:
-                for mono, w in B.pair(i, one).items():
+                for mono, w in B.bracket_idx(i, one).items():
                     key = tuple(sorted(mono + (other,)))
                     s = out.get(key, Q(0)) + v * w
                     if s:
@@ -344,7 +286,7 @@ def jacobi_oracle(B):
             for k in range(j + 1, B.dim):
                 acc = {}
                 for x, y, z in [(i, j, k), (j, k, i), (k, i, j)]:
-                    for key, v in bracket_with_poly(x, B.pair(y, z)).items():
+                    for key, v in bracket_with_poly(x, B.bracket_idx(y, z)).items():
                         s = acc.get(key, Q(0)) + v
                         if s:
                             acc[key] = s

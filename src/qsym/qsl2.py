@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .poisson import BracketTable
+from .liealg import BracketTable
 from .scalars import QRat, divided_bracket, echelon, one, qpow, zero
 
 

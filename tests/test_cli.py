@@ -1,6 +1,7 @@
 """Command line behaviour: output shapes, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -76,8 +77,9 @@ def test_usage_error_exits_one(capsys):
         assert code == 1, argv
 
 
-def test_math_error_single_line(capsys):
-    """Domain errors print one line naming the error type and exit 1."""
+def test_math_error_single_line(tmp_path, capsys):
+    """Domain and output-file errors print one line naming the error type
+    and exit 1."""
     cases = [
         (["classify", "--type", "A", "--rank", "2", "--weight", "0,0"],
          "NotDominant"),
@@ -97,6 +99,8 @@ def test_math_error_single_line(capsys):
          "NotDominant"),
         (["rmatrix", "--type", "A", "--rank", "2", "--module", "-1,0"],
          "NotDominant"),
+        (["module", "--type", "A", "--rank", "2", "--weight", "1,0",
+          "--out", str(tmp_path / "missing" / "x.json")], "FileNotFoundError"),
     ]
     for argv, errname in cases:
         code, out = run_cli(argv, capsys)
@@ -197,9 +201,14 @@ def test_donin_report(capsys):
 
 def test_module_entry_point():
     """python -m invocation works end to end with the documented exit code."""
+    # the child imports the same qsym as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + inherited if inherited else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "qsym.cli", "table", "--max-rank", "2",
          "--dim-budget", "16", "--diff-paper"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["diff"] == {"missing": [], "extra": []}

@@ -4,18 +4,26 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
+import pytest
+
+from qsym.bialg import (cobracket_from_r, drinfeld_double, parabolic_semidirect,
+                        semidirect_algebra, standard_r)
 from qsym.liealg import (
+    BracketTable,
     abelian_radical_module,
     casimir,
     chevalley_basis,
     highest_weight_module,
     module_matrices,
+    shared_type,
     weyl_dimension_and_weights,
     _mcomm,
     _mcompose,
     _mscaled_sum,
 )
+from qsym.poisson import bracket_table, r_minus_operator
 from qsym.rootsys import build_root_system, weight_multiplicities, weyl_dim
 
 
@@ -290,3 +298,57 @@ def test_weyl_dimension_and_weights_wrapper():
     dim, mults = weyl_dimension_and_weights(rs, (1, 0, 0, 0, 0, 0))
     assert dim == 27
     assert sum(mults.values()) == 27
+
+
+def test_one_bracket_table_for_every_carrier():
+    """A Chevalley algebra, a parabolic semidirect carrier, a Drinfeld double
+    and a Poisson bracket table are one skew table: negated on swap, empty on
+    the diagonal, and bracket of basis vectors equal to bracket_idx."""
+    sl2 = chevalley_basis(build_root_system("A1"))
+    S, _ = parabolic_semidirect("A2", 1)
+    D, _, _ = drinfeld_double(sl2, cobracket_from_r(sl2, standard_r(sl2)))
+    B = bracket_table(r_minus_operator(sl2, standard_r(sl2), (2,)))
+    for table in [chevalley_basis(build_root_system("C2")), S, D, B]:
+        assert isinstance(table, BracketTable)
+        nonzero = 0
+        for i in range(table.dim):
+            assert table.bracket_idx(i, i) == {}
+            for j in range(table.dim):
+                bij = table.bracket_idx(i, j)
+                assert table.bracket_idx(j, i) == {k: -v for k, v in bij.items()}
+                assert table.bracket({i: Q(1)}, {j: Q(1)}) == bij
+                nonzero += bool(bij)
+        assert nonzero
+
+
+# types of rank <= 3 (B2 is C2) and their dominant weights of Weyl dimension <= 15
+_SMALL_TYPES = ["A1", "A2", "A3", "B3", "C2", "C3", "G2"]
+
+
+def test_module_dimension_property():
+    """For random small (type, weight): the Freudenthal multiplicities sum to
+    the Weyl dimension, the built module has that dimension, and the
+    semidirect algebra builds, so the module is a representation."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = {}
+    for label in _SMALL_TYPES:
+        rs = shared_type(label).rs
+        weights[label] = [lam for lam in product(range(4), repeat=rs.rank)
+                          if weyl_dim(rs, lam) <= 15]
+    pairs = st.sampled_from(_SMALL_TYPES).flatmap(
+        lambda label: st.tuples(st.just(label), st.sampled_from(weights[label])))
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(pairs)
+    def check(pair):
+        label, lam = pair
+        shared = shared_type(label)
+        dim = weyl_dim(shared.rs, lam)
+        assert sum(weight_multiplicities(shared.rs, lam).values()) == dim, pair
+        assert highest_weight_module(shared.algebra, lam).dim == dim, pair
+        S = semidirect_algebra(shared.algebra, lam)
+        assert len(S.v_indices) == dim, pair
+
+    check()
