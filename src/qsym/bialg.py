@@ -563,6 +563,10 @@ def parabolic_semidirect(rs_ambient, node, triple=None):
     Returns (S, report): S is the parabolic (levi + full Cartan) acting on its
     abelian nilradical, with S.cobracket attached; report records closure of
     delta on the parabolic and the bialgebra axiom fields.
+
+    The pair is built once per (node, triple) and kept on the ambient's
+    liealg.shared_type entry. S is shared between callers and must not be
+    changed; each call returns its own copy of the report.
     """
     ambient = shared_type(rs_ambient if isinstance(rs_ambient, str) else rs_ambient.label)
     rs = ambient.rs
@@ -573,7 +577,16 @@ def parabolic_semidirect(rs_ambient, node, triple=None):
         triple = BDTriple((), (), {})
     if node in triple.delta1 or node in triple.delta2:
         raise TripleTouchesNode("triple uses node %d" % node)
-    alg = ambient.algebra
+    key = (node, triple.key())
+    built = ambient.parabolics.get(key)
+    if built is None:
+        built = ambient.parabolics[key] = _parabolic(ambient.algebra, node, triple)
+    S, report = built
+    return S, dict(report)
+
+
+def _parabolic(alg, node, triple):
+    """The (S, report) pair of parabolic_semidirect, built from scratch."""
     r, _ = bd_r_matrix(alg, triple)
     k = node - 1
     levi = ([alg.e_idx[g] for g in alg.pos_roots if g[k] == 0]

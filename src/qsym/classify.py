@@ -38,7 +38,6 @@ from .rootsys import (
     NotDominant,
     cominuscule_nodes,
     normalize_type,
-    weight_multiplicities,
     weyl_dim,
 )
 
@@ -67,19 +66,23 @@ def _is_positive_root(rs, v):
     return rs.is_root(tuple(iv))
 
 
-def weight_filter(rs, lam):
+def weight_filter(rs, lam, mults):
     """Root-gap test: lowered weights must stay within one root of lam.
 
     For every weight mu of V(lam) and every simple i with (lam, alpha_i) > 0
     and (mu, alpha_i) < 0, either lam - mu is in R+ u {0} or lam - mu -
     alpha_i is in R+.  Necessary for the semidirect structure to exist, and
     strictly weaker than the Schouten criterion.
+
+    mults holds the weights of V(lam) (the keys of
+    rootsys.weight_multiplicities(rs, lam)); classify_pair passes the ones it
+    already computed for the Weyl/Freudenthal oracle.
     """
     lam = tuple(int(c) for c in lam)
     if len(lam) != rs.rank or any(c < 0 for c in lam) or not any(lam):
         raise NotDominant("need a nonzero dominant weight, got %r" % (lam,))
     lamr = rs.fund_to_root(lam)
-    for mu in weight_multiplicities(rs, lam):
+    for mu in mults:
         mur = rs.fund_to_root(mu)
         diff = tuple(a - b for a, b in zip(lamr, mur))
         if not any(diff):
@@ -287,7 +290,7 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     dim, mults = weyl_dimension_and_weights(rs, lam)
     if dim > dim_budget:
         raise BudgetExceeded("dim V = %d exceeds the budget %d" % (dim, dim_budget))
-    wf = weight_filter(rs, lam)
+    wf = weight_filter(rs, lam, mults)
     alg = typ.algebra
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)

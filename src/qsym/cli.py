@@ -16,9 +16,9 @@ from . import qsl2
 from .bialg import (bd_r_matrix, check_cybe, cobracket_from_r, drinfeld_double,
                     enumerate_bd_triples, standard_r)
 from .classify import classification_table, classify_pair, paper_diff
-from .liealg import chevalley_basis, highest_weight_module
+from .liealg import highest_weight_module, shared_type
 from .poisson import jacobi_oracle
-from .rootsys import (build_root_system, cominuscule_nodes, normalize_type,
+from .rootsys import (InvalidType, build_root_system, cominuscule_nodes, normalize_type,
                       weight_multiplicities, weyl_dim)
 from .scalars import QRat
 
@@ -42,6 +42,10 @@ def _scalar(v):
 
 
 def _type_rank(args):
+    """(series letter, rank) named by --type and --rank; a simple type only."""
+    if "x" in args.type.lower():
+        raise InvalidType("product type %r is not supported on the command line"
+                          % args.type)
     if getattr(args, "rank", None) is not None:
         return args.type.strip().upper(), args.rank
     return normalize_type(args.type)
@@ -97,7 +101,7 @@ def _cmd_module(args):
 
 def _cmd_rmatrix(args):
     letter, rank = _type_rank(args)
-    alg = chevalley_basis(build_root_system(letter, rank))
+    alg = shared_type(build_root_system(letter, rank).label).algebra
     r = standard_r(alg)
     module = None
     if args.module:
@@ -117,7 +121,7 @@ def _cmd_rmatrix(args):
 def _cmd_bd(args):
     letter, rank = _type_rank(args)
     rs = build_root_system(letter, rank)
-    alg = chevalley_basis(rs) if args.check else None
+    alg = shared_type(rs.label).algebra if args.check else None
     triples = []
     for t in enumerate_bd_triples(rs):
         item = {
@@ -136,7 +140,7 @@ def _cmd_bd(args):
 
 def _cmd_double(args):
     letter, rank = _type_rank(args)
-    alg = chevalley_basis(build_root_system(letter, rank))
+    alg = shared_type(build_root_system(letter, rank).label).algebra
     cob = cobracket_from_r(alg, standard_r(alg))
     double, _, report = drinfeld_double(alg, cob)
     out = {

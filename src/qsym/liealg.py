@@ -6,6 +6,16 @@ Gram matrix, which quotients the Verma module to the irreducible one. The
 Chevalley basis is bootstrapped from the adjoint module: root-vector operators
 are nested commutators of the generator matrices along a deterministic descent
 path, with F_gamma rescaled so that [E_gamma, F_gamma] = H_gamma exactly.
+
+The bootstrap runs on the scaled-int kernel of scalars: each operator is a
+Fraction scale times a matrix of Python ints, commutators multiply ints, and
+the rescaling factors and structure constants are exact Fraction ratios found
+by integer cross-multiplication. Modules (highest_weight_module) stay on
+Fraction; they are checked against the Weyl/Freudenthal oracle.
+
+shared_type is the one cache of root systems and Chevalley algebras. Each
+entry also holds the parabolic bialgebras built over its type, which
+bialg.parabolic_semidirect memoises there per (node, BD triple).
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from .rootsys import (
     weight_multiplicities,
     weyl_dim,
 )
-from .scalars import echelon
+from .scalars import den_lcm, echelon, scaled, scaled_comm, scaled_ratio
 
 
 class DegenerateForm(ValueError):
@@ -78,16 +88,6 @@ def _mscale(m, c):
     if not c:
         return {}
     return {j: {i: v * c for i, v in col.items()} for j, col in m.items()}
-
-
-def _scalar_ratio(m, base):
-    """m == ratio * base exactly, or None. base must be nonzero."""
-    j0 = min(base)
-    i0 = min(base[j0])
-    ratio = m.get(j0, {}).get(i0, Q(0)) / base[j0][i0]
-    if _mscaled_sum([(Q(1), m), (-ratio, base)]):
-        return None
-    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +315,43 @@ class ChevalleyAlgebra(BracketTable):
         def lift(mat, off):
             return {j + off: {i + off: v for i, v in col.items()} for j, col in mat.items()}
 
+        # root-vector operators are scaled int matrices (scalars.scaled): the
+        # commutators run on ints and every ratio below is an exact Fraction
         gen_e = []
         gen_f = []
-        gen_h = []
+        gen_h = []  # H_i is diagonal: {index: int eigenvalue}
         for i in range(rank):
             c = next(k for k, offk in enumerate(rs._offsets)
                      if offk <= i < offk + rs.components[k][1])
             local = i - rs._offsets[c]
             rep, off = comp_reps[c]
-            gen_e.append(lift(rep.e[local], off))
-            gen_f.append(lift(rep.f[local], off))
-            gen_h.append({j + off: {j + off: Q(rep.weights[j][local])}
+            gen_e.append(scaled(lift(rep.e[local], off)))
+            gen_f.append(scaled(lift(rep.f[local], off)))
+            gen_h.append({j + off: rep.weights[j][local]
                           for j in range(rep.dim) if rep.weights[j][local]})
 
         for i in range(rank):
             alpha = tuple(1 if k == i else 0 for k in range(rank))
             ops[self.e_idx[alpha]] = gen_e[i]
             ops[self.f_idx[alpha]] = gen_f[i]
-            ops[self.h_idx[i]] = gen_h[i]
             self.recipes[self.e_idx[alpha]] = ("e", i)
             self.recipes[self.f_idx[alpha]] = ("f", i)
+
+        def coroot(gamma):
+            # H_gamma in coroot coordinates: gamma^ = sum gamma_j (a_j,a_j)/(g,g) a_j^
+            gnorm = rs.inner(gamma, gamma)
+            return {j: Q(gamma[j]) * rs.norms[j] / gnorm for j in range(rank) if gamma[j]}
+
+        def coroot_op(gamma):
+            # H_gamma as a scaled diagonal matrix
+            coords = coroot(gamma)
+            big_l = den_lcm(coords.values())
+            diag = {}
+            for j, c in coords.items():
+                cj = c.numerator * (big_l // c.denominator)
+                for k, w in gen_h[j].items():
+                    diag[k] = diag.get(k, 0) + cj * w
+            return Q(1, big_l), {k: {k: v} for k, v in diag.items() if v}
 
         tilde_scale = {}  # f-side rescaling factors t_gamma
         for gamma in self.pos_roots:
@@ -343,17 +360,14 @@ class ChevalleyAlgebra(BracketTable):
                 continue
             i, parent, p = self._descent(gamma)
             coef = Q(1, p + 1)
-            e_op = _mscale(_mcomm(gen_e[i], ops[self.e_idx[parent]]), coef)
-            ops[self.e_idx[gamma]] = e_op
-            ft_op = _mscale(_mcomm(gen_f[i], ops[self.f_idx[parent]]), coef * tilde_scale[parent])
-            # H_gamma in coroot coordinates: gamma^ = sum gamma_j (a_j,a_j)/(g,g) a_j^
-            gnorm = rs.inner(gamma, gamma)
-            h_op = _mscaled_sum(
-                [(Q(gamma[j]) * rs.norms[j] / gnorm, gen_h[j]) for j in range(rank)])
-            t = _scalar_ratio(_mcomm(e_op, ft_op), h_op)
+            s, m = scaled_comm(gen_e[i], ops[self.e_idx[parent]])
+            e_op = ops[self.e_idx[gamma]] = (s * coef, m)
+            s, m = scaled_comm(gen_f[i], ops[self.f_idx[parent]])
+            ft_op = (s * coef * tilde_scale[parent], m)
+            t = scaled_ratio(scaled_comm(e_op, ft_op), coroot_op(gamma))
             assert t is not None and t != 0, "bad Cartan scale at %s" % (gamma,)
             tilde_scale[gamma] = t
-            ops[self.f_idx[gamma]] = _mscale(ft_op, Q(1) / t)
+            ops[self.f_idx[gamma]] = (ft_op[0] / t, m)
             self.recipes[self.e_idx[gamma]] = ("comm_e", i, self.e_idx[parent], coef)
             self.recipes[self.f_idx[gamma]] = (
                 "comm_f", i, self.f_idx[parent], coef * tilde_scale[parent] / t)
@@ -384,20 +398,15 @@ class ChevalleyAlgebra(BracketTable):
                 if self._component_of(a) != self._component_of(b):
                     continue
                 target = tuple(x + y for x, y in zip(wa, wb))
-                m = _mcomm(ops[a], ops[b])
+                m = scaled_comm(ops[a], ops[b])
                 if not any(target):
-                    if not m:
+                    if not m[1]:
                         continue
                     # must be [E_g, F_g] = H_g
                     gamma = tuple(int(x) for x in wa)
-                    gnorm = rs.inner(gamma, gamma)
-                    coords = {self.h_idx[j]: Q(gamma[j]) * rs.norms[j] / gnorm
-                              for j in range(rank) if gamma[j]}
-                    h_op = _mscaled_sum([(coords[self.h_idx[j]], gen_h[j])
-                                         for j in range(rank) if gamma[j]])
-                    assert not _mscaled_sum([(Q(1), m), (Q(-1), h_op)]), \
+                    assert scaled_ratio(m, coroot_op(gamma)) == 1, \
                         "Cartan bracket mismatch at %s" % (gamma,)
-                    put(a, b, coords)
+                    put(a, b, {self.h_idx[j]: c for j, c in coroot(gamma).items()})
                     continue
                 ti = tuple(int(x) for x in target)
                 if ti in self.e_idx:
@@ -405,11 +414,11 @@ class ChevalleyAlgebra(BracketTable):
                 elif tuple(-x for x in ti) in self.f_idx:
                     tgt = self.f_idx[tuple(-x for x in ti)]
                 else:
-                    assert not m, "unexpected bracket weight %s" % (target,)
+                    assert not m[1], "unexpected bracket weight %s" % (target,)
                     continue
-                if not m:
+                if not m[1]:
                     continue
-                ratio = _scalar_ratio(m, ops[tgt])
+                ratio = scaled_ratio(m, ops[tgt])
                 assert ratio is not None, "bracket not a multiple at %s,%s" % (a, b)
                 put(a, b, {tgt: ratio})
 
@@ -454,10 +463,16 @@ def chevalley_basis(rs, central_dims=0):
 
 
 class SharedType:
-    """A root system and, built on first use, its Chevalley basis."""
+    """A root system, its Chevalley basis (built on first use), and the
+    parabolic bialgebras built over it.
+
+    parabolics maps (node, BD triple key) to the (S, report) pair of
+    bialg.parabolic_semidirect, which fills it.
+    """
 
     def __init__(self, rs):
         self.rs = rs
+        self.parabolics = {}
 
     @cached_property
     def algebra(self):
@@ -470,8 +485,9 @@ _SHARED_TYPES = {}
 def shared_type(label):
     """The memoised SharedType of a type label such as "C2" or "A2xA1".
 
-    The classification sweep and the parabolic construction draw their root
-    systems and algebras from this one cache; no caller mutates them.
+    The classification sweep, the parabolic construction and the command line
+    draw their root systems, algebras and parabolic bialgebras from this one
+    cache; no caller mutates them.
     """
     entry = _SHARED_TYPES.get(label)
     if entry is None:

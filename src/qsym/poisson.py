@@ -18,10 +18,10 @@ schouten_square and jacobi_oracle stay on Fraction as the references.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import lcm
 
 from .bialg import _cybe_tensor, tt_skew
 from .liealg import BracketTable, highest_weight_module, _mcomm, _mscaled_sum, _vadd_into
+from .scalars import den_lcm, int_columns
 
 
 class PairOperator:
@@ -172,11 +172,6 @@ def schouten_criterion(P):
     return True
 
 
-def _lcm_den(values):
-    """Least common multiple of the denominators of ints and Fractions."""
-    return lcm(1, *{v.denominator for v in values})
-
-
 def schouten_promoted(P):
     """The Schouten verdict, cheap enough for a classification sweep.
 
@@ -195,10 +190,9 @@ def schouten_promoted(P):
     dim = P.dim
     alg, t, mats = P.source
     tensor = _cybe_tensor(alg, t)
-    big_d = _lcm_den(tensor.values())
-    big_l = _lcm_den(v for m in mats for col in m.values() for v in col.values())
-    mats = [{c: {r: v.numerator * (big_l // v.denominator) for r, v in col.items()}
-             for c, col in m.items()} for m in mats]
+    big_d = den_lcm(tensor.values())
+    big_l = den_lcm(v for m in mats for col in m.values() for v in col.values())
+    mats = [int_columns(m, big_l) for m in mats]
     groups = {}
     for (x, y, z), v in tensor.items():
         groups.setdefault(x, []).append((y, z, v.numerator * (big_d // v.denominator)))

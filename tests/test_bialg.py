@@ -280,3 +280,38 @@ def test_parabolic_semidirect_with_bd_triple():
     for v in S.v_indices:
         for (a, b) in S.cobracket[v]:
             assert (a in v_set) != (b in v_set)
+
+
+def test_parabolic_semidirect_is_memoised(monkeypatch):
+    """One build per (ambient, node, triple): the axioms are checked once,
+    every call gets its own report, and another triple gets its own entry."""
+    import qsym.bialg as bialg
+    from qsym.liealg import shared_type
+
+    monkeypatch.setattr(shared_type("A3"), "parabolics", {})
+    checks = []
+    real_check = bialg.check_lie_bialgebra
+
+    def counting(carrier, cob):
+        checks.append(carrier)
+        return real_check(carrier, cob)
+
+    monkeypatch.setattr(bialg, "check_lie_bialgebra", counting)
+    S1, rep1 = parabolic_semidirect("A3", 1)
+    S2, rep2 = parabolic_semidirect("A3", 1)
+    assert len(checks) == 1
+    assert rep1 == rep2 and all(rep1.values())
+    assert S2 is S1
+    rep1["closure"] = False
+    rep1["extra"] = True
+    assert parabolic_semidirect("A3", 1)[1] == rep2
+    assert all(rep2.values()) and "extra" not in rep2
+    assert len(checks) == 1
+
+    triple = BDTriple((2,), (3,), {2: 3})
+    S3, rep3 = parabolic_semidirect("A3", 1, triple)
+    assert len(checks) == 2 and S3 is not S1 and all(rep3.values())
+    parabolic_semidirect(build_root_system("A3"), 1, BDTriple((2,), (3,), {2: 3}))
+    assert len(checks) == 2
+    assert set(shared_type("A3").parabolics) == {(1, BDTriple((), (), {}).key()),
+                                                 (1, triple.key())}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsym.rootsys import NotDominant, build_root_system
+from qsym.rootsys import NotDominant, build_root_system, weight_multiplicities
 from qsym.classify import (
     BudgetExceeded,
     classification_table,
@@ -25,14 +25,20 @@ def test_weight_filter_examples():
     ]
     for label, lam, expected in cases:
         rs = build_root_system(label)
-        assert weight_filter(rs, lam) is expected, (label, lam)
+        mults = weight_multiplicities(rs, lam)
+        assert weight_filter(rs, lam, mults) is expected, (label, lam)
 
 
 def test_weight_filter_rejects_bad_weights():
+    """A bad weight raises before the filter reads any weight of V."""
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("weights read before the dominance check")
+
     rs = build_root_system("A1")
     for lam in [(0,), (-1,), (1, 0)]:
         with pytest.raises(NotDominant):
-            weight_filter(rs, lam)
+            weight_filter(rs, lam, Unread())
 
 
 def test_classify_pair_sl3_natural_all_true():

@@ -101,6 +101,12 @@ def test_math_error_single_line(tmp_path, capsys):
          "NotDominant"),
         (["module", "--type", "A", "--rank", "2", "--weight", "1,0",
           "--out", str(tmp_path / "missing" / "x.json")], "FileNotFoundError"),
+        # product types are refused by name, not as an unparsable type
+        (["roots", "--type", "A1xA1"], "InvalidType"),
+        (["module", "--type", "A1xA1", "--weight", "1,0"], "InvalidType"),
+        (["rmatrix", "--type", "A1xA1"], "InvalidType"),
+        (["bd", "--type", "A1xA1"], "InvalidType"),
+        (["double", "--type", "A1xA1"], "InvalidType"),
     ]
     for argv, errname in cases:
         code, out = run_cli(argv, capsys)
@@ -108,6 +114,8 @@ def test_math_error_single_line(tmp_path, capsys):
         lines = out.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: %s:" % errname)
+        if "A1xA1" in argv:
+            assert "product type" in lines[0] and "not supported" in lines[0], argv
 
 
 def test_internal_assertion_single_line(capsys, monkeypatch):
@@ -212,3 +220,52 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["diff"] == {"missing": [], "extra": []}
+
+
+def test_cli_deterministic_cold_and_warm_property(capsys, monkeypatch):
+    """Small random argv for roots, module and classify on rank <= 3, with
+    valid and invalid weights: a cold run (empty algebra cache) and a warm
+    rerun in the same process print the same stdout and exit the same way."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from qsym import liealg
+
+    monkeypatch.setattr(liealg, "_SHARED_TYPES", {})
+    ranks = {"A1": 1, "A2": 2, "A3": 3, "B3": 3, "C2": 2, "C3": 3, "G2": 2}
+
+    def spelled(label):
+        # "--type A3" or "--type A --rank 3"
+        return st.sampled_from([["--type", label],
+                                ["--type", label[0], "--rank", label[1:]]])
+
+    def weight(rank):
+        # a fundamental weight, any nonnegative one (zero included), then a
+        # negative entry, a wrong length and text that is no weight at all
+        return st.one_of(
+            st.integers(0, rank - 1).map(lambda i: [int(k == i) for k in range(rank)]),
+            st.lists(st.integers(0, 2), min_size=rank, max_size=rank),
+            st.lists(st.integers(-1, 1), min_size=rank, max_size=rank),
+            st.lists(st.integers(0, 1), min_size=rank + 1, max_size=rank + 1),
+            st.just(["x"] * rank),
+        ).map(lambda cs: ["--weight", ",".join(map(str, cs))])
+
+    def argv_for(label):
+        rank = ranks[label]
+        return st.one_of(
+            st.tuples(st.just(["roots"]), spelled(label)),
+            st.tuples(st.just(["module"]), spelled(label), weight(rank)),
+            st.tuples(st.just(["classify"]), spelled(label), weight(rank),
+                      st.just(["--dim-budget", "15"])),
+        ).map(lambda parts: [tok for part in parts for tok in part])
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from(sorted(ranks)).flatmap(argv_for))
+    def check(argv):
+        liealg._SHARED_TYPES.clear()
+        cold = run_cli(argv, capsys)
+        warm = run_cli(argv, capsys)
+        assert cold == warm, argv
+        assert cold[0] in (0, 1), argv
+
+    check()

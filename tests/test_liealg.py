@@ -352,3 +352,23 @@ def test_module_dimension_property():
         assert len(S.v_indices) == dim, pair
 
     check()
+
+
+def test_bootstrapped_table_over_fraction():
+    """The int-kernel bootstrap, checked on Fraction matrices: ad of the table
+    is a representation, [ad x_a, ad x_b] = ad [x_a, x_b] for every pair, and
+    [E_gamma, F_gamma] = H_gamma in coroot coordinates."""
+    for label in ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4"]:
+        alg = chevalley_basis(label)
+        rs = alg.rs
+        ad = alg.adjoint_rep()
+        for a in range(alg.dim):
+            for b in range(a + 1, alg.dim):
+                want = _mscaled_sum([(v, ad[k])
+                                     for k, v in alg.bracket_idx(a, b).items()])
+                assert _mcomm(ad[a], ad[b]) == want, (label, a, b)
+        for g in alg.pos_roots:
+            gnorm = rs.inner(g, g)
+            coroot = {alg.h_idx[j]: Q(g[j]) * rs.norms[j] / gnorm
+                      for j in range(rs.rank) if g[j]}
+            assert alg.bracket_idx(alg.e_idx[g], alg.f_idx[g]) == coroot, (label, g)

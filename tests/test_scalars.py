@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from qsym.scalars import (PoleAtOne, QRat, divided_bracket, echelon, one, q, qpow,
+from qsym.scalars import (PoleAtOne, QRat, den_lcm, divided_bracket, echelon, one, q,
+                          qpow, scaled, scaled_comm, scaled_compose, scaled_ratio,
                           specialize_q1, zero)
 
 
@@ -92,6 +93,90 @@ def test_eval_at_other_points():
 
 def _fractions(rows):
     return [[Q(x) for x in row] for row in rows]
+
+
+# -- scaled sparse matrices --------------------------------------------------
+
+def _mat(cols):
+    """Column-form Fraction matrix from {j: {i: value}} with int or str values."""
+    return {j: {i: Q(v) for i, v in col.items()} for j, col in cols.items()}
+
+
+def _value(sm):
+    """The Fraction matrix a scaled pair stands for."""
+    s, m = sm
+    return {j: {i: s * v for i, v in col.items()} for j, col in m.items()}
+
+
+def _fcompose(a, b):
+    out = {}
+    for j, col in b.items():
+        acc = {}
+        for k, c in col.items():
+            for i, v in a.get(k, {}).items():
+                acc[i] = acc.get(i, Q(0)) + c * v
+        acc = {i: v for i, v in acc.items() if v}
+        if acc:
+            out[j] = acc
+    return out
+
+
+def test_scaled_conversion_clears_denominators():
+    a = _mat({0: {0: "1/2", 1: 1}, 2: {1: "-2/3"}})
+    s, m = scaled(a)
+    assert s == Q(1, 6)
+    assert m == {0: {0: 3, 1: 6}, 2: {1: -4}}
+    assert all(type(v) is int for col in m.values() for v in col.values())
+    assert _value((s, m)) == a
+    assert scaled({}) == (Q(1), {})
+    # stored zeros and empty columns are dropped
+    assert scaled({0: {0: Q(0)}, 1: {}, 2: {3: Q(2)}}) == (Q(1), {2: {3: 2}})
+    assert den_lcm([Q(1, 4), 3, Q(5, 6)]) == 12 and den_lcm([]) == 1
+
+
+def test_scaled_compose_and_commutator_match_fractions():
+    """Operands with different scales: the results are the Fraction ones."""
+    a = _mat({0: {1: "1/2"}, 1: {0: 3, 2: "1/3"}, 2: {2: -1}})
+    b = _mat({0: {0: "2/5"}, 1: {2: 1}, 2: {0: "-3/4", 1: 2}})
+    sa, sb = scaled(a), scaled(b)
+    assert sa[0] != sb[0]
+    assert _value(scaled_compose(sa, sb)) == _fcompose(a, b)
+    ab, ba = _fcompose(a, b), _fcompose(b, a)
+    comm = {}
+    for j in set(ab) | set(ba):
+        col = {i: ab.get(j, {}).get(i, Q(0)) - ba.get(j, {}).get(i, Q(0))
+               for i in set(ab.get(j, {})) | set(ba.get(j, {}))}
+        col = {i: v for i, v in col.items() if v}
+        if col:
+            comm[j] = col
+    assert _value(scaled_comm(sa, sb)) == comm
+    # a matrix commutes with itself: the zero matrix, with no empty columns
+    assert scaled_comm(sa, sa)[1] == {}
+
+
+def test_scaled_ratio():
+    base = _mat({0: {0: 2, 1: "1/3"}, 3: {2: -1}})
+    sbase = scaled(base)
+    for r in [Q(1), Q(-1), Q(3, 7), Q(-5, 2)]:
+        m = {j: {i: r * v for i, v in col.items()} for j, col in base.items()}
+        got = scaled_ratio(scaled(m), sbase)
+        assert got == r and isinstance(got, Q), r
+        # a different scale on the same values gives the same ratio
+        s, ints = scaled(m)
+        assert scaled_ratio((s / 4, {j: {i: 4 * v for i, v in col.items()}
+                                     for j, col in ints.items()}), sbase) == r
+    # the zero matrix is 0 times anything
+    assert scaled_ratio(scaled({}), sbase) == 0
+    # mismatched support: an extra entry, a missing entry, an extra column
+    extra = _mat({0: {0: 2, 1: "1/3", 2: 1}, 3: {2: -1}})
+    missing = _mat({0: {0: 2}, 3: {2: -1}})
+    column = _mat({0: {0: 2, 1: "1/3"}, 3: {2: -1}, 4: {0: 1}})
+    no_pivot = _mat({0: {1: "1/3"}, 3: {2: -1}})
+    for m in [extra, missing, column, no_pivot]:
+        assert scaled_ratio(scaled(m), sbase) is None
+    # same support, entries not proportional
+    skew = _mat({0: {0: 2, 1: "2/3"}, 3: {2: -1}})
+    assert scaled_ratio(scaled(skew), sbase) is None
 
 
 def test_echelon_rank_deficient():
