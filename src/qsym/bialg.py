@@ -18,6 +18,7 @@ from .liealg import (
     shared_type,
     _mcomm,
     _mscaled_sum,
+    _vadd_into,
 )
 from .rootsys import cominuscule_nodes
 from .scalars import echelon
@@ -47,14 +48,8 @@ class TripleTouchesNode(ValueError):
 # two-tensor helpers
 # ---------------------------------------------------------------------------
 
-def tt_add(acc, t, scale=Q(1)):
-    for k, v in t.items():
-        s = acc.get(k, Q(0)) + v * scale
-        if s:
-            acc[k] = s
-        elif k in acc:
-            del acc[k]
-    return acc
+# acc += scale * t on two-tensors: liealg's one sparse accumulator
+tt_add = _vadd_into
 
 
 def tt_op(t):

@@ -210,19 +210,24 @@ def geometric_ambients(letter, rank, lam, extended=False):
 
     The Levi of a maximal parabolic has semisimple corank one, so only
     simple types of rank + 1 can put a simple g on an abelian nilradical.
-    The E7 ambient is searched only when `extended` is set.
+    The E7 ambient is searched only when `extended` is set. Each ambient's
+    nilradicals are computed once and kept on its liealg.shared_type entry.
     """
     wanted = _weight_spellings(letter, rank, tuple(lam))
     found = []
     for lt, rk in _ambient_types(rank + 1, extended):
-        rs2 = _root_system(lt, rk)
-        for node in cominuscule_nodes(rs2):
-            levi, lam_levi, abelian = abelian_radical_module(rs2, node)
+        ambient = shared_type("%s%d" % (lt, rk))
+        for node in cominuscule_nodes(ambient.rs):
+            radical = ambient.radicals.get(node)
+            if radical is None:
+                levi, lam_levi, abelian = abelian_radical_module(ambient.rs, node)
+                radical = ambient.radicals[node] = (tuple(levi), lam_levi, abelian)
+            levi, lam_levi, abelian = radical
             if not abelian or len(levi) != 1:
                 continue
             l2, r2 = levi[0]
             if (l2, r2, tuple(int(x) for x in lam_levi)) in wanted:
-                found.append((rs2.label, node))
+                found.append((ambient.rs.label, node))
     return found
 
 

@@ -41,13 +41,23 @@ class DegenerateForm(ValueError):
 # sparse matrices in column form: mat[j] = {i: value} means e_j -> sum value e_i
 # ---------------------------------------------------------------------------
 
-def _vadd_into(acc, vec, scale=Q(1)):
+def _vadd_into(acc, vec, scale=None):
+    """acc += scale * vec in place, with no zero stored; returns acc.
+
+    scale None means 1. A new key takes the scaled value itself and a unit
+    scale multiplies nothing, so no scalar is built for a zero or a one.
+    """
     for i, v in vec.items():
-        s = acc.get(i, Q(0)) + v * scale
-        if s:
-            acc[i] = s
-        elif i in acc:
+        if scale is not None:
+            v = v * scale
+        s = acc.get(i)
+        if s is not None:
+            v = s + v
+        if v:
+            acc[i] = v
+        elif s is not None:
             del acc[i]
+    return acc
 
 
 def _mapply(m, vec):
@@ -69,7 +79,7 @@ def _mcompose(a, b):
 
 
 def _mscaled_sum(pairs):
-    """Sparse sum of (scale, matrix) pairs."""
+    """Sparse sum of (scale, matrix) pairs; a scale of None is 1."""
     out = {}
     for scale, m in pairs:
         for j, col in m.items():
@@ -81,7 +91,7 @@ def _mscaled_sum(pairs):
 
 
 def _mcomm(a, b):
-    return _mscaled_sum([(Q(1), _mcompose(a, b)), (Q(-1), _mcompose(b, a))])
+    return _mscaled_sum([(None, _mcompose(a, b)), (Q(-1), _mcompose(b, a))])
 
 
 def _mscale(m, c):
@@ -464,15 +474,18 @@ def chevalley_basis(rs, central_dims=0):
 
 class SharedType:
     """A root system, its Chevalley basis (built on first use), and the
-    parabolic bialgebras built over it.
+    parabolic bialgebras and nilradicals built over it.
 
     parabolics maps (node, BD triple key) to the (S, report) pair of
-    bialg.parabolic_semidirect, which fills it.
+    bialg.parabolic_semidirect, which fills it. radicals maps a node to the
+    (Levi type tuple, Levi weight, abelian) triple of abelian_radical_module,
+    which classify.geometric_ambients fills.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.parabolics = {}
+        self.radicals = {}
 
     @cached_property
     def algebra(self):

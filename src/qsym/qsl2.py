@@ -19,13 +19,22 @@ table, and the braided symmetric-power dimensions of the simple modules.
 Scalars are rational functions of q throughout, except braided_flatness which
 reads the same scalar type as rational functions of v with v^2 = q so that
 odd module weights get integer v-powers.
+
+Nothing here carries its own linear algebra. Term dicts (PBW elements,
+tensors, relations) accumulate through liealg._vadd_into, the one sparse
+accumulator. Module and tensor-power actions are liealg's column-form sparse
+matrices: the tensor-square actions come from poisson._pair_matrix, the cube's
+braidings from poisson.leg_embed, and kernel dimensions from scalars.echelon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import reduce
+from itertools import product
 
-from .liealg import BracketTable
+from .liealg import BracketTable, _mcompose, _mscaled_sum, _vadd_into
+from .poisson import _pair_matrix, leg_embed
 from .scalars import QRat, divided_bracket, echelon, one, qpow, zero
 
 
@@ -60,12 +69,11 @@ def _mono_str(key):
     return " ".join(parts) if parts else "1"
 
 
-class PBWElement:
-    """Sum of monomials F^a K^b E^c with QRat coefficients, as {(a,b,c): QRat}.
+class _Terms:
+    """A sparse sum {key: QRat} with no zero coefficient stored.
 
-    a and c are nonnegative, b ranges over all integers. Immutable by
-    convention; arithmetic returns fresh elements. Multiplication uses the
-    module's default engine (the balanced presentation).
+    Immutable by convention: arithmetic returns a fresh value of the same
+    class, and values of different classes never compare equal.
     """
 
     __slots__ = ("terms",)
@@ -78,33 +86,36 @@ class PBWElement:
                 clean[key] = val
         self.terms = clean
 
-    @staticmethod
-    def monomial(a, b, c, coeff=1):
-        return PBWElement({(a, b, c): QRat.of(coeff)})
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, PBWElement):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            s = out.get(key, zero) + v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return PBWElement(out)
+        return type(self)(_vadd_into(dict(self.terms), other.terms))
 
     def __neg__(self):
-        return PBWElement({k: -v for k, v in self.terms.items()})
+        return type(self)({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
+
+
+class PBWElement(_Terms):
+    """Sum of monomials F^a K^b E^c with QRat coefficients, as {(a,b,c): QRat}.
+
+    a and c are nonnegative, b ranges over all integers. Multiplication uses
+    the module's default engine (the balanced presentation).
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def monomial(a, b, c, coeff=1):
+        return PBWElement({(a, b, c): QRat.of(coeff)})
 
     def __mul__(self, other):
         if isinstance(other, PBWElement):
@@ -115,13 +126,12 @@ class PBWElement:
         return PBWElement({k: QRat.of(other) * v for k, v in self.terms.items()})
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("a PBW element has no negative powers, got %d" % n)
         out = PBWElement.monomial(0, 0, 0)
         for _ in range(n):
             out = out * self
         return out
-
-    def coefficient(self, key):
-        return self.terms.get(key, zero)
 
     def pretty(self):
         if not self.terms:
@@ -144,42 +154,10 @@ class PBWElement:
         return "PBWElement(%s)" % self.pretty()
 
 
-class UqTensor:
+class UqTensor(_Terms):
     """Element of the tensor square, {(left PBW key, right PBW key): QRat}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for key, val in (terms or {}).items():
-            val = QRat.of(val)
-            if val:
-                clean[key] = val
-        self.terms = clean
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, UqTensor):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            s = out.get(key, zero) + v
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return UqTensor(out)
-
-    def __neg__(self):
-        return UqTensor({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    __slots__ = ()
 
     def flip(self):
         return UqTensor({(r, l): v for (l, r), v in self.terms.items()})
@@ -219,30 +197,19 @@ class UqEngine:
         if a == 0:
             out = {(0, b, c + 1): qpow(-self.w * b)}
         else:
-            out = {}
-            for (ra, rb, rc), v in self._e_mono((a - 1, b, c)).items():
-                out[(ra + 1, rb, rc)] = v
+            out = {(ra + 1, rb, rc): v
+                   for (ra, rb, rc), v in self._e_mono((a - 1, b, c)).items()}
             for sign in (1, -1):
                 mm = sign * self.m
-                k2 = (a - 1, b + mm, c)
                 coeff = sign * self._ibr * qpow(-self.w * (a - 1) * mm)
-                s = out.get(k2, zero) + coeff
-                if s:
-                    out[k2] = s
-                elif k2 in out:
-                    del out[k2]
+                _vadd_into(out, {(a - 1, b + mm, c): coeff})
         self._epush[key] = out
         return out
 
     def _lmul_E(self, terms):
         out = {}
         for key, v in terms.items():
-            for k2, w in self._e_mono(key).items():
-                s = out.get(k2, zero) + v * w
-                if s:
-                    out[k2] = s
-                elif k2 in out:
-                    del out[k2]
+            _vadd_into(out, self._e_mono(key), v)
         return out
 
     def mul(self, x, y):
@@ -251,15 +218,9 @@ class UqEngine:
             t = y.terms
             for _ in range(c):
                 t = self._lmul_E(t)
-            for (a2, b2, c2), v in t.items():
-                if b:
-                    v = v * qpow(-self.w * a2 * b)
-                key = (a2 + a, b2 + b, c2)
-                s = out.get(key, zero) + vx * v
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+            # K^b past F^a2 picks up q^(-w a2 b)
+            _vadd_into(out, {(a2 + a, b2 + b, c2): v * qpow(-self.w * a2 * b) if b else v
+                             for (a2, b2, c2), v in t.items()}, vx)
         return PBWElement(out)
 
     def _mul_mono(self, k1, k2):
@@ -276,14 +237,9 @@ class UqEngine:
         for (l1, r1), v1 in s.terms.items():
             for (l2, r2), v2 in t.terms.items():
                 v = v1 * v2
+                right = self._mul_mono(r1, r2).terms
                 for lk, lv in self._mul_mono(l1, l2).terms.items():
-                    for rk, rv in self._mul_mono(r1, r2).terms.items():
-                        key = (lk, rk)
-                        w = out.get(key, zero) + v * lv * rv
-                        if w:
-                            out[key] = w
-                        elif key in out:
-                            del out[key]
+                    _vadd_into(out, {(lk, rk): rv for rk, rv in right.items()}, v * lv)
         return UqTensor(out)
 
     def _delta_mono(self, key):
@@ -306,11 +262,10 @@ class UqEngine:
         return out
 
     def coproduct(self, x):
-        out = UqTensor()
+        out = {}
         for key, v in x.terms.items():
-            scaled = UqTensor({k: v * w for k, w in self._delta_mono(key).terms.items()})
-            out = out + scaled
-        return out
+            _vadd_into(out, self._delta_mono(key).terms, v)
+        return UqTensor(out)
 
     def _anti_mono(self, key):
         cached = self._anti.get(key)
@@ -327,10 +282,10 @@ class UqEngine:
         return out
 
     def antipode(self, x):
-        out = PBWElement()
+        out = {}
         for key, v in x.terms.items():
-            out = out + PBWElement({k: v * w for k, w in self._anti_mono(key).terms.items()})
-        return out
+            _vadd_into(out, self._anti_mono(key).terms, v)
+        return PBWElement(out)
 
     def counit(self, x):
         out = zero
@@ -343,22 +298,17 @@ class UqEngine:
         """(Delta (x) 1)Delta(x) as {(k1, k2, k3): QRat}."""
         out = {}
         for (l, r), v in self.coproduct(x).terms.items():
-            for (l1, l2), w in self._delta_mono(l).terms.items():
-                key = (l1, l2, r)
-                s = out.get(key, zero) + v * w
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+            left = self._delta_mono(l).terms
+            _vadd_into(out, {(l1, l2, r): w for (l1, l2), w in left.items()}, v)
         return out
 
     def adjoint(self, x, y):
         """ad(x)(y) = sum x_(1) y S(x_(2))."""
-        out = PBWElement()
+        out = {}
         for (l, r), v in self.coproduct(x).terms.items():
             piece = self.mul(self.mul(PBWElement({l: one}), y), self._anti_mono(r))
-            out = out + PBWElement({k: v * w for k, w in piece.terms.items()})
-        return out
+            _vadd_into(out, piece.terms, v)
+        return PBWElement(out)
 
 
 _ENGINE = UqEngine()
@@ -618,12 +568,9 @@ def _compute_locally_finite():
 
     # C on the two-dimensional module: E, F, K act as the l = 1 matrices,
     # whose scalars are functions of v with v^2 = q
-    em, fm, km = _rep_matrices(1)
-    cm = _matrix_of_element(c_elem, em, fm, km)
+    cm = _matrix_of_element(c_elem, _rep_matrices(1))
     scalar_q = (qpow(2) + qpow(-2)) / (qpow(1) + qpow(-1))
-    expected = _q_to_v(scalar_q)
-    is_scalar = all(cm[i][j] == (expected if i == j else zero)
-                    for i in range(2) for j in range(2))
+    is_scalar = cm == {i: {i: _q_to_v(scalar_q)} for i in range(2)}
     casimir = f * e + PBWElement(
         {(0, 2, 0): qpow(1) / dq ** 2, (0, -2, 0): qpow(-1) / dq ** 2})
     ratio = dq ** 2 / (qpow(1) + qpow(-1))
@@ -676,22 +623,9 @@ def sigma(x, y, variant="+"):
     out = {}
     for (k1, k2, k3), v in _ENGINE.coproduct_cube(x).items():
         left = _ENGINE.mul(_ENGINE.mul(PBWElement({k1: one}), y), _ENGINE._anti_mono(k2))
-        for lk, lv in left.terms.items():
-            key = (lk, k3)
-            s = out.get(key, zero) + v * lv
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    ad = _ENGINE.adjoint(x, y)
-    for ak, av in ad.terms.items():
-        for zk, zv in z_elem.terms.items():
-            key = (ak, zk)
-            s = out.get(key, zero) - av * zv
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+        _vadd_into(out, {(lk, k3): lv for lk, lv in left.terms.items()}, v)
+    for ak, av in _ENGINE.adjoint(x, y).terms.items():
+        _vadd_into(out, {(ak, zk): zv for zk, zv in z_elem.terms.items()}, -av)
     return UqTensor(out)
 
 
@@ -727,10 +661,10 @@ def sigma_identity_report():
 
 def _mu(t):
     """Multiply the two legs of a tensor."""
-    out = PBWElement()
+    out = {}
     for (l, r), v in t.terms.items():
-        out = out + PBWElement({k: v * w for k, w in _ENGINE._mul_mono(l, r).terms.items()})
-    return out
+        _vadd_into(out, _ENGINE._mul_mono(l, r).terms, v)
+    return PBWElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -809,19 +743,6 @@ class CoPoissonElem:
             return NotImplemented
         return self.terms == other.terms
 
-    def as_skew_tensor(self):
-        """The value as a full skew dict over h-normalized classical keys."""
-        out = {}
-        for (left, right), v in self.terms.items():
-            vv = v * Q(2) ** left[1]  # F^a H^b E^c = 2^b F^a h^b E^c
-            for key, s in (((left, right), vv), ((right, left), -vv)):
-                t = out.get(key, Q(0)) + s
-                if t:
-                    out[key] = t
-                elif key in out:
-                    del out[key]
-        return out
-
     def kernel_reduced(self):
         """Canonical skew form with both legs in the same classical basis.
 
@@ -830,21 +751,10 @@ class CoPoissonElem:
         says as an honest element of the exterior square.
         """
         acc = {}
-        for ((a, b, c), right), v in self.terms.items():
-            m1 = (a, b, c)
-            vv = v * Q(2) ** b
-            m2 = right
-            if m1 == m2:
-                continue
-            if m1 > m2:
-                key, s = (m1, m2), vv
-            else:
-                key, s = (m2, m1), -vv
-            t = acc.get(key, Q(0)) + s
-            if t:
-                acc[key] = t
-            elif key in acc:
-                del acc[key]
+        for (m1, m2), v in self.terms.items():
+            if m1 != m2:
+                vv = v * Q(2) ** m1[1]  # F^a H^b E^c = 2^b F^a h^b E^c
+                _vadd_into(acc, {(m1, m2): vv} if m1 > m2 else {(m2, m1): -vv})
         return acc
 
     def pretty(self):
@@ -874,19 +784,6 @@ class CoPoissonElem:
         return "CoPoissonElem(%s)" % self.pretty()
 
 
-def classical_limit(x):
-    """The q = 1 image of x as {(F, h, E) exponents: Fraction}.
-
-    Rewrites K powers through the lattice generator h = (K - 1)/(q - 1) and
-    keeps the constant layer; raises NotInLattice when a pole survives.
-    """
-    layers = _collapse({(k, (0, 0, 0)): v for k, v in x.terms.items()}, 0)
-    for order in sorted(layers):
-        if order < 0 and layers[order]:
-            raise NotInLattice("element has a pole at q = 1")
-    return {k1: v for (k1, _), v in layers.get(0, {}).items()}
-
-
 def _collapse(tensor_terms, hi):
     """Classical layers of a PBW tensor, expanding K^b = (1 + (q-1)h)^b."""
     layers = {}
@@ -904,14 +801,8 @@ def _collapse(tensor_terms, hi):
                     bj2 = _binom(b2, j2)
                     if bj2 == 0:
                         continue
-                    layer = k + j + j2
-                    key = ((a, j, c), (a2, j2, c2))
-                    bucket = layers.setdefault(layer, {})
-                    s = bucket.get(key, Q(0)) + ck * bj * bj2
-                    if s:
-                        bucket[key] = s
-                    elif key in bucket:
-                        del bucket[key]
+                    _vadd_into(layers.setdefault(k + j + j2, {}),
+                               {((a, j, c), (a2, j2, c2)): ck * bj * bj2})
     return layers
 
 
@@ -949,82 +840,6 @@ def copoisson_limit(x):
     return CoPoissonElem(out)
 
 
-# classical straightening for the co-Leibniz check: [E, F] = 2h, [h, E] = E,
-# [h, F] = -F, monomials F^a h^b E^c over Fractions
-
-def _cl_lmul_E(terms):
-    out = {}
-
-    def add(key, v):
-        s = out.get(key, Q(0)) + v
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-
-    for (a, b, c), v in terms.items():
-        if a == 0:
-            # E h^b = (h - 1)^b E
-            for i in range(b + 1):
-                add((0, i, c + 1), v * _binom(b, i) * Q(-1) ** (b - i))
-        else:
-            for key, w in _cl_lmul_E({(a - 1, b, c): Q(1)}).items():
-                add((key[0] + 1, key[1], key[2]), v * w)
-            add((a - 1, b + 1, c), 2 * v)
-            add((a - 1, b, c), -2 * (a - 1) * v)
-    return out
-
-
-def _cl_mul(t1, t2):
-    out = {}
-    for (a, b, c), v1 in t1.items():
-        t = t2
-        for _ in range(c):
-            t = _cl_lmul_E(t)
-        for (a2, b2, c2), v in list(t.items()):
-            # h^b past F^a2: h F = F (h - 1)
-            for i in range(b + 1):
-                key = (a + a2, b2 + i, c2)
-                coeff = v1 * v * _binom(b, i) * Q(-a2) ** (b - i)
-                s = out.get(key, Q(0)) + coeff
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return out
-
-
-def _cl_coproduct(terms):
-    out = {}
-    for (a, b, c), v in terms.items():
-        for i in range(a + 1):
-            for j in range(b + 1):
-                for k in range(c + 1):
-                    key = ((i, j, k), (a - i, b - j, c - k))
-                    coeff = v * _binom(a, i) * _binom(b, j) * _binom(c, k)
-                    s = out.get(key, Q(0)) + coeff
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-    return out
-
-
-def _cl_tensor_mul(s, t):
-    out = {}
-    for (l1, r1), v1 in s.items():
-        for (l2, r2), v2 in t.items():
-            for lk, lv in _cl_mul({l1: Q(1)}, {l2: Q(1)}).items():
-                for rk, rv in _cl_mul({r1: Q(1)}, {r2: Q(1)}).items():
-                    key = (lk, rk)
-                    w = out.get(key, Q(0)) + v1 * v2 * lv * rv
-                    if w:
-                        out[key] = w
-                    elif key in out:
-                        del out[key]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the graded quadratic algebra and its Poisson table
 # ---------------------------------------------------------------------------
@@ -1050,29 +865,13 @@ def donin_graded_relations():
             x, y = gens[nx], gens[ny]
             sig = x_basis_tensor(sigma(x, y, "-"))
             lower = x_basis(_ENGINE.adjoint(x, y))
-            lead = {(nx, ny): one}
-            for (n1, n2), v in sig.items():
-                s = lead.get((n1, n2), zero) - v
-                if s:
-                    lead[(n1, n2)] = s
-                elif (n1, n2) in lead:
-                    del lead[(n1, n2)]
+            lead = _vadd_into({(nx, ny): one}, sig, -one)
             relations.append({"pair": (nx, ny), "lead": lead, "lower": lower})
             # Poisson limit: {x, y} = lim (mu sigma(x (x) y) - y x)/(q - 1)
             # read in the commutative symbols
             poly = {}
-
-            def add(n1, n2, v):
-                key = tuple(sorted((order.index(n1), order.index(n2))))
-                s = poly.get(key, zero) + v
-                if s:
-                    poly[key] = s
-                elif key in poly:
-                    del poly[key]
-
-            for (n1, n2), v in sig.items():
-                add(n1, n2, v)
-            add(ny, nx, -one)
+            for (n1, n2), v in list(sig.items()) + [((ny, nx), -one)]:
+                _vadd_into(poly, {tuple(sorted((order.index(n1), order.index(n2)))): v})
             bracket = {}
             for key, v in poly.items():
                 val, coeffs = _laurent_q1(v, 1)
@@ -1091,100 +890,58 @@ def donin_graded_relations():
 # ---------------------------------------------------------------------------
 
 def _rep_matrices(l):
-    """E, F, K acting on the (l+1)-dimensional module, over functions of v.
+    """E, F, K and K^-1 on the (l+1)-dimensional module, in column form.
 
-    The scalar field is read as rational functions of v with v^2 = q, so K
-    acts by integer v-powers on every weight line. E w_i = [i]_q w_{i-1},
-    F w_i = [l - i]_q w_{i+1}, K w_i = v^{l-2i} w_i.
+    Scalars are rational functions of v with v^2 = q, so K acts by integer
+    v-powers on every weight line. E w_i = [i]_q w_{i-1},
+    F w_i = [l - i]_q w_{i+1}, K^{±1} w_i = v^{±(l-2i)} w_i.
     """
     n = l + 1
-    em = [[zero] * n for _ in range(n)]
-    fm = [[zero] * n for _ in range(n)]
-    km = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        km[i][i] = qpow(l - 2 * i)
-        if i > 0:
-            em[i - 1][i] = divided_bracket(i, 2)
-        if i < n - 1:
-            fm[i + 1][i] = divided_bracket(l - i, 2)
-    return em, fm, km
+    em = {i: {i - 1: divided_bracket(i, 2)} for i in range(1, n)}
+    fm = {i: {i + 1: divided_bracket(l - i, 2)} for i in range(n - 1)}
+    km = {i: {i: qpow(l - 2 * i)} for i in range(n)}
+    kinv = {i: {i: qpow(2 * i - l)} for i in range(n)}
+    return em, fm, km, kinv
 
 
-def _mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[zero] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            v = a[i][k]
-            if not v:
-                continue
-            for j in range(p):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + v * b[k][j]
-    return out
+# Delta(E) = E (x) K^-1 + K (x) E, Delta(F) = F (x) K^-1 + K (x) F and
+# Delta(K^±1) = K^±1 (x) K^±1, over the indices (E, F, K, K^-1) = (0, 1, 2, 3)
+# of _rep_matrices
+_COPRODUCTS = (
+    {(0, 3): one, (2, 0): one},
+    {(1, 3): one, (2, 1): one},
+    {(2, 2): one},
+    {(3, 3): one},
+)
 
 
-def _mat_pow(m, k):
-    n = len(m)
-    out = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for _ in range(k):
-        out = _mat_mul(out, m)
-    return out
+def _pair_action(l):
+    """E, F, K and K^-1 acting on the tensor square through the coproduct."""
+    mats = _rep_matrices(l)
+    return tuple(_pair_matrix(mats, l + 1, t) for t in _COPRODUCTS)
 
 
-def _matrix_of_element(elem, em, fm, km):
-    """Act a PBW element through representation matrices of E, F, K.
+def _identity(idxs):
+    return {j: {j: one} for j in idxs}
+
+
+def _matrix_of_element(elem, mats):
+    """Act a PBW element through column-form matrices of (E, F, K, K^-1).
 
     The matrices carry scalars in v with v^2 = q, so the element's
     q-coefficients are reread through the substitution before scaling.
     """
-    n = len(em)
-    kinv = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        kinv[i][i] = one / km[i][i]
-    out = [[zero] * n for _ in range(n)]
+    em, fm, km, kinv = mats
+    pairs = []
     for (a, b, c), v in elem.terms.items():
-        v = _q_to_v(v)
-        m = _mat_pow(em, c)
-        m = _mat_mul(_mat_pow(km if b >= 0 else kinv, abs(b)), m)
-        m = _mat_mul(_mat_pow(fm, a), m)
-        for i in range(n):
-            for j in range(n):
-                if m[i][j]:
-                    out[i][j] = out[i][j] + v * m[i][j]
-    return out
+        factors = [fm] * a + [km if b >= 0 else kinv] * abs(b) + [em] * c
+        pairs.append((_q_to_v(v), reduce(_mcompose, factors) if factors else _identity(km)))
+    return _mscaled_sum(pairs)
 
 
-def _pair_action(l):
-    """Coproduct actions of E, F, K on the tensor square of the module."""
-    em, fm, km = _rep_matrices(l)
-    n = l + 1
-    nn = n * n
-    kinv = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        kinv[i][i] = one / km[i][i]
-
-    def two(m1, m2):
-        out = [[zero] * nn for _ in range(nn)]
-        for i in range(n):
-            for j in range(n):
-                for i2 in range(n):
-                    v1 = m1[i][i2]
-                    if not v1:
-                        continue
-                    for j2 in range(n):
-                        if m2[j][j2]:
-                            out[i * n + j][i2 * n + j2] = v1 * m2[j][j2]
-        return out
-
-    ae = _mat_add(two(em, kinv), two(km, em))
-    af = _mat_add(two(fm, kinv), two(km, fm))
-    ak = two(km, km)
-    return ae, af, ak
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _shifted(m, c, idxs):
+    """m - c * identity on the basis vectors idxs."""
+    return _mscaled_sum([(None, m), (-c, _identity(idxs))])
 
 
 def _casimir_eigenvalue(n):
@@ -1192,106 +949,63 @@ def _casimir_eigenvalue(n):
     return (qpow(2 * (n + 1)) + qpow(-2 * (n + 1))) / (qpow(2) + qpow(-2))
 
 
-def _weight_blocks(l):
-    """Indices i(l+1) + j of the basis w_i (x) w_j of the square, one list per
-    weight 2l - 2s, where s = i + j runs over 0..2l."""
-    n = l + 1
-    return [[i * n + s - i for i in range(max(0, s - l), min(s, l) + 1)]
-            for s in range(2 * l + 1)]
+def _weight_blocks(l, degree):
+    """Packed indices of the basis w_i1 (x) ... (x) w_id of V^(x)degree, one
+    list per weight degree*l - 2s, where s = i1 + ... + id runs over
+    0..degree*l. The packing is (..(i1 (l+1) + i2) (l+1) + ..) + id."""
+    blocks = [[] for _ in range(degree * l + 1)]
+    for idx, digits in enumerate(product(range(l + 1), repeat=degree)):
+        blocks[sum(digits)].append(idx)
+    return blocks
 
 
-def commutor_matrix(l, normalization="sign"):
+def commutor_matrix(l):
     """The braiding involution on the tensor square of the simple module.
 
     Decomposes the square into highest-weight components through the central
     element's eigenvalues and flips the sign on every other component, which
-    is the assignment whose q -> 1 limit is the classical flip. The
-    "qpower" normalization multiplies each component by the natural
-    v-power as well; the symmetric-power dimensions do not depend on it.
+    is the assignment whose q -> 1 limit is the classical flip. Returns a
+    column-form matrix over functions of v.
 
     C preserves the weight 2l - 2i - 2j of w_i (x) w_j, and the components
     meeting the weight-w block are the n >= |w|, one per basis vector of the
     block. So each projector is built on its block from those components only.
     """
-    ae, af, ak = _pair_action(l)
     gens, _ = locally_finite_generators()
-    nn = (l + 1) * (l + 1)
-    cmat = _matrix_of_element(gens["C"], ae, af, ak)
-    sigma_m = [[zero] * nn for _ in range(nn)]
-    for s, idxs in enumerate(_weight_blocks(l)):
-        b = len(idxs)
-        block = [[cmat[r][c] for c in idxs] for r in idxs]
+    cmat = _matrix_of_element(gens["C"], _pair_action(l))
+    pairs = []
+    for s, idxs in enumerate(_weight_blocks(l, 2)):
+        block = {j: cmat[j] for j in idxs if j in cmat}
         comps = list(range(2 * l, abs(2 * l - 2 * s) - 1, -2))
         for idx, n in enumerate(comps):
-            proj = [[one if i == j else zero for j in range(b)] for i in range(b)]
+            proj = _identity(idxs)
             cn = _casimir_eigenvalue(n)
             scale = one
             for k in comps:
                 if k == n:
                     continue
                 ck = _casimir_eigenvalue(k)
-                shifted = [[block[i][j] - (ck if i == j else zero) for j in range(b)]
-                           for i in range(b)]
-                proj = _mat_mul(proj, shifted)
+                proj = _mcompose(proj, _shifted(block, ck, idxs))
                 scale = scale * (cn - ck)
             sign = one if idx % 2 == 0 else -one
-            if normalization == "qpower":
-                sign = sign * qpow(n * (n + 2) // 2 - l * (l + 2))
-            sign = sign / scale
-            for i, r in enumerate(idxs):
-                for j, c in enumerate(idxs):
-                    if proj[i][j]:
-                        sigma_m[r][c] = sigma_m[r][c] + sign * proj[i][j]
-    return sigma_m
+            pairs.append((sign / scale, proj))
+    return _mscaled_sum(pairs)
 
 
-def _rank(rows, ncols):
-    # zero rows add nothing to the rank; dropping them keeps them out of the swaps
-    return len(echelon([r for r in rows if any(r)], ncols))
-
-
-def _eigen_kernel_dim(l, sigma_m, eig):
-    """dim Ker(sigma - eig) on the square, blocked by weight."""
+def _kernel_dim(ops, blocks):
+    """dim of the joint kernel of column-form operators that each map the
+    span of every block into itself, by one elimination per block."""
     total = 0
-    for idxs in _weight_blocks(l):
+    for idxs in blocks:
+        pos = {j: p for p, j in enumerate(idxs)}
         rows = []
-        for r in idxs:
-            rows.append([sigma_m[r][c] - (eig if r == c else zero) for c in idxs])
-        total += len(idxs) - _rank(rows, len(idxs))
-    return total
-
-
-def _cube_sym_dim(l, sigma_m):
-    """dim of the joint kernel of (sigma_12 - 1, sigma_23 - 1) on the cube."""
-    n = l + 1
-    rowmap = {}
-    for r in range(n * n):
-        entries = {}
-        for c in range(n * n):
-            if sigma_m[r][c]:
-                entries[(c // n, c % n)] = sigma_m[r][c]
-        rowmap[(r // n, r % n)] = entries
-    blocks = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                blocks.setdefault(i + j + k, []).append((i, j, k))
-    total = 0
-    for idxs in blocks.values():
-        pos = {t: p for p, t in enumerate(idxs)}
-        rows = []
-        for (i, j, k) in idxs:
-            row = [zero] * len(idxs)
-            for (i2, j2), v in rowmap[(i, j)].items():
-                row[pos[(i2, j2, k)]] = row[pos[(i2, j2, k)]] + v
-            row[pos[(i, j, k)]] = row[pos[(i, j, k)]] - one
-            rows.append(row)
-            row2 = [zero] * len(idxs)
-            for (j2, k2), v in rowmap[(j, k)].items():
-                row2[pos[(i, j2, k2)]] = row2[pos[(i, j2, k2)]] + v
-            row2[pos[(i, j, k)]] = row2[pos[(i, j, k)]] - one
-            rows.append(row2)
-        total += len(idxs) - _rank(rows, len(idxs))
+        for op in ops:
+            block_rows = {}
+            for j in idxs:
+                for i, v in op.get(j, {}).items():
+                    block_rows.setdefault(i, [zero] * len(idxs))[pos[j]] = v
+            rows.extend(block_rows[i] for i in sorted(block_rows))
+        total += len(idxs) - len(echelon(rows, len(idxs)))
     return total
 
 
@@ -1308,14 +1022,20 @@ def braided_flatness(l, max_degree=3):
         raise ValueError("max_degree must be 2 or 3")
     n = l + 1
     sigma_m = commutor_matrix(l)
-    dim_s2 = _eigen_kernel_dim(l, sigma_m, one)
-    dim_l2 = _eigen_kernel_dim(l, sigma_m, -one)
+    square = _weight_blocks(l, 2)
+    dim_s2 = _kernel_dim([_shifted(sigma_m, one, range(n * n))], square)
+    dim_l2 = _kernel_dim([_shifted(sigma_m, -one, range(n * n))], square)
     classical = {
         "S2": n * (n + 1) // 2,
         "L2": n * (n - 1) // 2,
         "S3": n * (n + 1) * (n + 2) // 6,
     }
-    dim_s3 = _cube_sym_dim(l, sigma_m) if max_degree >= 3 else None
+    dim_s3 = None
+    if max_degree >= 3:
+        # sigma_12 - 1 and sigma_23 - 1 on the cube
+        ops = [_shifted(leg_embed(sigma_m, n, legs), one, range(n ** 3))
+               for legs in ((0, 1), (1, 2))]
+        dim_s3 = _kernel_dim(ops, _weight_blocks(l, 3))
     flat = 1
     if dim_s2 == classical["S2"]:
         flat = 2

@@ -2,6 +2,8 @@
 
 import pytest
 
+from qsym import classify
+from qsym.liealg import shared_type
 from qsym.rootsys import NotDominant, build_root_system, weight_multiplicities
 from qsym.classify import (
     BudgetExceeded,
@@ -95,6 +97,20 @@ def test_geometric_ambients_examples():
     assert geometric_ambients("D", 5, (0, 0, 0, 0, 1)) == [("E6", 1), ("E6", 6)]
     assert geometric_ambients("E", 6, (1, 0, 0, 0, 0, 0)) == []
     assert geometric_ambients("E", 6, (1, 0, 0, 0, 0, 0), extended=True) == [("E7", 7)]
+
+
+def test_geometric_ambients_memoises_radicals(monkeypatch):
+    """A second search over the same ambients computes no nilradical again,
+    and the kept nilradical data is immutable."""
+    first = geometric_ambients("D", 5, (0, 0, 0, 0, 1))
+
+    def recomputed(*args):
+        raise AssertionError("abelian_radical_module recomputed for %r" % (args,))
+
+    monkeypatch.setattr(classify, "abelian_radical_module", recomputed)
+    assert geometric_ambients("D", 5, (0, 0, 0, 0, 1)) == first
+    for node, (levi, lam_levi, abelian) in shared_type("E6").radicals.items():
+        assert isinstance(levi, tuple) and isinstance(lam_levi, tuple), node
 
 
 def test_hardcoded_list_spot_values():

@@ -22,9 +22,11 @@ from qsym.liealg import (
     _mcomm,
     _mcompose,
     _mscaled_sum,
+    _vadd_into,
 )
 from qsym.poisson import bracket_table, r_minus_operator
 from qsym.rootsys import build_root_system, weight_multiplicities, weyl_dim
+from qsym.scalars import QRat
 
 
 def test_module_dimension_and_weights_match_oracles():
@@ -372,3 +374,34 @@ def test_bootstrapped_table_over_fraction():
             coroot = {alg.h_idx[j]: Q(g[j]) * rs.norms[j] / gnorm
                       for j in range(rs.rank) if g[j]}
             assert alg.bracket_idx(alg.e_idx[g], alg.f_idx[g]) == coroot, (label, g)
+
+
+def test_vadd_into_property():
+    """acc += scale * vec over Fraction and over QRat: the result is the dense
+    sum, no zero is stored, and acc itself is returned."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fractions = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    qrats = st.builds(lambda num, den: QRat(num, den if any(den) else [1]),
+                      st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+                      st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+    keys = range(5)
+
+    def cases(values):
+        vec = st.dictionaries(st.sampled_from(keys), values, max_size=5)
+        return st.tuples(vec, vec, st.none() | values)
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(cases(fractions) | cases(qrats))
+    def check(case):
+        acc, vec, scale = case
+        acc = {k: v for k, v in acc.items() if v}
+        factor = 1 if scale is None else scale
+        want = [acc.get(k, 0) + vec.get(k, 0) * factor for k in keys]
+        got = _vadd_into(acc, vec, scale)
+        assert got is acc
+        assert all(got.values())
+        assert [got.get(k, 0) for k in keys] == want
+
+    check()

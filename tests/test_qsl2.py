@@ -4,21 +4,25 @@ from fractions import Fraction as Q
 import pytest
 
 from qsym import qsl2
+from qsym.liealg import _mcompose, _vadd_into
 from qsym.poisson import jacobi_oracle
 from qsym.qsl2 import (CoPoissonElem, NotInLattice, NotInSpan, PBWElement,
-                       UqEngine, UqTensor)
+                       UqEngine, UqTensor, _binom)
 from qsym.scalars import one, qpow, zero
+
+
+def identity(n):
+    return {j: {j: one} for j in range(n)}
 
 
 def rep_matrix_of_word(word, l):
     """Independent oracle: act a free word through the module matrices."""
-    em, fm, km = qsl2._rep_matrices(l)
-    n = l + 1
-    kinv = [[one / km[i][i] if i == j else zero for j in range(n)] for i in range(n)]
+    em, fm, km, _ = qsl2._rep_matrices(l)
+    kinv = {j: {j: one / km[j][j]} for j in km}
     atoms = {"E": em, "F": fm, "K": km, "K^-1": kinv}
-    out = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    out = identity(l + 1)
     for tok in word.split():
-        out = qsl2._mat_mul(out, atoms[tok])
+        out = _mcompose(out, atoms[tok])
     return out
 
 
@@ -37,8 +41,8 @@ def test_normal_form_against_module_matrices():
     for word in random_words(20, 4, 20260819):
         elem = qsl2.normal_form(word)
         for l in (1, 2, 3):
-            em, fm, km = qsl2._rep_matrices(l)
-            assert qsl2._matrix_of_element(elem, em, fm, km) == rep_matrix_of_word(word, l)
+            mats = qsl2._rep_matrices(l)
+            assert qsl2._matrix_of_element(elem, mats) == rep_matrix_of_word(word, l)
 
 
 def test_defining_relations():
@@ -53,6 +57,16 @@ def test_defining_relations():
     assert k * kinv == g["1"]
     assert qsl2.normal_form("K E K^-1") == e * qpow(1)
     assert qsl2.normal_form("E F") == f * e + cartan
+
+
+def test_negative_power_is_refused():
+    """E has no inverse, so E ** -1 raises instead of returning 1."""
+    g = qsl2.generators()
+    assert g["E"] ** 0 == g["1"]
+    assert g["K"] ** 2 == PBWElement({(0, 2, 0): one})
+    for name in ("E", "K"):
+        with pytest.raises(ValueError):
+            g[name] ** -1
 
 
 def test_normal_form_confluence():
@@ -83,13 +97,8 @@ def check_hopf_axioms(eng, x):
     cube = eng.coproduct_cube(x)
     other = {}
     for (l, r), v in d.terms.items():
-        for (r1, r2), w in eng.coproduct(PBWElement({r: one})).terms.items():
-            key = (l, r1, r2)
-            s = other.get(key, zero) + v * w
-            if s:
-                other[key] = s
-            elif key in other:
-                del other[key]
+        _vadd_into(other, {(l, r1, r2): w for (r1, r2), w
+                           in eng.coproduct(PBWElement({r: one})).terms.items()}, v)
     assert cube == other
     # antipode axiom, both sides
     eps = eng.counit(x)
@@ -152,13 +161,9 @@ def test_central_element_on_modules():
     """C acts by (q^{2(n+1)} + q^{-2(n+1)})/(q^2 + q^-2) in v-scalars."""
     gens, _ = qsl2.locally_finite_generators()
     for l in (1, 2, 3):
-        em, fm, km = qsl2._rep_matrices(l)
-        cm = qsl2._matrix_of_element(gens["C"], em, fm, km)
+        cm = qsl2._matrix_of_element(gens["C"], qsl2._rep_matrices(l))
         want = (qpow(2 * (l + 1)) + qpow(-2 * (l + 1))) / (qpow(2) + qpow(-2))
-        n = l + 1
-        for i in range(n):
-            for j in range(n):
-                assert cm[i][j] == (want if i == j else zero)
+        assert cm == {j: {j: want} for j in range(l + 1)}
 
 
 def test_coproducts_of_the_x_generators():
@@ -271,10 +276,82 @@ def test_copoisson_values_on_generators():
     assert not qsl2.copoisson_limit(g["K"])
 
 
+# classical straightening for the co-Leibniz check: [E, F] = 2h, [h, E] = E,
+# [h, F] = -F, monomials F^a h^b E^c over Fractions
+
+def classical_limit(x):
+    """The q = 1 image of x as {(F, h, E) exponents: Fraction}.
+
+    Rewrites K powers through the lattice generator h = (K - 1)/(q - 1) and
+    keeps the constant layer; raises NotInLattice when a pole survives.
+    """
+    layers = qsl2._collapse({(k, (0, 0, 0)): v for k, v in x.terms.items()}, 0)
+    for order in sorted(layers):
+        if order < 0 and layers[order]:
+            raise NotInLattice("element has a pole at q = 1")
+    return {k1: v for (k1, _), v in layers.get(0, {}).items()}
+
+
+def skew_tensor(elem):
+    """A CoPoissonElem as a full skew dict over h-normalized classical keys."""
+    out = {}
+    for (left, right), v in elem.terms.items():
+        vv = v * Q(2) ** left[1]  # F^a H^b E^c = 2^b F^a h^b E^c
+        _vadd_into(out, {(left, right): vv})
+        _vadd_into(out, {(right, left): -vv})
+    return out
+
+
+def cl_lmul_E(terms):
+    out = {}
+    for (a, b, c), v in terms.items():
+        if a == 0:
+            # E h^b = (h - 1)^b E
+            _vadd_into(out, {(0, i, c + 1): _binom(b, i) * Q(-1) ** (b - i)
+                             for i in range(b + 1)}, v)
+        else:
+            _vadd_into(out, {(k[0] + 1, k[1], k[2]): w
+                             for k, w in cl_lmul_E({(a - 1, b, c): Q(1)}).items()}, v)
+            _vadd_into(out, {(a - 1, b + 1, c): Q(2), (a - 1, b, c): Q(-2 * (a - 1))}, v)
+    return out
+
+
+def cl_mul(t1, t2):
+    out = {}
+    for (a, b, c), v1 in t1.items():
+        t = t2
+        for _ in range(c):
+            t = cl_lmul_E(t)
+        for (a2, b2, c2), v in t.items():
+            # h^b past F^a2: h F = F (h - 1)
+            _vadd_into(out, {(a + a2, b2 + i, c2): _binom(b, i) * Q(-a2) ** (b - i)
+                             for i in range(b + 1)}, v1 * v)
+    return out
+
+
+def cl_coproduct(terms):
+    out = {}
+    for (a, b, c), v in terms.items():
+        _vadd_into(out, {((i, j, k), (a - i, b - j, c - k)):
+                         _binom(a, i) * _binom(b, j) * _binom(c, k)
+                         for i in range(a + 1) for j in range(b + 1) for k in range(c + 1)}, v)
+    return out
+
+
+def cl_tensor_mul(s, t):
+    out = {}
+    for (l1, r1), v1 in s.items():
+        for (l2, r2), v2 in t.items():
+            right = cl_mul({r1: Q(1)}, {r2: Q(1)})
+            for lk, lv in cl_mul({l1: Q(1)}, {l2: Q(1)}).items():
+                _vadd_into(out, {(lk, rk): rv for rk, rv in right.items()}, v1 * v2 * lv)
+    return out
+
+
 def test_copoisson_is_skew():
     gens, _ = qsl2.locally_finite_generators()
     for name in ("X+", "X-", "X0"):
-        t = qsl2.copoisson_limit(gens[name]).as_skew_tensor()
+        t = skew_tensor(qsl2.copoisson_limit(gens[name]))
         for (m1, m2), v in t.items():
             assert t.get((m2, m1)) == -v
 
@@ -286,20 +363,12 @@ def test_copoisson_co_leibniz():
     for na in names:
         for nb in names:
             a, b = gens[na], gens[nb]
-            lhs = qsl2.copoisson_limit(a * b).as_skew_tensor()
-            da = qsl2.copoisson_limit(a).as_skew_tensor()
-            db = qsl2.copoisson_limit(b).as_skew_tensor()
-            ca = qsl2._cl_coproduct(qsl2.classical_limit(a))
-            cb = qsl2._cl_coproduct(qsl2.classical_limit(b))
-            rhs = {}
-            for part in (qsl2._cl_tensor_mul(da, cb), qsl2._cl_tensor_mul(ca, db)):
-                for k, v in part.items():
-                    s = rhs.get(k, Q(0)) + v
-                    if s:
-                        rhs[k] = s
-                    elif k in rhs:
-                        del rhs[k]
-            assert lhs == rhs
+            lhs = skew_tensor(qsl2.copoisson_limit(a * b))
+            da = skew_tensor(qsl2.copoisson_limit(a))
+            db = skew_tensor(qsl2.copoisson_limit(b))
+            ca = cl_coproduct(classical_limit(a))
+            cb = cl_coproduct(classical_limit(b))
+            assert lhs == _vadd_into(cl_tensor_mul(da, cb), cl_tensor_mul(ca, db))
 
 
 def test_copoisson_lattice_and_nonlinearity():
@@ -342,6 +411,9 @@ def test_braided_flatness_dimensions():
     assert flat3["dim_S3"] == 16
     assert flat3["dim_S3"] != flat3["classical_dims"]["S3"]
     assert flat3["flat_through_degree"] == 2
+    flat4 = qsl2.braided_flatness(4)
+    assert (flat4["dim_S2"], flat4["dim_L2"], flat4["dim_S3"]) == (15, 10, 28)
+    assert flat4["flat_through_degree"] == 2
     with pytest.raises(ValueError):
         qsl2.braided_flatness(0)
     with pytest.raises(ValueError):
@@ -362,17 +434,11 @@ def test_braided_eigenvalue_structure():
 def test_commutor_involution_equivariance_and_classical_limit():
     for l in (1, 2, 3):
         s = qsl2.commutor_matrix(l)
-        nn = (l + 1) ** 2
-        ident = [[one if i == j else zero for j in range(nn)] for i in range(nn)]
-        assert qsl2._mat_mul(s, s) == ident
-        ae, af, ak = qsl2._pair_action(l)
-        for m in (ae, af, ak):
-            assert qsl2._mat_mul(s, m) == qsl2._mat_mul(m, s)
         n = l + 1
-        s_q = qsl2.commutor_matrix(l, normalization="qpower")
-        for i in range(n * n):
-            for j in range(n * n):
+        assert _mcompose(s, s) == identity(n * n)
+        for m in qsl2._pair_action(l):
+            assert _mcompose(s, m) == _mcompose(m, s)
+        for j in range(n * n):
+            for i in range(n * n):
                 want = Q(1) if (j // n, j % n) == (i % n, i // n) else Q(0)
-                assert s[i][j].eval(1) == want
-                # the q-power normalization has the same specialization
-                assert s_q[i][j].eval(1) == want
+                assert s.get(j, {}).get(i, zero).eval(1) == want
