@@ -18,6 +18,7 @@ from .liealg import (
     shared_type,
     _mcomm,
     _mscaled_sum,
+    _resolve_module,
     _vadd_into,
 )
 from .rootsys import cominuscule_nodes
@@ -68,18 +69,8 @@ def ad_two_tensor(carrier, x, t):
     """[x (x) 1 + 1 (x) x, t] for a basis index x, in carrier (x) carrier."""
     out = {}
     for (a, b), v in t.items():
-        for k, c in carrier.bracket_idx(x, a).items():
-            s = out.get((k, b), Q(0)) + v * c
-            if s:
-                out[(k, b)] = s
-            elif (k, b) in out:
-                del out[(k, b)]
-        for k, c in carrier.bracket_idx(x, b).items():
-            s = out.get((a, k), Q(0)) + v * c
-            if s:
-                out[(a, k)] = s
-            elif (a, k) in out:
-                del out[(a, k)]
+        tt_add(out, {(k, b): c for k, c in carrier.bracket_idx(x, a).items()}, v)
+        tt_add(out, {(a, k): c for k, c in carrier.bracket_idx(x, b).items()}, v)
     return out
 
 
@@ -269,27 +260,9 @@ def _cybe_tensor(carrier, r):
     for (a, b), v in items:
         for (c, d), w in items:
             vw = v * w
-            for k, x in carrier.bracket_idx(a, c).items():
-                key = (k, b, d)
-                s = out.get(key, Q(0)) + vw * x
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-            for k, x in carrier.bracket_idx(b, c).items():
-                key = (a, k, d)
-                s = out.get(key, Q(0)) + vw * x
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-            for k, x in carrier.bracket_idx(b, d).items():
-                key = (a, c, k)
-                s = out.get(key, Q(0)) + vw * x
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+            _vadd_into(out, {(k, b, d): x for k, x in carrier.bracket_idx(a, c).items()}, vw)
+            _vadd_into(out, {(a, k, d): x for k, x in carrier.bracket_idx(b, c).items()}, vw)
+            _vadd_into(out, {(a, c, k): x for k, x in carrier.bracket_idx(b, d).items()}, vw)
     return out
 
 
@@ -306,7 +279,7 @@ def check_cybe(alg, r, module=None):
         mats = alg.adjoint_rep()
         dim = alg.dim
     else:
-        mod = module if hasattr(module, "mats") else highest_weight_module(alg, module)
+        mod = _resolve_module(alg, module)
         mats, dim = mod.mats, mod.dim
     nz = set(getattr(alg, "z_idx", ()))
     for i in range(alg.dim):
@@ -378,16 +351,12 @@ def check_lie_bialgebra(carrier, cob):
     report["antisym"] = all(not tt_add(dict(t), tt_op(t)) for t in delta.values())
 
     def cyc_ok(x):
-        acc = {}
+        # t = (1 (x) delta) delta(x); co-Jacobi asks t + its two cyclic shifts = 0
+        t = {}
         for (i, j), v in delta.get(x, {}).items():
-            for (k, l), w in delta.get(j, {}).items():
-                for key in [(i, k, l), (l, i, k), (k, l, i)]:
-                    s = acc.get(key, Q(0)) + v * w
-                    if s:
-                        acc[key] = s
-                    elif key in acc:
-                        del acc[key]
-        return not acc
+            _vadd_into(t, {(i, k, l): w for (k, l), w in delta.get(j, {}).items()}, v)
+        acc = _vadd_into(dict(t), {(l, i, k): v for (i, k, l), v in t.items()})
+        return not _vadd_into(acc, {(k, l, i): v for (i, k, l), v in t.items()})
 
     report["co_jacobi"] = all(cyc_ok(x) for x in range(carrier.dim))
 
@@ -446,11 +415,8 @@ def drinfeld_double(alg, cob):
             for k in range(n):
                 c = alg.bracket_idx(i, k).get(j)
                 if c:
-                    entry[n + k] = entry.get(n + k, Q(0)) - c
-            for (jj, k), w in delta.get(i, {}).items():
-                if jj == j:
-                    entry[k] = entry.get(k, Q(0)) + w
-            entry = {k: v for k, v in entry.items() if v}
+                    entry[n + k] = -c
+            _vadd_into(entry, {k: w for (jj, k), w in delta.get(i, {}).items() if jj == j})
             if entry:
                 table[(i, n + j)] = entry
     D = BracketTable(2 * n, table)
@@ -465,12 +431,7 @@ def drinfeld_double(alg, cob):
                 acc = {}
                 for x, y, z in [(a, b, c), (b, c, a), (c, a, b)]:
                     for k, v in D.bracket_idx(y, z).items():
-                        for k2, v2 in D.bracket_idx(x, k).items():
-                            s = acc.get(k2, Q(0)) + v * v2
-                            if s:
-                                acc[k2] = s
-                            elif k2 in acc:
-                                del acc[k2]
+                        _vadd_into(acc, D.bracket_idx(x, k), v)
                 if acc:
                     jacobi = False
                     break

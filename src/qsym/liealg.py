@@ -7,9 +7,13 @@ Chevalley basis is bootstrapped from the adjoint module: root-vector operators
 are nested commutators of the generator matrices along a deterministic descent
 path, with F_gamma rescaled so that [E_gamma, F_gamma] = H_gamma exactly.
 
-The bootstrap runs on the scaled-int kernel of scalars: each operator is a
-Fraction scale times a matrix of Python ints, commutators multiply ints, and
-the rescaling factors and structure constants are exact Fraction ratios found
+Sparse matrices are in column form, and one kernel (_vadd_into, _mapply,
+_mcompose, _mscaled_sum, _mcomm) works over any exact ring: it builds no
+Fraction or QRat of its own, so int matrices stay int, and Fraction and
+QRat matrices keep their type. The scaled form sits on it: a Fraction scale
+times a matrix of Python ints (scaled, scaled_comm, scaled_ratio). The
+bootstrap runs on the scaled form: commutators multiply ints, and the
+rescaling factors and structure constants are exact Fraction ratios found
 by integer cross-multiplication. Modules (highest_weight_module) stay on
 Fraction; they are checked against the Weyl/Freudenthal oracle.
 
@@ -24,13 +28,12 @@ from fractions import Fraction as Q
 from functools import cached_property
 
 from .rootsys import (
-    NotDominant,
-    RootSystem,
+    _check_dominant,
     build_root_system,
     weight_multiplicities,
     weyl_dim,
 )
-from .scalars import den_lcm, echelon, scaled, scaled_comm, scaled_ratio
+from .scalars import den_lcm, echelon
 
 
 class DegenerateForm(ValueError):
@@ -69,13 +72,26 @@ def _mapply(m, vec):
     return out
 
 
-def _mcompose(a, b):
-    out = {}
+def _mcompose_into(out, a, b, scale=None):
+    """out += scale * a * b in place, with no zero entry and no empty column
+    stored; returns out. scale None means 1."""
     for j, col in b.items():
-        v = _mapply(a, col)
-        if v:
-            out[j] = v
+        acc = out.get(j)
+        if acc is None:
+            acc = {}
+        for k, c in col.items():
+            ak = a.get(k)
+            if ak:
+                _vadd_into(acc, ak, c if scale is None else c * scale)
+        if acc:
+            out[j] = acc
+        elif j in out:
+            del out[j]
     return out
+
+
+def _mcompose(a, b):
+    return _mcompose_into({}, a, b)
 
 
 def _mscaled_sum(pairs):
@@ -90,14 +106,64 @@ def _mscaled_sum(pairs):
     return out
 
 
-def _mcomm(a, b):
-    return _mscaled_sum([(None, _mcompose(a, b)), (Q(-1), _mcompose(b, a))])
+def _mcomm(a, b, scale=None):
+    """scale * (a * b - b * a) in one accumulator; scale None means 1."""
+    out = _mcompose_into({}, a, b, scale)
+    return _mcompose_into(out, b, a, -1 if scale is None else -scale)
 
 
-def _mscale(m, c):
-    if not c:
-        return {}
-    return {j: {i: v * c for i, v in col.items()} for j, col in m.items()}
+# ---------------------------------------------------------------------------
+# scaled matrices: s * M with a Fraction scale s and int entries
+# ---------------------------------------------------------------------------
+#
+# The kernel above on Python ints. No zero entry and no empty column is
+# stored, so two matrices with proportional values have equal supports.
+
+def int_columns(m, big_l):
+    """Column-form matrix m times big_l, a multiple of every denominator, as ints."""
+    return {j: {i: v.numerator * (big_l // v.denominator) for i, v in col.items() if v}
+            for j, col in m.items() if any(col.values())}
+
+
+def scaled(m):
+    """The scaled copy of a column-form Fraction matrix, over the lcm of its
+    denominators."""
+    big_l = den_lcm(v for col in m.values() for v in col.values())
+    return Q(1, big_l), int_columns(m, big_l)
+
+
+def scaled_comm(a, b):
+    """The scaled commutator a * b - b * a."""
+    (sa, ma), (sb, mb) = a, b
+    return sa * sb, _mcomm(ma, mb)
+
+
+def scaled_ratio(m, base):
+    """The Fraction r with m == r * base exactly, or None; base must be nonzero.
+
+    With y the first entry of base and x the entry of m at the same place,
+    m == (x/y) * base holds exactly when the supports agree and every entry
+    satisfies y * m_ij == x * base_ij, which compares ints only.
+    """
+    (sm, mm), (sb, mb) = m, base
+    if not mm:
+        return Q(0)
+    if mm.keys() != mb.keys():
+        return None
+    j0 = min(mb)
+    i0 = min(mb[j0])
+    y = mb[j0][i0]
+    x = mm[j0].get(i0)
+    if x is None:
+        return None
+    for j, col in mb.items():
+        mcol = mm[j]
+        if mcol.keys() != col.keys():
+            return None
+        for i, v in col.items():
+            if mcol[i] * y != v * x:
+                return None
+    return sm * x / (sb * y)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +187,7 @@ class ModuleRep:
 
 def module_matrices(rs, lam):
     """Irreducible module with highest weight lam (fundamental coordinates)."""
-    if len(lam) != rs.rank or any(c < 0 for c in lam):
-        raise NotDominant("fundamental coordinates must be nonnegative, got %r" % (lam,))
+    _check_dominant(rs, lam)
     lam = tuple(int(c) for c in lam)
     rank = rs.rank
     alpha_fund = [tuple(rs.cartan[i]) for i in range(rank)]
@@ -325,7 +390,7 @@ class ChevalleyAlgebra(BracketTable):
         def lift(mat, off):
             return {j + off: {i + off: v for i, v in col.items()} for j, col in mat.items()}
 
-        # root-vector operators are scaled int matrices (scalars.scaled): the
+        # root-vector operators are scaled int matrices (scaled above): the
         # commutators run on ints and every ratio below is an exact Fraction
         gen_e = []
         gen_f = []
@@ -538,11 +603,18 @@ def highest_weight_module(alg, lam, central_scalars=()):
                 continue
             kind, i, parent, coef = recipe
             gen = rep.e[i] if kind == "comm_e" else rep.f[i]
-            mats[idx] = _mscale(_mcomm(gen, mats[parent]), coef)
+            mats[idx] = _mcomm(gen, mats[parent], coef)
     for k, zidx in enumerate(alg.z_idx):
         s = Q(central_scalars[k]) if k < len(central_scalars) else Q(0)
         mats[zidx] = {j: {j: s} for j in range(rep.dim)} if s else {}
     return Module(alg, lam, rep.dim, rep.weights, mats, rep.e, rep.f)
+
+
+def _resolve_module(alg, module):
+    """module itself if it is already built (it has mats), else V(module)."""
+    if hasattr(module, "mats"):
+        return module
+    return highest_weight_module(alg, module)
 
 
 def weyl_dimension_and_weights(rs, lam):

@@ -1,18 +1,27 @@
 """Schouten-square criterion and the induced Poisson bracket on S(V).
 
 Operators on V (x) V and V^(x)3 are dict-sparse over packed integer indices
-(a*dim + b, (a*dim + b)*dim + c). The Schouten criterion asks whether
-[[P, P]] vanishes on Lambda^3 V. The Jacobi oracle extends the degree-2
-bracket table (a liealg.BracketTable over monomials) by the Leibniz rule
-and is the independent ground truth the criterion is checked against.
+(a*dim + b, (a*dim + b)*dim + c), in liealg's column form; their products
+and every sum here go through liealg's one kernel and its accumulator
+_vadd_into, which work over any exact ring, so the same code serves the
+Fraction operators of the classical layer and the QRat ones of qsl2.
+
+The Schouten criterion asks whether [[P, P]] vanishes on Lambda^3 V. The
+Jacobi oracle extends the degree-2 bracket table (a liealg.BracketTable
+over monomials) by the Leibniz rule and is the independent ground truth
+the criterion is checked against.
 
 The sweep's Schouten verdict (schouten_promoted) runs on Python ints. It
 asks only whether an image vanishes, and vanishing survives a uniform
 positive scaling: with the module matrices multiplied by the lcm L of their
 denominators and the [[r, r]] coefficients by the lcm D of theirs, every
 term is multiplied by the same D*L^3 > 0, so an image is zero over the
-scaled ints exactly when it is zero over Fractions. schouten_criterion,
-schouten_square and jacobi_oracle stay on Fraction as the references.
+scaled ints exactly when it is zero over Fractions. The int copies of the
+module matrices are liealg's scaled form (int_columns); the innermost sum
+stays a hand-written int loop, the one accumulator here not on _vadd_into,
+kept inline for speed: this is the largest stage of the E6 rows.
+schouten_criterion, schouten_square and jacobi_oracle stay on Fraction as
+the references.
 """
 
 from __future__ import annotations
@@ -20,8 +29,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .bialg import _cybe_tensor, tt_skew
-from .liealg import BracketTable, highest_weight_module, _mcomm, _mscaled_sum, _vadd_into
-from .scalars import den_lcm, int_columns
+from .liealg import BracketTable, _mcompose_into, _resolve_module, _vadd_into, int_columns
+from .scalars import den_lcm
 
 
 class PairOperator:
@@ -42,12 +51,6 @@ class PairOperator:
                         raise ValueError("operator is not flip-skew")
 
 
-def _resolve_module(alg, module):
-    if hasattr(module, "mats"):
-        return module
-    return highest_weight_module(alg, module)
-
-
 def _pair_matrix(mats, dim, t):
     """Sparse matrix of sum rho(a) (x) rho(b) over the terms a (x) b of t."""
     matrix = {}
@@ -58,13 +61,8 @@ def _pair_matrix(mats, dim, t):
                 col = ca * dim + cb
                 acc = matrix.setdefault(col, {})
                 for ra, va in rows_a.items():
-                    for rb, vb in rows_b.items():
-                        row = ra * dim + rb
-                        s = acc.get(row, Q(0)) + v * va * vb
-                        if s:
-                            acc[row] = s
-                        elif row in acc:
-                            del acc[row]
+                    base = ra * dim
+                    _vadd_into(acc, {base + rb: vb for rb, vb in rows_b.items()}, v * va)
                 if not acc:
                     del matrix[col]
     return matrix
@@ -83,21 +81,23 @@ def r_minus_operator(alg, r, module):
 
 
 def leg_embed(op, dim, legs):
-    """Embed an operator on V (x) V into V^(x)3 acting on the given legs."""
-    out = {}
+    """Embed an operator on V (x) V into V^(x)3 acting on the given legs.
+
+    Placing the pair on the legs and the spare index on the third is a
+    bijection, so every entry lands once and nothing is summed.
+    """
     spare = next(leg for leg in range(3) if leg not in legs)
+
+    def index(x, y, c):
+        pos = [0, 0, 0]
+        pos[legs[0]], pos[legs[1]], pos[spare] = x, y, c
+        return (pos[0] * dim + pos[1]) * dim + pos[2]
+
+    out = {}
     for col, rows in op.items():
         a, b = divmod(col, dim)
         for c in range(dim):
-            pos = [0, 0, 0]
-            pos[legs[0]], pos[legs[1]], pos[spare] = a, b, c
-            col3 = (pos[0] * dim + pos[1]) * dim + pos[2]
-            acc = out.setdefault(col3, {})
-            for row, v in rows.items():
-                ra, rb = divmod(row, dim)
-                pos[legs[0]], pos[legs[1]], pos[spare] = ra, rb, c
-                row3 = (pos[0] * dim + pos[1]) * dim + pos[2]
-                acc[row3] = acc.get(row3, Q(0)) + v
+            out[index(a, b, c)] = {index(*divmod(row, dim), c): v for row, v in rows.items()}
     return out
 
 
@@ -109,7 +109,8 @@ def schouten_square(P):
     p23 = leg_embed(P.matrix, dim, (1, 2))
     total = {}
     for a, b in [(p12, p13), (p12, p23), (p13, p23)]:
-        total = _mscaled_sum([(Q(1), total), (Q(1), _mcomm(a, b))])
+        _mcompose_into(total, a, b)
+        _mcompose_into(total, b, a, -1)
     return total
 
 
@@ -118,16 +119,10 @@ def _apply_abstract(tensor, mats, triple):
     a, b, c = triple
     out = {}
     for (x, y, z), v in tensor.items():
+        colz = mats[z].get(c, {})
         for ra, va in mats[x].get(a, {}).items():
             for rb, vb in mats[y].get(b, {}).items():
-                vv = v * va * vb
-                for rc, vc in mats[z].get(c, {}).items():
-                    key = (ra, rb, rc)
-                    s = out.get(key, Q(0)) + vv * vc
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                _vadd_into(out, {(ra, rb, rc): vc for rc, vc in colz.items()}, v * va * vb)
     return out
 
 
@@ -248,12 +243,7 @@ def bracket_table(op):
         for j in range(i + 1, dim):
             poly = {}
             for row, v in op.matrix.get(i * dim + j, {}).items():
-                mono = tuple(sorted(divmod(row, dim)))
-                s = poly.get(mono, Q(0)) + v
-                if s:
-                    poly[mono] = s
-                elif mono in poly:
-                    del poly[mono]
+                _vadd_into(poly, {tuple(sorted(divmod(row, dim))): v})
             if poly:
                 table[(i, j)] = poly
     return BracketTable(dim, table)
@@ -266,13 +256,8 @@ def jacobi_oracle(B):
         out = {}
         for (a, b), v in poly.items():
             for one, other in [(a, b), (b, a)]:
-                for mono, w in B.bracket_idx(i, one).items():
-                    key = tuple(sorted(mono + (other,)))
-                    s = out.get(key, Q(0)) + v * w
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
+                _vadd_into(out, {tuple(sorted(mono + (other,))): w
+                                 for mono, w in B.bracket_idx(i, one).items()}, v)
         return out
 
     for i in range(B.dim):
@@ -280,12 +265,7 @@ def jacobi_oracle(B):
             for k in range(j + 1, B.dim):
                 acc = {}
                 for x, y, z in [(i, j, k), (j, k, i), (k, i, j)]:
-                    for key, v in bracket_with_poly(x, B.bracket_idx(y, z)).items():
-                        s = acc.get(key, Q(0)) + v
-                        if s:
-                            acc[key] = s
-                        elif key in acc:
-                            del acc[key]
+                    _vadd_into(acc, bracket_with_poly(x, B.bracket_idx(y, z)))
                 if acc:
                     return False
     return True

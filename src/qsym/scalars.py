@@ -11,11 +11,11 @@ exactly: by Gauss's lemma the quotients have integer coefficients. Fractions
 appear only at the boundary. QRat accepts Fraction coefficients, and its
 num and den views are Fraction lists with a monic denominator.
 
-A scaled sparse matrix (s, M) is the same idea for rational matrices: a
-Fraction scale s times a column-form matrix M of Python ints. Its kernel
-converts a Fraction matrix over the lcm of its denominators (den_lcm,
-int_columns, scaled), composes, takes commutators, and decides by integer
-cross-multiplication whether one matrix is a rational multiple of another.
+den_lcm, the one lcm-of-denominators helper, clears the denominators of
+Fraction coefficients here; liealg uses it for its scaled matrices, a
+Fraction scale times a matrix of Python ints. echelon is the one exact
+elimination, over Fraction or over QRat. Sparse matrices live in liealg,
+whose column-form kernel works over any exact ring: ints, Fractions and QRat.
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ def _add(a, b, c, d):
 
 
 _INT = {int}
+
+
+def den_lcm(values):
+    """Least common multiple of the denominators of ints and Fractions."""
+    return lcm(1, *{v.denominator for v in values})
 
 
 def _ints(cs):
@@ -395,101 +400,6 @@ def specialize_q1(x):
     if isinstance(x, (int, Q)):
         return Q(x)
     return x.eval(1)
-
-
-# ---------------------------------------------------------------------------
-# scaled sparse matrices: s * M with a Fraction scale s and int entries
-# ---------------------------------------------------------------------------
-#
-# M is in column form, M[j] = {i: int}. No zero entry and no empty column is
-# stored, so two matrices with proportional values have equal supports.
-
-def den_lcm(values):
-    """Least common multiple of the denominators of ints and Fractions."""
-    return lcm(1, *{v.denominator for v in values})
-
-
-def int_columns(m, big_l):
-    """Column-form matrix m times big_l, a multiple of every denominator, as ints."""
-    return {j: {i: v.numerator * (big_l // v.denominator) for i, v in col.items() if v}
-            for j, col in m.items() if any(col.values())}
-
-
-def scaled(m):
-    """The scaled copy of a column-form Fraction matrix, over the lcm of its
-    denominators."""
-    big_l = den_lcm(v for col in m.values() for v in col.values())
-    return Q(1, big_l), int_columns(m, big_l)
-
-
-def _product_into(out, x, y, sign):
-    """Add sign * x * y to the int column-form matrix out; sums may be zero."""
-    for j, col in y.items():
-        for k, c in col.items():
-            xk = x.get(k)
-            if xk:
-                acc = out.get(j)
-                if acc is None:
-                    acc = out[j] = {}
-                c *= sign
-                for i, v in xk.items():
-                    acc[i] = acc.get(i, 0) + c * v
-
-
-def _pruned(out):
-    """out, in place, without its zero entries and empty columns."""
-    for j in [j for j, col in out.items() if 0 in col.values()]:
-        col = {i: v for i, v in out[j].items() if v}
-        if col:
-            out[j] = col
-        else:
-            del out[j]
-    return out
-
-
-def scaled_compose(a, b):
-    """The scaled product a * b."""
-    (sa, ma), (sb, mb) = a, b
-    out = {}
-    _product_into(out, ma, mb, 1)
-    return sa * sb, _pruned(out)
-
-
-def scaled_comm(a, b):
-    """The scaled commutator a * b - b * a."""
-    (sa, ma), (sb, mb) = a, b
-    out = {}
-    _product_into(out, ma, mb, 1)
-    _product_into(out, mb, ma, -1)
-    return sa * sb, _pruned(out)
-
-
-def scaled_ratio(m, base):
-    """The Fraction r with m == r * base exactly, or None; base must be nonzero.
-
-    With y the first entry of base and x the entry of m at the same place,
-    m == (x/y) * base holds exactly when the supports agree and every entry
-    satisfies y * m_ij == x * base_ij, which compares ints only.
-    """
-    (sm, mm), (sb, mb) = m, base
-    if not mm:
-        return Q(0)
-    if mm.keys() != mb.keys():
-        return None
-    j0 = min(mb)
-    i0 = min(mb[j0])
-    y = mb[j0][i0]
-    x = mm[j0].get(i0)
-    if x is None:
-        return None
-    for j, col in mb.items():
-        mcol = mm[j]
-        if mcol.keys() != col.keys():
-            return None
-        for i, v in col.items():
-            if mcol[i] * y != v * x:
-                return None
-    return sm * x / (sb * y)
 
 
 def echelon(rows, ncols):

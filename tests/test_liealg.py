@@ -356,9 +356,40 @@ def test_module_dimension_property():
     check()
 
 
+def _ref_compose(a, b):
+    """Column-form product a * b, written out here and not taken from liealg."""
+    out = {}
+    for j, col in b.items():
+        acc = {}
+        for k, c in col.items():
+            for i, v in a.get(k, {}).items():
+                acc[i] = acc.get(i, 0) + c * v
+        acc = {i: v for i, v in acc.items() if v}
+        if acc:
+            out[j] = acc
+    return out
+
+
+def _ref_combination(pairs):
+    """sum of scale * matrix over (scale, matrix) pairs, written out here."""
+    out = {}
+    for scale, m in pairs:
+        for j, col in m.items():
+            acc = out.setdefault(j, {})
+            for i, v in col.items():
+                acc[i] = acc.get(i, 0) + scale * v
+    out = {j: {i: v for i, v in col.items() if v} for j, col in out.items()}
+    return {j: col for j, col in out.items() if col}
+
+
+def _ref_comm(a, b):
+    return _ref_combination([(1, _ref_compose(a, b)), (-1, _ref_compose(b, a))])
+
+
 def test_bootstrapped_table_over_fraction():
-    """The int-kernel bootstrap, checked on Fraction matrices: ad of the table
-    is a representation, [ad x_a, ad x_b] = ad [x_a, x_b] for every pair, and
+    """The int-kernel bootstrap, checked on Fraction matrices with products
+    written out in this file: ad of the table is a representation,
+    [ad x_a, ad x_b] = ad [x_a, x_b] for every pair, and
     [E_gamma, F_gamma] = H_gamma in coroot coordinates."""
     for label in ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4"]:
         alg = chevalley_basis(label)
@@ -366,14 +397,53 @@ def test_bootstrapped_table_over_fraction():
         ad = alg.adjoint_rep()
         for a in range(alg.dim):
             for b in range(a + 1, alg.dim):
-                want = _mscaled_sum([(v, ad[k])
-                                     for k, v in alg.bracket_idx(a, b).items()])
-                assert _mcomm(ad[a], ad[b]) == want, (label, a, b)
+                want = _ref_combination([(v, ad[k])
+                                         for k, v in alg.bracket_idx(a, b).items()])
+                assert _ref_comm(ad[a], ad[b]) == want, (label, a, b)
         for g in alg.pos_roots:
             gnorm = rs.inner(g, g)
             coroot = {alg.h_idx[j]: Q(g[j]) * rs.norms[j] / gnorm
                       for j in range(rs.rank) if g[j]}
             assert alg.bracket_idx(alg.e_idx[g], alg.f_idx[g]) == coroot, (label, g)
+
+
+def test_matrix_kernel_property():
+    """_mcompose and _mcomm (with and without a scale) over ints, Fractions
+    and QRat equal the products written out above; they store no zero and no
+    empty column, and int matrices give int matrices."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-2, 2)
+    fractions = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    qrats = st.builds(lambda num, den: QRat(num, den if any(den) else [1]),
+                      st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+                      st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+
+    def cases(values):
+        col = st.dictionaries(st.integers(0, 3), values, max_size=4).map(
+            lambda c: {i: v for i, v in c.items() if v})
+        mat = st.dictionaries(st.integers(0, 3), col, max_size=4).map(
+            lambda m: {j: c for j, c in m.items() if c})
+        return st.tuples(mat, mat, st.none() | values)
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(cases(ints) | cases(fractions) | cases(qrats))
+    def check(case):
+        a, b, scale = case
+        factor = 1 if scale is None else scale
+        got = [_mcompose(a, b), _mcomm(a, b), _mcomm(a, b, scale)]
+        want = [_ref_compose(a, b), _ref_comm(a, b),
+                _ref_combination([(factor, _ref_comm(a, b))])]
+        assert got == want
+        for m in got:
+            assert all(col and all(col.values()) for col in m.values())
+        entries = [v for m in [a, b] for col in m.values() for v in col.values()]
+        if all(type(v) is int for v in entries) and type(factor) is int:
+            assert all(type(v) is int
+                       for m in got for col in m.values() for v in col.values())
+
+    check()
 
 
 def test_vadd_into_property():

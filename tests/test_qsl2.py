@@ -5,10 +5,10 @@ import pytest
 
 from qsym import qsl2
 from qsym.liealg import _mcompose, _vadd_into
-from qsym.poisson import jacobi_oracle
+from qsym.poisson import _pair_matrix, jacobi_oracle, leg_embed
 from qsym.qsl2 import (CoPoissonElem, NotInLattice, NotInSpan, PBWElement,
                        UqEngine, UqTensor, _binom)
-from qsym.scalars import one, qpow, zero
+from qsym.scalars import QRat, one, qpow, zero
 
 
 def identity(n):
@@ -442,3 +442,25 @@ def test_commutor_involution_equivariance_and_classical_limit():
             for i in range(n * n):
                 want = Q(1) if (j // n, j % n) == (i % n, i // n) else Q(0)
                 assert s.get(j, {}).get(i, zero).eval(1) == want
+
+
+def test_pair_and_leg_embeddings_coerce_no_scalar(monkeypatch):
+    """_pair_matrix on Delta(E) and leg_embed on the commutor, both at l = 3,
+    multiply and add QRat by QRat only: no int or Fraction is coerced."""
+    sigma = qsl2.commutor_matrix(3)
+    mats = qsl2._rep_matrices(3)
+    original = QRat.of
+    coerced = []
+
+    def counting(value):
+        if not isinstance(value, QRat):
+            coerced.append(value)
+        return original(value)
+
+    monkeypatch.setattr(QRat, "of", staticmethod(counting))
+    delta_e = _pair_matrix(mats, 4, qsl2._COPRODUCTS[0])
+    cubes = [leg_embed(sigma, 4, legs) for legs in ((0, 1), (1, 2))]
+    assert coerced == []
+    assert delta_e and all(len(c) == 4 * len(sigma) for c in cubes)
+    for m in [delta_e] + cubes:
+        assert all(type(v) is QRat for col in m.values() for v in col.values())
