@@ -11,17 +11,20 @@ Jacobi oracle extends the degree-2 bracket table (a liealg.BracketTable
 over monomials) by the Leibniz rule and is the independent ground truth
 the criterion is checked against.
 
-The sweep's Schouten verdict (schouten_promoted) runs on Python ints. It
-asks only whether an image vanishes, and vanishing survives a uniform
-positive scaling: with the module matrices multiplied by the lcm L of their
-denominators and the [[r, r]] coefficients by the lcm D of theirs, every
-term is multiplied by the same D*L^3 > 0, so an image is zero over the
-scaled ints exactly when it is zero over Fractions. The int copies of the
-module matrices are liealg's scaled form (int_columns); the innermost sum
-stays a hand-written int loop, the one accumulator here not on _vadd_into,
-kept inline for speed: this is the largest stage of the E6 rows.
-schouten_criterion, schouten_square and jacobi_oracle stay on Fraction as
-the references.
+The sweep's Schouten verdict (schouten_promoted) applies one ordering per
+wedge, not six: for a skew r-, [[r-, r-]] is totally antisymmetric, so the
+image of a wedge e_i ^ e_j ^ e_k is the symmetrization of the image of
+e_i (x) e_j (x) e_k and vanishes exactly when that one image vanishes in
+S^3 V. The antisymmetry is checked exactly first; a source that fails it
+raises ValueError. The verdict runs on Python ints: vanishing survives a
+uniform positive scaling, and with the module matrices multiplied by the
+lcm L of their denominators and the [[r, r]] coefficients by the lcm D of
+theirs, every term is multiplied by the same D*L^3 > 0. The int copies of
+the module matrices are liealg's scaled form (int_columns); the sums into
+S^2 V and S^3 V stay hand-written int loops, the accumulators here not on
+_vadd_into, kept inline for speed: this is the largest stage of the E6 rows.
+schouten_criterion, schouten_square and jacobi_oracle stay on Fraction, with
+all six orderings, as the references.
 """
 
 from __future__ import annotations
@@ -167,61 +170,88 @@ def schouten_criterion(P):
     return True
 
 
+def _check_antisymmetric(tensor):
+    """Raise ValueError unless a three-tensor is totally antisymmetric.
+
+    The transpositions of legs 1, 2 and of legs 2, 3 generate all six
+    orderings, so it is enough that each term meets both of them negated.
+    """
+    for (x, y, z), v in tensor.items():
+        if tensor.get((y, x, z)) != -v or tensor.get((x, z, y)) != -v:
+            raise ValueError("[[r, r]] is not totally antisymmetric: "
+                             "the source two-tensor is not skew")
+
+
 def schouten_promoted(P):
     """The Schouten verdict, cheap enough for a classification sweep.
 
-    Same answer as schouten_criterion(P), but the abstract terms are grouped
-    by their first leg so that wedges annihilated early skip whole groups.
-    Without generator provenance it is schouten_criterion(P).
+    Same answer as schouten_criterion(P), from one ordering per wedge in
+    place of six. Without generator provenance it is schouten_criterion(P).
+
+    The source r- is skew, so t = [[r-, r-]] is totally antisymmetric in
+    g^(x)3, and the operator T = sum t_xyz rho(x) (x) rho(y) (x) rho(z)
+    satisfies T P_s = sgn(s) P_s T for every leg permutation P_s. The image
+    of the wedge sum_s sgn(s) P_s (e_i (x) e_j (x) e_k) is then
+    sum_s P_s T(e_i (x) e_j (x) e_k), the symmetrization of the image of one
+    pure tensor, and that vanishes exactly when T(e_i (x) e_j (x) e_k) is zero
+    in S^3 V. The antisymmetry of t is checked exactly before any wedge is
+    tried; a source whose [[r, r]] is not antisymmetric raises ValueError.
 
     The kernel runs on ints: the module matrices are scaled by the lcm L of
     their denominators and the [[r, r]] coefficients by the lcm D of theirs,
     exactly (numerator times the cofactor, never a truncation). Each term
-    v * va * vb * vc then carries the same factor D * L^3 > 0, which does not
-    change whether a wedge image vanishes.
+    then carries the same factor D * L^3 > 0, which does not change whether
+    an image vanishes. For each pair i < j the first two legs are summed
+    once into S^2 V (x) g and reused for every k > j.
     """
     if P.source is None:
         return schouten_criterion(P)
     dim = P.dim
     alg, t, mats = P.source
     tensor = _cybe_tensor(alg, t)
+    _check_antisymmetric(tensor)
     big_d = den_lcm(tensor.values())
     big_l = den_lcm(v for m in mats for col in m.values() for v in col.values())
     mats = [int_columns(m, big_l) for m in mats]
     groups = {}
     for (x, y, z), v in tensor.items():
-        groups.setdefault(x, []).append((y, z, v.numerator * (big_d // v.denominator)))
-    lead = []
-    for a in range(dim):
-        lead.append([(mats[x].get(a), lst) for x, lst in groups.items()
-                     if mats[x].get(a)])
+        groups.setdefault((x, y), []).append((z, v.numerator * (big_d // v.denominator)))
     for i in range(dim):
         for j in range(i + 1, dim):
+            # u[z][(lo, hi)]: the terms of T(e_i (x) e_j (x) .) by third leg z,
+            # the first two legs as a sorted pair, a monomial of S^2 V
+            u = {}
+            for (x, y), lst in groups.items():
+                colx = mats[x].get(i)
+                if not colx:
+                    continue
+                coly = mats[y].get(j)
+                if not coly:
+                    continue
+                for ra, va in colx.items():
+                    for rb, vb in coly.items():
+                        pair = (ra, rb) if ra <= rb else (rb, ra)
+                        w = va * vb
+                        for z, v in lst:
+                            d = u.setdefault(z, {})
+                            d[pair] = d.get(pair, 0) + w * v
             for k in range(j + 1, dim):
+                # the image of e_i (x) e_j (x) e_k in S^3 V, by sorted monomial
                 acc = {}
-                for perm, sign in _WEDGE_PERMS:
-                    a, b, c = ((i, j, k)[perm[0]], (i, j, k)[perm[1]],
-                               (i, j, k)[perm[2]])
-                    for colx, lst in lead[a]:
-                        for y, z, v in lst:
-                            coly = mats[y].get(b)
-                            if not coly:
-                                continue
-                            colz = mats[z].get(c)
-                            if not colz:
-                                continue
-                            sv = sign * v
-                            for ra, va in colx.items():
-                                for rb, vb in coly.items():
-                                    vv = sv * va * vb
-                                    for rc, vc in colz.items():
-                                        key = (ra, rb, rc)
-                                        s = acc.get(key, 0) + vv * vc
-                                        if s:
-                                            acc[key] = s
-                                        elif key in acc:
-                                            del acc[key]
-                if acc:
+                for z, d in u.items():
+                    colz = mats[z].get(k)
+                    if not colz:
+                        continue
+                    for (lo, hi), w in d.items():
+                        for rc, vc in colz.items():
+                            if rc <= lo:
+                                key = (rc, lo, hi)
+                            elif rc <= hi:
+                                key = (lo, rc, hi)
+                            else:
+                                key = (lo, hi, rc)
+                            acc[key] = acc.get(key, 0) + w * vc
+                if any(acc.values()):
                     return False
     return True
 

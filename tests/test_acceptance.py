@@ -6,7 +6,6 @@ sub-checks. The classification sweep at rank 5 / budget 60 is computed once
 and shared by the criteria that read it.
 """
 
-import os
 import time
 from fractions import Fraction as Q
 
@@ -286,8 +285,6 @@ def test_criterion_10_module_oracles(sweep):
     _verdict(10, [("all module oracles consistent", bad == [])])
 
 
-@pytest.mark.skipif(not os.environ.get("QSYM_EXTENDED"),
-                    reason="set QSYM_EXTENDED=1 to run the extended rows")
 def test_criterion_11_extended_rows():
     """The 27-dimensional rows pass and decompose through a larger ambient."""
     checks = []

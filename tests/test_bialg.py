@@ -315,3 +315,75 @@ def test_parabolic_semidirect_is_memoised(monkeypatch):
     assert len(checks) == 2
     assert set(shared_type("A3").parabolics) == {(1, BDTriple((), (), {}).key()),
                                                  (1, triple.key())}
+
+
+def _ref_axioms(carrier, delta):
+    """antisym, co_jacobi and cocycle of delta written out over Fractions."""
+    n = carrier.dim
+
+    def add(acc, key, v):
+        acc[key] = acc.get(key, Q(0)) + v
+
+    antisym = all(t.get((j, i), Q(0)) == -v
+                  for t in delta.values() for (i, j), v in t.items())
+
+    def co_jacobi_at(x):
+        acc = {}
+        for (i, j), v in delta.get(x, {}).items():
+            for (k, l), w in delta.get(j, {}).items():
+                for key in [(i, k, l), (l, i, k), (k, l, i)]:
+                    add(acc, key, v * w)
+        return not any(acc.values())
+
+    def ad(acc, a, t, sign):
+        for (p, q), v in t.items():
+            for k, c in carrier.bracket_idx(a, p).items():
+                add(acc, (k, q), sign * v * c)
+            for k, c in carrier.bracket_idx(a, q).items():
+                add(acc, (p, k), sign * v * c)
+
+    def cocycle_at(a, b):
+        acc = {}
+        for k, c in carrier.bracket_idx(a, b).items():
+            for key, w in delta.get(k, {}).items():
+                add(acc, key, -c * w)
+        ad(acc, a, delta.get(b, {}), 1)
+        ad(acc, b, delta.get(a, {}), -1)
+        return not any(acc.values())
+
+    return {"antisym": antisym,
+            "co_jacobi": all(co_jacobi_at(x) for x in range(n)),
+            "cocycle": all(cocycle_at(a, b)
+                           for a in range(n) for b in range(a + 1, n))}
+
+
+def test_int_axiom_check_matches_fraction_reference():
+    """The scaled int report equals the Fraction reference: on standard
+    cobrackets, on a broken r, on a delta whose only fault is the cocycle,
+    and on one failing both co-Jacobi and the cocycle."""
+    cases = []
+    for label in ["A1", "A2", "C2", "G2"]:
+        alg = _alg(label)
+        cases.append((label, alg, cobracket_from_r(alg, standard_r(alg)).delta))
+    sl2 = _alg("A1")
+    e, h, f = sl2.e_idx[(1,)], sl2.h_idx[0], sl2.f_idx[(1,)]
+    broken = cobracket_from_r(sl2, {(e, f): Q(1), (h, h): Q(1, 3)}, verify=False)
+    cases.append(("broken", sl2, broken.delta))
+    # e ^ f / 3 added to delta(h) of the zero cobracket: its dual is a
+    # Heisenberg bracket, so co-Jacobi holds, while delta([h, e]) = 0 and
+    # ad_h delta(e) - ad_e delta(h) is not zero
+    wedge = {(e, f): Q(1, 3), (f, e): Q(-1, 3)}
+    cases.append(("cocycle only", sl2, {h: dict(wedge)}))
+    # on the standard cobracket the same addition also breaks co-Jacobi
+    both = {x: dict(t) for x, t in cobracket_from_r(sl2, standard_r(sl2)).items()}
+    both[h] = dict(wedge)
+    cases.append(("co-Jacobi and cocycle", sl2, both))
+    want = {"A1": (True, True, True), "A2": (True, True, True),
+            "C2": (True, True, True), "G2": (True, True, True),
+            "broken": (False, False, True),
+            "cocycle only": (True, True, False),
+            "co-Jacobi and cocycle": (True, False, False)}
+    for name, carrier, delta in cases:
+        ref = _ref_axioms(carrier, delta)
+        assert check_lie_bialgebra(carrier, delta) == ref, name
+        assert (ref["antisym"], ref["co_jacobi"], ref["cocycle"]) == want[name], name

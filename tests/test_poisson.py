@@ -7,7 +7,16 @@ import pytest
 
 from qsym.rootsys import build_root_system, weyl_dim
 from qsym.liealg import chevalley_basis, highest_weight_module, _mcompose, _mscaled_sum
-from qsym.bialg import BDTriple, bd_r_matrix, standard_r, tt_add, tt_op
+from qsym.bialg import (
+    BDTriple,
+    _cybe_tensor,
+    bd_r_matrix,
+    enumerate_bd_triples,
+    standard_r,
+    tt_add,
+    tt_op,
+    tt_skew,
+)
 from qsym.poisson import (
     BracketTable,
     PairOperator,
@@ -165,7 +174,6 @@ def test_half_casimir_commutators_equal_schouten_square():
 def test_schouten_square_is_flip_skew_and_equivariant():
     """[[r-,r-]] changes sign under leg flips and commutes with the diagonal
     action, abstractly and on a module."""
-    from qsym.bialg import _cybe_tensor, tt_skew
     for label in ["A1", "A2"]:
         alg = chevalley_basis(build_root_system(label))
         t = _cybe_tensor(alg, tt_skew(standard_r(alg)))
@@ -290,3 +298,50 @@ def test_schouten_equals_jacobi_property():
         assert fast == schouten_criterion(op), pair
 
     check()
+
+
+_S3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+       ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)]
+
+
+def _totally_antisymmetric(t):
+    """Every ordering of every term carries the sign of its permutation."""
+    return all(t.get(tuple(key[p] for p in perm), Q(0)) == sign * v
+               for key, v in t.items() for perm, sign in _S3)
+
+
+def test_schouten_tensor_is_totally_antisymmetric_property():
+    """[[r-, r-]] of a skew r- lies in Lambda^3 g, the premise of the one
+    ordering schouten_promoted applies: for the standard r on random rank <= 3
+    types, and for every BD triple of A3."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=10, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from(_SMALL_TYPES + ["A2xA1", "A1xA1xA1"]))
+    def check(label):
+        alg = chevalley_basis(build_root_system(label))
+        t = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+        assert t and _totally_antisymmetric(t), label
+
+    check()
+    a3 = chevalley_basis(build_root_system("A3"))
+    triples = enumerate_bd_triples(a3.rs)
+    assert len(triples) == 9
+    for triple in triples:
+        r, _ = bd_r_matrix(a3, triple)
+        t = _cybe_tensor(a3, tt_skew(r))
+        assert t and _totally_antisymmetric(t), triple
+
+
+def test_schouten_promoted_refuses_a_source_that_is_not_skew():
+    """E (x) H on sl2 is not skew and its [[r, r]] is not antisymmetric:
+    the one-ordering kernel would not be sound, so it raises."""
+    sl2 = chevalley_basis(build_root_system("A1"))
+    e, h = sl2.e_idx[(1,)], sl2.h_idx[0]
+    assert not _totally_antisymmetric(_cybe_tensor(sl2, {(e, h): Q(1)}))
+    for lam in [(1,), (2,), (3,)]:
+        op = pair_operator(sl2, {(e, h): Q(1)}, lam)
+        with pytest.raises(ValueError, match="not totally antisymmetric"):
+            schouten_promoted(op)
