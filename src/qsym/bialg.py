@@ -86,10 +86,10 @@ def _ad_into(acc, row, t, scale=1):
     return acc
 
 
-def ad_two_tensor(carrier, x, t):
-    """[x (x) 1 + 1 (x) x, t] for a basis index x, in carrier (x) carrier."""
+def ad_two_tensor(carrier, x, t, scale=1):
+    """scale * [x (x) 1 + 1 (x) x, t] for a basis index x, in carrier (x) carrier."""
     row = {p: carrier.bracket_idx(x, p) for p in range(carrier.dim)}
-    return {k: v for k, v in _ad_into({}, row, t).items() if v}
+    return {k: v for k, v in _ad_into({}, row, t, scale).items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +329,8 @@ class Cobracket:
         return self.delta.items()
 
 
-def _delta(carrier, r, x):
-    """[r, x (x) 1 + 1 (x) x] for a basis index x of carrier."""
-    t = {}
-    for (a, b), v in r.items():
-        for k, c in carrier.bracket_idx(a, x).items():
-            tt_add(t, {(k, b): v * c})
-        for k, c in carrier.bracket_idx(b, x).items():
-            tt_add(t, {(a, k): v * c})
-    return t
-
-
 def cobracket_from_r(carrier, r, verify=True):
-    """delta(x) = [r, x (x) 1 + 1 (x) x], verified antisymmetric.
+    """delta(x) = [r, x (x) 1 + 1 (x) x] = -ad_x r, verified antisymmetric.
 
     verify=False skips the antisymmetry gate, for deliberately broken
     r-matrices whose reports are wanted downstream.
@@ -354,7 +343,7 @@ def cobracket_from_r(carrier, r, verify=True):
                 raise ValueError("r must be supported on the g-part")
     delta = {}
     for x in range(carrier.dim):
-        t = _delta(carrier, r, x)
+        t = ad_two_tensor(carrier, x, r, -1)
         if verify and tt_add(dict(t), tt_op(t)):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
         if t:
@@ -601,7 +590,7 @@ def _parabolic(alg, node, triple):
     closure = True
     delta = {}
     for x_amb in p_indices:
-        t = _delta(alg, r, x_amb)
+        t = ad_two_tensor(alg, x_amb, r, -1)
         if any(a not in pos or b not in pos for (a, b) in t):
             closure = False
             continue

@@ -13,7 +13,6 @@ is folded into A3, so coincident spellings like so5/sp4 land on one row.
 """
 
 from collections import Counter
-from fractions import Fraction as Q
 from itertools import permutations
 
 from .bialg import (
@@ -26,7 +25,6 @@ from .liealg import (
     abelian_radical_module,
     highest_weight_module,
     shared_type,
-    weyl_dimension_and_weights,
 )
 from .poisson import (
     bracket_table,
@@ -38,6 +36,7 @@ from .rootsys import (
     NotDominant,
     cominuscule_nodes,
     normalize_type,
+    weight_multiplicities,
     weyl_dim,
 )
 
@@ -56,16 +55,6 @@ def _root_system(letter, rank):
 # the necessary weight filter
 # ---------------------------------------------------------------------------
 
-def _is_positive_root(rs, v):
-    iv = []
-    for x in v:
-        q = Q(x)
-        if q < 0 or q.denominator != 1:
-            return False
-        iv.append(int(q))
-    return rs.is_root(tuple(iv))
-
-
 def weight_filter(rs, lam, mults):
     """Root-gap test: lowered weights must stay within one root of lam.
 
@@ -81,18 +70,16 @@ def weight_filter(rs, lam, mults):
     lam = tuple(int(c) for c in lam)
     if len(lam) != rs.rank or any(c < 0 for c in lam) or not any(lam):
         raise NotDominant("need a nonzero dominant weight, got %r" % (lam,))
-    lamr = rs.fund_to_root(lam)
+    # lam - mu and alpha_i (row i of the Cartan matrix) in fundamental coordinates
+    positive = {rs.root_to_fund(g) for g in rs.positive_roots}
     for mu in mults:
-        mur = rs.fund_to_root(mu)
-        diff = tuple(a - b for a, b in zip(lamr, mur))
+        diff = tuple(a - b for a, b in zip(lam, mu))
         if not any(diff):
             continue
-        in_rplus = _is_positive_root(rs, diff)
+        in_rplus = diff in positive
         for i in range(rs.rank):
             if lam[i] > 0 and mu[i] < 0 and not in_rplus:
-                shifted = list(diff)
-                shifted[i] -= 1
-                if not _is_positive_root(rs, tuple(shifted)):
+                if tuple(a - b for a, b in zip(diff, rs.cartan[i])) not in positive:
                     return False
     return True
 
@@ -188,7 +175,8 @@ def _canonical_pair(g_type, lam):
 # geometric decomposability: ambient cominuscule parabolics
 # ---------------------------------------------------------------------------
 
-def _ambient_types(rank, extended):
+def _simple_types(rank, e_ranks):
+    """The simple types of one rank in series order, E only at e_ranks."""
     out = [("A", rank)]
     if rank >= 3:
         out.append(("B", rank))
@@ -196,7 +184,7 @@ def _ambient_types(rank, extended):
         out.append(("C", rank))
     if rank >= 4:
         out.append(("D", rank))
-    if rank in ((6, 7, 8) if extended else (6, 8)):
+    if rank in e_ranks:
         out.append(("E", rank))
     if rank == 4:
         out.append(("F", 4))
@@ -215,7 +203,7 @@ def geometric_ambients(letter, rank, lam, extended=False):
     """
     wanted = _weight_spellings(letter, rank, tuple(lam))
     found = []
-    for lt, rk in _ambient_types(rank + 1, extended):
+    for lt, rk in _simple_types(rank + 1, (6, 7, 8) if extended else (6, 8)):
         ambient = shared_type("%s%d" % (lt, rk))
         for node in cominuscule_nodes(ambient.rs):
             radical = ambient.radicals.get(node)
@@ -226,7 +214,7 @@ def geometric_ambients(letter, rank, lam, extended=False):
             if not abelian or len(levi) != 1:
                 continue
             l2, r2 = levi[0]
-            if (l2, r2, tuple(int(x) for x in lam_levi)) in wanted:
+            if (l2, r2, lam_levi) in wanted:
                 found.append((ambient.rs.label, node))
     return found
 
@@ -292,9 +280,10 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     rs = typ.rs
     if not any(lam):
         raise NotDominant("the zero weight is out of scope")
-    dim, mults = weyl_dimension_and_weights(rs, lam)
+    dim = weyl_dim(rs, lam)
     if dim > dim_budget:
         raise BudgetExceeded("dim V = %d exceeds the budget %d" % (dim, dim_budget))
+    mults = weight_multiplicities(rs, lam)
     wf = weight_filter(rs, lam, mults)
     alg = typ.algebra
     mod = highest_weight_module(alg, lam)
@@ -361,22 +350,8 @@ def classification_table(max_rank, dim_budget, all_bd=False, extended=False):
         raise ValueError("max_rank must be at least 1, got %d" % max_rank)
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
-    types = []
-    for r in range(1, max_rank + 1):
-        types.append(("A", r))
-        if r >= 3:
-            types.append(("B", r))
-        if r >= 2:
-            types.append(("C", r))
-        if r >= 4:
-            types.append(("D", r))
-        if extended and r in (6, 7, 8):
-            types.append(("E", r))
-        if r == 4:
-            types.append(("F", 4))
-        if r == 2:
-            types.append(("G", 2))
-    types.sort()
+    types = sorted(t for r in range(1, max_rank + 1)
+                   for t in _simple_types(r, (6, 7, 8) if extended else ()))
     rows = []
     for lt, rk in types:
         rs = _root_system(lt, rk)

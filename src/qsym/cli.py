@@ -92,9 +92,7 @@ def _cmd_module(args):
         "type": "%s%d" % (letter, rank),
         "weight": list(lam),
         "dim": weyl_dim(rs, lam),
-        "weights": {",".join(_scalar(c) if not isinstance(c, int) else str(c)
-                             for c in k): m
-                    for k, m in sorted(mults.items())},
+        "weights": {",".join(map(str, k)): m for k, m in sorted(mults.items())},
     }
     return _dumps(out), 0
 

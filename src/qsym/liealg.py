@@ -27,12 +27,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cached_property
 
-from .rootsys import (
-    _check_dominant,
-    build_root_system,
-    weight_multiplicities,
-    weyl_dim,
-)
+from .rootsys import _check_dominant, build_root_system
 from .scalars import den_lcm, echelon
 
 
@@ -181,9 +176,6 @@ class ModuleRep:
         self.e = e  # list over simple i of column-form matrices
         self.f = f
 
-    def h_scalar(self, i, idx):
-        return self.weights[idx][i]
-
 
 def module_matrices(rs, lam):
     """Irreducible module with highest weight lam (fundamental coordinates)."""
@@ -325,11 +317,9 @@ class ChevalleyAlgebra(BracketTable):
         self.h_idx = {i: len(pos) + i for i in range(rs.rank)}
         self.f_idx = {g: len(pos) + rs.rank + k for k, g in enumerate(pos)}
         self.z_idx = [len(pos) * 2 + rs.rank + k for k in range(central_dims)]
-        zero = tuple(Q(0) for _ in range(rs.rank))
-        self.weight = ([tuple(Q(x) for x in g) for g in pos]
-                       + [zero] * rs.rank
-                       + [tuple(-Q(x) for x in g) for g in pos]
-                       + [zero] * central_dims)
+        zero = (0,) * rs.rank
+        self.weight = (pos + [zero] * rs.rank
+                       + [tuple(-x for x in g) for g in pos] + [zero] * central_dims)
         # recipe per root vector: how to build its matrix in any representation
         self.recipes = {}
         self._bootstrap()
@@ -415,7 +405,7 @@ class ChevalleyAlgebra(BracketTable):
         def coroot(gamma):
             # H_gamma in coroot coordinates: gamma^ = sum gamma_j (a_j,a_j)/(g,g) a_j^
             gnorm = rs.inner(gamma, gamma)
-            return {j: Q(gamma[j]) * rs.norms[j] / gnorm for j in range(rank) if gamma[j]}
+            return {j: gamma[j] * rs.norms[j] / gnorm for j in range(rank) if gamma[j]}
 
         def coroot_op(gamma):
             # H_gamma as a scaled diagonal matrix
@@ -464,8 +454,7 @@ class ChevalleyAlgebra(BracketTable):
                 if a in hspace or b in hspace:
                     hi = (a if a in hspace else b) - self.h_idx[0]
                     other = b if a in hspace else a
-                    w = self.weight[other]
-                    scal = sum(Q(w[k]) * rs.cartan[k][hi] for k in range(rank))
+                    scal = Q(rs.copair(self.weight[other], hi))
                     if b in hspace:
                         scal = -scal
                     put(a, b, {other: scal} if scal else {})
@@ -478,16 +467,14 @@ class ChevalleyAlgebra(BracketTable):
                     if not m[1]:
                         continue
                     # must be [E_g, F_g] = H_g
-                    gamma = tuple(int(x) for x in wa)
-                    assert scaled_ratio(m, coroot_op(gamma)) == 1, \
-                        "Cartan bracket mismatch at %s" % (gamma,)
-                    put(a, b, {self.h_idx[j]: c for j, c in coroot(gamma).items()})
+                    assert scaled_ratio(m, coroot_op(wa)) == 1, \
+                        "Cartan bracket mismatch at %s" % (wa,)
+                    put(a, b, {self.h_idx[j]: c for j, c in coroot(wa).items()})
                     continue
-                ti = tuple(int(x) for x in target)
-                if ti in self.e_idx:
-                    tgt = self.e_idx[ti]
-                elif tuple(-x for x in ti) in self.f_idx:
-                    tgt = self.f_idx[tuple(-x for x in ti)]
+                if target in self.e_idx:
+                    tgt = self.e_idx[target]
+                elif tuple(-x for x in target) in self.f_idx:
+                    tgt = self.f_idx[tuple(-x for x in target)]
                 else:
                     assert not m[1], "unexpected bracket weight %s" % (target,)
                     continue
@@ -544,7 +531,8 @@ class SharedType:
     parabolics maps (node, BD triple key) to the (S, report) pair of
     bialg.parabolic_semidirect, which fills it. radicals maps a node to the
     (Levi type tuple, Levi weight, abelian) triple of abelian_radical_module,
-    which classify.geometric_ambients fills.
+    which classify.geometric_ambients fills; the Levi weight is an int tuple
+    in the Levi's fundamental coordinates.
     """
 
     def __init__(self, rs):
@@ -617,11 +605,6 @@ def _resolve_module(alg, module):
     return highest_weight_module(alg, module)
 
 
-def weyl_dimension_and_weights(rs, lam):
-    """Independent dimension and weight-multiset oracle (Weyl + Freudenthal)."""
-    return weyl_dim(rs, lam), weight_multiplicities(rs, lam)
-
-
 def casimir(alg):
     """Casimir c = sum x_i @ x^i over dual bases and its Cartan part c0.
 
@@ -656,8 +639,8 @@ def casimir(alg):
 # parabolic nilradicals as Levi modules
 # ---------------------------------------------------------------------------
 
-def _match_subdiagram(nodes, bform):
-    """Classify the Dynkin diagram induced on `nodes` (indices into bform).
+def _match_subdiagram(nodes, cartan):
+    """Classify the Dynkin diagram induced on `nodes` (indices into cartan).
 
     Returns (series, rank, mapping) where mapping[k] = the node playing the
     role of canonical simple root k+1 of build_root_system((series, rank)).
@@ -675,22 +658,18 @@ def _match_subdiagram(nodes, bform):
     if n in (6, 7, 8):
         candidates += ["E"]
 
-    def cartan_of(perm):
-        return [[2 * bform[a][b] / bform[b][b] for b in perm] for a in perm]
-
-    degrees = sorted(sum(1 for b in nodes if b != a and bform[a][b]) for a in nodes)
+    degrees = sorted(sum(1 for b in nodes if b != a and cartan[a][b]) for a in nodes)
     for letter in candidates:
         try:
             ref = build_root_system(letter, n)
         except Exception:
             continue
-        ref_cartan = [[Q(x) for x in row] for row in ref.cartan]
         ref_deg = sorted(sum(1 for b in range(n) if b != a and ref.cartan[a][b])
                          for a in range(n))
         if ref_deg != degrees:
             continue
         for perm in permutations(nodes):
-            if cartan_of(perm) == ref_cartan:
+            if [[cartan[a][b] for b in perm] for a in perm] == ref.cartan:
                 return letter, n, list(perm)
     raise AssertionError("unclassifiable subdiagram %r" % (nodes,))
 
@@ -727,11 +706,11 @@ def abelian_radical_module(rs, node):
         while frontier:
             a = frontier.pop()
             for b in levi_nodes:
-                if b not in comp and rs.bform[a][b]:
+                if b not in comp and rs.cartan[a][b]:
                     comp.add(b)
                     frontier.append(b)
         seen |= comp
-        letter, n, mapping = _match_subdiagram(sorted(comp), rs.bform)
+        letter, n, mapping = _match_subdiagram(sorted(comp), rs.cartan)
         levi_type.append((letter, n))
         theta = max(radical, key=lambda g: (sum(g), g))
         for src in mapping:

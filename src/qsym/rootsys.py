@@ -1,16 +1,20 @@
 """Finite root systems in Bourbaki numbering with exact inner products.
 
-Vectors live in simple-root coordinates. Roots have integer coordinates,
-weights Fraction coordinates. The invariant form is normalized so long roots
-have squared length 2; the Cartan matrix convention is
-A[i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j).
+Roots are int tuples in simple-root coordinates and weights are int tuples
+in fundamental coordinates; simple root alpha_i is row i of the Cartan matrix
+A[i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j) there. The invariant form is
+Fraction (bform, norms, inner), normalized so long roots have squared length
+2. fund_to_root and fundamental_weights give the Fraction root-coordinate
+view of a weight. Weyl's dimension formula and Freudenthal's multiplicities
+run on ints: the Weyl group acts by s_j(mu) = mu - mu_j alpha_j, and the form
+enters as the int norms norm_ints, whose common factor cancels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .scalars import echelon
+from .scalars import den_lcm, echelon
 
 
 class InvalidType(ValueError):
@@ -112,6 +116,9 @@ class RootSystem:
                 self.bform[off + j][off + i] = v
             off += n
         self.norms = [self.bform[i][i] for i in range(self.rank)]
+        # the norms times the lcm of their denominators (see _pairing)
+        big_l = den_lcm(self.norms)
+        self.norm_ints = [int(x * big_l) for x in self.norms]
         self.cartan = [
             [int(2 * self.bform[i][j] / self.bform[j][j]) for j in range(self.rank)]
             for i in range(self.rank)
@@ -179,7 +186,7 @@ class RootSystem:
 
     def copair(self, x, j):
         """2(x, alpha_j)/(alpha_j, alpha_j) for x in root coordinates."""
-        return sum(Q(x[i]) * self.cartan[i][j] for i in range(self.rank))
+        return sum(x[i] * self.cartan[i][j] for i in range(self.rank))
 
     def fund_to_root(self, m):
         if len(m) != self.rank:
@@ -194,23 +201,6 @@ class RootSystem:
 
     def root_to_fund(self, x):
         return tuple(self.copair(x, j) for j in range(self.rank))
-
-    def reflect(self, x, j):
-        c = self.copair(x, j)
-        out = list(x)
-        out[j] = out[j] - c
-        return tuple(out)
-
-    def dominant_rep(self, x):
-        """The dominant Weyl-chamber representative of x (root coordinates)."""
-        x = tuple(Q(v) for v in x)
-        while True:
-            for j in range(self.rank):
-                if self.copair(x, j) < 0:
-                    x = self.reflect(x, j)
-                    break
-            else:
-                return x
 
 
 def cominuscule_nodes(rs):
@@ -266,83 +256,95 @@ def _check_dominant(rs, lam):
         raise NotDominant("fundamental coordinates must be nonnegative, got %r" % (lam,))
 
 
+def _pairing(rs, x, a):
+    """sum_j a_j x_j s_j: the form (x, a) of a weight x and a root a, times 2L.
+
+    (omega_i, alpha_j) = delta_ij (alpha_j, alpha_j)/2, and s_j is
+    (alpha_j, alpha_j) times L, the lcm of the norms' denominators. The
+    constant 2L cancels in Weyl's and Freudenthal's ratios.
+    """
+    return sum(ai * xi * si for ai, xi, si in zip(a, x, rs.norm_ints))
+
+
+def _dominant(rs, mu, depth):
+    """The dominant Weyl conjugate of mu and its depth vector.
+
+    depth holds c with lam - mu = sum c_i alpha_i. The simple Weyl generator
+    s_j takes mu to mu - mu_j alpha_j, alpha_j being row j of the Cartan
+    matrix, and so adds mu_j to c_j. mu is a weight below lam exactly when
+    min(depth) >= 0 on return.
+    """
+    mu, depth = list(mu), list(depth)
+    while True:
+        for j, m in enumerate(mu):
+            if m < 0:
+                for k, a in enumerate(rs.cartan[j]):
+                    mu[k] -= m * a
+                depth[j] += m
+                break
+        else:
+            return tuple(mu), depth
+
+
 def weyl_dim(rs, lam):
     """Weyl dimension formula for highest weight lam (fundamental coords)."""
     _check_dominant(rs, lam)
-    lr = rs.fund_to_root(lam)
-    rho = rs.fund_to_root((1,) * rs.rank)
-    top = Q(1)
-    bot = Q(1)
+    top = bot = 1
     for g in rs.positive_roots:
-        lam_rho = tuple(a + b for a, b in zip(lr, rho))
-        top *= rs.inner(lam_rho, g)
-        bot *= rs.inner(rho, g)
-    d = top / bot
-    assert d.denominator == 1
-    return int(d)
+        top *= _pairing(rs, [c + 1 for c in lam], g)
+        bot *= _pairing(rs, (1,) * rs.rank, g)
+    d, rem = divmod(top, bot)
+    assert rem == 0
+    return d
 
 
 def weight_multiplicities(rs, lam):
     """Freudenthal multiplicities: {fundamental coords: multiplicity}."""
     _check_dominant(rs, lam)
-    lr = rs.fund_to_root(lam)
-    rho = rs.fund_to_root((1,) * rs.rank)
-
-    def depth_to_weight(c):
-        return tuple(a - b for a, b in zip(lr, c))
-
-    dominant = {}  # dominant weight root-coords -> depth height
-    all_depths = []
-    # BFS over depth vectors; keep c when lam - c is a genuine weight
+    lam = tuple(lam)
     zero = (0,) * rs.rank
+    reps = {}  # every weight -> its dominant conjugate, breadth-first in depth
+    dominant = {}  # dominant weight -> its depth vector
+    # BFS over depth vectors c; keep lam - c when it is a genuine weight
     seen = {zero}
-    frontier = [zero]
+    frontier = [(lam, zero)]
     while frontier:
         nxt = []
-        for c in frontier:
-            mu = depth_to_weight(c)
-            rep = rs.dominant_rep(mu)
-            gap = tuple(a - b for a, b in zip(lr, rep))
-            if any(x < 0 or Q(x).denominator != 1 for x in gap):
+        for mu, c in frontier:
+            rep, depth = _dominant(rs, mu, c)
+            if min(depth) < 0:
                 continue
-            all_depths.append(c)
+            reps[mu] = rep
             if mu == rep:
-                dominant[mu] = sum(c)
+                dominant[mu] = c
             for i in range(rs.rank):
-                c2 = tuple(v + (1 if k == i else 0) for k, v in enumerate(c))
+                c2 = c[:i] + (c[i] + 1,) + c[i + 1:]
                 if c2 not in seen:
                     seen.add(c2)
-                    nxt.append(c2)
+                    nxt.append((tuple(a - b for a, b in zip(mu, rs.cartan[i])), c2))
         frontier = nxt
 
-    lam_rho = tuple(a + b for a, b in zip(lr, rho))
-    c_lam = rs.inner(lam_rho, lam_rho)
+    roots = [(g, rs.root_to_fund(g)) for g in rs.positive_roots]
     mult = {}
-    for mu in sorted(dominant, key=lambda m: dominant[m]):
-        if dominant[mu] == 0:
+    for mu in sorted(dominant, key=lambda m: sum(dominant[m])):
+        c = dominant[mu]
+        if not any(c):
             mult[mu] = 1
             continue
-        acc = Q(0)
-        for g in rs.positive_roots:
-            k = 1
+        acc = 0
+        for g, gf in roots:
+            nu, d = mu, c
             while True:
-                nu = tuple(a + k * b for a, b in zip(mu, g))
-                rep = rs.dominant_rep(nu)
+                nu = tuple(a + b for a, b in zip(nu, gf))
+                d = tuple(a - b for a, b in zip(d, g))
+                rep, depth = _dominant(rs, nu, d)
                 if rep not in mult:
-                    gap = tuple(a - b for a, b in zip(lr, rep))
-                    if any(x < 0 for x in gap):
+                    if min(depth) < 0:
                         break  # beyond the weight polytope in this direction
                     raise AssertionError("Freudenthal order broken")
-                acc += mult[rep] * rs.inner(nu, g)
-                k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu, rho))
-        denom = c_lam - rs.inner(mu_rho, mu_rho)
-        m = 2 * acc / denom
-        assert m.denominator == 1 and m > 0
-        mult[mu] = int(m)
-
-    out = {}
-    for c in all_depths:
-        mu = depth_to_weight(c)
-        out[rs.root_to_fund(mu)] = mult[rs.dominant_rep(mu)]
-    return out
+                acc += mult[rep] * _pairing(rs, nu, g)
+        # (lam + rho)^2 - (mu + rho)^2 = (lam - mu, lam + mu + 2 rho)
+        m, rem = divmod(2 * acc, _pairing(rs, [a + b + 2 for a, b in zip(lam, mu)], c))
+        assert rem == 0 and m > 0
+        mult[mu] = m
+    return {mu: mult[rep] for mu, rep in reps.items()}

@@ -289,9 +289,6 @@ class QRat:
     def __bool__(self):
         return bool(self._n)
 
-    def is_one(self):
-        return self._n == [1] and self._d == [1]
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):

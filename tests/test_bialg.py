@@ -282,6 +282,41 @@ def test_parabolic_semidirect_with_bd_triple():
             assert (a in v_set) != (b in v_set)
 
 
+def _ref_delta(alg, r, x):
+    """[r, x (x) 1 + 1 (x) x] written out: sum r_ab ([a, x] (x) b + a (x) [b, x])."""
+    out = {}
+    for (a, b), v in r.items():
+        for k, c in alg.bracket_idx(a, x).items():
+            out[(k, b)] = out.get((k, b), 0) + v * c
+        for k, c in alg.bracket_idx(b, x).items():
+            out[(a, k)] = out.get((a, k), 0) + v * c
+    return {key: v for key, v in out.items() if v}
+
+
+def test_cobrackets_match_written_out_delta():
+    """cobracket_from_r and the parabolic restriction both give
+    delta(x) = [r, x (x) 1 + 1 (x) x], the sign included."""
+    from qsym.liealg import shared_type
+
+    for label in ["A1", "A2", "C2", "G2"]:
+        alg = _alg(label)
+        r = standard_r(alg)
+        cob = cobracket_from_r(alg, r)
+        for x in range(alg.dim):
+            assert cob[x] == _ref_delta(alg, r, x), (label, x)
+    for label, node, triple in [("A2", 1, BDTriple((), (), {})),
+                                ("C3", 3, BDTriple((), (), {})),
+                                ("A3", 1, BDTriple((2,), (3,), {2: 3}))]:
+        S, _ = parabolic_semidirect(label, node, triple)
+        alg = shared_type(label).algebra
+        r, _ = bd_r_matrix(alg, triple)
+        amb = [alg.names.index(name) for name in S.names]
+        pos = {a: loc for loc, a in enumerate(amb)}
+        for loc, x in enumerate(amb):
+            want = {(pos[a], pos[b]): v for (a, b), v in _ref_delta(alg, r, x).items()}
+            assert S.cobracket[loc] == want, (label, node, S.names[loc])
+
+
 def test_parabolic_semidirect_is_memoised(monkeypatch):
     """One build per (ambient, node, triple): the axioms are checked once,
     every call gets its own report, and another triple gets its own entry."""

@@ -18,7 +18,6 @@ from qsym.liealg import (
     highest_weight_module,
     module_matrices,
     shared_type,
-    weyl_dimension_and_weights,
     _mcomm,
     _mcompose,
     _mscaled_sum,
@@ -295,13 +294,6 @@ def test_abelian_radical_matches_cominuscule_nodes():
             assert abelian == (node in marked), (label, node)
 
 
-def test_weyl_dimension_and_weights_wrapper():
-    rs = build_root_system("E6")
-    dim, mults = weyl_dimension_and_weights(rs, (1, 0, 0, 0, 0, 0))
-    assert dim == 27
-    assert sum(mults.values()) == 27
-
-
 def test_one_bracket_table_for_every_carrier():
     """A Chevalley algebra, a parabolic semidirect carrier, a Drinfeld double
     and a Poisson bracket table are one skew table: negated on swap, empty on
@@ -475,3 +467,21 @@ def test_vadd_into_property():
         assert [got.get(k, 0) for k in keys] == want
 
     check()
+
+
+def test_weights_are_int_tuples():
+    """Weights of the Freudenthal oracle, of the Chevalley basis and of the
+    abelian nilradicals are tuples of Python ints, with no Fraction."""
+    def ints(w):
+        return isinstance(w, tuple) and all(type(c) is int for c in w)
+
+    for label, lam in [("G2", (1, 1)), ("B3", (0, 0, 1)), ("C3", (0, 1, 0)),
+                       ("E6", (1, 0, 0, 0, 0, 0))]:
+        rs = build_root_system(label)
+        assert all(ints(mu) for mu in weight_multiplicities(rs, lam)), label
+        assert all(ints(w) for w in shared_type(label).algebra.weight), label
+    for label in ["A3", "C3", "D5", "E6", "E7"]:
+        rs = build_root_system(label)
+        for node in range(1, rs.rank + 1):
+            _, lam_levi, _ = abelian_radical_module(rs, node)
+            assert ints(lam_levi), (label, node)

@@ -1,7 +1,9 @@
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
+from qsym.classify import _simple_types
 from qsym.rootsys import (
     InvalidType,
     NotDominant,
@@ -165,7 +167,8 @@ def test_weight_multiplicities_small():
 
 
 def test_multiplicity_sums_match_weyl_dim():
-    cases = [("B2", (1, 1)), ("C3", (0, 0, 1)), ("A3", (0, 1, 0)), ("G2", (0, 1))]
+    cases = [("B2", (1, 1)), ("C3", (0, 0, 1)), ("A3", (0, 1, 0)), ("G2", (0, 1)),
+             ("E6", (1, 0, 0, 0, 0, 0))]
     for label, lam in cases:
         rs = build_root_system(label)
         assert sum(weight_multiplicities(rs, lam).values()) == weyl_dim(rs, lam)
@@ -177,3 +180,49 @@ def test_not_dominant():
         weyl_dim(rs, (-1, 0))
     with pytest.raises(NotDominant):
         weight_multiplicities(rs, (1,))
+
+
+def test_adjoint_multiplicities_every_simple_type():
+    """On the adjoint module the zero weight has multiplicity rank and the
+    multiplicities sum to dim g, for every simple type of rank <= 8."""
+    for letter, n in [t for r in range(1, 9) for t in _simple_types(r, (6, 7, 8))]:
+        rs = build_root_system(letter, n)
+        theta = rs.root_to_fund(rs.highest_root)
+        mults = weight_multiplicities(rs, theta)
+        dim_g = 2 * len(rs.positive_roots) + rs.rank
+        assert mults[(0,) * rs.rank] == rs.rank, rs.label
+        assert sum(mults.values()) == dim_g == weyl_dim(rs, theta), rs.label
+
+
+def test_multiplicities_are_weyl_invariant_property():
+    """mult(mu) = mult(s_j mu) on random weights of rank <= 4, with s_j taken
+    in root coordinates on the Fraction form: s_j x = x - 2(x, a_j)/(a_j, a_j) a_j."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2",
+              "A1xA1", "A2xB2"]
+    weights = {}
+    for label in labels:
+        rs = build_root_system(label)
+        weights[label] = [lam for lam in product(range(3), repeat=rs.rank)
+                          if weyl_dim(rs, lam) <= 300]
+    pairs = st.sampled_from(labels).flatmap(
+        lambda label: st.tuples(st.just(label), st.sampled_from(weights[label])))
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(pairs)
+    def check(pair):
+        label, lam = pair
+        rs = build_root_system(label)
+        simple = [tuple(int(k == j) for k in range(rs.rank)) for j in range(rs.rank)]
+        mults = weight_multiplicities(rs, lam)
+        for mu, m in mults.items():
+            x = rs.fund_to_root(mu)
+            for j, a in enumerate(simple):
+                c = 2 * rs.inner(x, a) / rs.norms[j]
+                y = tuple(xk - c * ak for xk, ak in zip(x, a))
+                nu = tuple(2 * rs.inner(y, b) / rs.norms[k] for k, b in enumerate(simple))
+                assert mults.get(nu) == m, (pair, mu, j)
+
+    check()
