@@ -294,6 +294,15 @@ def test_abelian_radical_matches_cominuscule_nodes():
             assert abelian == (node in marked), (label, node)
 
 
+def test_weyl_dimension_and_weights_wrapper():
+    """The Weyl-dimension and Freudenthal oracles that classify_pair calls
+    agree on the E6 minuscule module."""
+    rs = build_root_system("E6")
+    lam = (1, 0, 0, 0, 0, 0)
+    assert weyl_dim(rs, lam) == 27
+    assert sum(weight_multiplicities(rs, lam).values()) == 27
+
+
 def test_one_bracket_table_for_every_carrier():
     """A Chevalley algebra, a parabolic semidirect carrier, a Drinfeld double
     and a Poisson bracket table are one skew table: negated on swap, empty on
