@@ -16,10 +16,12 @@ from collections import Counter
 from itertools import permutations
 
 from .bialg import (
+    _cybe_tensor,
     bd_r_matrix,
     enumerate_bd_triples,
     parabolic_semidirect,
     standard_r,
+    tt_skew,
 )
 from .liealg import (
     abelian_radical_module,
@@ -274,7 +276,14 @@ class ClassificationRow:
 
 def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
                   extended=False):
-    """Evaluate every verdict for one pair; see ClassificationRow."""
+    """Evaluate every verdict for one pair; see ClassificationRow.
+
+    One pair operator is built, for the standard r's bracket table; every
+    Schouten verdict, the standard one and each BD triple's under all_bd,
+    is schouten_promoted on that r's [[r-, r-]] and the module.
+    """
+    if dim_budget < 1:
+        raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
     letter, rank, lam, aliases = _canonical_pair(g_type, lam)
     typ = shared_type("%s%d" % (letter, rank))
     rs = typ.rs
@@ -289,16 +298,15 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
     r = standard_r(alg)
-    op = r_minus_operator(alg, r, mod)
-    schouten = schouten_promoted(op)
-    jacobi = jacobi_oracle(bracket_table(op))
+    schouten = schouten_promoted(_cybe_tensor(alg, tt_skew(r)), mod)
+    jacobi = jacobi_oracle(bracket_table(r_minus_operator(alg, r, mod)))
     bd_verdicts = None
     if all_bd:
         bd_verdicts = {}
         for triple in enumerate_bd_triples(rs):
             r_t, _ = bd_r_matrix(alg, triple)
             bd_verdicts[triple.key()] = schouten_promoted(
-                r_minus_operator(alg, r_t, mod))
+                _cybe_tensor(alg, tt_skew(r_t)), mod)
     ambients = geometric_ambients(letter, rank, lam, extended=extended)
     semidirect = False
     if ambients:

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from . import qsl2
 from .bialg import (bd_r_matrix, check_cybe, cobracket_from_r, drinfeld_double,
                     enumerate_bd_triples, standard_r)
-from .classify import classification_table, classify_pair, paper_diff
+from .classify import DEFAULT_DIM_BUDGET, classification_table, classify_pair, paper_diff
 from .liealg import highest_weight_module, shared_type
 from .poisson import jacobi_oracle
 from .rootsys import (InvalidType, build_root_system, cominuscule_nodes, normalize_type,
@@ -276,7 +276,7 @@ def build_parser():
     p = sub.add_parser("classify", parents=[common], help="verdicts for one pair")
     _add_type_args(p)
     p.add_argument("--weight", required=True)
-    p.add_argument("--dim-budget", type=int, default=128)
+    p.add_argument("--dim-budget", type=int, default=DEFAULT_DIM_BUDGET)
     p.add_argument("--all-bd", action="store_true")
     p.add_argument("--extended", action="store_true")
     p.set_defaults(func=_cmd_classify)

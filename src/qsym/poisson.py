@@ -11,39 +11,36 @@ Jacobi oracle extends the degree-2 bracket table (a liealg.BracketTable
 over monomials) by the Leibniz rule and is the independent ground truth
 the criterion is checked against.
 
-The sweep's Schouten verdict (schouten_promoted) applies one ordering per
-wedge, not six: for a skew r-, [[r-, r-]] is totally antisymmetric, so the
-image of a wedge e_i ^ e_j ^ e_k is the symmetrization of the image of
-e_i (x) e_j (x) e_k and vanishes exactly when that one image vanishes in
-S^3 V. The antisymmetry is checked exactly first; a source that fails it
-raises ValueError. The verdict runs on Python ints: vanishing survives a
-uniform positive scaling, and with the module matrices multiplied by the
-lcm L of their denominators and the [[r, r]] coefficients by the lcm D of
-theirs, every term is multiplied by the same D*L^3 > 0. The int copies of
-the module matrices are liealg's scaled form (int_columns); the sums into
-S^2 V and S^3 V stay hand-written int loops, the accumulators here not on
+The sweep's Schouten verdict (schouten_promoted) is a function of the
+tensor [[r-, r-]] = bialg._cybe_tensor(alg, tt_skew(r)) and the module, so
+no pair operator is built for it. It applies one ordering per wedge, not
+six, which is sound because that tensor is totally antisymmetric (checked
+exactly first), and runs on Python ints scaled by the lcm of the
+denominators. Its sums into S^2 V and S^3 V are hand-written int loops, not
 _vadd_into, kept inline for speed: this is the largest stage of the E6 rows.
-schouten_criterion, schouten_square and jacobi_oracle stay on Fraction, with
-all six orderings, as the references.
+
+schouten_criterion, schouten_square and jacobi_oracle stay on Fraction as
+the references and read no [[r-, r-]] from _cybe_tensor: schouten_criterion
+applies the commutators of the pair operator's leg embeddings to each wedge
+vector, all six orderings summed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .bialg import _cybe_tensor, tt_skew
-from .liealg import BracketTable, _mcompose_into, _resolve_module, _vadd_into, int_columns
+from .bialg import tt_skew
+from .liealg import (BracketTable, _mapply, _mcompose_into, _resolve_module, _vadd_into,
+                     int_columns)
 from .scalars import den_lcm
 
 
 class PairOperator:
-    """Sparse operator on V (x) V, with optional generator provenance."""
+    """Sparse operator on V (x) V; skew=True checks that it is flip-skew."""
 
-    def __init__(self, dim, matrix, skew=False, source=None):
+    def __init__(self, dim, matrix, skew=False):
         self.dim = dim
         self.matrix = matrix
-        self.skew = skew
-        self.source = source
         if skew:
             for col, rows in matrix.items():
                 a, b = divmod(col, dim)
@@ -74,8 +71,7 @@ def _pair_matrix(mats, dim, t):
 def pair_operator(alg, t, module, skew=False):
     """Operator sum rho(a) (x) rho(b) over the terms a (x) b of t."""
     mod = _resolve_module(alg, module)
-    return PairOperator(mod.dim, _pair_matrix(mod.mats, mod.dim, t), skew=skew,
-                        source=(alg, dict(t), mod.mats))
+    return PairOperator(mod.dim, _pair_matrix(mod.mats, mod.dim, t), skew=skew)
 
 
 def r_minus_operator(alg, r, module):
@@ -106,27 +102,12 @@ def leg_embed(op, dim, legs):
 
 def schouten_square(P):
     """[[P, P]] = [P12, P13] + [P12, P23] + [P13, P23] on V^(x)3."""
-    dim = P.dim
-    p12 = leg_embed(P.matrix, dim, (0, 1))
-    p13 = leg_embed(P.matrix, dim, (0, 2))
-    p23 = leg_embed(P.matrix, dim, (1, 2))
+    p12, p13, p23 = (leg_embed(P.matrix, P.dim, legs) for legs in [(0, 1), (0, 2), (1, 2)])
     total = {}
     for a, b in [(p12, p13), (p12, p23), (p13, p23)]:
         _mcompose_into(total, a, b)
         _mcompose_into(total, b, a, -1)
     return total
-
-
-def _apply_abstract(tensor, mats, triple):
-    """Apply an element of g^(x)3 to a pure tensor e_a (x) e_b (x) e_c."""
-    a, b, c = triple
-    out = {}
-    for (x, y, z), v in tensor.items():
-        colz = mats[z].get(c, {})
-        for ra, va in mats[x].get(a, {}).items():
-            for rb, vb in mats[y].get(b, {}).items():
-                _vadd_into(out, {(ra, rb, rc): vc for rc, vc in colz.items()}, v * va * vb)
-    return out
 
 
 _WEDGE_PERMS = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -136,35 +117,28 @@ _WEDGE_PERMS = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
 def schouten_criterion(P):
     """Whether [[P, P]] vanishes on a basis of Lambda^3 V, over Fractions.
 
-    When generator provenance is available, [[P, P]] is expanded abstractly
-    in g^(x)3 and applied term-by-term; otherwise the operator commutators
-    are formed on V^(x)3 directly. The two routes agree (representations
-    send abstract brackets to operator commutators) and the small-module
-    tests pin that agreement.
+    The reference for schouten_promoted, sharing none of its code. Each
+    wedge vector, the signed sum of the six orderings of e_i (x) e_j (x) e_k,
+    is sent through [P12, P13] + [P12, P23] + [P13, P23] on V^(x)3 one
+    matrix-vector product at a time, and the search stops at the first wedge
+    with a nonzero image. The square itself (schouten_square) is never
+    formed: on a failing module that would cost far more than the wedges
+    tried before the first nonzero image.
     """
     dim = P.dim
-    if P.source is not None:
-        alg, t, mats = P.source
-        tensor = _cybe_tensor(alg, t)
-
-        def image(trip):
-            return _apply_abstract(tensor, mats, trip)
-    else:
-        sq = schouten_square(P)
-
-        def image(trip):
-            out = {}
-            for row, v in sq.get((trip[0] * dim + trip[1]) * dim + trip[2], {}).items():
-                ab, c = divmod(row, dim)
-                out[divmod(ab, dim) + (c,)] = v
-            return out
-
+    p12, p13, p23 = (leg_embed(P.matrix, dim, legs) for legs in [(0, 1), (0, 2), (1, 2)])
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                acc = {}
+                wedge = {}
                 for perm, sign in _WEDGE_PERMS:
-                    _vadd_into(acc, image(tuple((i, j, k)[p] for p in perm)), sign)
+                    a, b, c = ((i, j, k)[p] for p in perm)
+                    wedge[(a * dim + b) * dim + c] = sign
+                p12w, p13w, p23w = ((m, _mapply(m, wedge)) for m in (p12, p13, p23))
+                acc = {}
+                for (a, aw), (b, bw) in [(p12w, p13w), (p12w, p23w), (p13w, p23w)]:
+                    _vadd_into(acc, _mapply(a, bw))
+                    _vadd_into(acc, _mapply(b, aw), -1)
                 if acc:
                     return False
     return True
@@ -182,34 +156,32 @@ def _check_antisymmetric(tensor):
                              "the source two-tensor is not skew")
 
 
-def schouten_promoted(P):
+def schouten_promoted(tensor, module):
     """The Schouten verdict, cheap enough for a classification sweep.
 
-    Same answer as schouten_criterion(P), from one ordering per wedge in
-    place of six. Without generator provenance it is schouten_criterion(P).
+    tensor is [[r-, r-]] = bialg._cybe_tensor(alg, tt_skew(r)) in g^(x)3 and
+    module a built module (liealg.Module) of alg. The answer is
+    schouten_criterion(r_minus_operator(alg, r, module)), from one ordering
+    per wedge in place of six, and no pair operator is built.
 
-    The source r- is skew, so t = [[r-, r-]] is totally antisymmetric in
-    g^(x)3, and the operator T = sum t_xyz rho(x) (x) rho(y) (x) rho(z)
-    satisfies T P_s = sgn(s) P_s T for every leg permutation P_s. The image
-    of the wedge sum_s sgn(s) P_s (e_i (x) e_j (x) e_k) is then
+    For a skew r- the tensor t is totally antisymmetric, and the operator
+    T = sum t_xyz rho(x) (x) rho(y) (x) rho(z) satisfies T P_s = sgn(s) P_s T
+    for every leg permutation P_s. The image of the wedge
+    sum_s sgn(s) P_s (e_i (x) e_j (x) e_k) is then
     sum_s P_s T(e_i (x) e_j (x) e_k), the symmetrization of the image of one
     pure tensor, and that vanishes exactly when T(e_i (x) e_j (x) e_k) is zero
     in S^3 V. The antisymmetry of t is checked exactly before any wedge is
-    tried; a source whose [[r, r]] is not antisymmetric raises ValueError.
+    tried; a tensor that is not antisymmetric raises ValueError.
 
     The kernel runs on ints: the module matrices are scaled by the lcm L of
-    their denominators and the [[r, r]] coefficients by the lcm D of theirs,
+    their denominators and the tensor's coefficients by the lcm D of theirs,
     exactly (numerator times the cofactor, never a truncation). Each term
     then carries the same factor D * L^3 > 0, which does not change whether
     an image vanishes. For each pair i < j the first two legs are summed
     once into S^2 V (x) g and reused for every k > j.
     """
-    if P.source is None:
-        return schouten_criterion(P)
-    dim = P.dim
-    alg, t, mats = P.source
-    tensor = _cybe_tensor(alg, t)
     _check_antisymmetric(tensor)
+    dim, mats = module.dim, module.mats
     big_d = den_lcm(tensor.values())
     big_l = den_lcm(v for m in mats for col in m.values() for v in col.values())
     mats = [int_columns(m, big_l) for m in mats]

@@ -139,11 +139,23 @@ def test_hardcoded_list_spot_values():
         assert not in_classification_list(letter, rank, lam), (letter, rank, lam)
 
 
-def test_bd_verdicts_are_triple_independent():
+def test_bd_verdicts_are_triple_independent(monkeypatch):
+    """Every BD verdict equals the standard one, and a row builds one pair
+    operator (for its bracket table), not one per triple."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = classify.r_minus_operator
+    monkeypatch.setattr(classify, "r_minus_operator", counted)
     for label, lam in [("A2", (1, 0)), ("A2", (1, 1))]:
+        calls.clear()
         row = classify_pair(label, lam, all_bd=True)
         assert len(row.bd_verdicts) == 3
         assert set(row.bd_verdicts.values()) == {row.schouten}, (label, lam)
+        assert len(calls) == 1, (label, lam)
 
 
 def test_table_rank_two():

@@ -91,6 +91,8 @@ def test_math_error_single_line(tmp_path, capsys):
         (["qsl2", "copoisson", "--element", "X+", "--power", "0"], "ValueError"),
         (["qsl2", "copoisson", "--element", "X+", "--power", "-3"], "ValueError"),
         (["table", "--max-rank", "2", "--dim-budget", "-5"], "ValueError"),
+        (["classify", "--type", "A2", "--weight", "1,0", "--dim-budget", "-5"],
+         "ValueError"),
         (["table", "--max-rank", "0", "--dim-budget", "16"], "ValueError"),
         # a weight starting with a minus sign is a value, not an option
         (["module", "--type", "A", "--rank", "2", "--weight", "-1,0"],
@@ -116,6 +118,9 @@ def test_math_error_single_line(tmp_path, capsys):
         assert lines[0].startswith("error: %s:" % errname)
         if "A1xA1" in argv:
             assert "product type" in lines[0] and "not supported" in lines[0], argv
+    # classify and table reject a budget below 1 with the same line
+    assert run_cli(["classify", "--type", "A2", "--weight", "1,0", "--dim-budget", "-5"],
+                   capsys) == run_cli(["table", "--max-rank", "2", "--dim-budget", "-5"], capsys)
 
 
 def test_internal_assertion_single_line(capsys, monkeypatch):

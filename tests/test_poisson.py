@@ -36,6 +36,11 @@ def _comm(a, b):
     return _mscaled_sum([(Q(1), _mcompose(a, b)), (Q(-1), _mcompose(b, a))])
 
 
+def _promoted(alg, r, mod):
+    """The sweep's verdict for r on a built module, as classify_pair calls it."""
+    return schouten_promoted(_cybe_tensor(alg, tt_skew(r)), mod)
+
+
 def test_r_minus_operator_natural_module():
     """On C^2 the only action is v1(x)v2 <-> v2(x)v1 with weight -+1/2."""
     sl2 = chevalley_basis(build_root_system("A1"))
@@ -91,9 +96,8 @@ def test_schouten_square_examples():
 
 
 def test_schouten_modes_match_jacobi_oracle():
-    """The abstract route (generator provenance), the matrix route (operator
-    commutators on V^(x)3) and the Leibniz Jacobi oracle agree, on passing
-    and failing modules."""
+    """The int verdict on [[r-, r-]], the operator commutators on V^(x)3 and
+    the Leibniz Jacobi oracle agree, on passing and failing modules."""
     cases = [("A1", (1,)), ("A1", (2,)), ("A1", (3,)), ("A1", (4,)),
              ("A2", (1, 0)), ("A2", (1, 1)), ("A2", (0, 2))]
     seen = set()
@@ -101,12 +105,11 @@ def test_schouten_modes_match_jacobi_oracle():
         alg = chevalley_basis(build_root_system(label))
         r = standard_r(alg)
         mod = highest_weight_module(alg, lam)
-        op = r_minus_operator(alg, r, mod)
-        abstract = schouten_criterion(op)
-        matrix = schouten_criterion(PairOperator(op.dim, op.matrix, skew=True))
+        promoted = _promoted(alg, r, mod)
+        matrix = schouten_criterion(r_minus_operator(alg, r, mod))
         jac = jacobi_oracle(generator_brackets(alg, r, mod))
-        assert abstract == matrix == jac, (label, lam)
-        seen.add(abstract)
+        assert promoted == matrix == jac, (label, lam)
+        seen.add(promoted)
     assert seen == {True, False}
 
 
@@ -242,9 +245,9 @@ def test_promoted_verdict_matches_full_report():
         if 2 in _denominators(v for m in mod.mats for col in m.values()
                               for v in col.values()):
             halves.add(label)
-        op = r_minus_operator(alg, standard_r(alg), mod)
-        fast = schouten_promoted(op)
-        assert fast == schouten_criterion(op) == want, (label, lam)
+        r = standard_r(alg)
+        fast = _promoted(alg, r, mod)
+        assert fast == schouten_criterion(r_minus_operator(alg, r, mod)) == want, (label, lam)
     # the scaling is exercised: these modules act with halves
     assert {"C2", "G2"} <= halves
 
@@ -252,18 +255,19 @@ def test_promoted_verdict_matches_full_report():
     r_bd, _ = bd_r_matrix(a3, BDTriple((1, 2), (2, 3), {1: 2, 2: 3}))
     assert 8 in _denominators(r_bd.values())
     for lam, want in [((2, 0, 0), True), ((1, 0, 1), False)]:
-        op = r_minus_operator(a3, r_bd, highest_weight_module(a3, lam))
-        assert schouten_promoted(op) == schouten_criterion(op) == want, lam
+        mod = highest_weight_module(a3, lam)
+        op = r_minus_operator(a3, r_bd, mod)
+        assert _promoted(a3, r_bd, mod) == schouten_criterion(op) == want, lam
 
     sl2 = chevalley_basis(build_root_system("A1"))
     e, h, f = sl2.e_idx[(1,)], sl2.h_idx[0], sl2.f_idx[(1,)]
     sym = {(e, f): Q(1), (f, e): Q(1), (h, h): Q(2)}
-    zero_ops = [PairOperator(3, {}, skew=True),
-                r_minus_operator(sl2, sym, (3,)),
-                r_minus_operator(sl2, {}, (2,))]
-    for op in zero_ops:
+    assert schouten_criterion(PairOperator(3, {}, skew=True)) is True
+    for r, lam in [(sym, (3,)), ({}, (2,))]:
+        mod = highest_weight_module(sl2, lam)
+        op = r_minus_operator(sl2, r, mod)
         assert op.matrix == {}
-        assert schouten_promoted(op) is True
+        assert _promoted(sl2, r, mod) is True
         assert schouten_criterion(op) is True
 
 
@@ -278,26 +282,36 @@ def _small_weights(label):
 
 
 def test_schouten_equals_jacobi_property():
-    """For random small (type, weight): the int-kernel verdict, the Jacobi
-    oracle on the bracket table and the Fraction Schouten criterion agree."""
+    """For random small (type, weight, BD triple): the int-kernel verdict, the
+    Jacobi oracle on the bracket table and the Fraction Schouten criterion
+    agree, for the standard r and for the triple's r-matrix."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     weights = {label: _small_weights(label) for label in _SMALL_TYPES}
-    pairs = st.sampled_from(_SMALL_TYPES).flatmap(
-        lambda label: st.tuples(st.just(label), st.sampled_from(weights[label])))
+    triples = {label: enumerate_bd_triples(build_root_system(label))
+               for label in _SMALL_TYPES}
+    cases = st.sampled_from(_SMALL_TYPES).flatmap(
+        lambda label: st.tuples(st.just(label), st.sampled_from(weights[label]),
+                                st.sampled_from(triples[label])))
+    seen = set()
 
     @hypothesis.settings(max_examples=25, deadline=None, database=None,
                          derandomize=True)
-    @hypothesis.given(pairs)
-    def check(pair):
-        label, lam = pair
+    @hypothesis.given(cases)
+    def check(case):
+        label, lam, triple = case
         alg = chevalley_basis(build_root_system(label))
-        op = r_minus_operator(alg, standard_r(alg), highest_weight_module(alg, lam))
-        fast = schouten_promoted(op)
-        assert fast == jacobi_oracle(bracket_table(op)), pair
-        assert fast == schouten_criterion(op), pair
+        mod = highest_weight_module(alg, lam)
+        for r in [standard_r(alg), bd_r_matrix(alg, triple)[0]]:
+            op = r_minus_operator(alg, r, mod)
+            fast = _promoted(alg, r, mod)
+            assert fast == jacobi_oracle(bracket_table(op)), case
+            assert fast == schouten_criterion(op), case
+        seen.add(len(triple.delta1))
 
     check()
+    # the draws include a triple with a non-empty delta1
+    assert max(seen) > 0
 
 
 _S3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -340,8 +354,8 @@ def test_schouten_promoted_refuses_a_source_that_is_not_skew():
     the one-ordering kernel would not be sound, so it raises."""
     sl2 = chevalley_basis(build_root_system("A1"))
     e, h = sl2.e_idx[(1,)], sl2.h_idx[0]
-    assert not _totally_antisymmetric(_cybe_tensor(sl2, {(e, h): Q(1)}))
+    tensor = _cybe_tensor(sl2, {(e, h): Q(1)})
+    assert not _totally_antisymmetric(tensor)
     for lam in [(1,), (2,), (3,)]:
-        op = pair_operator(sl2, {(e, h): Q(1)}, lam)
         with pytest.raises(ValueError, match="not totally antisymmetric"):
-            schouten_promoted(op)
+            schouten_promoted(tensor, highest_weight_module(sl2, lam))
