@@ -102,7 +102,10 @@ def leg_embed(op, dim, legs):
 
 def schouten_square(P):
     """[[P, P]] = [P12, P13] + [P12, P23] + [P13, P23] on V^(x)3."""
-    p12, p13, p23 = (leg_embed(P.matrix, P.dim, legs) for legs in [(0, 1), (0, 2), (1, 2)])
+    dim = P.dim
+    p12 = leg_embed(P.matrix, dim, (0, 1))
+    p13 = leg_embed(P.matrix, dim, (0, 2))
+    p23 = leg_embed(P.matrix, dim, (1, 2))
     total = {}
     for a, b in [(p12, p13), (p12, p23), (p13, p23)]:
         _mcompose_into(total, a, b)
@@ -136,9 +139,9 @@ def schouten_criterion(P):
                     wedge[(a * dim + b) * dim + c] = sign
                 p12w, p13w, p23w = ((m, _mapply(m, wedge)) for m in (p12, p13, p23))
                 acc = {}
-                for (a, aw), (b, bw) in [(p12w, p13w), (p12w, p23w), (p13w, p23w)]:
-                    _vadd_into(acc, _mapply(a, bw))
-                    _vadd_into(acc, _mapply(b, aw), -1)
+                for (m, mw), (n, nw) in [(p12w, p13w), (p12w, p23w), (p13w, p23w)]:
+                    _vadd_into(acc, _mapply(m, nw))
+                    _vadd_into(acc, _mapply(n, mw), -1)
                 if acc:
                     return False
     return True

@@ -282,13 +282,14 @@ def _small_weights(label):
 
 
 def test_schouten_equals_jacobi_property():
-    """For random small (type, weight, BD triple): the int-kernel verdict, the
-    Jacobi oracle on the bracket table and the Fraction Schouten criterion
-    agree, for the standard r and for the triple's r-matrix."""
+    """For random small (type, weight, r): the int-kernel verdict, the Jacobi
+    oracle on the bracket table and the Fraction Schouten criterion agree.
+    r is the standard r-matrix (None below) or the r-matrix of a BD triple
+    drawn from enumerate_bd_triples of the drawn type."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     weights = {label: _small_weights(label) for label in _SMALL_TYPES}
-    triples = {label: enumerate_bd_triples(build_root_system(label))
+    triples = {label: [None] + enumerate_bd_triples(build_root_system(label))
                for label in _SMALL_TYPES}
     cases = st.sampled_from(_SMALL_TYPES).flatmap(
         lambda label: st.tuples(st.just(label), st.sampled_from(weights[label]),
@@ -302,16 +303,16 @@ def test_schouten_equals_jacobi_property():
         label, lam, triple = case
         alg = chevalley_basis(build_root_system(label))
         mod = highest_weight_module(alg, lam)
-        for r in [standard_r(alg), bd_r_matrix(alg, triple)[0]]:
-            op = r_minus_operator(alg, r, mod)
-            fast = _promoted(alg, r, mod)
-            assert fast == jacobi_oracle(bracket_table(op)), case
-            assert fast == schouten_criterion(op), case
-        seen.add(len(triple.delta1))
+        r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
+        op = r_minus_operator(alg, r, mod)
+        fast = _promoted(alg, r, mod)
+        assert fast == jacobi_oracle(bracket_table(op)), case
+        assert fast == schouten_criterion(op), case
+        seen.add(-1 if triple is None else len(triple.delta1))
 
     check()
-    # the draws include a triple with a non-empty delta1
-    assert max(seen) > 0
+    # the draws include the standard r and a triple with a non-empty delta1
+    assert -1 in seen and max(seen) > 0
 
 
 _S3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
