@@ -298,8 +298,9 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
     r = standard_r(alg)
+    op = r_minus_operator(alg, r, mod)
     schouten = schouten_promoted(_cybe_tensor(alg, tt_skew(r)), mod)
-    jacobi = jacobi_oracle(bracket_table(r_minus_operator(alg, r, mod)))
+    jacobi = jacobi_oracle(bracket_table(op))
     bd_verdicts = None
     if all_bd:
         bd_verdicts = {}
