@@ -1,8 +1,9 @@
 """Classical r-matrices, Lie bialgebra axioms, doubles, semidirect cobrackets.
 
 Two-tensors are sparse maps (basis index, basis index) -> Fraction over a
-carrier algebra. Carriers are duck-typed: anything with dim, names and
-bracket_idx(i, j) works. The carriers built here (ChevalleyAlgebra,
+carrier algebra; a cobracket is a dict basis index -> two-tensor, with no
+entry where delta(x) = 0. Carriers are duck-typed: anything with dim, names
+and bracket_idx(i, j) works. The carriers built here (ChevalleyAlgebra,
 SemidirectAlgebra, the Drinfeld double) are all liealg.BracketTable.
 """
 
@@ -315,25 +316,13 @@ def check_cybe(alg, r, module=None):
     return {"cybe_holds": holds, "symmetric_part_invariant": invariant}
 
 
-class Cobracket:
-    """delta as a map basis index -> antisymmetric two-tensor."""
-
-    def __init__(self, carrier, delta):
-        self.carrier = carrier
-        self.delta = delta
-
-    def __getitem__(self, idx):
-        return self.delta.get(idx, {})
-
-    def items(self):
-        return self.delta.items()
-
-
 def cobracket_from_r(carrier, r, verify=True):
     """delta(x) = [r, x (x) 1 + 1 (x) x] = -ad_x r, verified antisymmetric.
 
-    verify=False skips the antisymmetry gate, for deliberately broken
-    r-matrices whose reports are wanted downstream.
+    Returns delta as a dict {x: delta(x)} over basis indices, with no entry
+    for an x whose delta(x) is zero. verify=False skips the antisymmetry
+    gate, for deliberately broken r-matrices whose reports are wanted
+    downstream.
     """
     g_indices = getattr(carrier, "g_indices", None)
     if g_indices is not None:
@@ -348,10 +337,10 @@ def cobracket_from_r(carrier, r, verify=True):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
         if t:
             delta[x] = t
-    return Cobracket(carrier, delta)
+    return delta
 
 
-def check_lie_bialgebra(carrier, cob):
+def check_lie_bialgebra(carrier, delta):
     """Axiom report: antisym, co_jacobi, cocycle (+ shape fields for semidirect).
 
     The axioms are checked on one scaled int copy. The brackets, read through
@@ -361,7 +350,6 @@ def check_lie_bialgebra(carrier, cob):
     term D^2 and every antisymmetry term D; a uniform positive factor does
     not change whether an equation holds.
     """
-    delta = cob.delta if isinstance(cob, Cobracket) else cob
     n = carrier.dim
     # rows[a][p] = [a, p] and dl[x] = delta(x), scaled to ints
     rows = [{p: out for p in range(n) if (out := carrier.bracket_idx(a, p))}
@@ -411,80 +399,53 @@ def check_lie_bialgebra(carrier, cob):
 # Drinfeld double
 # ---------------------------------------------------------------------------
 
-def drinfeld_double(alg, cob):
-    """D = L + L*, the canonical element, and a Jacobi/CYBE/Manin report."""
-    delta = cob.delta if isinstance(cob, Cobracket) else cob
+def drinfeld_double(alg, delta):
+    """D = L + L*, the canonical element, and a Jacobi/CYBE/Manin report.
+
+    delta is a cobracket {x: delta(x)} as cobracket_from_r returns it. With
+    x_i the basis of L and xi_i = n + i its dual basis, the brackets of D are
+    [x_i, x_j] of L, [xi_i, xi_j] = sum_k delta(x_k)_ij xi_k for i < j, and
+    [x_i, xi_j] = -sum_k [x_i, x_k]_j xi_k + sum_k delta(x_i)_jk x_k.
+    Returns (D, r_canonical, report).
+    """
     n = alg.dim
-    names = list(alg.names) + [s + "*" for s in alg.names]
-    dual = {}
-    for k, t in delta.items():
-        for (i, j), v in t.items():
-            dual.setdefault((i, j), {})[k] = v
     table = {}
     for i in range(n):
-        for j in range(i + 1, n):
-            v = alg.bracket_idx(i, j)
-            if v:
-                table[(i, j)] = dict(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = dual.get((i, j), {})
-            entry = {n + k: w for k, w in v.items()}
-            if entry:
-                table[(n + i, n + j)] = entry
-    for i in range(n):
-        for j in range(n):
-            entry = {}
-            for k in range(n):
-                c = alg.bracket_idx(i, k).get(j)
-                if c:
-                    entry[n + k] = -c
-            _vadd_into(entry, {k: w for (jj, k), w in delta.get(i, {}).items() if jj == j})
-            if entry:
-                table[(i, n + j)] = entry
+        for k in range(n):
+            out = alg.bracket_idx(i, k)
+            if out and i < k:
+                table[(i, k)] = dict(out)
+            for j, c in out.items():
+                _vadd_into(table.setdefault((i, n + j), {}), {n + k: -c})
+        for (j, k), v in delta.get(i, {}).items():
+            _vadd_into(table.setdefault((i, n + j), {}), {k: v})
+            if j < k:
+                _vadd_into(table.setdefault((n + j, n + k), {}), {n + i: v})
+    table = {key: out for key, out in table.items() if out}
     D = BracketTable(2 * n, table)
-    D.names = names
+    D.names = list(alg.names) + [s + "*" for s in alg.names]
 
     r_canonical = {(i, n + i): Q(1) for i in range(n)}
 
-    jacobi = True
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            for c in range(b + 1, 2 * n):
-                acc = {}
-                for x, y, z in [(a, b, c), (b, c, a), (c, a, b)]:
-                    for k, v in D.bracket_idx(y, z).items():
-                        _vadd_into(acc, D.bracket_idx(x, k), v)
-                if acc:
-                    jacobi = False
-                    break
-            if not jacobi:
-                break
-        if not jacobi:
-            break
+    def jacobiator(a, b, c):
+        acc = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for k, v in D.bracket_idx(y, z).items():
+                _vadd_into(acc, D.bracket_idx(x, k), v)
+        return acc
+
+    jacobi = not any(jacobiator(*abc) for abc in combinations(range(2 * n), 3))
 
     cybe = not _cybe_tensor(D, r_canonical)
 
-    def pair(i, j):
-        if i < n <= j and j == i + n:
-            return Q(1)
-        if j < n <= i and i == j + n:
-            return Q(1)
-        return Q(0)
+    # the pairing is <k, partner(k)> = 1, so invariance <[a, b], c> +
+    # <b, [a, c]> = 0 reads [a, b]_k = -[a, partner(k)]_partner(b)
+    def partner(k):
+        return k + n if k < n else k - n
 
-    manin = True
-    for a in range(2 * n):
-        for b in range(2 * n):
-            for c in range(2 * n):
-                lhs = sum((v * pair(k, c) for k, v in D.bracket_idx(a, b).items()), Q(0))
-                rhs = sum((v * pair(b, k) for k, v in D.bracket_idx(a, c).items()), Q(0))
-                if lhs + rhs != 0:
-                    manin = False
-                    break
-            if not manin:
-                break
-        if not manin:
-            break
+    manin = all(D.bracket_idx(a, partner(k)).get(partner(b), 0) == -v
+                for a in range(2 * n) for b in range(2 * n)
+                for k, v in D.bracket_idx(a, b).items())
     # halves are isotropic and closed by construction; record the checks
     closed = all(all(k < n for k in table.get((i, j), {}))
                  for i in range(n) for j in range(i + 1, n))
@@ -596,8 +557,7 @@ def _parabolic(alg, node, triple):
             continue
         if t:
             delta[pos[x_amb]] = {(pos[a], pos[b]): v for (a, b), v in t.items()}
-    cob = Cobracket(S, delta)
-    S.cobracket = cob
+    S.cobracket = delta
     report = {"closure": closure}
-    report.update(check_lie_bialgebra(S, cob))
+    report.update(check_lie_bialgebra(S, delta))
     return S, report

@@ -139,8 +139,8 @@ def _cmd_bd(args):
 def _cmd_double(args):
     letter, rank = _type_rank(args)
     alg = shared_type(build_root_system(letter, rank).label).algebra
-    cob = cobracket_from_r(alg, standard_r(alg))
-    double, _, report = drinfeld_double(alg, cob)
+    delta = cobracket_from_r(alg, standard_r(alg))
+    double, _, report = drinfeld_double(alg, delta)
     out = {
         "type": "%s%d" % (letter, rank),
         "dim": double.dim,
@@ -196,46 +196,50 @@ def _qsl2_element(name):
     raise qsl2.NotInSpan("unknown element %r; use X+, X-, X0, C, E, F, K, K^-1 or 1" % name)
 
 
-def _cmd_qsl2(args):
-    if args.qsl2_cmd == "sigma":
-        t = qsl2.sigma(args.left, args.right, variant=args.variant)
-        return qsl2.x_tensor_str(qsl2.x_basis_tensor(t)) + "\n", 0
-    if args.qsl2_cmd == "copoisson":
-        if args.power < 1:
-            raise ValueError("--power must be at least 1, got %d" % args.power)
-        elem = _qsl2_element(args.element)
-        for _ in range(args.power - 1):
-            elem = elem * _qsl2_element(args.element)
-        return qsl2.copoisson_limit(elem).pretty() + "\n", 0
-    if args.qsl2_cmd == "donin":
-        relations, table = qsl2.donin_graded_relations()
-        names = ("X+", "X-", "X0")
-        rels = []
-        for rel in relations:
-            rels.append({
-                "pair": list(rel["pair"]),
-                "lead": {"%s*%s" % k: _scalar(v) for k, v in sorted(rel["lead"].items())},
-                "lower": {k: _scalar(v) for k, v in sorted(rel["lower"].items())},
-            })
-        brackets = {}
-        for (i, j), poly in sorted(table.table.items()):
-            key = "{%s,%s}" % (names[i], names[j])
-            brackets[key] = {
-                " ".join(names[a] for a in mono): _scalar(c)
-                for mono, c in sorted(poly.items())
-            }
-        out = {
-            "relations": rels,
-            "poisson_brackets": brackets,
-            "normalization_vs_classical": "-2",
-            "jacobi_holds": jacobi_oracle(table),
-            "identity": qsl2.sigma_identity_report(),
+def _cmd_sigma(args):
+    t = qsl2.sigma(args.left, args.right, variant=args.variant)
+    return qsl2.x_tensor_str(qsl2.x_basis_tensor(t)) + "\n", 0
+
+
+def _cmd_copoisson(args):
+    if args.power < 1:
+        raise ValueError("--power must be at least 1, got %d" % args.power)
+    elem = _qsl2_element(args.element)
+    for _ in range(args.power - 1):
+        elem = elem * _qsl2_element(args.element)
+    return qsl2.copoisson_limit(elem).pretty() + "\n", 0
+
+
+def _cmd_donin(args):
+    relations, table = qsl2.donin_graded_relations()
+    names = ("X+", "X-", "X0")
+    rels = []
+    for rel in relations:
+        rels.append({
+            "pair": list(rel["pair"]),
+            "lead": {"%s*%s" % k: _scalar(v) for k, v in sorted(rel["lead"].items())},
+            "lower": {k: _scalar(v) for k, v in sorted(rel["lower"].items())},
+        })
+    brackets = {}
+    for (i, j), poly in sorted(table.table.items()):
+        key = "{%s,%s}" % (names[i], names[j])
+        brackets[key] = {
+            " ".join(names[a] for a in mono): _scalar(c)
+            for mono, c in sorted(poly.items())
         }
-        return _dumps(out), 0
-    if args.qsl2_cmd == "braided":
-        report = qsl2.braided_flatness(args.l, max_degree=args.max_degree)
-        return _dumps(report), 0
-    raise ValueError("unknown qsl2 subcommand %r" % args.qsl2_cmd)
+    out = {
+        "relations": rels,
+        "poisson_brackets": brackets,
+        "normalization_vs_classical": "-2",
+        "jacobi_holds": jacobi_oracle(table),
+        "identity": qsl2.sigma_identity_report(),
+    }
+    return _dumps(out), 0
+
+
+def _cmd_braided(args):
+    report = qsl2.braided_flatness(args.l, max_degree=args.max_degree)
+    return _dumps(report), 0
 
 
 def _add_type_args(p):
@@ -289,23 +293,23 @@ def build_parser():
     p.add_argument("--extended", action="store_true")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("qsl2", parents=[common], help="quantized sl2 constructions")
+    p = sub.add_parser("qsl2", help="quantized sl2 constructions")
     qsub = p.add_subparsers(dest="qsl2_cmd", required=True)
     ps = qsub.add_parser("sigma", parents=[common])
     ps.add_argument("--left", required=True, choices=["X+", "X-", "X0"])
     ps.add_argument("--right", required=True, choices=["X+", "X-", "X0"])
     ps.add_argument("--variant", default="+", choices=["+", "-"])
-    ps.set_defaults(func=_cmd_qsl2)
+    ps.set_defaults(func=_cmd_sigma)
     pc = qsub.add_parser("copoisson", parents=[common])
     pc.add_argument("--element", required=True)
     pc.add_argument("--power", type=int, default=1)
-    pc.set_defaults(func=_cmd_qsl2)
+    pc.set_defaults(func=_cmd_copoisson)
     pd = qsub.add_parser("donin", parents=[common])
-    pd.set_defaults(func=_cmd_qsl2)
+    pd.set_defaults(func=_cmd_donin)
     pb = qsub.add_parser("braided", parents=[common])
     pb.add_argument("--l", type=int, required=True)
     pb.add_argument("--max-degree", type=int, default=3)
-    pb.set_defaults(func=_cmd_qsl2)
+    pb.set_defaults(func=_cmd_braided)
 
     return parser
 

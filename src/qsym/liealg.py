@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cached_property
+from itertools import permutations
 
 from .rootsys import _check_dominant, build_root_system
 from .scalars import den_lcm, echelon
@@ -645,12 +646,12 @@ def _match_subdiagram(nodes, cartan):
     Returns (series, rank, mapping) where mapping[k] = the node playing the
     role of canonical simple root k+1 of build_root_system((series, rank)).
     """
-    from itertools import permutations
-
     n = len(nodes)
     candidates = ["A"]
     if n >= 2:
-        candidates += ["B", "C", "G"]
+        candidates += ["B", "C"]
+    if n == 2:
+        candidates += ["G"]
     if n >= 3:
         candidates += ["D"]
     if n == 4:
@@ -660,10 +661,7 @@ def _match_subdiagram(nodes, cartan):
 
     degrees = sorted(sum(1 for b in nodes if b != a and cartan[a][b]) for a in nodes)
     for letter in candidates:
-        try:
-            ref = build_root_system(letter, n)
-        except Exception:
-            continue
+        ref = shared_type("%s%d" % (letter, n)).rs
         ref_deg = sorted(sum(1 for b in range(n) if b != a and ref.cartan[a][b])
                          for a in range(n))
         if ref_deg != degrees:

@@ -165,6 +165,21 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert data["positive_roots"] == 1
 
 
+def test_qsl2_out_flag_belongs_to_the_subcommand(tmp_path, capsys):
+    """qsl2 braided --l 1 --out PATH writes the file; --out before the qsl2
+    subcommand is a usage error that writes nothing."""
+    target = tmp_path / "braided.json"
+    code, out = run_cli(["qsl2", "braided", "--l", "1", "--out", str(target)], capsys)
+    assert code == 0
+    assert out == ""
+    assert json.loads(target.read_text())["flat_through_degree"] == 3
+    misplaced = tmp_path / "misplaced.json"
+    code, out = run_cli(["qsl2", "--out", str(misplaced), "braided", "--l", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert not misplaced.exists()
+
+
 def test_rmatrix_and_double_reports(capsys):
     """The standard r-matrix certifies and the double report is clean."""
     code, out = run_cli(["rmatrix", "--type", "A", "--rank", "2"], capsys)

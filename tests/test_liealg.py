@@ -20,6 +20,7 @@ from qsym.liealg import (
     shared_type,
     _mcomm,
     _mcompose,
+    _match_subdiagram,
     _mscaled_sum,
     _vadd_into,
 )
@@ -292,6 +293,21 @@ def test_abelian_radical_matches_cominuscule_nodes():
         for node in range(1, rs.rank + 1):
             _, _, abelian = abelian_radical_module(rs, node)
             assert abelian == (node in marked), (label, node)
+
+
+def test_match_subdiagram_names_every_simple_type():
+    """On the full diagram of each simple type of rank <= 8, the matched type
+    and node mapping reproduce that type's Cartan matrix (D3 is named A3)."""
+    labels = (["A%d" % n for n in range(1, 9)]
+              + ["%s%d" % (x, n) for x in "BC" for n in range(2, 9)]
+              + ["D%d" % n for n in range(3, 9)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+    for label in labels:
+        rs = build_root_system(label)
+        letter, n, mapping = _match_subdiagram(range(rs.rank), rs.cartan)
+        assert n == rs.rank and sorted(mapping) == list(range(n)), label
+        ref = build_root_system("%s%d" % (letter, n))
+        assert [[rs.cartan[a][b] for b in mapping] for a in mapping] == ref.cartan, label
 
 
 def test_weyl_dimension_and_weights_wrapper():
