@@ -28,12 +28,7 @@ from .liealg import (
     highest_weight_module,
     shared_type,
 )
-from .poisson import (
-    bracket_table,
-    jacobi_oracle,
-    r_minus_operator,
-    schouten_promoted,
-)
+from .poisson import generator_brackets, jacobi_oracle, schouten_promoted
 from .rootsys import (
     NotDominant,
     cominuscule_nodes,
@@ -278,9 +273,9 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
                   extended=False):
     """Evaluate every verdict for one pair; see ClassificationRow.
 
-    One pair operator is built, for the standard r's bracket table; every
-    Schouten verdict, the standard one and each BD triple's under all_bd,
-    is schouten_promoted on that r's [[r-, r-]] and the module.
+    No pair operator is built: each Schouten verdict (the standard r's, and
+    each BD triple's under all_bd) is schouten_promoted on that r's [[r-, r-]]
+    and the module, and Jacobi reads the standard r's generator_brackets.
     """
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
@@ -298,9 +293,8 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
     r = standard_r(alg)
-    op = r_minus_operator(alg, r, mod)
     schouten = schouten_promoted(_cybe_tensor(alg, tt_skew(r)), mod)
-    jacobi = jacobi_oracle(bracket_table(op))
+    jacobi = jacobi_oracle(generator_brackets(alg, r, mod))
     bd_verdicts = None
     if all_bd:
         bd_verdicts = {}

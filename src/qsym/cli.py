@@ -18,8 +18,8 @@ from .bialg import (bd_r_matrix, check_cybe, cobracket_from_r, drinfeld_double,
 from .classify import DEFAULT_DIM_BUDGET, classification_table, classify_pair, paper_diff
 from .liealg import highest_weight_module, shared_type
 from .poisson import jacobi_oracle
-from .rootsys import (InvalidType, build_root_system, cominuscule_nodes, normalize_type,
-                      weight_multiplicities, weyl_dim)
+from .rootsys import (_SERIES, InvalidType, build_root_system, cominuscule_nodes,
+                      normalize_type, weight_multiplicities, weyl_dim)
 from .scalars import QRat
 
 
@@ -47,7 +47,11 @@ def _type_rank(args):
         raise InvalidType("product type %r is not supported on the command line"
                           % args.type)
     if getattr(args, "rank", None) is not None:
-        return args.type.strip().upper(), args.rank
+        letter = args.type.strip().upper()
+        if letter not in _SERIES:
+            raise InvalidType("with --rank, --type must be one series letter, got %r"
+                              % args.type)
+        return letter, args.rank
     return normalize_type(args.type)
 
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cached_property
-from itertools import permutations
 
-from .rootsys import _check_dominant, build_root_system
+from .rootsys import _SERIES, _check_dominant, _rank_ok, build_root_system
 from .scalars import den_lcm, echelon
 
 
@@ -647,28 +646,28 @@ def _match_subdiagram(nodes, cartan):
     role of canonical simple root k+1 of build_root_system((series, rank)).
     """
     n = len(nodes)
-    candidates = ["A"]
-    if n >= 2:
-        candidates += ["B", "C"]
-    if n == 2:
-        candidates += ["G"]
-    if n >= 3:
-        candidates += ["D"]
-    if n == 4:
-        candidates += ["F"]
-    if n in (6, 7, 8):
-        candidates += ["E"]
 
-    degrees = sorted(sum(1 for b in nodes if b != a and cartan[a][b]) for a in nodes)
-    for letter in candidates:
-        ref = shared_type("%s%d" % (letter, n)).rs
-        ref_deg = sorted(sum(1 for b in range(n) if b != a and ref.cartan[a][b])
-                         for a in range(n))
-        if ref_deg != degrees:
-            continue
-        for perm in permutations(nodes):
-            if [[cartan[a][b] for b in perm] for a in perm] == ref.cartan:
-                return letter, n, list(perm)
+    def extend(order, ref):
+        # orders grow node by node, nodes tried in the order of `nodes`, so the
+        # first match is the first of permutations(nodes) to match; a prefix
+        # is dropped at its first Cartan entry that differs from ref
+        m = len(order)
+        if m == n:
+            return order
+        for a in nodes:
+            if a not in order and all(cartan[a][b] == ref[m][k] and cartan[b][a] == ref[k][m]
+                                      for k, b in enumerate(order)):
+                found = extend(order + [a], ref)
+                if found:
+                    return found
+        return None
+
+    # at most one series matches, but for D3 = A3 and B2 = C2 (transposed),
+    # where the first in series order wins
+    for letter in (x for x in _SERIES if _rank_ok(x, n)):
+        mapping = extend([], shared_type("%s%d" % (letter, n)).rs.cartan)
+        if mapping:
+            return letter, n, mapping
     raise AssertionError("unclassifiable subdiagram %r" % (nodes,))
 
 

@@ -9,11 +9,13 @@ Fraction operators of the classical layer and the QRat ones of qsl2.
 The Schouten criterion asks whether [[P, P]] vanishes on Lambda^3 V. The
 Jacobi oracle extends the degree-2 bracket table (a liealg.BracketTable
 over monomials) by the Leibniz rule and is the independent ground truth
-the criterion is checked against.
+the criterion is checked against; generator_brackets reads that table off
+r- and the module.
 
 The sweep's Schouten verdict (schouten_promoted) is a function of the
 tensor [[r-, r-]] = bialg._cybe_tensor(alg, tt_skew(r)) and the module, so
-no pair operator is built for it. It applies one ordering per wedge, not
+the sweep builds no pair operator; those serve the Fraction references,
+check_cybe and qsl2. The verdict applies one ordering per wedge, not
 six, which is sound because that tensor is totally antisymmetric (checked
 exactly first), and runs on Python ints scaled by the lcm of the
 denominators. Its sums into S^2 V and S^3 V are hand-written int loops, not
@@ -236,22 +238,23 @@ def schouten_promoted(tensor, module):
 # ---------------------------------------------------------------------------
 
 def generator_brackets(alg, r, module):
-    """{v_i, v_j} = symmetrized r-(v_i (x) v_j), stored for i < j."""
-    return bracket_table(r_minus_operator(alg, r, module))
+    """{v_i, v_j} = symmetrized r-(v_i (x) v_j), stored for i < j.
 
-
-def bracket_table(op):
-    """The bracket table of a pair operator: op(v_i (x) v_j) read in S^2 V."""
-    dim = op.dim
+    t = tt_skew(r) is skew, so sum t_ab rho(a) (x) rho(b) is flip-skew and
+    its columns i < j determine the bracket: only those are summed, straight
+    into sorted monomials of S^2 V, and no operator on V (x) V is built.
+    """
+    mod = _resolve_module(alg, module)
     table = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            poly = {}
-            for row, v in op.matrix.get(i * dim + j, {}).items():
-                _vadd_into(poly, {tuple(sorted(divmod(row, dim))): v})
-            if poly:
-                table[(i, j)] = poly
-    return BracketTable(dim, table)
+    for (a, b), v in tt_skew(r).items():
+        for i, col_a in mod.mats[a].items():
+            for j, col_b in mod.mats[b].items():
+                if i < j:
+                    poly = table.setdefault((i, j), {})
+                    for ra, va in col_a.items():
+                        _vadd_into(poly, {(ra, rb) if ra <= rb else (rb, ra): vb
+                                          for rb, vb in col_b.items()}, v * va)
+    return BracketTable(mod.dim, {ij: poly for ij, poly in table.items() if poly})
 
 
 def jacobi_oracle(B):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsym import classify
+from qsym import classify, poisson
 from qsym.liealg import shared_type
 from qsym.rootsys import NotDominant, build_root_system, weight_multiplicities
 from qsym.classify import (
@@ -140,16 +140,21 @@ def test_hardcoded_list_spot_values():
 
 
 def test_bd_verdicts_are_triple_independent(monkeypatch):
-    """Every BD verdict equals the standard one, and a row builds one pair
-    operator (for its bracket table), not one per triple."""
+    """Every BD verdict equals the standard one, and a row builds one bracket
+    table (through generator_brackets), not one per triple, and no pair
+    operator."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    real = classify.r_minus_operator
-    monkeypatch.setattr(classify, "r_minus_operator", counted)
+    def refused(*args):
+        raise AssertionError("a pair operator was built")
+
+    real = classify.generator_brackets
+    monkeypatch.setattr(classify, "generator_brackets", counted)
+    monkeypatch.setattr(poisson, "_pair_matrix", refused)
     for label, lam in [("A2", (1, 0)), ("A2", (1, 1))]:
         calls.clear()
         row = classify_pair(label, lam, all_bd=True)

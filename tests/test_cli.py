@@ -86,6 +86,9 @@ def test_math_error_single_line(tmp_path, capsys):
         (["classify", "--type", "A", "--rank", "2", "--weight", "9,9",
           "--dim-budget", "16"], "BudgetExceeded"),
         (["roots", "--type", "Z", "--rank", "4"], "InvalidType"),
+        # with --rank the type is one series letter, not a full label
+        (["roots", "--type", "A2", "--rank", "2"], "InvalidType"),
+        (["classify", "--type", "so5", "--rank", "2", "--weight", "1,0"], "InvalidType"),
         (["module", "--type", "A", "--rank", "2", "--weight", "1"],
          "ValueError"),
         (["qsl2", "copoisson", "--element", "X+", "--power", "0"], "ValueError"),
@@ -118,6 +121,10 @@ def test_math_error_single_line(tmp_path, capsys):
         assert lines[0].startswith("error: %s:" % errname)
         if "A1xA1" in argv:
             assert "product type" in lines[0] and "not supported" in lines[0], argv
+        if "--rank" in argv and errname == "InvalidType":
+            spelling = argv[argv.index("--type") + 1]
+            assert lines[0] == ("error: InvalidType: with --rank, --type must be one "
+                                "series letter, got %r" % spelling), argv
     # classify and table reject a budget below 1 with the same line
     assert run_cli(["classify", "--type", "A2", "--weight", "1,0", "--dim-budget", "-5"],
                    capsys) == run_cli(["table", "--max-rank", "2", "--dim-budget", "-5"], capsys)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -24,8 +24,8 @@ from qsym.liealg import (
     _mscaled_sum,
     _vadd_into,
 )
-from qsym.poisson import bracket_table, r_minus_operator
-from qsym.rootsys import build_root_system, weight_multiplicities, weyl_dim
+from qsym.poisson import generator_brackets
+from qsym.rootsys import InvalidType, build_root_system, weight_multiplicities, weyl_dim
 from qsym.scalars import QRat
 
 
@@ -295,19 +295,55 @@ def test_abelian_radical_matches_cominuscule_nodes():
             assert abelian == (node in marked), (label, node)
 
 
+def _match_by_permutations(nodes, cartan):
+    """The first (series, node order) whose Cartan matrix the diagram on
+    nodes reproduces, over every order of permutations(nodes): the
+    brute-force reference for _match_subdiagram. Series are tried A to G,
+    so the coincidences D3 = A3 and B2 = C2 (transposed) resolve to A and B."""
+    for letter in "ABCDEFG":
+        try:
+            ref = build_root_system(letter, len(nodes)).cartan
+        except InvalidType:
+            continue
+        for perm in permutations(nodes):
+            if [[cartan[a][b] for b in perm] for a in perm] == ref:
+                return letter, list(perm)
+    return None
+
+
 def test_match_subdiagram_names_every_simple_type():
     """On the full diagram of each simple type of rank <= 8, the matched type
-    and node mapping reproduce that type's Cartan matrix (D3 is named A3)."""
+    and node mapping reproduce that type's Cartan matrix (D3 is named A3).
+    On each of their diagrams of at most 7 nodes, the full one and every
+    connected Levi component of a maximal parabolic, the match is the first
+    one in permutation order."""
     labels = (["A%d" % n for n in range(1, 9)]
               + ["%s%d" % (x, n) for x in "BC" for n in range(2, 9)]
               + ["D%d" % n for n in range(3, 9)]
               + ["E6", "E7", "E8", "F4", "G2"])
+    compared = 0
     for label in labels:
         rs = build_root_system(label)
         letter, n, mapping = _match_subdiagram(range(rs.rank), rs.cartan)
         assert n == rs.rank and sorted(mapping) == list(range(n)), label
         ref = build_root_system("%s%d" % (letter, n))
         assert [[rs.cartan[a][b] for b in mapping] for a in mapping] == ref.cartan, label
+        subdiagrams = [list(range(rs.rank))]
+        for k in range(rs.rank):
+            levi = [i for i in range(rs.rank) if i != k]
+            while levi:
+                comp = [levi[0]]
+                for a in comp:
+                    comp += [b for b in levi if b not in comp and rs.cartan[a][b]]
+                levi = [i for i in levi if i not in comp]
+                subdiagrams.append(sorted(comp))
+        for nodes in subdiagrams:
+            if len(nodes) <= 7:
+                letter, n, mapping = _match_subdiagram(nodes, rs.cartan)
+                assert (letter, mapping) == _match_by_permutations(nodes, rs.cartan), \
+                    (label, nodes)
+                compared += 1
+    assert compared > 250
 
 
 def test_weyl_dimension_and_weights_wrapper():
@@ -326,7 +362,7 @@ def test_one_bracket_table_for_every_carrier():
     sl2 = chevalley_basis(build_root_system("A1"))
     S, _ = parabolic_semidirect("A2", 1)
     D, _, _ = drinfeld_double(sl2, cobracket_from_r(sl2, standard_r(sl2)))
-    B = bracket_table(r_minus_operator(sl2, standard_r(sl2), (2,)))
+    B = generator_brackets(sl2, standard_r(sl2), (2,))
     for table in [chevalley_basis(build_root_system("C2")), S, D, B]:
         assert isinstance(table, BracketTable)
         nonzero = 0

@@ -20,7 +20,6 @@ from qsym.bialg import (
 from qsym.poisson import (
     BracketTable,
     PairOperator,
-    bracket_table,
     generator_brackets,
     jacobi_oracle,
     leg_embed,
@@ -304,15 +303,55 @@ def test_schouten_equals_jacobi_property():
         alg = chevalley_basis(build_root_system(label))
         mod = highest_weight_module(alg, lam)
         r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
-        op = r_minus_operator(alg, r, mod)
         fast = _promoted(alg, r, mod)
-        assert fast == jacobi_oracle(bracket_table(op)), case
-        assert fast == schouten_criterion(op), case
+        assert fast == jacobi_oracle(generator_brackets(alg, r, mod)), case
+        assert fast == schouten_criterion(r_minus_operator(alg, r, mod)), case
         seen.add(-1 if triple is None else len(triple.delta1))
 
     check()
     # the draws include the standard r and a triple with a non-empty delta1
     assert -1 in seen and max(seen) > 0
+
+
+def _brackets_off_operator(op):
+    """{v_i, v_j} for every i != j, read off column (i, j) of a pair operator
+    into sorted monomials of S^2 V: the reference for generator_brackets,
+    written out here on the whole operator, both orders of every pair."""
+    dim = op.dim
+    out = {}
+    for i in range(dim):
+        for j in range(dim):
+            if i != j:
+                poly = {}
+                for row, v in op.matrix.get(i * dim + j, {}).items():
+                    a, b = divmod(row, dim)
+                    key = (min(a, b), max(a, b))
+                    poly[key] = poly.get(key, Q(0)) + v
+                out[(i, j)] = {k: v for k, v in poly.items() if v}
+    return out
+
+
+def test_generator_brackets_equal_the_flip_skew_operator():
+    """The bracket table summed from the columns i < j equals the one read
+    off the flip-skew-verified r_minus_operator, in both orders of every
+    pair: on every small (type, weight), under the standard r and, where the
+    type has one, the r-matrix of a BD triple with a non-empty delta1."""
+    bd_types = set()
+    for label in _SMALL_TYPES:
+        alg = chevalley_basis(build_root_system(label))
+        r_matrices = [standard_r(alg)]
+        triple = next((t for t in enumerate_bd_triples(alg.rs) if t.delta1), None)
+        if triple is not None:
+            r_matrices.append(bd_r_matrix(alg, triple)[0])
+            bd_types.add(label)
+        for lam in _small_weights(label):
+            mod = highest_weight_module(alg, lam)
+            for r in r_matrices:
+                B = generator_brackets(alg, r, mod)
+                ref = _brackets_off_operator(r_minus_operator(alg, r, mod))
+                for (i, j), poly in ref.items():
+                    assert B.bracket_idx(i, j) == poly, (label, lam, i, j)
+    assert {"A2", "A3", "B3", "C3"} <= bd_types
 
 
 _S3 = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
