@@ -316,13 +316,12 @@ def check_cybe(alg, r, module=None):
     return {"cybe_holds": holds, "symmetric_part_invariant": invariant}
 
 
-def cobracket_from_r(carrier, r, verify=True):
+def cobracket_from_r(carrier, r):
     """delta(x) = [r, x (x) 1 + 1 (x) x] = -ad_x r, verified antisymmetric.
 
     Returns delta as a dict {x: delta(x)} over basis indices, with no entry
-    for an x whose delta(x) is zero. verify=False skips the antisymmetry
-    gate, for deliberately broken r-matrices whose reports are wanted
-    downstream.
+    for an x whose delta(x) is zero; a delta(x) that is not antisymmetric
+    raises NotAntisymmetric.
     """
     g_indices = getattr(carrier, "g_indices", None)
     if g_indices is not None:
@@ -333,7 +332,7 @@ def cobracket_from_r(carrier, r, verify=True):
     delta = {}
     for x in range(carrier.dim):
         t = ad_two_tensor(carrier, x, r, -1)
-        if verify and tt_add(dict(t), tt_op(t)):
+        if tt_add(dict(t), tt_op(t)):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
         if t:
             delta[x] = t

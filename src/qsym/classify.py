@@ -88,35 +88,24 @@ def weight_filter(rs, lam, mults):
 def in_classification_list(letter, rank, lam):
     """Membership of (letter rank, lam) in the expected passing list.
 
-    Canonical coordinates: the rank-2 symplectic row is (C2, omega2) and the
-    A series covers its own dual/coincident spellings.
+    The list holds one weight per listed pair: for A, omega1, 2 omega1 and
+    (rank >= 2) omega2; for B, omega1; for C2, omega2; for D, omega1, and
+    omega4 at D5; for E6, omega1. The other spellings (the A dual, the D spin
+    swap and triality, the E6 flip) are the diagram automorphism images that
+    _weight_spellings computes, so lam is listed when one of its spellings in
+    the same series and rank is.
     """
-    lam = tuple(int(c) for c in lam)
 
     def e(i, m=1):
         return tuple(m if j == i else 0 for j in range(rank))
 
-    if letter == "A":
-        allowed = {e(0), e(0, 2), e(rank - 1), e(rank - 1, 2)}
-        if rank >= 2:
-            allowed.add(e(1))
-            allowed.add(e(rank - 2))
-        return lam in allowed
-    if letter == "B":
-        return lam == e(0)
-    if letter == "C":
-        return rank == 2 and lam == e(1)
-    if letter == "D":
-        if lam == e(0):
-            return True
-        if rank == 4:
-            return lam in (e(2), e(3))
-        if rank == 5:
-            return lam in (e(3), e(4))
-        return False
-    if letter == "E":
-        return rank == 6 and lam in (e(0), e(5))
-    return False
+    listed = {"A": [e(0), e(0, 2)] + ([e(1)] if rank >= 2 else []),
+              "B": [e(0)],
+              "C": [e(1)] if rank == 2 else [],
+              "D": [e(0)] + ([e(3)] if rank == 5 else []),
+              "E": [e(0)] if rank == 6 else []}.get(letter, [])
+    return any(s == letter and n == rank and v in listed
+               for s, n, v in _weight_spellings(letter, rank, (int(c) for c in lam)))
 
 
 def _weight_spellings(letter, rank, lam):
@@ -250,7 +239,9 @@ class ClassificationRow:
         return self.schouten and self.geometrically_decomposable
 
     def as_dict(self):
-        return {
+        """The row as the command line prints it: every verdict, passing and
+        oracle_ok, and bd_verdicts when they were computed."""
+        d = {
             "type": self.label,
             "lam": list(self.lam),
             "dim": self.dim_V,
@@ -262,7 +253,12 @@ class ClassificationRow:
             "in_paper_list": self.in_paper_list,
             "aliases": [[t, list(w)] for t, w in self.aliases],
             "ambients": ["%s:%d" % (label, node) for label, node in self.ambients],
+            "passing": self.passing,
+            "oracle_ok": self.oracle_ok,
         }
+        if self.bd_verdicts is not None:
+            d["bd_verdicts"] = {"%r" % (k,): v for k, v in sorted(self.bd_verdicts.items())}
+        return d
 
     def __repr__(self):
         return "ClassificationRow(%s, %r, %s)" % (

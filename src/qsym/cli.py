@@ -18,7 +18,7 @@ from .bialg import (bd_r_matrix, check_cybe, cobracket_from_r, drinfeld_double,
 from .classify import DEFAULT_DIM_BUDGET, classification_table, classify_pair, paper_diff
 from .liealg import highest_weight_module, shared_type
 from .poisson import jacobi_oracle
-from .rootsys import (_SERIES, InvalidType, build_root_system, cominuscule_nodes,
+from .rootsys import (_SERIES, InvalidType, _rank_ok, build_root_system, cominuscule_nodes,
                       normalize_type, weight_multiplicities, weyl_dim)
 from .scalars import QRat
 
@@ -51,6 +51,8 @@ def _type_rank(args):
         if letter not in _SERIES:
             raise InvalidType("with --rank, --type must be one series letter, got %r"
                               % args.type)
+        if not _rank_ok(letter, args.rank):
+            raise InvalidType("no simple type %s%d" % (letter, args.rank))
         return letter, args.rank
     return normalize_type(args.type)
 
@@ -103,7 +105,7 @@ def _cmd_module(args):
 
 def _cmd_rmatrix(args):
     letter, rank = _type_rank(args)
-    alg = shared_type(build_root_system(letter, rank).label).algebra
+    alg = shared_type("%s%d" % (letter, rank)).algebra
     r = standard_r(alg)
     module = None
     if args.module:
@@ -122,8 +124,9 @@ def _cmd_rmatrix(args):
 
 def _cmd_bd(args):
     letter, rank = _type_rank(args)
-    rs = build_root_system(letter, rank)
-    alg = shared_type(rs.label).algebra if args.check else None
+    typ = shared_type("%s%d" % (letter, rank))
+    rs = typ.rs
+    alg = typ.algebra if args.check else None
     triples = []
     for t in enumerate_bd_triples(rs):
         item = {
@@ -142,7 +145,7 @@ def _cmd_bd(args):
 
 def _cmd_double(args):
     letter, rank = _type_rank(args)
-    alg = shared_type(build_root_system(letter, rank).label).algebra
+    alg = shared_type("%s%d" % (letter, rank)).algebra
     delta = cobracket_from_r(alg, standard_r(alg))
     double, _, report = drinfeld_double(alg, delta)
     out = {
@@ -155,27 +158,18 @@ def _cmd_double(args):
     return _dumps(out), 0
 
 
-def _row_json(row):
-    d = row.as_dict()
-    d["passing"] = row.passing
-    d["oracle_ok"] = row.oracle_ok
-    if row.bd_verdicts is not None:
-        d["bd_verdicts"] = {"%r" % (k,): v for k, v in sorted(row.bd_verdicts.items())}
-    return d
-
-
 def _cmd_classify(args):
     letter, rank = _type_rank(args)
-    lam = _parse_weight(args.weight, build_root_system(letter, rank).rank)
+    lam = _parse_weight(args.weight, rank)
     row = classify_pair((letter, rank), lam, dim_budget=args.dim_budget,
                         all_bd=args.all_bd, extended=args.extended)
-    return _dumps(_row_json(row)), 0
+    return _dumps(row.as_dict()), 0
 
 
 def _cmd_table(args):
     rows = classification_table(args.max_rank, args.dim_budget,
                                 all_bd=args.all_bd, extended=args.extended)
-    out = {"count": len(rows), "rows": [_row_json(r) for r in rows]}
+    out = {"count": len(rows), "rows": [r.as_dict() for r in rows]}
     code = 0
     if args.diff_paper:
         diff = paper_diff(rows)

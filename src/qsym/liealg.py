@@ -17,9 +17,12 @@ rescaling factors and structure constants are exact Fraction ratios found
 by integer cross-multiplication. Modules (highest_weight_module) stay on
 Fraction; they are checked against the Weyl/Freudenthal oracle.
 
-shared_type is the one cache of root systems and Chevalley algebras. Each
-entry also holds the parabolic bialgebras built over its type, which
-bialg.parabolic_semidirect memoises there per (node, BD triple).
+shared_type is the one cache of root systems and Chevalley algebras, one
+entry per type whatever its spelling. Each entry also holds the parabolic
+bialgebras built over its type, which bialg.parabolic_semidirect memoises
+there per (node, BD triple). The Casimir's Cartan part c0 is read off the
+root system's inverse Cartan matrix (its fundamental weights); no second
+inverse is computed here.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ from functools import cached_property
 
 from .rootsys import _SERIES, _check_dominant, _rank_ok, build_root_system
 from .scalars import den_lcm, echelon
-
-
-class DegenerateForm(ValueError):
-    """The invariant form is singular where a dual basis is required."""
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +548,11 @@ _SHARED_TYPES = {}
 
 
 def shared_type(label):
-    """The memoised SharedType of a type label such as "C2" or "A2xA1".
+    """The memoised SharedType of a type label such as "C2", "so5" or "A2xA1".
+
+    One entry per root system: it is keyed on the canonical label rs.label,
+    and any other spelling of the same type ("so10" for "D5") is an alias of
+    that entry, so both share one Chevalley basis and one parabolic memo.
 
     The classification sweep, the parabolic construction and the command line
     draw their root systems, algebras and parabolic bialgebras from this one
@@ -557,7 +560,8 @@ def shared_type(label):
     """
     entry = _SHARED_TYPES.get(label)
     if entry is None:
-        entry = _SHARED_TYPES[label] = SharedType(build_root_system(label))
+        rs = build_root_system(label)
+        entry = _SHARED_TYPES[label] = _SHARED_TYPES.setdefault(rs.label, SharedType(rs))
     return entry
 
 
@@ -609,7 +613,10 @@ def casimir(alg):
     """Casimir c = sum x_i @ x^i over dual bases and its Cartan part c0.
 
     Returns (c, c0): c = sum_g (g,g)/2 (E@F + F@E) + sum B^{-1}_ij H_i@H_j
-    with B the coroot Gram matrix, and c0 the H@H part alone.
+    with B the coroot Gram matrix, and c0 the H@H part alone. B is the Cartan
+    matrix with row i scaled by 2/(alpha_i, alpha_i), so B^{-1}_ij is read off
+    the root system's one inverse Cartan matrix, its fundamental weights:
+    B^{-1}_ij = omega_i[j] (alpha_j, alpha_j)/2.
     """
     rs = alg.rs
     c = {}
@@ -617,21 +624,12 @@ def casimir(alg):
         half = rs.inner(g, g) / 2
         c[(alg.e_idx[g], alg.f_idx[g])] = half
         c[(alg.f_idx[g], alg.e_idx[g])] = half
-    n = alg.rank
-    if n == 0:
-        raise DegenerateForm("no semisimple part")
-    # [B | I] reduces to [I | B^-1]
-    aug = [[4 * rs.bform[i][j] / (rs.norms[i] * rs.norms[j]) for j in range(n)]
-           + [Q(int(i == j)) for j in range(n)] for i in range(n)]
-    if len(echelon(aug, n)) < n:
-        raise DegenerateForm("coroot Gram matrix is singular")
     c0 = {}
-    for i in range(n):
-        for j in range(n):
-            v = aug[i][n + j]
-            if v:
-                c0[(alg.h_idx[i], alg.h_idx[j])] = v
-                c[(alg.h_idx[i], alg.h_idx[j])] = v
+    for i, omega in enumerate(rs.fundamental_weights):
+        for j, w in enumerate(omega):
+            if w:
+                key = (alg.h_idx[i], alg.h_idx[j])
+                c0[key] = c[key] = w * rs.norms[j] / 2
     return c, c0
 
 

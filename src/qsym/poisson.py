@@ -22,9 +22,11 @@ denominators. Its sums into S^2 V and S^3 V are hand-written int loops, not
 _vadd_into, kept inline for speed: this is the largest stage of the E6 rows.
 
 schouten_criterion, schouten_square and jacobi_oracle stay on Fraction as
-the references and read no [[r-, r-]] from _cybe_tensor: schouten_criterion
-applies the commutators of the pair operator's leg embeddings to each wedge
-vector, all six orderings summed.
+the references and read no [[r-, r-]] from _cybe_tensor. The first two share
+one expansion of [[P, P]] (_square_images): the pair operator's legs are
+embedded once and the commutators applied to one vector at a time, to each
+basis vector of V^(x)3 for the square and to each wedge vector (all six
+orderings summed) for the criterion.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from .bialg import tt_skew
-from .liealg import (BracketTable, _mapply, _mcompose_into, _resolve_module, _vadd_into,
-                     int_columns)
+from .liealg import BracketTable, _mapply, _resolve_module, _vadd_into, int_columns
 from .scalars import den_lcm
 
 
@@ -102,17 +103,30 @@ def leg_embed(op, dim, legs):
     return out
 
 
+def _square_images(P, vectors):
+    """Yield the image of each vector of V^(x)3 under [[P, P]], in order.
+
+    [[P, P]] = [P12, P13] + [P12, P23] + [P13, P23], the legs embedded once
+    and applied to one vector at a time with _mapply; the square itself is
+    never formed.
+    """
+    legs = [leg_embed(P.matrix, P.dim, pair) for pair in [(0, 1), (0, 2), (1, 2)]]
+    for vec in vectors:
+        images = [_mapply(m, vec) for m in legs]
+        acc = {}
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            _vadd_into(acc, _mapply(legs[a], images[b]))
+            _vadd_into(acc, _mapply(legs[b], images[a]), -1)
+        yield acc
+
+
 def schouten_square(P):
-    """[[P, P]] = [P12, P13] + [P12, P23] + [P13, P23] on V^(x)3."""
-    dim = P.dim
-    p12 = leg_embed(P.matrix, dim, (0, 1))
-    p13 = leg_embed(P.matrix, dim, (0, 2))
-    p23 = leg_embed(P.matrix, dim, (1, 2))
-    total = {}
-    for a, b in [(p12, p13), (p12, p23), (p13, p23)]:
-        _mcompose_into(total, a, b)
-        _mcompose_into(total, b, a, -1)
-    return total
+    """[[P, P]] = [P12, P13] + [P12, P23] + [P13, P23] on V^(x)3.
+
+    Column form: the nonzero images of the basis vectors of V^(x)3.
+    """
+    cols = range(P.dim ** 3)
+    return {c: img for c, img in zip(cols, _square_images(P, ({c: 1} for c in cols))) if img}
 
 
 _WEDGE_PERMS = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -124,29 +138,24 @@ def schouten_criterion(P):
 
     The reference for schouten_promoted, sharing none of its code. Each
     wedge vector, the signed sum of the six orderings of e_i (x) e_j (x) e_k,
-    is sent through [P12, P13] + [P12, P23] + [P13, P23] on V^(x)3 one
-    matrix-vector product at a time, and the search stops at the first wedge
-    with a nonzero image. The square itself (schouten_square) is never
-    formed: on a failing module that would cost far more than the wedges
-    tried before the first nonzero image.
+    goes through the same expansion as schouten_square (_square_images, one
+    matrix-vector product at a time), and the search stops at the first
+    wedge with a nonzero image: on a failing module the whole square would
+    cost far more than the wedges tried before it.
     """
     dim = P.dim
-    p12, p13, p23 = (leg_embed(P.matrix, dim, legs) for legs in [(0, 1), (0, 2), (1, 2)])
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                wedge = {}
-                for perm, sign in _WEDGE_PERMS:
-                    a, b, c = ((i, j, k)[p] for p in perm)
-                    wedge[(a * dim + b) * dim + c] = sign
-                p12w, p13w, p23w = ((m, _mapply(m, wedge)) for m in (p12, p13, p23))
-                acc = {}
-                for (m, mw), (n, nw) in [(p12w, p13w), (p12w, p23w), (p13w, p23w)]:
-                    _vadd_into(acc, _mapply(m, nw))
-                    _vadd_into(acc, _mapply(n, mw), -1)
-                if acc:
-                    return False
-    return True
+
+    def wedges():
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                for k in range(j + 1, dim):
+                    wedge = {}
+                    for perm, sign in _WEDGE_PERMS:
+                        a, b, c = ((i, j, k)[p] for p in perm)
+                        wedge[(a * dim + b) * dim + c] = sign
+                    yield wedge
+
+    return not any(_square_images(P, wedges()))
 
 
 def _check_antisymmetric(tensor):

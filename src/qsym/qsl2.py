@@ -22,7 +22,9 @@ odd module weights get integer v-powers.
 
 Nothing here carries its own linear algebra. Term dicts (PBW elements,
 tensors, relations) accumulate through liealg._vadd_into, the one sparse
-accumulator. Module and tensor-power actions are liealg's column-form sparse
+accumulator. PBW elements, tensors and co-Poisson values are one term class
+(_Terms, its coefficient field a class attribute: QRat, or Fraction for the
+classical limit), and one printer (_signed_sum) writes every signed sum. Module and tensor-power actions are liealg's column-form sparse
 matrices: the tensor-square actions come from poisson._pair_matrix, the cube's
 braidings from poisson.leg_embed, and kernel dimensions from scalars.echelon.
 """
@@ -69,19 +71,42 @@ def _mono_str(key):
     return " ".join(parts) if parts else "1"
 
 
-class _Terms:
-    """A sparse sum {key: QRat} with no zero coefficient stored.
+def _signed_sum(pieces):
+    """Print (coefficient string, monomial string) pairs as one signed sum.
 
-    Immutable by convention: arithmetic returns a fresh value of the same
-    class, and values of different classes never compare equal.
+    A unit coefficient is dropped, -1 becomes a leading minus, a constant
+    monomial "1" prints its coefficient alone, and the empty sum is "0".
+    """
+    out = []
+    for s, mono in pieces:
+        if mono == "1":
+            out.append(s)
+        elif s == "1":
+            out.append(mono)
+        elif s == "-1":
+            out.append("-" + mono)
+        else:
+            out.append(s + " " + mono)
+    return " + ".join(out).replace(" + -", " - ") or "0"
+
+
+class _Terms:
+    """A sparse sum {key: coefficient} with no zero coefficient stored.
+
+    Coefficients are coerced by the class attribute _coerce (QRat.of here;
+    a subclass may choose another exact field). Immutable by convention:
+    arithmetic returns a fresh value of the same class, and values of
+    different classes never compare equal.
     """
 
     __slots__ = ("terms",)
+    _coerce = staticmethod(QRat.of)
 
     def __init__(self, terms=None):
+        coerce = self._coerce
         clean = {}
         for key, val in (terms or {}).items():
-            val = QRat.of(val)
+            val = coerce(val)
             if val:
                 clean[key] = val
         self.terms = clean
@@ -134,21 +159,8 @@ class PBWElement(_Terms):
         return out
 
     def pretty(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for key in sorted(self.terms):
-            mono = _mono_str(key)
-            s = _coeff_str(self.terms[key])
-            if mono == "1":
-                pieces.append(s)
-            elif s == "1":
-                pieces.append(mono)
-            elif s == "-1":
-                pieces.append("-" + mono)
-            else:
-                pieces.append(s + " " + mono)
-        return " + ".join(pieces).replace(" + -", " - ")
+        return _signed_sum((_coeff_str(self.terms[key]), _mono_str(key))
+                           for key in sorted(self.terms))
 
     def __repr__(self):
         return "PBWElement(%s)" % self.pretty()
@@ -483,17 +495,8 @@ def x_basis_tensor(t):
 def x_tensor_str(decomp):
     """Render an X-basis tensor decomposition like "X-(x)X+" terms."""
     order = {"X+": 0, "X-": 1, "X0": 2, "1": 3}
-    pieces = []
-    for (n1, n2) in sorted(decomp, key=lambda p: (order[p[0]], order[p[1]])):
-        s = _coeff_str(decomp[(n1, n2)])
-        body = "%s⊗%s" % (n1, n2)
-        if s == "1":
-            pieces.append(body)
-        elif s == "-1":
-            pieces.append("-" + body)
-        else:
-            pieces.append(s + " " + body)
-    return " + ".join(pieces).replace(" + -", " - ") if pieces else "0"
+    return _signed_sum((_coeff_str(decomp[(n1, n2)]), "%s⊗%s" % (n1, n2))
+                       for n1, n2 in sorted(decomp, key=lambda p: (order[p[0]], order[p[1]])))
 
 
 _LF_CACHE = None
@@ -721,7 +724,7 @@ def _laurent_q1(v, hi):
     return val, out
 
 
-class CoPoissonElem:
+class CoPoissonElem(_Terms):
     """Antisymmetric cobracket value sum c * (u (x) a - a (x) u).
 
     Keys are pairs of classical PBW exponent triples: the left leg counts
@@ -730,18 +733,8 @@ class CoPoissonElem:
     identification X- = F, X0 = H/2, X+ = E. Coefficients are Fractions.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: Q(v) for k, v in (terms or {}).items() if v}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, CoPoissonElem):
-            return NotImplemented
-        return self.terms == other.terms
+    __slots__ = ()
+    _coerce = Q
 
     def kernel_reduced(self):
         """Canonical skew form with both legs in the same classical basis.
@@ -758,27 +751,13 @@ class CoPoissonElem:
         return acc
 
     def pretty(self):
-        if not self.terms:
-            return "0"
-        names_u = ("F", "H", "E")
-        names_a = ("X-", "X0", "X+")
-        pieces = []
-        for (u, a) in sorted(self.terms, reverse=True):
-            v = self.terms[(u, a)]
-            left = " ".join(
-                n if p == 1 else "%s^%d" % (n, p)
-                for n, p in zip(names_u, u) if p) or "1"
-            right = " ".join(
-                n if p == 1 else "%s^%d" % (n, p)
-                for n, p in zip(names_a, a) if p) or "1"
-            body = "%s∧%s" % (left, right)
-            if v == 1:
-                pieces.append(body)
-            elif v == -1:
-                pieces.append("-" + body)
-            else:
-                pieces.append("%s %s" % (v, body))
-        return " + ".join(pieces).replace(" + -", " - ")
+        def leg(names, powers):
+            return " ".join(n if p == 1 else "%s^%d" % (n, p)
+                            for n, p in zip(names, powers) if p) or "1"
+
+        return _signed_sum((str(self.terms[(u, a)]),
+                            "%s∧%s" % (leg(("F", "H", "E"), u), leg(("X-", "X0", "X+"), a)))
+                           for u, a in sorted(self.terms, reverse=True))
 
     def __repr__(self):
         return "CoPoissonElem(%s)" % self.pretty()

@@ -96,10 +96,12 @@ class RootSystem:
     """A (possibly reducible) finite root system with precomputed data."""
 
     def __init__(self, components):
-        for letter, n in components:
+        self.components = tuple(components)
+        if not self.components:
+            raise InvalidType("a root system needs at least one component")
+        for letter, n in self.components:
             if letter not in _SERIES or not _rank_ok(letter, n):
                 raise InvalidType("no simple type %s%d" % (letter, n))
-        self.components = tuple(components)
         self.label = "x".join("%s%d" % c for c in components)
         self.rank = sum(n for _, n in components)
         # block-diagonal symmetric form (alpha_i, alpha_j)

@@ -1,10 +1,12 @@
 """Classification rows, the weight filter, ambient search, and table sweeps."""
 
+from itertools import product
+
 import pytest
 
 from qsym import classify, poisson
 from qsym.liealg import shared_type
-from qsym.rootsys import NotDominant, build_root_system, weight_multiplicities
+from qsym.rootsys import _SERIES, NotDominant, _rank_ok, build_root_system, weight_multiplicities
 from qsym.classify import (
     BudgetExceeded,
     classification_table,
@@ -137,6 +139,52 @@ def test_hardcoded_list_spot_values():
         assert in_classification_list(letter, rank, lam), (letter, rank, lam)
     for letter, rank, lam in no:
         assert not in_classification_list(letter, rank, lam), (letter, rank, lam)
+
+
+def _listed_by_hand(letter, rank, lam):
+    """The classification list with every spelling written out: the A dual,
+    the D4 triality orbit, the D5 spin swap and the E6 flip."""
+    lam = tuple(lam)
+
+    def e(i, m=1):
+        return tuple(m if j == i else 0 for j in range(rank))
+
+    if letter == "A":
+        allowed = {e(0), e(0, 2), e(rank - 1), e(rank - 1, 2)}
+        if rank >= 2:
+            allowed.add(e(1))
+            allowed.add(e(rank - 2))
+        return lam in allowed
+    if letter == "B":
+        return lam == e(0)
+    if letter == "C":
+        return rank == 2 and lam == e(1)
+    if letter == "D":
+        if lam == e(0):
+            return True
+        if rank == 4:
+            return lam in (e(2), e(3))
+        if rank == 5:
+            return lam in (e(3), e(4))
+        return False
+    if letter == "E":
+        return rank == 6 and lam in (e(0), e(5))
+    return False
+
+
+def test_classification_list_equals_the_written_out_spellings():
+    """The list read through _weight_spellings equals the hand-written one:
+    every simple type of rank <= 8 with coordinates <= 1, rank <= 5 with
+    coordinates <= 2, and the B2 and D3 spellings with coordinates <= 3."""
+    cases = [(letter, rank, 1) for rank in range(1, 9) for letter in _SERIES]
+    cases += [(letter, rank, 2) for rank in range(1, 6) for letter in _SERIES]
+    cases += [("B", 2, 3), ("D", 3, 3)]
+    for letter, rank, top in cases:
+        if not _rank_ok(letter, rank):
+            continue
+        for lam in product(range(top + 1), repeat=rank):
+            assert in_classification_list(letter, rank, lam) == \
+                _listed_by_hand(letter, rank, lam), (letter, rank, lam)
 
 
 def test_bd_verdicts_are_triple_independent(monkeypatch):

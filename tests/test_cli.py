@@ -125,6 +125,13 @@ def test_math_error_single_line(tmp_path, capsys):
             spelling = argv[argv.index("--type") + 1]
             assert lines[0] == ("error: InvalidType: with --rank, --type must be one "
                                 "series letter, got %r" % spelling), argv
+    # a --rank out of range for the series names the type the same way on
+    # every subcommand, whether or not it builds through the shared cache
+    for cmd in ["roots", "rmatrix", "bd", "double"]:
+        for letter, rank in [("A", "-1"), ("B", "1")]:
+            argv = [cmd, "--type", letter, "--rank", rank]
+            assert run_cli(argv, capsys) == (
+                1, "error: InvalidType: no simple type %s%s\n" % (letter, rank)), argv
     # classify and table reject a budget below 1 with the same line
     assert run_cli(["classify", "--type", "A2", "--weight", "1,0", "--dim-budget", "-5"],
                    capsys) == run_cli(["table", "--max-rank", "2", "--dim-budget", "-5"], capsys)

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction as Q
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 
+from qsym import liealg
 from qsym.bialg import (cobracket_from_r, drinfeld_double, parabolic_semidirect,
                         semidirect_algebra, standard_r)
 from qsym.liealg import (
@@ -25,8 +27,9 @@ from qsym.liealg import (
     _vadd_into,
 )
 from qsym.poisson import generator_brackets
-from qsym.rootsys import InvalidType, build_root_system, weight_multiplicities, weyl_dim
-from qsym.scalars import QRat
+from qsym.rootsys import (_SERIES, InvalidType, _rank_ok, build_root_system,
+                         weight_multiplicities, weyl_dim)
+from qsym.scalars import QRat, echelon
 
 
 def test_module_dimension_and_weights_match_oracles():
@@ -203,6 +206,38 @@ def test_casimir_acts_by_scalar():
         expected = rs.inner(lam_root, shifted)
         for col in range(mod.dim):
             assert action.get(col, {}) == {col: expected}, (label, lam)
+
+
+def test_casimir_cartan_part_inverts_the_coroot_gram_matrix():
+    """c0 is B^-1 on the Cartan basis, B the coroot Gram matrix
+    4 (alpha_i, alpha_j) / ((alpha_i, alpha_i)(alpha_j, alpha_j)), here
+    inverted by elimination of [B | I] rather than read off the fundamental
+    weights as casimir does. c0 needs only the root system and the Cartan
+    indices, so a carrier with no root vectors stands in for the algebra and
+    no Chevalley basis is built."""
+    labels = ["%s%d" % (letter, n) for n in range(1, 8) for letter in _SERIES
+              if _rank_ok(letter, n)] + ["A2xA1", "B2xG2"]
+    for label in labels:
+        rs = build_root_system(label)
+        n = rs.rank
+        carrier = SimpleNamespace(rs=rs, pos_roots=[], e_idx={}, f_idx={},
+                                  h_idx=[2 * i + 1 for i in range(n)])
+        aug = [[4 * rs.bform[i][j] / (rs.norms[i] * rs.norms[j]) for j in range(n)]
+               + [Q(int(i == j)) for j in range(n)] for i in range(n)]
+        assert len(echelon(aug, n)) == n, label
+        want = {(2 * i + 1, 2 * j + 1): aug[i][n + j]
+                for i in range(n) for j in range(n) if aug[i][n + j]}
+        assert casimir(carrier) == (want, want), label
+
+
+def test_shared_type_has_one_entry_per_type(monkeypatch):
+    """Every spelling of a type reaches the entry keyed on its canonical
+    label, in either order of first use; B2 and C2 stay apart."""
+    monkeypatch.setattr(liealg, "_SHARED_TYPES", {})
+    assert shared_type("so10") is shared_type("D5") is shared_type("d5")
+    assert shared_type("A3") is shared_type("sl4")
+    assert shared_type("so5").rs.label == "B2"
+    assert shared_type("so5") is not shared_type("sp4")
 
 
 def test_casimir_eigenvalue_sl3_vector():

@@ -276,6 +276,30 @@ def test_copoisson_values_on_generators():
     assert not qsl2.copoisson_limit(g["K"])
 
 
+def test_signed_sum_printers_golden():
+    """PBWElement.pretty, x_tensor_str and CoPoissonElem.pretty on unit and
+    -1 coefficients, a non-constant QRat or Fraction coefficient, a constant
+    monomial and the empty sum."""
+    dq = qpow(1) - qpow(-1)
+    pbw = PBWElement({(0, 0, 0): 3, (1, 0, 0): -1, (0, 1, 1): qpow(2) + one,
+                      (0, 0, 2): one, (2, -1, 0): dq})
+    assert pbw.pretty() == "3 + E^2 + (q^2 + 1) K E - F + (q^2 - 1)/(q) F^2 K^-1"
+    assert PBWElement({(0, 0, 0): -1, (0, 0, 1): one}).pretty() == "-1 + E"
+    assert PBWElement({(0, 0, 0): 1}).pretty() == "1"
+    assert PBWElement({(0, 1, 0): -one, (0, 0, 1): Q(-2, 3)}).pretty() == "-2/3 E - K"
+    assert PBWElement().pretty() == "0"
+    decomp = {("X0", "X0"): dq, ("X-", "X+"): one, ("X+", "X-"): -one, ("1", "1"): Q(2) * one}
+    assert qsl2.x_tensor_str(decomp) == "-X+⊗X- + X-⊗X+ + (q^2 - 1)/(q) X0⊗X0 + 2 1⊗1"
+    assert qsl2.x_tensor_str({("X+", "X0"): -one}) == "-X+⊗X0"
+    assert qsl2.x_tensor_str({}) == "0"
+    cop = CoPoissonElem({((0, 1, 0), (0, 0, 1)): 1, ((1, 0, 0), (0, 0, 1)): -1,
+                         ((0, 0, 1), (1, 0, 0)): Q(-3, 2), ((0, 0, 0), (0, 0, 0)): 2,
+                         ((0, 2, 1), (0, 1, 0)): Q(1, 2)})
+    assert cop.pretty() == "-F∧X+ + 1/2 H^2 E∧X0 + H∧X+ - 3/2 E∧X- + 2 1∧1"
+    assert CoPoissonElem({((0, 1, 0), (0, 0, 1)): -1}).pretty() == "-H∧X+"
+    assert CoPoissonElem().pretty() == "0"
+
+
 # classical straightening for the co-Leibniz check: [E, F] = 2h, [h, E] = E,
 # [h, F] = -F, monomials F^a h^b E^c over Fractions
 

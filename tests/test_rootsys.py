@@ -8,6 +8,7 @@ from qsym.rootsys import (
     InvalidType,
     NotDominant,
     NotSimple,
+    RootSystem,
     build_root_system,
     cominuscule_nodes,
     normalize_type,
@@ -126,6 +127,8 @@ def test_invalid_builds():
     for letter, n in (("D", 2), ("B", 1), ("E", 5), ("F", 3), ("G", 3)):
         with pytest.raises(InvalidType):
             build_root_system(letter, n)
+    with pytest.raises(InvalidType):
+        RootSystem([])
     # D3 is a legal alias of A3 for construction
     assert len(build_root_system("D", 3).positive_roots) == 6
 
