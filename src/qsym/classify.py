@@ -265,6 +265,18 @@ class ClassificationRow:
             self.label, self.lam, "pass" if self.passing else "fail")
 
 
+def _r_tensor(typ, triple=None):
+    """The pair (r, [[r-, r-]]) of the standard r (triple None) or of a BD
+    triple's r-matrix, built once per type and triple on the shared entry."""
+    key = None if triple is None else triple.key()
+    entry = typ.r_tensors.get(key)
+    if entry is None:
+        alg = typ.algebra
+        r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
+        entry = typ.r_tensors[key] = (r, _cybe_tensor(alg, tt_skew(r)))
+    return entry
+
+
 def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
                   extended=False):
     """Evaluate every verdict for one pair; see ClassificationRow.
@@ -272,6 +284,8 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     No pair operator is built: each Schouten verdict (the standard r's, and
     each BD triple's under all_bd) is schouten_promoted on that r's [[r-, r-]]
     and the module, and Jacobi reads the standard r's generator_brackets.
+    Each r and its [[r-, r-]] are built once per type and triple (_r_tensor),
+    not once per row.
     """
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
@@ -288,16 +302,13 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     alg = typ.algebra
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
-    r = standard_r(alg)
-    schouten = schouten_promoted(_cybe_tensor(alg, tt_skew(r)), mod)
+    r, tensor = _r_tensor(typ)
+    schouten = schouten_promoted(tensor, mod)
     jacobi = jacobi_oracle(generator_brackets(alg, r, mod))
     bd_verdicts = None
     if all_bd:
-        bd_verdicts = {}
-        for triple in enumerate_bd_triples(rs):
-            r_t, _ = bd_r_matrix(alg, triple)
-            bd_verdicts[triple.key()] = schouten_promoted(
-                _cybe_tensor(alg, tt_skew(r_t)), mod)
+        bd_verdicts = {triple.key(): schouten_promoted(_r_tensor(typ, triple)[1], mod)
+                       for triple in enumerate_bd_triples(rs)}
     ambients = geometric_ambients(letter, rank, lam, extended=extended)
     semidirect = False
     if ambients:

@@ -3,9 +3,12 @@
 Modules are built level by level from the highest weight vector; candidate
 vectors f_i(b) are kept or rejected by exact elimination of the contravariant
 Gram matrix, which quotients the Verma module to the irreducible one. The
-Chevalley basis is bootstrapped from the adjoint module: root-vector operators
-are nested commutators of the generator matrices along a deterministic descent
-path, with F_gamma rescaled so that [E_gamma, F_gamma] = H_gamma exactly.
+Chevalley basis is bootstrapped from the smallest fundamental module of each
+simple component (27 for E6, 56 for E7, 10 for D5; the adjoint only for E8),
+which is faithful, so every structure constant read off it is exact:
+root-vector operators are nested commutators of the generator matrices along
+a deterministic descent path, with F_gamma rescaled so that
+[E_gamma, F_gamma] = H_gamma exactly.
 
 Sparse matrices are in column form, and one kernel (_vadd_into, _mapply,
 _mcompose, _mscaled_sum, _mcomm) works over any exact ring: it builds no
@@ -20,17 +23,18 @@ Fraction; they are checked against the Weyl/Freudenthal oracle.
 shared_type is the one cache of root systems and Chevalley algebras, one
 entry per type whatever its spelling. Each entry also holds the parabolic
 bialgebras built over its type, which bialg.parabolic_semidirect memoises
-there per (node, BD triple). The Casimir's Cartan part c0 is read off the
-root system's inverse Cartan matrix (its fundamental weights); no second
-inverse is computed here.
+there per (node, BD triple), and the r-matrices with their [[r-, r-]],
+which classify.classify_pair memoises there per BD triple. The Casimir's
+Cartan part c0 is read off the root system's inverse Cartan matrix (its
+fundamental weights); no second inverse is computed here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import cached_property
+from functools import cache, cached_property
 
-from .rootsys import _SERIES, _check_dominant, _rank_ok, build_root_system
+from .rootsys import _SERIES, _check_dominant, _rank_ok, build_root_system, weyl_dim
 from .scalars import den_lcm, echelon
 
 
@@ -257,7 +261,7 @@ def module_matrices(rs, lam):
 
 
 # ---------------------------------------------------------------------------
-# Chevalley basis via the adjoint bootstrap
+# Chevalley basis via the bootstrap on the smallest faithful module
 # ---------------------------------------------------------------------------
 
 class BracketTable:
@@ -298,7 +302,9 @@ class ChevalleyAlgebra(BracketTable):
     Signs of the non-simple root vectors are fixed by the deterministic
     descent convention recorded in `recipes`: E_gamma is the left-normed
     bracket [E_i, E_{gamma - alpha_i}] / (p+1) for the smallest simple i
-    with gamma - alpha_i a positive root.
+    with gamma - alpha_i a positive root. The structure constants are read
+    off the operators of one faithful module per simple component, the
+    fundamental module of smallest dimension; they do not depend on which.
     """
 
     def __init__(self, rs, central_dims=0):
@@ -363,18 +369,18 @@ class ChevalleyAlgebra(BracketTable):
         rs = self.rs
         rank = self.rank
         ops = {}
-        # one adjoint module per simple component, assembled block-diagonally
+        # one module per simple component, assembled block-diagonally: the
+        # fundamental module of smallest Weyl dimension (the first on ties).
+        # A nonzero module of a simple algebra is faithful, so every ratio
+        # read off below is the abstract algebra's, in any such module.
         dim_off = 0
-        comp_systems = []
-        for letter, n in rs.components:
-            comp_systems.append(build_root_system(letter, n))
         comp_reps = []
-        for c, crs in enumerate(comp_systems):
-            theta = crs.highest_root
-            rep = module_matrices(crs, crs.root_to_fund(theta))
+        for letter, n in rs.components:
+            crs = build_root_system(letter, n)
+            omegas = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+            rep = module_matrices(crs, min(omegas, key=lambda w: weyl_dim(crs, w)))
             comp_reps.append((rep, dim_off))
             dim_off += rep.dim
-        total = dim_off
 
         def lift(mat, off):
             return {j + off: {i + off: v for i, v in col.items()} for j, col in mat.items()}
@@ -401,11 +407,14 @@ class ChevalleyAlgebra(BracketTable):
             self.recipes[self.e_idx[alpha]] = ("e", i)
             self.recipes[self.f_idx[alpha]] = ("f", i)
 
+        # each root's coroot is read up to three times: built once
+        @cache
         def coroot(gamma):
             # H_gamma in coroot coordinates: gamma^ = sum gamma_j (a_j,a_j)/(g,g) a_j^
             gnorm = rs.inner(gamma, gamma)
             return {j: gamma[j] * rs.norms[j] / gnorm for j in range(rank) if gamma[j]}
 
+        @cache
         def coroot_op(gamma):
             # H_gamma as a scaled diagonal matrix
             coords = coroot(gamma)
@@ -445,6 +454,7 @@ class ChevalleyAlgebra(BracketTable):
                 table[(i, j)] = val
 
         hspace = {self.h_idx[i] for i in range(rank)}
+        component = [self._component_of(a) for a in range(n_basis)]
         for a in range(n_basis):
             for b in range(a + 1, n_basis):
                 wa, wb = self.weight[a], self.weight[b]
@@ -458,15 +468,17 @@ class ChevalleyAlgebra(BracketTable):
                         scal = -scal
                     put(a, b, {other: scal} if scal else {})
                     continue
-                if self._component_of(a) != self._component_of(b):
+                if component[a] != component[b]:
                     continue
                 target = tuple(x + y for x, y in zip(wa, wb))
-                m = scaled_comm(ops[a], ops[b])
+                # the int commutator first; its scale only when it is nonzero
+                (sa, ma), (sb, mb) = ops[a], ops[b]
+                m = _mcomm(ma, mb)
                 if not any(target):
-                    if not m[1]:
+                    if not m:
                         continue
                     # must be [E_g, F_g] = H_g
-                    assert scaled_ratio(m, coroot_op(wa)) == 1, \
+                    assert scaled_ratio((sa * sb, m), coroot_op(wa)) == 1, \
                         "Cartan bracket mismatch at %s" % (wa,)
                     put(a, b, {self.h_idx[j]: c for j, c in coroot(wa).items()})
                     continue
@@ -475,11 +487,11 @@ class ChevalleyAlgebra(BracketTable):
                 elif tuple(-x for x in target) in self.f_idx:
                     tgt = self.f_idx[tuple(-x for x in target)]
                 else:
-                    assert not m[1], "unexpected bracket weight %s" % (target,)
+                    assert not m, "unexpected bracket weight %s" % (target,)
                     continue
-                if not m[1]:
+                if not m:
                     continue
-                ratio = scaled_ratio(m, ops[tgt])
+                ratio = scaled_ratio((sa * sb, m), ops[tgt])
                 assert ratio is not None, "bracket not a multiple at %s,%s" % (a, b)
                 put(a, b, {tgt: ratio})
 
@@ -525,19 +537,22 @@ def chevalley_basis(rs, central_dims=0):
 
 class SharedType:
     """A root system, its Chevalley basis (built on first use), and the
-    parabolic bialgebras and nilradicals built over it.
+    r-matrices, parabolic bialgebras and nilradicals built over it.
 
     parabolics maps (node, BD triple key) to the (S, report) pair of
     bialg.parabolic_semidirect, which fills it. radicals maps a node to the
     (Levi type tuple, Levi weight, abelian) triple of abelian_radical_module,
     which classify.geometric_ambients fills; the Levi weight is an int tuple
-    in the Levi's fundamental coordinates.
+    in the Levi's fundamental coordinates. r_tensors maps None (the standard
+    r) or a BD triple key to the pair (r, [[r-, r-]]) that classify_pair
+    verdicts on, which it fills.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.parabolics = {}
         self.radicals = {}
+        self.r_tensors = {}
 
     @cached_property
     def algebra(self):
@@ -552,7 +567,8 @@ def shared_type(label):
 
     One entry per root system: it is keyed on the canonical label rs.label,
     and any other spelling of the same type ("so10" for "D5") is an alias of
-    that entry, so both share one Chevalley basis and one parabolic memo.
+    that entry, so both share one Chevalley basis, one r-matrix memo and one
+    parabolic memo.
 
     The classification sweep, the parabolic construction and the command line
     draw their root systems, algebras and parabolic bialgebras from this one

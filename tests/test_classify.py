@@ -1,10 +1,12 @@
 """Classification rows, the weight filter, ambient search, and table sweeps."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from qsym import classify, poisson
+from qsym import classify, liealg, poisson
+from qsym.bialg import _cybe_tensor, bd_r_matrix, enumerate_bd_triples, standard_r, tt_skew
 from qsym.liealg import shared_type
 from qsym.rootsys import _SERIES, NotDominant, _rank_ok, build_root_system, weight_multiplicities
 from qsym.classify import (
@@ -209,6 +211,42 @@ def test_bd_verdicts_are_triple_independent(monkeypatch):
         assert len(row.bd_verdicts) == 3
         assert set(row.bd_verdicts.values()) == {row.schouten}, (label, lam)
         assert len(calls) == 1, (label, lam)
+
+
+def test_r_tensor_memo_builds_once_per_type_and_triple(monkeypatch):
+    """Over a whole --all-bd sweep, [[r-, r-]] is built once per type for
+    the standard r and once per type and BD triple, not once per row."""
+    for entry in set(liealg._SHARED_TYPES.values()):
+        monkeypatch.setattr(entry, "r_tensors", {})
+    calls = []
+
+    def counted(alg, r):
+        calls.append(alg.rs.label)
+        return real(alg, r)
+
+    real = classify._cybe_tensor
+    monkeypatch.setattr(classify, "_cybe_tensor", counted)
+    rows = classification_table(3, 20, all_bd=True)
+    labels = {r.label for r in rows}
+    assert Counter(calls) == {label: 1 + len(enumerate_bd_triples(shared_type(label).rs))
+                              for label in labels}
+    assert len(rows) > len(labels)
+
+
+def test_r_tensor_memo_holds_fresh_tensors():
+    """The memoised r and [[r-, r-]] equal freshly built ones, for the
+    standard r and every BD triple, and every spelling shares one memo."""
+    for label, lam in [("A3", (1, 0, 0)), ("C2", (0, 1))]:
+        classify_pair(label, lam, all_bd=True)
+        typ = shared_type(label)
+        alg = typ.algebra
+        r = standard_r(alg)
+        assert typ.r_tensors[None] == (r, _cybe_tensor(alg, tt_skew(r))), label
+        for triple in enumerate_bd_triples(typ.rs):
+            r_t, _ = bd_r_matrix(alg, triple)
+            assert typ.r_tensors[triple.key()] == (r_t, _cybe_tensor(alg, tt_skew(r_t))), \
+                (label, triple)
+    assert shared_type("so10").r_tensors is shared_type("D5").r_tensors
 
 
 def test_table_rank_two():

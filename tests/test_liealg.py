@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as Q
 from itertools import permutations, product
@@ -474,25 +475,71 @@ def _ref_comm(a, b):
     return _ref_combination([(1, _ref_compose(a, b)), (-1, _ref_compose(b, a))])
 
 
+def _check_table_over_fraction(label):
+    alg = chevalley_basis(label)
+    rs = alg.rs
+    ad = alg.adjoint_rep()
+    for a in range(alg.dim):
+        for b in range(a + 1, alg.dim):
+            want = _ref_combination([(v, ad[k])
+                                     for k, v in alg.bracket_idx(a, b).items()])
+            assert _ref_comm(ad[a], ad[b]) == want, (label, a, b)
+    for g in alg.pos_roots:
+        gnorm = rs.inner(g, g)
+        coroot = {alg.h_idx[j]: Q(g[j]) * rs.norms[j] / gnorm
+                  for j in range(rs.rank) if g[j]}
+        assert alg.bracket_idx(alg.e_idx[g], alg.f_idx[g]) == coroot, (label, g)
+
+
 def test_bootstrapped_table_over_fraction():
     """The int-kernel bootstrap, checked on Fraction matrices with products
     written out in this file: ad of the table is a representation,
     [ad x_a, ad x_b] = ad [x_a, x_b] for every pair, and
     [E_gamma, F_gamma] = H_gamma in coroot coordinates."""
     for label in ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4"]:
+        _check_table_over_fraction(label)
+
+
+def test_bootstrapped_rank_five_tables_over_fraction():
+    """The same check on the sweep's rank-5 ambients, whose bootstrap
+    modules (6, 11, 10 and 10) are far smaller than their adjoints."""
+    for label in ["A5", "B5", "C5", "D5"]:
+        _check_table_over_fraction(label)
+
+
+# sha256 of the normalized bracket table, recorded from the bootstrap on the
+# adjoint module, before it moved to the smallest fundamental module
+_TABLE_SHA256 = {
+    "E6": "08725c4f42df8a67c9fdb83a22a9736cb1904ad438106965d1252f8b4177deb8",
+    "E7": "b5130dc7a94513cde3a5b7c9f34deae3bd80a50d1262d42231218622a831e9f3",
+}
+
+
+def test_bootstrapped_table_golden_e6_e7():
+    """The E6 and E7 structure constants are those of the adjoint bootstrap."""
+    for label, want in _TABLE_SHA256.items():
         alg = chevalley_basis(label)
-        rs = alg.rs
-        ad = alg.adjoint_rep()
-        for a in range(alg.dim):
-            for b in range(a + 1, alg.dim):
-                want = _ref_combination([(v, ad[k])
-                                         for k, v in alg.bracket_idx(a, b).items()])
-                assert _ref_comm(ad[a], ad[b]) == want, (label, a, b)
-        for g in alg.pos_roots:
-            gnorm = rs.inner(g, g)
-            coroot = {alg.h_idx[j]: Q(g[j]) * rs.norms[j] / gnorm
-                      for j in range(rs.rank) if g[j]}
-            assert alg.bracket_idx(alg.e_idx[g], alg.f_idx[g]) == coroot, (label, g)
+        normalized = repr([(k, sorted(v.items())) for k, v in sorted(alg.table.items())])
+        assert hashlib.sha256(normalized.encode()).hexdigest() == want, label
+
+
+def test_bootstrap_builds_the_smallest_fundamental_module(monkeypatch):
+    """One module per simple component, the fundamental one of smallest
+    dimension: E7 on 56, B5 on 11, C5 on 10, G2 on 7, A2xA1 on 3 plus 2."""
+    built = []
+
+    def recorded(rs, lam):
+        rep = real(rs, lam)
+        built.append(rep.dim)
+        return rep
+
+    real = liealg.module_matrices
+    monkeypatch.setattr(liealg, "module_matrices", recorded)
+    for label, dims in [("E7", [56]), ("B5", [11]), ("C5", [10]), ("G2", [7]),
+                        ("A2xA1", [3, 2])]:
+        built.clear()
+        chevalley_basis(label)
+        assert built == dims, label
 
 
 def test_matrix_kernel_property():
