@@ -19,10 +19,13 @@ from .liealg import (
     shared_type,
     _mcomm,
     _mscaled_sum,
-    _resolve_module,
     _vadd_into,
     int_columns,
+    tt_op,
+    tt_skew,
+    tt_sym,
 )
+from .poisson import _pair_matrix, schouten_square
 from .rootsys import cominuscule_nodes
 from .scalars import den_lcm, echelon
 
@@ -51,20 +54,8 @@ class TripleTouchesNode(ValueError):
 # two-tensor helpers
 # ---------------------------------------------------------------------------
 
-# acc += scale * t on two-tensors: liealg's one sparse accumulator
+# acc += scale * t on two-tensors: liealg's _vadd_into, beside tt_op/tt_skew/tt_sym
 tt_add = _vadd_into
-
-
-def tt_op(t):
-    return {(j, i): v for (i, j), v in t.items()}
-
-
-def tt_skew(t):
-    return tt_add(tt_add({}, t, Q(1, 2)), tt_op(t), Q(-1, 2))
-
-
-def tt_sym(t):
-    return tt_add(tt_add({}, t, Q(1, 2)), tt_op(t), Q(1, 2))
 
 
 def _ad_into(acc, row, t, scale=1):
@@ -288,28 +279,24 @@ def _cybe_tensor(carrier, r):
 def check_cybe(alg, r, module=None):
     """CYBE and invariance report for r, certified through a faithful module.
 
-    The brackets are expanded exactly in g^(x)3; with a faithful module the
+    module is a built liealg.Module of alg, or None for the adjoint. The
+    brackets are expanded exactly in g^(x)3; with a faithful module the
     tensor cube of the representation is injective, so vanishing there is
-    equivalent. For small modules the operators on V^(x)3 are also built
-    explicitly, as the Schouten square of the rho (x) rho image of r, and the
-    two routes are required to agree.
+    equivalent. For small modules (dim^3 <= 1000) the operators on V^(x)3 are
+    also built explicitly, as the Schouten square of the rho (x) rho image of
+    r, and the two routes are required to agree.
     """
     if module is None:
-        mats = alg.adjoint_rep()
-        dim = alg.dim
+        mats, dim = alg.adjoint_rep(), alg.dim
     else:
-        mod = _resolve_module(alg, module)
-        mats, dim = mod.mats, mod.dim
-    nz = set(getattr(alg, "z_idx", ()))
+        mats, dim = module.mats, module.dim
     for i in range(alg.dim):
-        if i not in nz and not mats[i]:
+        if not mats[i]:
             raise NotFaithful("module kills %s" % alg.names[i])
     tensor = _cybe_tensor(alg, r)
     holds = not tensor
     if dim ** 3 <= 1000:
-        # poisson imports this module, so its names are imported here
-        from .poisson import PairOperator, _pair_matrix, schouten_square
-        cube = schouten_square(PairOperator(dim, _pair_matrix(mats, dim, r)))
+        cube = schouten_square(_pair_matrix(mats, dim, r), dim)
         assert (not cube) == holds, "tensor-cube route disagrees"
     sym = tt_add(tt_add({}, r), tt_op(r))
     invariant = all(not ad_two_tensor(alg, x, sym) for x in range(alg.dim))
@@ -470,9 +457,9 @@ class SemidirectAlgebra(BracketTable):
         self.v_indices = list(v_indices)
 
 
-def semidirect_algebra(alg, lam, central_scalars=()):
-    """g (plus centrals) acting on V(lam); mixed Jacobi verified."""
-    mod = highest_weight_module(alg, lam, central_scalars)
+def semidirect_algebra(alg, lam):
+    """g acting on V(lam); mixed Jacobi verified."""
+    mod = highest_weight_module(alg, lam)
     n = alg.dim
     names = list(alg.names) + ["v%d" % (k + 1) for k in range(mod.dim)]
     table = {}

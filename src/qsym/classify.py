@@ -281,11 +281,13 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
                   extended=False):
     """Evaluate every verdict for one pair; see ClassificationRow.
 
-    No pair operator is built: each Schouten verdict (the standard r's, and
-    each BD triple's under all_bd) is schouten_promoted on that r's [[r-, r-]]
-    and the module, and Jacobi reads the standard r's generator_brackets.
-    Each r and its [[r-, r-]] are built once per type and triple (_r_tensor),
-    not once per row.
+    No pair operator is built: the Schouten verdict is schouten_promoted on
+    the standard r's [[r-, r-]] and the module, and Jacobi reads the standard
+    r's generator_brackets. Each r and its [[r-, r-]] are built once per type
+    and triple (_r_tensor), not once per row. Under all_bd, a triple whose
+    [[r-, r-]] equals the standard r's takes the standard verdict, which is
+    exact because schouten_promoted is a function of (tensor, module) alone;
+    any other triple gets its own schouten_promoted call.
     """
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
@@ -304,11 +306,12 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
     r, tensor = _r_tensor(typ)
     schouten = schouten_promoted(tensor, mod)
-    jacobi = jacobi_oracle(generator_brackets(alg, r, mod))
+    jacobi = jacobi_oracle(generator_brackets(r, mod))
     bd_verdicts = None
     if all_bd:
-        bd_verdicts = {triple.key(): schouten_promoted(_r_tensor(typ, triple)[1], mod)
-                       for triple in enumerate_bd_triples(rs)}
+        tensors = {t.key(): _r_tensor(typ, t)[1] for t in enumerate_bd_triples(rs)}
+        bd_verdicts = {key: schouten if t == tensor else schouten_promoted(t, mod)
+                       for key, t in tensors.items()}
     ambients = geometric_ambients(letter, rank, lam, extended=extended)
     semidirect = False
     if ambients:

@@ -18,8 +18,8 @@ from .bialg import (bd_r_matrix, check_cybe, cobracket_from_r, drinfeld_double,
 from .classify import DEFAULT_DIM_BUDGET, classification_table, classify_pair, paper_diff
 from .liealg import highest_weight_module, shared_type
 from .poisson import jacobi_oracle
-from .rootsys import (_SERIES, InvalidType, _rank_ok, build_root_system, cominuscule_nodes,
-                      normalize_type, weight_multiplicities, weyl_dim)
+from .rootsys import (_SERIES, InvalidType, _rank_ok, cominuscule_nodes, normalize_type,
+                      weight_multiplicities, weyl_dim)
 from .scalars import QRat
 
 
@@ -76,7 +76,7 @@ def _dumps(obj):
 
 def _cmd_roots(args):
     letter, rank = _type_rank(args)
-    rs = build_root_system(letter, rank)
+    rs = shared_type("%s%d" % (letter, rank)).rs
     out = {
         "type": "%s%d" % (letter, rank),
         "rank": rs.rank,
@@ -91,7 +91,7 @@ def _cmd_roots(args):
 
 def _cmd_module(args):
     letter, rank = _type_rank(args)
-    rs = build_root_system(letter, rank)
+    rs = shared_type("%s%d" % (letter, rank)).rs
     lam = _parse_weight(args.weight, rs.rank)
     mults = weight_multiplicities(rs, lam)
     out = {

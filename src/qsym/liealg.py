@@ -13,12 +13,14 @@ a deterministic descent path, with F_gamma rescaled so that
 Sparse matrices are in column form, and one kernel (_vadd_into, _mapply,
 _mcompose, _mscaled_sum, _mcomm) works over any exact ring: it builds no
 Fraction or QRat of its own, so int matrices stay int, and Fraction and
-QRat matrices keep their type. The scaled form sits on it: a Fraction scale
-times a matrix of Python ints (scaled, scaled_comm, scaled_ratio). The
-bootstrap runs on the scaled form: commutators multiply ints, and the
-rescaling factors and structure constants are exact Fraction ratios found
-by integer cross-multiplication. Modules (highest_weight_module) stay on
-Fraction; they are checked against the Weyl/Freudenthal oracle.
+QRat matrices keep their type; the two-tensor helpers (tt_op, tt_skew,
+tt_sym) sum through the same _vadd_into. The scaled form sits on the
+kernel: a Fraction scale times a matrix of Python ints (scaled,
+scaled_comm, scaled_ratio). The bootstrap runs on it: commutators multiply
+ints, and the rescaling factors and structure constants are exact Fraction
+ratios found by integer cross-multiplication. Modules (highest_weight_module)
+stay on Fraction, checked against the Weyl/Freudenthal oracle; every
+function that acts on a module takes one already built.
 
 shared_type is the one cache of root systems and Chevalley algebras, one
 entry per type whatever its spelling. Each entry also holds the parabolic
@@ -59,6 +61,19 @@ def _vadd_into(acc, vec, scale=None):
         elif s is not None:
             del acc[i]
     return acc
+
+
+# two-tensors {(i, j): value} over an algebra's basis, summed by _vadd_into
+def tt_op(t):
+    return {(j, i): v for (i, j), v in t.items()}
+
+
+def tt_skew(t):
+    return _vadd_into(_vadd_into({}, t, Q(1, 2)), tt_op(t), Q(-1, 2))
+
+
+def tt_sym(t):
+    return _vadd_into(_vadd_into({}, t, Q(1, 2)), tt_op(t), Q(1, 2))
 
 
 def _mapply(m, vec):
@@ -171,9 +186,7 @@ def scaled_ratio(m, base):
 class ModuleRep:
     """Generator matrices of V(lambda) in an exact weight basis."""
 
-    def __init__(self, rs, lam, dim, weights, e, f):
-        self.rs = rs
-        self.lam = tuple(lam)
+    def __init__(self, dim, weights, e, f):
         self.dim = dim
         self.weights = weights  # fundamental coordinates per basis index
         self.e = e  # list over simple i of column-form matrices
@@ -257,7 +270,7 @@ def module_matrices(rs, lam):
         prev = new_indices
         gram_prev = gram_new
 
-    return ModuleRep(rs, lam, len(weights), weights, e, f)
+    return ModuleRep(len(weights), weights, e, f)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +310,7 @@ class BracketTable:
 
 
 class ChevalleyAlgebra(BracketTable):
-    """Basis E_gamma, H_i, F_gamma (+ optional central z_k), exact brackets.
+    """Basis E_gamma, H_i, F_gamma, exact brackets.
 
     Signs of the non-simple root vectors are fixed by the deterministic
     descent convention recorded in `recipes`: E_gamma is the left-normed
@@ -307,24 +320,20 @@ class ChevalleyAlgebra(BracketTable):
     fundamental module of smallest dimension; they do not depend on which.
     """
 
-    def __init__(self, rs, central_dims=0):
+    def __init__(self, rs):
         self.rs = rs
         self.rank = rs.rank
-        self.central_dims = central_dims
         pos = list(rs.positive_roots)
         self.pos_roots = pos
         self.names = (["E%s" % (tuple(g),) for g in pos]
                       + ["H%d" % (i + 1) for i in range(rs.rank)]
-                      + ["F%s" % (tuple(g),) for g in pos]
-                      + ["z%d" % (k + 1) for k in range(central_dims)])
+                      + ["F%s" % (tuple(g),) for g in pos])
         self.dim = len(self.names)
         self.e_idx = {g: k for k, g in enumerate(pos)}
         self.h_idx = {i: len(pos) + i for i in range(rs.rank)}
         self.f_idx = {g: len(pos) + rs.rank + k for k, g in enumerate(pos)}
-        self.z_idx = [len(pos) * 2 + rs.rank + k for k in range(central_dims)]
         zero = (0,) * rs.rank
-        self.weight = (pos + [zero] * rs.rank
-                       + [tuple(-x for x in g) for g in pos] + [zero] * central_dims)
+        self.weight = pos + [zero] * rs.rank + [tuple(-x for x in g) for g in pos]
         # recipe per root vector: how to build its matrix in any representation
         self.recipes = {}
         self._bootstrap()
@@ -338,7 +347,7 @@ class ChevalleyAlgebra(BracketTable):
             n = self.rs.components[c][1]
             if any(w[off + k] for k in range(n)):
                 return c
-        return None  # Cartan or central
+        return None  # Cartan
 
     def _descent(self, gamma):
         """Smallest simple i with gamma - alpha_i a positive root, and the
@@ -529,10 +538,10 @@ class ChevalleyAlgebra(BracketTable):
         return mats
 
 
-def chevalley_basis(rs, central_dims=0):
+def chevalley_basis(rs):
     if isinstance(rs, str):
         rs = build_root_system(rs)
-    return ChevalleyAlgebra(rs, central_dims)
+    return ChevalleyAlgebra(rs)
 
 
 class SharedType:
@@ -584,18 +593,14 @@ def shared_type(label):
 class Module:
     """Action matrices of every algebra basis element on V(lam)."""
 
-    def __init__(self, alg, lam, dim, weights, mats, e, f):
-        self.alg = alg
-        self.lam = tuple(lam)
+    def __init__(self, dim, weights, mats):
         self.dim = dim
         self.weights = weights
         self.mats = mats  # aligned with alg basis indices
-        self.e = e  # generator matrices, per simple index
-        self.f = f
 
 
-def highest_weight_module(alg, lam, central_scalars=()):
-    """V(lam) with exact matrices for all of alg's basis, z_k acting by scalars."""
+def highest_weight_module(alg, lam):
+    """V(lam) with exact matrices for all of alg's basis."""
     rep = module_matrices(alg.rs, lam)
     mats = [None] * alg.dim
     for i in range(alg.rank):
@@ -612,17 +617,7 @@ def highest_weight_module(alg, lam, central_scalars=()):
             kind, i, parent, coef = recipe
             gen = rep.e[i] if kind == "comm_e" else rep.f[i]
             mats[idx] = _mcomm(gen, mats[parent], coef)
-    for k, zidx in enumerate(alg.z_idx):
-        s = Q(central_scalars[k]) if k < len(central_scalars) else Q(0)
-        mats[zidx] = {j: {j: s} for j in range(rep.dim)} if s else {}
-    return Module(alg, lam, rep.dim, rep.weights, mats, rep.e, rep.f)
-
-
-def _resolve_module(alg, module):
-    """module itself if it is already built (it has mats), else V(module)."""
-    if hasattr(module, "mats"):
-        return module
-    return highest_weight_module(alg, module)
+    return Module(rep.dim, rep.weights, mats)
 
 
 def casimir(alg):

@@ -1,10 +1,11 @@
 """Schouten-square criterion and the induced Poisson bracket on S(V).
 
-Operators on V (x) V and V^(x)3 are dict-sparse over packed integer indices
-(a*dim + b, (a*dim + b)*dim + c), in liealg's column form; their products
-and every sum here go through liealg's one kernel and its accumulator
-_vadd_into, which work over any exact ring, so the same code serves the
-Fraction operators of the classical layer and the QRat ones of qsl2.
+Operators on V (x) V and V^(x)3 are plain column-form dicts over packed
+integer indices (a*dim + b, (a*dim + b)*dim + c), with dim V passed next to
+them; a module is a liealg.Module, already built. Their products and every
+sum here go through liealg's one kernel and its accumulator _vadd_into,
+which work over any exact ring, so the same code serves the Fraction
+operators of the classical layer and the QRat ones of qsl2.
 
 The Schouten criterion asks whether [[P, P]] vanishes on Lambda^3 V. The
 Jacobi oracle extends the degree-2 bracket table (a liealg.BracketTable
@@ -14,10 +15,10 @@ r- and the module.
 
 The sweep's Schouten verdict (schouten_promoted) is a function of the
 tensor [[r-, r-]] = bialg._cybe_tensor(alg, tt_skew(r)) and the module, so
-the sweep builds no pair operator; those serve the Fraction references,
-check_cybe and qsl2. The verdict applies one ordering per wedge, not
-six, which is sound because that tensor is totally antisymmetric (checked
-exactly first), and runs on Python ints scaled by the lcm of the
+the sweep builds no pair operator; those (_pair_matrix) serve the Fraction
+references, bialg.check_cybe and qsl2. The verdict applies one ordering per
+wedge, not six, which is sound because that tensor is totally antisymmetric
+(checked exactly first), and runs on Python ints scaled by the lcm of the
 denominators. Its sums into S^2 V and S^3 V are hand-written int loops, not
 _vadd_into, kept inline for speed: this is the largest stage of the E6 rows.
 
@@ -31,27 +32,8 @@ orderings summed) for the criterion.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-
-from .bialg import tt_skew
-from .liealg import BracketTable, _mapply, _resolve_module, _vadd_into, int_columns
+from .liealg import BracketTable, _mapply, _vadd_into, int_columns, tt_skew
 from .scalars import den_lcm
-
-
-class PairOperator:
-    """Sparse operator on V (x) V; skew=True checks that it is flip-skew."""
-
-    def __init__(self, dim, matrix, skew=False):
-        self.dim = dim
-        self.matrix = matrix
-        if skew:
-            for col, rows in matrix.items():
-                a, b = divmod(col, dim)
-                flip_col = b * dim + a
-                for row, v in rows.items():
-                    c, d = divmod(row, dim)
-                    if matrix.get(flip_col, {}).get(d * dim + c, Q(0)) != -v:
-                        raise ValueError("operator is not flip-skew")
 
 
 def _pair_matrix(mats, dim, t):
@@ -71,15 +53,22 @@ def _pair_matrix(mats, dim, t):
     return matrix
 
 
-def pair_operator(alg, t, module, skew=False):
-    """Operator sum rho(a) (x) rho(b) over the terms a (x) b of t."""
-    mod = _resolve_module(alg, module)
-    return PairOperator(mod.dim, _pair_matrix(mod.mats, mod.dim, t), skew=skew)
+def _check_flip_skew(matrix, dim):
+    """Raise ValueError unless an operator on V (x) V anticommutes with the flip."""
+    for col, rows in matrix.items():
+        a, b = divmod(col, dim)
+        flip_col = b * dim + a
+        for row, v in rows.items():
+            c, d = divmod(row, dim)
+            if matrix.get(flip_col, {}).get(d * dim + c, 0) != -v:
+                raise ValueError("operator is not flip-skew")
 
 
-def r_minus_operator(alg, r, module):
-    """rho (x) rho image of r- = (r - r^op)/2, verified flip-skew."""
-    return pair_operator(alg, tt_skew(r), module, skew=True)
+def r_minus_operator(r, module):
+    """rho (x) rho image of r- = (r - r^op)/2 on V (x) V, verified flip-skew."""
+    matrix = _pair_matrix(module.mats, module.dim, tt_skew(r))
+    _check_flip_skew(matrix, module.dim)
+    return matrix
 
 
 def leg_embed(op, dim, legs):
@@ -103,14 +92,14 @@ def leg_embed(op, dim, legs):
     return out
 
 
-def _square_images(P, vectors):
+def _square_images(P, dim, vectors):
     """Yield the image of each vector of V^(x)3 under [[P, P]], in order.
 
     [[P, P]] = [P12, P13] + [P12, P23] + [P13, P23], the legs embedded once
     and applied to one vector at a time with _mapply; the square itself is
     never formed.
     """
-    legs = [leg_embed(P.matrix, P.dim, pair) for pair in [(0, 1), (0, 2), (1, 2)]]
+    legs = [leg_embed(P, dim, pair) for pair in [(0, 1), (0, 2), (1, 2)]]
     for vec in vectors:
         images = [_mapply(m, vec) for m in legs]
         acc = {}
@@ -120,20 +109,21 @@ def _square_images(P, vectors):
         yield acc
 
 
-def schouten_square(P):
-    """[[P, P]] = [P12, P13] + [P12, P23] + [P13, P23] on V^(x)3.
+def schouten_square(P, dim):
+    """[[P, P]] = [P12, P13] + [P12, P23] + [P13, P23] on V^(x)3, dim = dim V.
 
     Column form: the nonzero images of the basis vectors of V^(x)3.
     """
-    cols = range(P.dim ** 3)
-    return {c: img for c, img in zip(cols, _square_images(P, ({c: 1} for c in cols))) if img}
+    cols = range(dim ** 3)
+    images = _square_images(P, dim, ({c: 1} for c in cols))
+    return {c: img for c, img in zip(cols, images) if img}
 
 
 _WEDGE_PERMS = [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
                 ((1, 0, 2), -1), ((2, 1, 0), -1), ((0, 2, 1), -1)]
 
 
-def schouten_criterion(P):
+def schouten_criterion(P, dim):
     """Whether [[P, P]] vanishes on a basis of Lambda^3 V, over Fractions.
 
     The reference for schouten_promoted, sharing none of its code. Each
@@ -143,7 +133,6 @@ def schouten_criterion(P):
     wedge with a nonzero image: on a failing module the whole square would
     cost far more than the wedges tried before it.
     """
-    dim = P.dim
 
     def wedges():
         for i in range(dim):
@@ -155,7 +144,7 @@ def schouten_criterion(P):
                         wedge[(a * dim + b) * dim + c] = sign
                     yield wedge
 
-    return not any(_square_images(P, wedges()))
+    return not any(_square_images(P, dim, wedges()))
 
 
 def _check_antisymmetric(tensor):
@@ -175,8 +164,8 @@ def schouten_promoted(tensor, module):
 
     tensor is [[r-, r-]] = bialg._cybe_tensor(alg, tt_skew(r)) in g^(x)3 and
     module a built module (liealg.Module) of alg. The answer is
-    schouten_criterion(r_minus_operator(alg, r, module)), from one ordering
-    per wedge in place of six, and no pair operator is built.
+    schouten_criterion(r_minus_operator(r, module), module.dim), from one
+    ordering per wedge in place of six, and no pair operator is built.
 
     For a skew r- the tensor t is totally antisymmetric, and the operator
     T = sum t_xyz rho(x) (x) rho(y) (x) rho(z) satisfies T P_s = sgn(s) P_s T
@@ -246,24 +235,23 @@ def schouten_promoted(tensor, module):
 # the Poisson bracket on S(V) and its Jacobi oracle
 # ---------------------------------------------------------------------------
 
-def generator_brackets(alg, r, module):
+def generator_brackets(r, module):
     """{v_i, v_j} = symmetrized r-(v_i (x) v_j), stored for i < j.
 
     t = tt_skew(r) is skew, so sum t_ab rho(a) (x) rho(b) is flip-skew and
     its columns i < j determine the bracket: only those are summed, straight
     into sorted monomials of S^2 V, and no operator on V (x) V is built.
     """
-    mod = _resolve_module(alg, module)
     table = {}
     for (a, b), v in tt_skew(r).items():
-        for i, col_a in mod.mats[a].items():
-            for j, col_b in mod.mats[b].items():
+        for i, col_a in module.mats[a].items():
+            for j, col_b in module.mats[b].items():
                 if i < j:
                     poly = table.setdefault((i, j), {})
                     for ra, va in col_a.items():
                         _vadd_into(poly, {(ra, rb) if ra <= rb else (rb, ra): vb
                                           for rb, vb in col_b.items()}, v * va)
-    return BracketTable(mod.dim, {ij: poly for ij, poly in table.items() if poly})
+    return BracketTable(module.dim, {ij: poly for ij, poly in table.items() if poly})
 
 
 def jacobi_oracle(B):

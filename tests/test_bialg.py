@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from qsym.rootsys import build_root_system
-from qsym.liealg import chevalley_basis, casimir
+from qsym.liealg import chevalley_basis, casimir, highest_weight_module
 from qsym.bialg import (
     BDTriple,
     NotAntisymmetric,
@@ -158,16 +158,17 @@ def test_check_cybe_examples():
     """Standard r passes on V_{w1}; a perturbed Cartan part fails; r = 0 passes."""
     sl2 = _alg("A1")
     r = standard_r(sl2)
-    assert check_cybe(sl2, r, (1,)) == {"cybe_holds": True,
-                                        "symmetric_part_invariant": True}
+    v1 = highest_weight_module(sl2, (1,))
+    assert check_cybe(sl2, r, v1) == {"cybe_holds": True,
+                                      "symmetric_part_invariant": True}
     e, h, f = sl2.e_idx[(1,)], sl2.h_idx[0], sl2.f_idx[(1,)]
     bad = {(e, f): Q(1), (h, h): Q(1, 3)}
-    rep = check_cybe(sl2, bad, (1,))
+    rep = check_cybe(sl2, bad, v1)
     assert not rep["cybe_holds"]
     assert not rep["symmetric_part_invariant"]
-    assert check_cybe(sl2, {}, (1,))["cybe_holds"]
+    assert check_cybe(sl2, {}, v1)["cybe_holds"]
     with pytest.raises(NotFaithful):
-        check_cybe(sl2, r, (0,))
+        check_cybe(sl2, r, highest_weight_module(sl2, (0,)))
 
 
 def test_cobracket_antisymmetry_gate():

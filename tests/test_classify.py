@@ -213,6 +213,36 @@ def test_bd_verdicts_are_triple_independent(monkeypatch):
         assert len(calls) == 1, (label, lam)
 
 
+def test_bd_verdicts_run_one_schouten_per_distinct_tensor(monkeypatch):
+    """Under all_bd a row calls schouten_promoted once, for the standard r,
+    when every triple's [[r-, r-]] equals the standard one; a triple whose
+    memoised tensor differs gets a call of its own, on that tensor."""
+    calls = []
+
+    def counted(tensor, mod):
+        calls.append(tensor)
+        return real(tensor, mod)
+
+    real = classify.schouten_promoted
+    monkeypatch.setattr(classify, "schouten_promoted", counted)
+    for label, lam in [("A2", (1, 0)), ("A2", (1, 1)), ("A3", (1, 0, 0)), ("A3", (1, 0, 1))]:
+        calls.clear()
+        row = classify_pair(label, lam, all_bd=True)
+        assert len(row.bd_verdicts) == len(enumerate_bd_triples(shared_type(label).rs))
+        assert calls == [shared_type(label).r_tensors[None][1]], (label, lam)
+
+    # the zero tensor differs from the standard one, and its verdict (True)
+    # differs from the adjoint row's standard verdict (False)
+    typ = shared_type("A2")
+    triple = next(t for t in enumerate_bd_triples(typ.rs) if t.delta1)
+    monkeypatch.setitem(typ.r_tensors, triple.key(), (typ.r_tensors[triple.key()][0], {}))
+    calls.clear()
+    row = classify_pair("A2", (1, 1), all_bd=True)
+    assert calls == [typ.r_tensors[None][1], {}]
+    assert row.schouten is False and row.bd_verdicts[triple.key()] is True
+    assert [v for k, v in row.bd_verdicts.items() if k != triple.key()] == [False, False]
+
+
 def test_r_tensor_memo_builds_once_per_type_and_triple(monkeypatch):
     """Over a whole --all-bd sweep, [[r-, r-]] is built once per type for
     the standard r and once per type and BD triple, not once per row."""

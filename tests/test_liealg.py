@@ -257,18 +257,6 @@ def test_casimir_eigenvalue_sl3_vector():
     assert action[0][0] == Q(8, 3)
 
 
-def test_central_extension_and_scalars():
-    alg = chevalley_basis("A1", central_dims=1)
-    assert alg.dim == 4
-    z = alg.z_idx[0]
-    for i in range(alg.dim):
-        assert not alg.bracket_idx(z, i)
-        assert not alg.bracket_idx(i, z)
-    mod = highest_weight_module(alg, (2,), central_scalars=(Q(5),))
-    for col in range(mod.dim):
-        assert mod.mats[z][col] == {col: Q(5)}
-
-
 def test_nonsimple_root_matrices_shift_weights():
     alg = chevalley_basis("B2")
     mod = highest_weight_module(alg, (1, 0))
@@ -398,7 +386,7 @@ def test_one_bracket_table_for_every_carrier():
     sl2 = chevalley_basis(build_root_system("A1"))
     S, _ = parabolic_semidirect("A2", 1)
     D, _, _ = drinfeld_double(sl2, cobracket_from_r(sl2, standard_r(sl2)))
-    B = generator_brackets(sl2, standard_r(sl2), (2,))
+    B = generator_brackets(standard_r(sl2), highest_weight_module(sl2, (2,)))
     for table in [chevalley_basis(build_root_system("C2")), S, D, B]:
         assert isinstance(table, BracketTable)
         nonzero = 0

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from qsym import poisson
 from qsym.rootsys import build_root_system, weyl_dim
 from qsym.liealg import chevalley_basis, highest_weight_module, _mcompose, _mscaled_sum
 from qsym.bialg import (
@@ -19,11 +20,11 @@ from qsym.bialg import (
 )
 from qsym.poisson import (
     BracketTable,
-    PairOperator,
+    _check_flip_skew,
+    _pair_matrix,
     generator_brackets,
     jacobi_oracle,
     leg_embed,
-    pair_operator,
     r_minus_operator,
     schouten_criterion,
     schouten_promoted,
@@ -43,28 +44,31 @@ def _promoted(alg, r, mod):
 def test_r_minus_operator_natural_module():
     """On C^2 the only action is v1(x)v2 <-> v2(x)v1 with weight -+1/2."""
     sl2 = chevalley_basis(build_root_system("A1"))
-    op = r_minus_operator(sl2, standard_r(sl2), (1,))
-    assert op.dim == 2
-    assert op.matrix == {1: {2: Q(-1, 2)}, 2: {1: Q(1, 2)}}
+    op = r_minus_operator(standard_r(sl2), highest_weight_module(sl2, (1,)))
+    assert op == {1: {2: Q(-1, 2)}, 2: {1: Q(1, 2)}}
 
 
-def test_r_minus_operator_symmetric_part_drops():
-    """A symmetric r gives the zero operator; a bad skew tag raises."""
+def test_r_minus_operator_symmetric_part_drops(monkeypatch):
+    """A symmetric r gives the zero operator; a matrix that is not flip-skew
+    fails the check, which r_minus_operator runs on its own result."""
     sl2 = chevalley_basis(build_root_system("A1"))
     e, h, f = sl2.e_idx[(1,)], sl2.h_idx[0], sl2.f_idx[(1,)]
     sym = {(e, f): Q(1), (f, e): Q(1), (h, h): Q(2)}
-    op = r_minus_operator(sl2, sym, (2,))
-    assert op.matrix == {}
+    assert r_minus_operator(sym, highest_weight_module(sl2, (2,))) == {}
     with pytest.raises(ValueError):
-        PairOperator(2, {1: {1: Q(1)}}, skew=True)
+        _check_flip_skew({1: {1: Q(1)}}, 2)
+    # with the skew part bypassed, rho(E) (x) rho(H) reaches the check
+    monkeypatch.setattr(poisson, "tt_skew", dict)
+    with pytest.raises(ValueError, match="flip-skew"):
+        r_minus_operator({(e, h): Q(1)}, highest_weight_module(sl2, (1,)))
 
 
 def test_r_minus_operator_dim4_matches_direct_expansion():
     """The 16x16 operator equals the hand expansion (E(x)F - F(x)E)/2."""
     sl2 = chevalley_basis(build_root_system("A1"))
     mod = highest_weight_module(sl2, (3,))
-    op = r_minus_operator(sl2, standard_r(sl2), mod)
-    e_mat, f_mat = mod.e[0], mod.f[0]
+    op = r_minus_operator(standard_r(sl2), mod)
+    e_mat, f_mat = mod.mats[sl2.e_idx[(1,)]], mod.mats[sl2.f_idx[(1,)]]
     # expand the two terms explicitly over the 4-dim basis
     expect = {}
     dim = 4
@@ -80,18 +84,18 @@ def test_r_minus_operator_dim4_matches_direct_expansion():
             acc = {k: v for k, v in acc.items() if v}
             if acc:
                 expect[a * dim + b] = acc
-    assert op.matrix == expect
+    assert op == expect
 
 
 def test_schouten_square_examples():
     """Zero in, zero out; dim 2 is vacuous; dim 4 fails on Lambda^3."""
     sl2 = chevalley_basis(build_root_system("A1"))
     r = standard_r(sl2)
-    zero = PairOperator(3, {}, skew=True)
-    assert schouten_square(zero) == {}
-    assert schouten_criterion(zero) is True
-    assert schouten_criterion(r_minus_operator(sl2, r, (1,))) is True
-    assert schouten_criterion(r_minus_operator(sl2, r, (3,))) is False
+    assert schouten_square({}, 3) == {}
+    assert schouten_criterion({}, 3) is True
+    for lam, want in [((1,), True), ((3,), False)]:
+        mod = highest_weight_module(sl2, lam)
+        assert schouten_criterion(r_minus_operator(r, mod), mod.dim) is want
 
 
 def test_schouten_modes_match_jacobi_oracle():
@@ -105,8 +109,8 @@ def test_schouten_modes_match_jacobi_oracle():
         r = standard_r(alg)
         mod = highest_weight_module(alg, lam)
         promoted = _promoted(alg, r, mod)
-        matrix = schouten_criterion(r_minus_operator(alg, r, mod))
-        jac = jacobi_oracle(generator_brackets(alg, r, mod))
+        matrix = schouten_criterion(r_minus_operator(r, mod), mod.dim)
+        jac = jacobi_oracle(generator_brackets(r, mod))
         assert promoted == matrix == jac, (label, lam)
         seen.add(promoted)
     assert seen == {True, False}
@@ -115,7 +119,7 @@ def test_schouten_modes_match_jacobi_oracle():
 def test_generator_brackets_quantum_plane():
     """{v1, v2} = -(1/2) v1 v2 on the natural sl2 module."""
     sl2 = chevalley_basis(build_root_system("A1"))
-    B = generator_brackets(sl2, standard_r(sl2), (1,))
+    B = generator_brackets(standard_r(sl2), highest_weight_module(sl2, (1,)))
     assert B.table == {(0, 1): {(0, 1): Q(-1, 2)}}
     assert B.bracket_idx(1, 0) == {(0, 1): Q(1, 2)}
 
@@ -124,7 +128,7 @@ def test_generator_brackets_2x2_matrix_entries():
     """sl2 x sl2 on C^2 (x) C^2 gives the semiclassical 2x2 matrix brackets."""
     alg = chevalley_basis(build_root_system("A1xA1"))
     mod = highest_weight_module(alg, (1, 1))
-    B = generator_brackets(alg, standard_r(alg), mod)
+    B = generator_brackets(standard_r(alg), mod)
     by_weight = {mod.weights[k]: k for k in range(mod.dim)}
     x11 = by_weight[(1, 1)]
     x21 = by_weight[(-1, 1)]
@@ -139,7 +143,7 @@ def test_generator_brackets_2x2_matrix_entries():
 def test_generator_brackets_symmetric_r_all_zero():
     sl2 = chevalley_basis(build_root_system("A1"))
     e, f = sl2.e_idx[(1,)], sl2.f_idx[(1,)]
-    B = generator_brackets(sl2, {(e, f): Q(1), (f, e): Q(1)}, (2,))
+    B = generator_brackets({(e, f): Q(1), (f, e): Q(1)}, highest_weight_module(sl2, (2,)))
     assert B.table == {}
     assert jacobi_oracle(B)
 
@@ -148,8 +152,8 @@ def test_jacobi_oracle_examples():
     """Adjoint-module brackets satisfy Jacobi; the dim-4 module breaks it."""
     sl2 = chevalley_basis(build_root_system("A1"))
     r = standard_r(sl2)
-    assert jacobi_oracle(generator_brackets(sl2, r, (2,)))
-    assert not jacobi_oracle(generator_brackets(sl2, r, (3,)))
+    assert jacobi_oracle(generator_brackets(r, highest_weight_module(sl2, (2,))))
+    assert not jacobi_oracle(generator_brackets(r, highest_weight_module(sl2, (3,))))
     assert jacobi_oracle(BracketTable(3, {}))
 
 
@@ -161,13 +165,12 @@ def test_half_casimir_commutators_equal_schouten_square():
         c = {k: v / 2 for k, v in tt_add(tt_add({}, r), tt_op(r)).items()}
         for lam in lams:
             mod = highest_weight_module(alg, lam)
-            cop = pair_operator(alg, c, mod)
-            rm = r_minus_operator(alg, r, mod)
             d = mod.dim
-            c12 = leg_embed(cop.matrix, d, (0, 1))
-            c13 = leg_embed(cop.matrix, d, (0, 2))
-            c23 = leg_embed(cop.matrix, d, (1, 2))
-            sq = schouten_square(rm)
+            cop = _pair_matrix(mod.mats, d, c)
+            c12 = leg_embed(cop, d, (0, 1))
+            c13 = leg_embed(cop, d, (0, 2))
+            c23 = leg_embed(cop, d, (1, 2))
+            sq = schouten_square(r_minus_operator(r, mod), d)
             assert _comm(c12, c23) == sq, (label, lam)
             assert _comm(c23, c13) == sq, (label, lam)
             assert _comm(c13, c12) == sq, (label, lam)
@@ -197,8 +200,8 @@ def test_schouten_square_is_flip_skew_and_equivariant():
 
     sl2 = chevalley_basis(build_root_system("A1"))
     mod = highest_weight_module(sl2, (2,))
-    sq = schouten_square(r_minus_operator(sl2, standard_r(sl2), mod))
     d = mod.dim
+    sq = schouten_square(r_minus_operator(standard_r(sl2), mod), d)
     for x in range(sl2.dim):
         diag = {}
         for a in range(d):
@@ -246,7 +249,8 @@ def test_promoted_verdict_matches_full_report():
             halves.add(label)
         r = standard_r(alg)
         fast = _promoted(alg, r, mod)
-        assert fast == schouten_criterion(r_minus_operator(alg, r, mod)) == want, (label, lam)
+        assert fast == schouten_criterion(r_minus_operator(r, mod), mod.dim) == want, \
+            (label, lam)
     # the scaling is exercised: these modules act with halves
     assert {"C2", "G2"} <= halves
 
@@ -255,19 +259,19 @@ def test_promoted_verdict_matches_full_report():
     assert 8 in _denominators(r_bd.values())
     for lam, want in [((2, 0, 0), True), ((1, 0, 1), False)]:
         mod = highest_weight_module(a3, lam)
-        op = r_minus_operator(a3, r_bd, mod)
-        assert _promoted(a3, r_bd, mod) == schouten_criterion(op) == want, lam
+        op = r_minus_operator(r_bd, mod)
+        assert _promoted(a3, r_bd, mod) == schouten_criterion(op, mod.dim) == want, lam
 
     sl2 = chevalley_basis(build_root_system("A1"))
     e, h, f = sl2.e_idx[(1,)], sl2.h_idx[0], sl2.f_idx[(1,)]
     sym = {(e, f): Q(1), (f, e): Q(1), (h, h): Q(2)}
-    assert schouten_criterion(PairOperator(3, {}, skew=True)) is True
+    assert schouten_criterion({}, 3) is True
     for r, lam in [(sym, (3,)), ({}, (2,))]:
         mod = highest_weight_module(sl2, lam)
-        op = r_minus_operator(sl2, r, mod)
-        assert op.matrix == {}
+        op = r_minus_operator(r, mod)
+        assert op == {}
         assert _promoted(sl2, r, mod) is True
-        assert schouten_criterion(op) is True
+        assert schouten_criterion(op, mod.dim) is True
 
 
 # (type, weight) pairs of rank <= 3 with Weyl dimension <= 15; B2 is C2
@@ -304,8 +308,8 @@ def test_schouten_equals_jacobi_property():
         mod = highest_weight_module(alg, lam)
         r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
         fast = _promoted(alg, r, mod)
-        assert fast == jacobi_oracle(generator_brackets(alg, r, mod)), case
-        assert fast == schouten_criterion(r_minus_operator(alg, r, mod)), case
+        assert fast == jacobi_oracle(generator_brackets(r, mod)), case
+        assert fast == schouten_criterion(r_minus_operator(r, mod), mod.dim), case
         seen.add(-1 if triple is None else len(triple.delta1))
 
     check()
@@ -313,17 +317,16 @@ def test_schouten_equals_jacobi_property():
     assert -1 in seen and max(seen) > 0
 
 
-def _brackets_off_operator(op):
+def _brackets_off_operator(op, dim):
     """{v_i, v_j} for every i != j, read off column (i, j) of a pair operator
     into sorted monomials of S^2 V: the reference for generator_brackets,
     written out here on the whole operator, both orders of every pair."""
-    dim = op.dim
     out = {}
     for i in range(dim):
         for j in range(dim):
             if i != j:
                 poly = {}
-                for row, v in op.matrix.get(i * dim + j, {}).items():
+                for row, v in op.get(i * dim + j, {}).items():
                     a, b = divmod(row, dim)
                     key = (min(a, b), max(a, b))
                     poly[key] = poly.get(key, Q(0)) + v
@@ -347,8 +350,8 @@ def test_generator_brackets_equal_the_flip_skew_operator():
         for lam in _small_weights(label):
             mod = highest_weight_module(alg, lam)
             for r in r_matrices:
-                B = generator_brackets(alg, r, mod)
-                ref = _brackets_off_operator(r_minus_operator(alg, r, mod))
+                B = generator_brackets(r, mod)
+                ref = _brackets_off_operator(r_minus_operator(r, mod), mod.dim)
                 for (i, j), poly in ref.items():
                     assert B.bracket_idx(i, j) == poly, (label, lam, i, j)
     assert {"A2", "A3", "B3", "C3"} <= bd_types

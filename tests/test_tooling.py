@@ -1,10 +1,13 @@
-"""The benchmark's span tracer still finds every function it wraps."""
+"""The benchmark's span tracer still finds every function it wraps, and the
+package's imports stay at module level with no poisson -> bialg cycle."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "qsym"
 
 
 def _load_spans():
@@ -32,3 +35,25 @@ def test_span_targets_resolve():
     finally:
         tracer.uninstall()
     assert spans.Tracer.leftover_wrappers() == 0
+
+
+def test_imports_at_module_level_and_poisson_does_not_import_bialg():
+    """No module of qsym imports inside a function, class or block (every
+    import statement starts in column 0), and qsym.poisson imports nothing
+    from qsym.bialg, so bialg imports poisson at its top with no cycle."""
+    poisson_imports = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert node.col_offset == 0, (path.name, node.lineno)
+                if path.name == "poisson.py":
+                    if isinstance(node, ast.Import):
+                        poisson_imports.update(a.name for a in node.names)
+                    elif node.level:
+                        poisson_imports.update(
+                            "qsym." + (node.module or a.name) for a in node.names)
+                    else:
+                        poisson_imports.add(node.module)
+    assert "qsym.liealg" in poisson_imports
+    assert not any(name == "qsym.bialg" or name.startswith("qsym.bialg.")
+                   for name in poisson_imports), poisson_imports
