@@ -346,7 +346,7 @@ def main(argv=None):
         # an AssertionError is a failed internal invariant (liealg, bialg);
         # it is reported on one line like the domain errors
         return _error(exc)
-    if getattr(args, "out", None):
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)

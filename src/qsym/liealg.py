@@ -351,26 +351,17 @@ class ChevalleyAlgebra(BracketTable):
 
     def _descent(self, gamma):
         """Smallest simple i with gamma - alpha_i a positive root, and the
-        Chevalley denominator p+1 for that pair."""
-        rank = self.rank
-        for i in range(rank):
+        Chevalley denominator p+1 for that pair; gamma is not simple."""
+        for i in range(self.rank):
             down = list(gamma)
             down[i] -= 1
-            if tuple(down) in self.e_idx or (sum(down) == 0 and not any(down)):
-                if sum(gamma) == 1:
-                    return None
-                prev = tuple(down)
+            if tuple(down) in self.e_idx:
+                lower = list(down)
+                lower[i] -= 1
                 p = 0
-                while True:
-                    lower = list(prev)
+                while self.rs.is_root(tuple(lower)):
                     lower[i] -= 1
-                    if self.rs.is_root(tuple(lower)):
-                        prev = tuple(lower)
-                        p += 1
-                    else:
-                        break
-                down = list(gamma)
-                down[i] -= 1
+                    p += 1
                 return i, tuple(down), p
         raise AssertionError("no simple descent from %s" % (gamma,))
 

@@ -1,14 +1,13 @@
 """Exact quantized enveloping algebra of sl2 and its classical limits.
 
-The algebra is presented with a balanced Cartan generator: K E K^-1 = q E,
-K F K^-1 = q^-1 F, [E, F] = (K^2 - K^-2)/(q - q^-1), with coproduct
-Delta(E) = E (x) K^-1 + K (x) E and likewise for F.  Monomials are stored in
-the PBW order F^a K^b E^c.  The K-conjugation weight and the Cartan power in
-[E, F] are engine parameters so the test suite can demonstrate that the
-balanced presentation is the one under which the central element is central
-and the sigma-map identities close; the unbalanced variant (K E K^-1 = q^2 E,
-[E, F] = (K - K^-1)/(q - q^-1)) fails the coproduct-compatibility check and
-is kept only for that demonstration.
+The algebra has one presentation, with a balanced Cartan generator:
+K E K^-1 = q E, K F K^-1 = q^-1 F, [E, F] = (K^2 - K^-2)/(q - q^-1), with
+coproduct Delta(E) = E (x) K^-1 + K (x) E and likewise for F. It is the
+presentation under which the central element is central and the sigma-map
+identities close. Monomials are stored in the PBW order F^a K^b E^c. The
+rewriting engine is plain module functions (mul, tensor_mul, coproduct,
+coproduct_cube, antipode, counit, adjoint_action) over per-monomial rules
+memoised with functools.cache; cached values are shared and never mutated.
 
 On top of the PBW engine sit the locally finite generators X+, X-, X0 and the
 central element C, the sigma map on their span, the co-Poisson cobracket
@@ -24,15 +23,15 @@ Nothing here carries its own linear algebra. Term dicts (PBW elements,
 tensors, relations) accumulate through liealg._vadd_into, the one sparse
 accumulator. PBW elements, tensors and co-Poisson values are one term class
 (_Terms, its coefficient field a class attribute: QRat, or Fraction for the
-classical limit), and one printer (_signed_sum) writes every signed sum. Module and tensor-power actions are liealg's column-form sparse
-matrices: the tensor-square actions come from poisson._pair_matrix, the cube's
-braidings from poisson.leg_embed, and kernel dimensions from scalars.echelon.
+classical limit), and one printer (_signed_sum) writes every signed sum.
+Module and tensor-power actions are liealg's column-form sparse matrices: the
+tensor-square actions come from poisson._pair_matrix, the cube's braidings
+from poisson.leg_embed, and kernel dimensions from scalars.echelon.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 
 from .liealg import BracketTable, _mcompose, _mscaled_sum, _vadd_into
@@ -132,19 +131,15 @@ class _Terms:
 class PBWElement(_Terms):
     """Sum of monomials F^a K^b E^c with QRat coefficients, as {(a,b,c): QRat}.
 
-    a and c are nonnegative, b ranges over all integers. Multiplication uses
-    the module's default engine (the balanced presentation).
+    a and c are nonnegative, b ranges over all integers. The product of two
+    elements is mul, the PBW rewriting below.
     """
 
     __slots__ = ()
 
-    @staticmethod
-    def monomial(a, b, c, coeff=1):
-        return PBWElement({(a, b, c): QRat.of(coeff)})
-
     def __mul__(self, other):
         if isinstance(other, PBWElement):
-            return _ENGINE.mul(self, other)
+            return mul(self, other)
         return PBWElement({k: v * QRat.of(other) for k, v in self.terms.items()})
 
     def __rmul__(self, other):
@@ -153,7 +148,7 @@ class PBWElement(_Terms):
     def __pow__(self, n):
         if n < 0:
             raise ValueError("a PBW element has no negative powers, got %d" % n)
-        out = PBWElement.monomial(0, 0, 0)
+        out = PBWElement({(0, 0, 0): one})
         for _ in range(n):
             out = out * self
         return out
@@ -179,151 +174,119 @@ class UqTensor(_Terms):
 # the rewriting engine
 # ---------------------------------------------------------------------------
 
-class UqEngine:
-    """PBW rewriting for one presentation of the algebra.
-
-    k_weight w: K E K^-1 = q^w E.  cartan_power m: [E, F] =
-    (K^m - K^-m)/(q - q^-1).  coproduct_power u: Delta(E) = E (x) K^-u +
-    K^u (x) E.  The shipped presentation is (1, 2, 1); (2, 1, 1) is the
-    unbalanced variant used by the convention demonstration.
-    """
-
-    def __init__(self, k_weight=1, cartan_power=2, coproduct_power=1):
-        self.w = k_weight
-        self.m = cartan_power
-        self.u = coproduct_power
-        self._ibr = one / (qpow(1) - qpow(-1))
-        self._epush = {}
-        self._delta = {}
-        self._anti = {}
-        self._mono_mul = {}
-
-    # -- multiplication ------------------------------------------------------
-
-    def _e_mono(self, key):
-        """E * F^a K^b E^c as a PBW term dict."""
-        cached = self._epush.get(key)
-        if cached is not None:
-            return cached
-        a, b, c = key
-        if a == 0:
-            out = {(0, b, c + 1): qpow(-self.w * b)}
-        else:
-            out = {(ra + 1, rb, rc): v
-                   for (ra, rb, rc), v in self._e_mono((a - 1, b, c)).items()}
-            for sign in (1, -1):
-                mm = sign * self.m
-                coeff = sign * self._ibr * qpow(-self.w * (a - 1) * mm)
-                _vadd_into(out, {(a - 1, b + mm, c): coeff})
-        self._epush[key] = out
-        return out
-
-    def _lmul_E(self, terms):
-        out = {}
-        for key, v in terms.items():
-            _vadd_into(out, self._e_mono(key), v)
-        return out
-
-    def mul(self, x, y):
-        out = {}
-        for (a, b, c), vx in x.terms.items():
-            t = y.terms
-            for _ in range(c):
-                t = self._lmul_E(t)
-            # K^b past F^a2 picks up q^(-w a2 b)
-            _vadd_into(out, {(a2 + a, b2 + b, c2): v * qpow(-self.w * a2 * b) if b else v
-                             for (a2, b2, c2), v in t.items()}, vx)
-        return PBWElement(out)
-
-    def _mul_mono(self, k1, k2):
-        cached = self._mono_mul.get((k1, k2))
-        if cached is None:
-            cached = self.mul(PBWElement({k1: one}), PBWElement({k2: one}))
-            self._mono_mul[(k1, k2)] = cached
-        return cached
-
-    # -- Hopf structure ------------------------------------------------------
-
-    def tensor_mul(self, s, t):
-        out = {}
-        for (l1, r1), v1 in s.terms.items():
-            for (l2, r2), v2 in t.terms.items():
-                v = v1 * v2
-                right = self._mul_mono(r1, r2).terms
-                for lk, lv in self._mul_mono(l1, l2).terms.items():
-                    _vadd_into(out, {(lk, rk): rv for rk, rv in right.items()}, v * lv)
-        return UqTensor(out)
-
-    def _delta_mono(self, key):
-        cached = self._delta.get(key)
-        if cached is not None:
-            return cached
-        a, b, c = key
-        u = self.u
-        if a > 0:
-            dF = UqTensor({((1, 0, 0), (0, -u, 0)): one,
-                           ((0, u, 0), (1, 0, 0)): one})
-            out = self.tensor_mul(dF, self._delta_mono((a - 1, b, c)))
-        elif c > 0:
-            dE = UqTensor({((0, 0, 1), (0, -u, 0)): one,
-                           ((0, u, 0), (0, 0, 1)): one})
-            out = self.tensor_mul(self._delta_mono((a, b, c - 1)), dE)
-        else:
-            out = UqTensor({((0, b, 0), (0, b, 0)): one})
-        self._delta[key] = out
-        return out
-
-    def coproduct(self, x):
-        out = {}
-        for key, v in x.terms.items():
-            _vadd_into(out, self._delta_mono(key).terms, v)
-        return UqTensor(out)
-
-    def _anti_mono(self, key):
-        cached = self._anti.get(key)
-        if cached is not None:
-            return cached
-        a, b, c = key
-        # S(F^a K^b E^c) = S(E)^c S(K^b) S(F^a), with S(E) = -q^{-wu} E,
-        # S(F) = -q^{wu} F, S(K) = K^-1, then renormalized to PBW order.
-        coeff = (-one) ** ((a + c) % 2) * qpow(self.w * self.u * (a - c))
-        word = self.mul(PBWElement({(0, 0, c): one}), PBWElement({(0, -b, 0): one}))
-        word = self.mul(word, PBWElement({(a, 0, 0): one}))
-        out = PBWElement({k: coeff * v for k, v in word.terms.items()})
-        self._anti[key] = out
-        return out
-
-    def antipode(self, x):
-        out = {}
-        for key, v in x.terms.items():
-            _vadd_into(out, self._anti_mono(key).terms, v)
-        return PBWElement(out)
-
-    def counit(self, x):
-        out = zero
-        for (a, b, c), v in x.terms.items():
-            if a == 0 and c == 0:
-                out = out + v
-        return out
-
-    def coproduct_cube(self, x):
-        """(Delta (x) 1)Delta(x) as {(k1, k2, k3): QRat}."""
-        out = {}
-        for (l, r), v in self.coproduct(x).terms.items():
-            left = self._delta_mono(l).terms
-            _vadd_into(out, {(l1, l2, r): w for (l1, l2), w in left.items()}, v)
-        return out
-
-    def adjoint(self, x, y):
-        """ad(x)(y) = sum x_(1) y S(x_(2))."""
-        out = {}
-        for (l, r), v in self.coproduct(x).terms.items():
-            piece = self.mul(self.mul(PBWElement({l: one}), y), self._anti_mono(r))
-            _vadd_into(out, piece.terms, v)
-        return PBWElement(out)
+_IBR = one / (qpow(1) - qpow(-1))
 
 
-_ENGINE = UqEngine()
+@cache
+def _e_mono(key):
+    """E * F^a K^b E^c as a PBW term dict."""
+    a, b, c = key
+    if a == 0:
+        return {(0, b, c + 1): qpow(-b)}
+    out = {(ra + 1, rb, rc): v for (ra, rb, rc), v in _e_mono((a - 1, b, c)).items()}
+    for sign in (1, -1):
+        _vadd_into(out, {(a - 1, b + 2 * sign, c): sign * _IBR * qpow(-2 * sign * (a - 1))})
+    return out
+
+
+def _lmul_E(terms):
+    out = {}
+    for key, v in terms.items():
+        _vadd_into(out, _e_mono(key), v)
+    return out
+
+
+def mul(x, y):
+    """The product x y of two PBW elements, in PBW order."""
+    out = {}
+    for (a, b, c), vx in x.terms.items():
+        t = y.terms
+        for _ in range(c):
+            t = _lmul_E(t)
+        # K^b past F^a2 picks up q^(-a2 b)
+        _vadd_into(out, {(a2 + a, b2 + b, c2): v * qpow(-a2 * b) if b else v
+                         for (a2, b2, c2), v in t.items()}, vx)
+    return PBWElement(out)
+
+
+@cache
+def _mul_mono(k1, k2):
+    return mul(PBWElement({k1: one}), PBWElement({k2: one}))
+
+
+def tensor_mul(s, t):
+    """The product of two UqTensors, leg by leg."""
+    out = {}
+    for (l1, r1), v1 in s.terms.items():
+        for (l2, r2), v2 in t.terms.items():
+            v = v1 * v2
+            right = _mul_mono(r1, r2).terms
+            for lk, lv in _mul_mono(l1, l2).terms.items():
+                _vadd_into(out, {(lk, rk): rv for rk, rv in right.items()}, v * lv)
+    return UqTensor(out)
+
+
+@cache
+def _delta_mono(key):
+    a, b, c = key
+    if a > 0:
+        dF = UqTensor({((1, 0, 0), (0, -1, 0)): one, ((0, 1, 0), (1, 0, 0)): one})
+        return tensor_mul(dF, _delta_mono((a - 1, b, c)))
+    if c > 0:
+        dE = UqTensor({((0, 0, 1), (0, -1, 0)): one, ((0, 1, 0), (0, 0, 1)): one})
+        return tensor_mul(_delta_mono((a, b, c - 1)), dE)
+    return UqTensor({((0, b, 0), (0, b, 0)): one})
+
+
+def coproduct(x):
+    out = {}
+    for key, v in x.terms.items():
+        _vadd_into(out, _delta_mono(key).terms, v)
+    return UqTensor(out)
+
+
+@cache
+def _anti_mono(key):
+    a, b, c = key
+    # S(F^a K^b E^c) = S(E)^c S(K^b) S(F^a), with S(E) = -q^-1 E, S(F) = -q F,
+    # S(K) = K^-1, then renormalized to PBW order.
+    coeff = (-one) ** ((a + c) % 2) * qpow(a - c)
+    word = mul(PBWElement({(0, 0, c): one}), PBWElement({(0, -b, 0): one}))
+    word = mul(word, PBWElement({(a, 0, 0): one}))
+    return PBWElement({k: coeff * v for k, v in word.terms.items()})
+
+
+def antipode(x):
+    out = {}
+    for key, v in x.terms.items():
+        _vadd_into(out, _anti_mono(key).terms, v)
+    return PBWElement(out)
+
+
+def counit(x):
+    out = zero
+    for (a, b, c), v in x.terms.items():
+        if a == 0 and c == 0:
+            out = out + v
+    return out
+
+
+def coproduct_cube(x):
+    """(Delta (x) 1)Delta(x) as {(k1, k2, k3): QRat}."""
+    out = {}
+    for (l, r), v in coproduct(x).terms.items():
+        left = _delta_mono(l).terms
+        _vadd_into(out, {(l1, l2, r): w for (l1, l2), w in left.items()}, v)
+    return out
+
+
+def adjoint_action(x, y):
+    """ad(x)(y) = sum x_(1) y S(x_(2)) in canonical form."""
+    out = {}
+    for (l, r), v in coproduct(x).terms.items():
+        piece = mul(mul(PBWElement({l: one}), y), _anti_mono(r))
+        _vadd_into(out, piece.terms, v)
+    return PBWElement(out)
 
 
 # ---------------------------------------------------------------------------
@@ -366,38 +329,23 @@ def _tokenize(word):
     return out
 
 
-def normal_form(expr, coeff=1):
-    """Canonical PBW form of a free word (or weighted word list) in E, F, K^±1.
-
-    Accepts a PBWElement (returned unchanged), a string word like
-    "K E K^-1" or "F^2 E", or a list of (coefficient, word) pairs.
-    """
-    if isinstance(expr, PBWElement):
-        return expr
-    if isinstance(expr, str):
-        expr = [(coeff, expr)]
-    out = PBWElement()
-    for c, word in expr:
-        elem = PBWElement.monomial(0, 0, 0, c)
-        for gen, power in _tokenize(word):
-            if gen == "E":
-                if power < 0:
-                    raise ValueError("E has no inverse")
-                atom = PBWElement({(0, 0, power): one})
-            elif gen == "F":
-                if power < 0:
-                    raise ValueError("F has no inverse")
-                atom = PBWElement({(power, 0, 0): one})
-            else:
-                atom = PBWElement({(0, power, 0): one})
-            elem = _ENGINE.mul(elem, atom)
-        out = out + elem
-    return out
-
-
-def adjoint_action(x, y):
-    """ad(x)(y) = sum x_(1) y S(x_(2)) in canonical form."""
-    return _ENGINE.adjoint(x, y)
+def normal_form(word):
+    """Canonical PBW form of a free word in E, F, K^±1, such as "K E K^-1"
+    or "F^2 E"."""
+    elem = PBWElement({(0, 0, 0): one})
+    for gen, power in _tokenize(word):
+        if gen == "E":
+            if power < 0:
+                raise ValueError("E has no inverse")
+            atom = PBWElement({(0, 0, power): one})
+        elif gen == "F":
+            if power < 0:
+                raise ValueError("F has no inverse")
+            atom = PBWElement({(power, 0, 0): one})
+        else:
+            atom = PBWElement({(0, power, 0): one})
+        elem = mul(elem, atom)
+    return elem
 
 
 # ---------------------------------------------------------------------------
@@ -417,28 +365,19 @@ def _q_to_v(x):
     return QRat(num, den)
 
 
-def _x_plus():
-    return PBWElement({(0, -1, 1): one})
-
-
-def _x_minus():
-    # K^-1 F = q F K^-1 in the balanced presentation
-    return PBWElement({(1, -1, 0): qpow(1)})
-
-
-def _x_zero():
+@cache
+def _x_generators():
+    """X+ = K^-1 E, X- = K^-1 F and X0 = (q EF - q^-1 FE)/(q + q^-1), by name."""
     qq = qpow(1) + qpow(-1)
     e = PBWElement({(0, 0, 1): one})
     f = PBWElement({(1, 0, 0): one})
     num = (e * f) * qpow(1) - (f * e) * qpow(-1)
-    return PBWElement({k: v / qq for k, v in num.terms.items()})
-
-
-def _x_named(name):
-    table = {"X+": _x_plus, "X-": _x_minus, "X0": _x_zero}
-    if name in table:
-        return table[name]()
-    raise NotInSpan("unknown generator name %r" % (name,))
+    return {
+        "X+": PBWElement({(0, -1, 1): one}),
+        # K^-1 F = q F K^-1
+        "X-": PBWElement({(1, -1, 0): qpow(1)}),
+        "X0": PBWElement({k: v / qq for k, v in num.terms.items()}),
+    }
 
 
 _X_NAMES = ("X+", "X-", "X0")
@@ -468,7 +407,8 @@ def _solve_span(basis, target):
 def x_basis(x):
     """Write x in span{1, X+, X-, X0} as {name: QRat}; NotInSpan otherwise."""
     names = ("1",) + _X_NAMES
-    basis = [PBWElement.monomial(0, 0, 0).terms] + [_x_named(n).terms for n in _X_NAMES]
+    xs = _x_generators()
+    basis = [{(0, 0, 0): one}] + [xs[n].terms for n in _X_NAMES]
     coeffs = _solve_span(basis, x.terms)
     if coeffs is None:
         raise NotInSpan("element is not in the locally finite generator span")
@@ -478,7 +418,8 @@ def x_basis(x):
 def x_basis_tensor(t):
     """Write a tensor in span{1, X+, X-, X0}^(x)2 as {(name, name): QRat}."""
     names = ("1",) + _X_NAMES
-    elems = [PBWElement.monomial(0, 0, 0)] + [_x_named(n) for n in _X_NAMES]
+    xs = _x_generators()
+    elems = [PBWElement({(0, 0, 0): one})] + [xs[n] for n in _X_NAMES]
     basis, labels = [], []
     for n1, e1 in zip(names, elems):
         for n2, e2 in zip(names, elems):
@@ -499,9 +440,6 @@ def x_tensor_str(decomp):
                        for n1, n2 in sorted(decomp, key=lambda p: (order[p[0]], order[p[1]])))
 
 
-_LF_CACHE = None
-
-
 def locally_finite_generators():
     """The ad-locally-finite generators and their central element.
 
@@ -513,15 +451,13 @@ def locally_finite_generators():
     X-span, the scalar of C on the two-dimensional module, and the ratio
     tying C to the quadratic Casimir FE + (qK^2 + q^-1 K^-2)/(q - q^-1)^2.
     """
-    global _LF_CACHE
-    if _LF_CACHE is None:
-        _LF_CACHE = _compute_locally_finite()
-    gens, report = _LF_CACHE
+    gens, report = _compute_locally_finite()
     return dict(gens), dict(report)
 
 
+@cache
 def _compute_locally_finite():
-    gens = {"X+": _x_plus(), "X-": _x_minus(), "X0": _x_zero()}
+    gens = dict(_x_generators())
     e = PBWElement({(0, 0, 1): one})
     f = PBWElement({(1, 0, 0): one})
     k = PBWElement({(0, 1, 0): one})
@@ -542,11 +478,11 @@ def _compute_locally_finite():
     gens["C"] = c_elem
 
     # coproduct shape: Delta(x) - x (x) C has all right legs in the span
-    span = [PBWElement.monomial(0, 0, 0).terms] + [_x_named(n).terms for n in _X_NAMES]
+    span = [{(0, 0, 0): one}] + [gens[n].terms for n in _X_NAMES]
     shape_ok = True
     for name in _X_NAMES:
         x = gens[name]
-        rest = _ENGINE.coproduct(x) - UqTensor(
+        rest = coproduct(x) - UqTensor(
             {(kx, kc): vx * vc
              for kx, vx in x.terms.items() for kc, vc in c_elem.terms.items()})
         rows = {}
@@ -560,7 +496,7 @@ def _compute_locally_finite():
     ad_stable = True
     for g in (e, f, k):
         for name in _X_NAMES:
-            img = _ENGINE.adjoint(g, gens[name])
+            img = adjoint_action(g, gens[name])
             try:
                 coords = x_basis(img)
             except NotInSpan:
@@ -577,7 +513,7 @@ def _compute_locally_finite():
     casimir = f * e + PBWElement(
         {(0, 2, 0): qpow(1) / dq ** 2, (0, -2, 0): qpow(-1) / dq ** 2})
     ratio = dq ** 2 / (qpow(1) + qpow(-1))
-    delta_c = _ENGINE.coproduct(c_elem)
+    delta_c = coproduct(c_elem)
     c_square = UqTensor({(k1, k2): v1 * v2
                          for k1, v1 in c_elem.terms.items()
                          for k2, v2 in c_elem.terms.items()})
@@ -607,10 +543,11 @@ def sigma(x, y, variant="+"):
     Z = 2 K^-2 - C, which is the orientation matching the recorded values
     of the map on the generator pairs. Returns a UqTensor.
     """
-    if isinstance(x, str):
-        x = _x_named(x)
-    if isinstance(y, str):
-        y = _x_named(y)
+    named = _x_generators()
+    try:
+        x, y = (named[v] if isinstance(v, str) else v for v in (x, y))
+    except KeyError as exc:
+        raise NotInSpan("unknown generator name %r" % exc.args) from None
     for elem in (x, y):
         coords = x_basis(elem)
         if coords.get("1"):
@@ -624,10 +561,10 @@ def sigma(x, y, variant="+"):
     else:
         raise ValueError("variant must be '+' or '-'")
     out = {}
-    for (k1, k2, k3), v in _ENGINE.coproduct_cube(x).items():
-        left = _ENGINE.mul(_ENGINE.mul(PBWElement({k1: one}), y), _ENGINE._anti_mono(k2))
+    for (k1, k2, k3), v in coproduct_cube(x).items():
+        left = mul(mul(PBWElement({k1: one}), y), _anti_mono(k2))
         _vadd_into(out, {(lk, k3): lv for lk, lv in left.terms.items()}, v)
-    for ak, av in _ENGINE.adjoint(x, y).terms.items():
+    for ak, av in adjoint_action(x, y).terms.items():
         _vadd_into(out, {(ak, zk): zv for zk, zv in z_elem.terms.items()}, -av)
     return UqTensor(out)
 
@@ -653,7 +590,7 @@ def sigma_identity_report():
             for ny in _X_NAMES:
                 x, y = gens[nx], gens[ny]
                 lhs = x * y - _mu(sigma(x, y, variant))
-                residues.append((lhs, _ENGINE.adjoint(x, y)))
+                residues.append((lhs, adjoint_action(x, y)))
         holds = {}
         for z_label, z_elem in z_cands.items():
             holds[z_label] = all(lhs == ad * z_elem for lhs, ad in residues)
@@ -666,7 +603,7 @@ def _mu(t):
     """Multiply the two legs of a tensor."""
     out = {}
     for (l, r), v in t.terms.items():
-        _vadd_into(out, _ENGINE._mul_mono(l, r).terms, v)
+        _vadd_into(out, _mul_mono(l, r).terms, v)
     return PBWElement(out)
 
 
@@ -793,7 +730,7 @@ def copoisson_limit(x):
     returned as a CoPoissonElem; the layer below the (q - 1) coefficient
     must cancel identically, which is exactly the lattice condition.
     """
-    d = _ENGINE.coproduct(x)
+    d = coproduct(x)
     t = d - d.flip()
     layers = _collapse(t.terms, 1)
     for order in sorted(layers):
@@ -843,7 +780,7 @@ def donin_graded_relations():
             nx, ny = order[i], order[j]
             x, y = gens[nx], gens[ny]
             sig = x_basis_tensor(sigma(x, y, "-"))
-            lower = x_basis(_ENGINE.adjoint(x, y))
+            lower = x_basis(adjoint_action(x, y))
             lead = _vadd_into({(nx, ny): one}, sig, -one)
             relations.append({"pair": (nx, ny), "lead": lead, "lower": lower})
             # Poisson limit: {x, y} = lim (mu sigma(x (x) y) - y x)/(q - 1)

@@ -1,5 +1,6 @@
 """Command line behaviour: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,8 @@ def test_math_error_single_line(tmp_path, capsys):
          "NotDominant"),
         (["module", "--type", "A", "--rank", "2", "--weight", "1,0",
           "--out", str(tmp_path / "missing" / "x.json")], "FileNotFoundError"),
+        # an empty --out is a path that cannot be opened, not a request for stdout
+        (["roots", "--type", "A2", "--out", ""], "FileNotFoundError"),
         # product types are refused by name, not as an unparsable type
         (["roots", "--type", "A1xA1"], "InvalidType"),
         (["module", "--type", "A1xA1", "--weight", "1,0"], "InvalidType"),
@@ -239,6 +242,46 @@ def test_donin_report(capsys):
     assert data["identity"]["-"]["C"] is True
     assert data["identity"]["+"]["2K^-2 - C"] is True
     assert len(data["relations"]) == 3
+
+
+def _qsl2_golden_argv():
+    xs = ("X+", "X-", "X0")
+    argv = [["qsl2", "donin"]]
+    argv += [["qsl2", "sigma", "--left", left, "--right", right, "--variant", variant]
+             for left in xs for right in xs for variant in "+-"]
+    argv += [["qsl2", "copoisson", "--element", name, "--power", power]
+             for name in ("X+", "X-", "X0", "C", "E", "F", "K", "K^-1", "1")
+             for power in "12"]
+    argv += [["qsl2", "braided", "--l", str(l)] for l in range(1, 5)]
+    return argv
+
+
+# sha256 prefixes of the stdout of each _qsl2_golden_argv() run, in order
+QSL2_GOLDEN = [
+    "35de0696344e3cbf", "3278e707807fe821", "3278e707807fe821", "fb3782f6a3372a5a",
+    "a0273c77de07cd8f", "2d285c28e3f2515a", "a47d1295e974e302", "6490f85477d3e01f",
+    "b43d5ca70be5471f", "69310a5bf8775a2c", "69310a5bf8775a2c", "e44dbef2e0de0800",
+    "0c0138b24bdabe17", "19b28b3270c3cccc", "60a501d7d49aa5e5", "12ace92d10237eb8",
+    "0d25519313969752", "63f263a5b34976d3", "f007ea5093d49645", "b9062c7d0827f4da",
+    "f91f1b728df085d6", "83e8c14dc6c453df", "150d62722336c4da", "9a271f2a916b0b6e",
+    "9a271f2a916b0b6e", "9a271f2a916b0b6e", "9a271f2a916b0b6e", "b9062c7d0827f4da",
+    "f91f1b728df085d6", "83e8c14dc6c453df", "150d62722336c4da", "9a271f2a916b0b6e",
+    "9a271f2a916b0b6e", "9a271f2a916b0b6e", "9a271f2a916b0b6e", "9a271f2a916b0b6e",
+    "9a271f2a916b0b6e", "313404076f054010", "c37da249478587e8", "16f362064a7b03ea",
+    "0d42e0894e9b147b",
+]
+
+
+def test_qsl2_stdout_golden(capsys):
+    """Every qsl2 subcommand prints byte-identical stdout and exits 0: donin,
+    sigma on all nine ordered pairs in both variants, copoisson on every named
+    element at powers 1 and 2, and braided for l = 1..4."""
+    argvs = _qsl2_golden_argv()
+    assert len(argvs) == len(QSL2_GOLDEN) == 41
+    for argv, want in zip(argvs, QSL2_GOLDEN):
+        code, out = run_cli(argv, capsys)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, argv
 
 
 def test_module_entry_point():

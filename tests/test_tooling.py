@@ -1,5 +1,6 @@
-"""The benchmark's span tracer still finds every function it wraps, and the
-package's imports stay at module level with no poisson -> bialg cycle."""
+"""The benchmark's span tracer still finds every function it wraps, the
+package's imports stay at module level with no poisson -> bialg cycle, and
+no module keeps state behind a global statement."""
 
 import ast
 import importlib
@@ -57,3 +58,13 @@ def test_imports_at_module_level_and_poisson_does_not_import_bialg():
     assert "qsym.liealg" in poisson_imports
     assert not any(name == "qsym.bialg" or name.startswith("qsym.bialg.")
                    for name in poisson_imports), poisson_imports
+
+
+def test_no_global_statement():
+    """No module of qsym rebinds a module global from inside a function:
+    memoisation goes through functools.cache or liealg.shared_type."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Global), (path.name, node.lineno)
