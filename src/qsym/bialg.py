@@ -2,14 +2,14 @@
 
 Two-tensors are sparse maps (basis index, basis index) -> Fraction over a
 carrier algebra; a cobracket is a dict basis index -> two-tensor, with no
-entry where delta(x) = 0. Carriers are duck-typed: anything with dim, names
-and bracket_idx(i, j) works. The carriers built here (ChevalleyAlgebra,
-SemidirectAlgebra, the Drinfeld double) are all liealg.BracketTable.
+entry where delta(x) = 0. Carriers are liealg.BracketTable with names:
+ChevalleyAlgebra, SemidirectAlgebra and the Drinfeld double.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import cache
 from itertools import combinations, permutations
 
 from .liealg import (
@@ -98,7 +98,10 @@ def standard_r(alg):
 
 
 class BDTriple:
-    """Belavin-Drinfeld triple: tau: delta1 -> delta2, 1-indexed nodes."""
+    """Belavin-Drinfeld triple: tau: delta1 -> delta2, 1-indexed nodes.
+
+    A value: equal and hashed by key(), and never changed after it is built.
+    """
 
     def __init__(self, delta1, delta2, tau):
         self.delta1 = tuple(sorted(delta1))
@@ -128,6 +131,12 @@ class BDTriple:
     def key(self):
         return (len(self.delta1), self.delta1, self.delta2,
                 tuple(sorted(self.tau.items())))
+
+    def __eq__(self, other):
+        return isinstance(other, BDTriple) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
 
     def __repr__(self):
         items = ", ".join("%d->%d" % kv for kv in sorted(self.tau.items()))
@@ -338,8 +347,7 @@ def check_lie_bialgebra(carrier, delta):
     """
     n = carrier.dim
     # rows[a][p] = [a, p] and dl[x] = delta(x), scaled to ints
-    rows = [{p: out for p in range(n) if (out := carrier.bracket_idx(a, p))}
-            for a in range(n)]
+    rows = carrier.adjoint_rep()
     big_c = den_lcm(c for row in rows for out in row.values() for c in out.values())
     rows = [int_columns(row, big_c) for row in rows]
     dl = int_columns(delta, den_lcm(v for t in delta.values() for v in t.values()))
@@ -483,18 +491,19 @@ def semidirect_algebra(alg, lam):
     return SemidirectAlgebra(names, table, range(n), range(n, n + mod.dim))
 
 
-def parabolic_semidirect(rs_ambient, node, triple=None):
+def parabolic_semidirect(label, node, triple=None):
     """Restrict the ambient BD cobracket to the parabolic at a cominuscule node.
 
     Returns (S, report): S is the parabolic (levi + full Cartan) acting on its
-    abelian nilradical, with S.cobracket attached; report records closure of
-    delta on the parabolic and the bialgebra axiom fields.
+    abelian nilradical of the ambient type `label`, with S.cobracket
+    attached; report records closure of delta on the parabolic and the
+    bialgebra axiom fields.
 
-    The pair is built once per (node, triple) and kept on the ambient's
-    liealg.shared_type entry. S is shared between callers and must not be
-    changed; each call returns its own copy of the report.
+    The pair is built once per ambient type, node and triple (_parabolic).
+    S is shared between callers and must not be changed; each call returns
+    its own copy of the report.
     """
-    ambient = shared_type(rs_ambient if isinstance(rs_ambient, str) else rs_ambient.label)
+    ambient = shared_type(label)
     rs = ambient.rs
     if node not in cominuscule_nodes(rs):
         raise NotCominuscule("node %d has a non-abelian nilradical in %s"
@@ -503,16 +512,14 @@ def parabolic_semidirect(rs_ambient, node, triple=None):
         triple = BDTriple((), (), {})
     if node in triple.delta1 or node in triple.delta2:
         raise TripleTouchesNode("triple uses node %d" % node)
-    key = (node, triple.key())
-    built = ambient.parabolics.get(key)
-    if built is None:
-        built = ambient.parabolics[key] = _parabolic(ambient.algebra, node, triple)
-    S, report = built
+    S, report = _parabolic(ambient.algebra, node, triple)
     return S, dict(report)
 
 
+@cache
 def _parabolic(alg, node, triple):
-    """The (S, report) pair of parabolic_semidirect, built from scratch."""
+    """The (S, report) pair of parabolic_semidirect, built once per algebra,
+    node and triple."""
     r, _ = bd_r_matrix(alg, triple)
     k = node - 1
     levi = ([alg.e_idx[g] for g in alg.pos_roots if g[k] == 0]

@@ -13,6 +13,7 @@ is folded into A3, so coincident spellings like so5/sp4 land on one row.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import permutations
 
 from .bialg import (
@@ -42,10 +43,6 @@ DEFAULT_DIM_BUDGET = 128
 
 class BudgetExceeded(ValueError):
     """The requested module is larger than the configured dimension budget."""
-
-
-def _root_system(letter, rank):
-    return shared_type("%s%d" % (letter, rank)).rs
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,7 @@ def _canonical_pair(g_type, lam):
 
 
 # ---------------------------------------------------------------------------
-# geometric decomposability: ambient cominuscule parabolics
+# geometric decomposability: ambient cominuscule parabolic subalgebras
 # ---------------------------------------------------------------------------
 
 def _simple_types(rank, e_ranks):
@@ -184,19 +181,14 @@ def geometric_ambients(letter, rank, lam, extended=False):
 
     The Levi of a maximal parabolic has semisimple corank one, so only
     simple types of rank + 1 can put a simple g on an abelian nilradical.
-    The E7 ambient is searched only when `extended` is set. Each ambient's
-    nilradicals are computed once and kept on its liealg.shared_type entry.
+    The E7 ambient is searched only when `extended` is set.
     """
     wanted = _weight_spellings(letter, rank, tuple(lam))
     found = []
     for lt, rk in _simple_types(rank + 1, (6, 7, 8) if extended else (6, 8)):
         ambient = shared_type("%s%d" % (lt, rk))
         for node in cominuscule_nodes(ambient.rs):
-            radical = ambient.radicals.get(node)
-            if radical is None:
-                levi, lam_levi, abelian = abelian_radical_module(ambient.rs, node)
-                radical = ambient.radicals[node] = (tuple(levi), lam_levi, abelian)
-            levi, lam_levi, abelian = radical
+            levi, lam_levi, abelian = abelian_radical_module(ambient.rs, node)
             if not abelian or len(levi) != 1:
                 continue
             l2, r2 = levi[0]
@@ -265,16 +257,16 @@ class ClassificationRow:
             self.label, self.lam, "pass" if self.passing else "fail")
 
 
-def _r_tensor(typ, triple=None):
-    """The pair (r, [[r-, r-]]) of the standard r (triple None) or of a BD
-    triple's r-matrix, built once per type and triple on the shared entry."""
-    key = None if triple is None else triple.key()
-    entry = typ.r_tensors.get(key)
-    if entry is None:
-        alg = typ.algebra
-        r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
-        entry = typ.r_tensors[key] = (r, _cybe_tensor(alg, tt_skew(r)))
-    return entry
+@cache
+def _r_tensor(alg, triple=None):
+    """The pair (r, [[r-, r-]]) of the standard r (no triple) or of a BD
+    triple's r-matrix, built once per algebra and triple.
+
+    Call it as _r_tensor(alg) or _r_tensor(alg, triple): the cache keys on
+    the arguments as passed, so _r_tensor(alg, None) would be a second entry.
+    """
+    r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
+    return r, _cybe_tensor(alg, tt_skew(r))
 
 
 def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
@@ -304,12 +296,12 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     alg = typ.algebra
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
-    r, tensor = _r_tensor(typ)
+    r, tensor = _r_tensor(alg)
     schouten = schouten_promoted(tensor, mod)
     jacobi = jacobi_oracle(generator_brackets(r, mod))
     bd_verdicts = None
     if all_bd:
-        tensors = {t.key(): _r_tensor(typ, t)[1] for t in enumerate_bd_triples(rs)}
+        tensors = {t.key(): _r_tensor(alg, t)[1] for t in enumerate_bd_triples(rs)}
         bd_verdicts = {key: schouten if t == tensor else schouten_promoted(t, mod)
                        for key, t in tensors.items()}
     ambients = geometric_ambients(letter, rank, lam, extended=extended)
@@ -367,7 +359,7 @@ def classification_table(max_rank, dim_budget, all_bd=False, extended=False):
                    for t in _simple_types(r, (6, 7, 8) if extended else ()))
     rows = []
     for lt, rk in types:
-        rs = _root_system(lt, rk)
+        rs = shared_type("%s%d" % (lt, rk)).rs
         for lam in _dominant_weights_within(rs, dim_budget):
             rows.append(classify_pair((lt, rk), lam, dim_budget=dim_budget,
                                       all_bd=all_bd, extended=extended))

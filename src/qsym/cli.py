@@ -202,9 +202,7 @@ def _cmd_sigma(args):
 def _cmd_copoisson(args):
     if args.power < 1:
         raise ValueError("--power must be at least 1, got %d" % args.power)
-    elem = _qsl2_element(args.element)
-    for _ in range(args.power - 1):
-        elem = elem * _qsl2_element(args.element)
+    elem = _qsl2_element(args.element) ** args.power
     return qsl2.copoisson_limit(elem).pretty() + "\n", 0
 
 

@@ -23,12 +23,9 @@ stay on Fraction, checked against the Weyl/Freudenthal oracle; every
 function that acts on a module takes one already built.
 
 shared_type is the one cache of root systems and Chevalley algebras, one
-entry per type whatever its spelling. Each entry also holds the parabolic
-bialgebras built over its type, which bialg.parabolic_semidirect memoises
-there per (node, BD triple), and the r-matrices with their [[r-, r-]],
-which classify.classify_pair memoises there per BD triple. The Casimir's
-Cartan part c0 is read off the root system's inverse Cartan matrix (its
-fundamental weights); no second inverse is computed here.
+entry per type whatever its spelling. The Casimir's Cartan part c0 is read
+off the root system's inverse Cartan matrix (its fundamental weights); no
+second inverse is computed here.
 """
 
 from __future__ import annotations
@@ -308,6 +305,12 @@ class BracketTable:
                     _vadd_into(out, self.bracket_idx(i, j), c)
         return out
 
+    def adjoint_rep(self):
+        """Matrices of ad(basis element) on the carrier itself: column b of
+        the matrix of a is [a, b]."""
+        return [{b: out for b in range(self.dim) if (out := self.bracket_idx(a, b))}
+                for a in range(self.dim)]
+
 
 class ChevalleyAlgebra(BracketTable):
     """Basis E_gamma, H_i, F_gamma, exact brackets.
@@ -516,18 +519,6 @@ class ChevalleyAlgebra(BracketTable):
     def form(self, i, j):
         return self._form.get((i, j), Q(0))
 
-    def adjoint_rep(self):
-        """Matrices of ad(basis element) on the algebra itself."""
-        mats = []
-        for a in range(self.dim):
-            col = {}
-            for b in range(self.dim):
-                v = self.bracket_idx(a, b)
-                if v:
-                    col[b] = v
-            mats.append(col)
-        return mats
-
 
 def chevalley_basis(rs):
     if isinstance(rs, str):
@@ -536,49 +527,27 @@ def chevalley_basis(rs):
 
 
 class SharedType:
-    """A root system, its Chevalley basis (built on first use), and the
-    r-matrices, parabolic bialgebras and nilradicals built over it.
-
-    parabolics maps (node, BD triple key) to the (S, report) pair of
-    bialg.parabolic_semidirect, which fills it. radicals maps a node to the
-    (Levi type tuple, Levi weight, abelian) triple of abelian_radical_module,
-    which classify.geometric_ambients fills; the Levi weight is an int tuple
-    in the Levi's fundamental coordinates. r_tensors maps None (the standard
-    r) or a BD triple key to the pair (r, [[r-, r-]]) that classify_pair
-    verdicts on, which it fills.
-    """
+    """A root system and its Chevalley basis, built on first use."""
 
     def __init__(self, rs):
         self.rs = rs
-        self.parabolics = {}
-        self.radicals = {}
-        self.r_tensors = {}
 
     @cached_property
     def algebra(self):
         return chevalley_basis(self.rs)
 
 
-_SHARED_TYPES = {}
-
-
+@cache
 def shared_type(label):
     """The memoised SharedType of a type label such as "C2", "so5" or "A2xA1".
 
-    One entry per root system: it is keyed on the canonical label rs.label,
-    and any other spelling of the same type ("so10" for "D5") is an alias of
-    that entry, so both share one Chevalley basis, one r-matrix memo and one
-    parabolic memo.
-
-    The classification sweep, the parabolic construction and the command line
-    draw their root systems, algebras and parabolic bialgebras from this one
-    cache; no caller mutates them.
+    One entry per root system: any spelling of a type other than its
+    canonical label rs.label ("so10" for "D5") returns the canonical
+    label's entry, so both share one root system and one Chevalley basis.
+    No caller mutates them.
     """
-    entry = _SHARED_TYPES.get(label)
-    if entry is None:
-        rs = build_root_system(label)
-        entry = _SHARED_TYPES[label] = _SHARED_TYPES.setdefault(rs.label, SharedType(rs))
-    return entry
+    rs = build_root_system(label)
+    return SharedType(rs) if rs.label == label else shared_type(rs.label)
 
 
 class Module:
@@ -671,12 +640,15 @@ def _match_subdiagram(nodes, cartan):
     raise AssertionError("unclassifiable subdiagram %r" % (nodes,))
 
 
+@cache
 def abelian_radical_module(rs, node):
     """Levi type, Levi-highest weight of the nilradical, and abelianness.
 
     node is 1-indexed. The nilradical is spanned by the root spaces whose
     node coefficient is positive; it is abelian exactly when no two such
-    roots sum to a root.
+    roots sum to a root. The Levi type is a tuple of (series, rank) pairs
+    and the weight an int tuple in the Levi's fundamental coordinates; the
+    cached result is shared between callers.
     """
     k = node - 1
     if not 0 <= k < rs.rank:
@@ -712,4 +684,4 @@ def abelian_radical_module(rs, node):
         theta = max(radical, key=lambda g: (sum(g), g))
         for src in mapping:
             lam_levi.append(rs.copair(theta, src))
-    return levi_type, tuple(lam_levi), abelian
+    return tuple(levi_type), tuple(lam_levi), abelian

@@ -820,21 +820,17 @@ def _rep_matrices(l):
     return em, fm, km, kinv
 
 
-# Delta(E) = E (x) K^-1 + K (x) E, Delta(F) = F (x) K^-1 + K (x) F and
-# Delta(K^±1) = K^±1 (x) K^±1, over the indices (E, F, K, K^-1) = (0, 1, 2, 3)
-# of _rep_matrices
-_COPRODUCTS = (
-    {(0, 3): one, (2, 0): one},
-    {(1, 3): one, (2, 1): one},
-    {(2, 2): one},
-    {(3, 3): one},
-)
+# the PBW keys of E, F, K and K^-1, in the order of _rep_matrices
+_GENERATOR_KEYS = ((0, 0, 1), (1, 0, 0), (0, 1, 0), (0, -1, 0))
 
 
 def _pair_action(l):
-    """E, F, K and K^-1 acting on the tensor square through the coproduct."""
-    mats = _rep_matrices(l)
-    return tuple(_pair_matrix(mats, l + 1, t) for t in _COPRODUCTS)
+    """E, F, K and K^-1 acting on the tensor square through the coproduct,
+    read off _delta_mono with its q-coefficients reread in v."""
+    mats = dict(zip(_GENERATOR_KEYS, _rep_matrices(l)))
+    return tuple(_pair_matrix(mats, l + 1,
+                              {k: _q_to_v(v) for k, v in _delta_mono(key).terms.items()})
+                 for key in _GENERATOR_KEYS)
 
 
 def _identity(idxs):

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from qsym.rootsys import build_root_system
-from qsym.liealg import chevalley_basis, casimir, highest_weight_module
+from qsym.liealg import BracketTable, chevalley_basis, casimir, highest_weight_module
 from qsym.bialg import (
     BDTriple,
     NotAntisymmetric,
@@ -240,14 +240,8 @@ def test_double_jacobi_iff_bialgebra_axioms():
     sl2 = _alg("A1")
     std = cobracket_from_r(sl2, standard_r(sl2))
 
-    class Abelian2:
-        dim = 2
-        names = ["x1", "x2"]
-
-        def bracket_idx(self, i, j):
-            return {}
-
-    ab = Abelian2()
+    ab = BracketTable(2, {})
+    ab.names = ["x1", "x2"]
     scaled = {k: {kk: Q(5) * vv for kk, vv in t.items()}
               for k, t in std.items()}
     e, h, f = sl2.e_idx[(1,)], sl2.h_idx[0], sl2.f_idx[(1,)]
@@ -381,11 +375,11 @@ def test_cobrackets_match_written_out_delta():
 
 def test_parabolic_semidirect_is_memoised(monkeypatch):
     """One build per (ambient, node, triple): the axioms are checked once,
-    every call gets its own report, and another triple gets its own entry."""
+    every call gets its own report, another triple gets its own entry, and
+    another spelling of the type and an equal triple reuse the built one."""
     import qsym.bialg as bialg
-    from qsym.liealg import shared_type
 
-    monkeypatch.setattr(shared_type("A3"), "parabolics", {})
+    bialg._parabolic.cache_clear()
     checks = []
     real_check = bialg.check_lie_bialgebra
 
@@ -408,10 +402,9 @@ def test_parabolic_semidirect_is_memoised(monkeypatch):
     triple = BDTriple((2,), (3,), {2: 3})
     S3, rep3 = parabolic_semidirect("A3", 1, triple)
     assert len(checks) == 2 and S3 is not S1 and all(rep3.values())
-    parabolic_semidirect(build_root_system("A3"), 1, BDTriple((2,), (3,), {2: 3}))
-    assert len(checks) == 2
-    assert set(shared_type("A3").parabolics) == {(1, BDTriple((), (), {}).key()),
-                                                 (1, triple.key())}
+    S4, _ = parabolic_semidirect("sl4", 1, BDTriple((2,), (3,), {2: 3}))
+    assert len(checks) == 2 and S4 is S3
+    assert bialg._parabolic.cache_info().currsize == 2
 
 
 def _ref_axioms(carrier, delta):

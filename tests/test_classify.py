@@ -5,10 +5,11 @@ from itertools import product
 
 import pytest
 
-from qsym import classify, liealg, poisson
+from qsym import classify, poisson
 from qsym.bialg import _cybe_tensor, bd_r_matrix, enumerate_bd_triples, standard_r, tt_skew
 from qsym.liealg import shared_type
-from qsym.rootsys import _SERIES, NotDominant, _rank_ok, build_root_system, weight_multiplicities
+from qsym.rootsys import (_SERIES, NotDominant, _rank_ok, build_root_system, cominuscule_nodes,
+                          weight_multiplicities)
 from qsym.classify import (
     BudgetExceeded,
     classification_table,
@@ -103,17 +104,16 @@ def test_geometric_ambients_examples():
     assert geometric_ambients("E", 6, (1, 0, 0, 0, 0, 0), extended=True) == [("E7", 7)]
 
 
-def test_geometric_ambients_memoises_radicals(monkeypatch):
+def test_geometric_ambients_memoises_radicals():
     """A second search over the same ambients computes no nilradical again,
     and the kept nilradical data is immutable."""
     first = geometric_ambients("D", 5, (0, 0, 0, 0, 1))
-
-    def recomputed(*args):
-        raise AssertionError("abelian_radical_module recomputed for %r" % (args,))
-
-    monkeypatch.setattr(classify, "abelian_radical_module", recomputed)
+    misses = classify.abelian_radical_module.cache_info().misses
     assert geometric_ambients("D", 5, (0, 0, 0, 0, 1)) == first
-    for node, (levi, lam_levi, abelian) in shared_type("E6").radicals.items():
+    assert classify.abelian_radical_module.cache_info().misses == misses
+    rs = shared_type("E6").rs
+    for node in cominuscule_nodes(rs):
+        levi, lam_levi, abelian = classify.abelian_radical_module(rs, node)
         assert isinstance(levi, tuple) and isinstance(lam_levi, tuple), node
 
 
@@ -229,16 +229,22 @@ def test_bd_verdicts_run_one_schouten_per_distinct_tensor(monkeypatch):
         calls.clear()
         row = classify_pair(label, lam, all_bd=True)
         assert len(row.bd_verdicts) == len(enumerate_bd_triples(shared_type(label).rs))
-        assert calls == [shared_type(label).r_tensors[None][1]], (label, lam)
+        assert calls == [classify._r_tensor(shared_type(label).algebra)[1]], (label, lam)
 
     # the zero tensor differs from the standard one, and its verdict (True)
     # differs from the adjoint row's standard verdict (False)
     typ = shared_type("A2")
     triple = next(t for t in enumerate_bd_triples(typ.rs) if t.delta1)
-    monkeypatch.setitem(typ.r_tensors, triple.key(), (typ.r_tensors[triple.key()][0], {}))
+    real_r_tensor = classify._r_tensor
+
+    def zeroed(alg, *t):
+        r, tensor = real_r_tensor(alg, *t)
+        return (r, {}) if t == (triple,) else (r, tensor)
+
+    monkeypatch.setattr(classify, "_r_tensor", zeroed)
     calls.clear()
     row = classify_pair("A2", (1, 1), all_bd=True)
-    assert calls == [typ.r_tensors[None][1], {}]
+    assert calls == [real_r_tensor(typ.algebra)[1], {}]
     assert row.schouten is False and row.bd_verdicts[triple.key()] is True
     assert [v for k, v in row.bd_verdicts.items() if k != triple.key()] == [False, False]
 
@@ -246,8 +252,7 @@ def test_bd_verdicts_run_one_schouten_per_distinct_tensor(monkeypatch):
 def test_r_tensor_memo_builds_once_per_type_and_triple(monkeypatch):
     """Over a whole --all-bd sweep, [[r-, r-]] is built once per type for
     the standard r and once per type and BD triple, not once per row."""
-    for entry in set(liealg._SHARED_TYPES.values()):
-        monkeypatch.setattr(entry, "r_tensors", {})
+    classify._r_tensor.cache_clear()
     calls = []
 
     def counted(alg, r):
@@ -270,13 +275,15 @@ def test_r_tensor_memo_holds_fresh_tensors():
         classify_pair(label, lam, all_bd=True)
         typ = shared_type(label)
         alg = typ.algebra
+        misses = classify._r_tensor.cache_info().misses
         r = standard_r(alg)
-        assert typ.r_tensors[None] == (r, _cybe_tensor(alg, tt_skew(r))), label
+        assert classify._r_tensor(alg) == (r, _cybe_tensor(alg, tt_skew(r))), label
         for triple in enumerate_bd_triples(typ.rs):
             r_t, _ = bd_r_matrix(alg, triple)
-            assert typ.r_tensors[triple.key()] == (r_t, _cybe_tensor(alg, tt_skew(r_t))), \
+            assert classify._r_tensor(alg, triple) == (r_t, _cybe_tensor(alg, tt_skew(r_t))), \
                 (label, triple)
-    assert shared_type("so10").r_tensors is shared_type("D5").r_tensors
+        assert classify._r_tensor.cache_info().misses == misses, label
+    assert shared_type("so10").algebra is shared_type("D5").algebra
 
 
 def test_table_rank_two():

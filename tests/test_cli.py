@@ -299,7 +299,7 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["diff"] == {"missing": [], "extra": []}
 
 
-def test_cli_deterministic_cold_and_warm_property(capsys, monkeypatch):
+def test_cli_deterministic_cold_and_warm_property(capsys):
     """Small random argv for roots, module and classify on rank <= 3, with
     valid and invalid weights: a cold run (empty algebra cache) and a warm
     rerun in the same process print the same stdout and exit the same way."""
@@ -307,7 +307,6 @@ def test_cli_deterministic_cold_and_warm_property(capsys, monkeypatch):
     st = hypothesis.strategies
     from qsym import liealg
 
-    monkeypatch.setattr(liealg, "_SHARED_TYPES", {})
     ranks = {"A1": 1, "A2": 2, "A3": 3, "B3": 3, "C2": 2, "C3": 3, "G2": 2}
 
     def spelled(label):
@@ -339,7 +338,7 @@ def test_cli_deterministic_cold_and_warm_property(capsys, monkeypatch):
                          derandomize=True)
     @hypothesis.given(st.sampled_from(sorted(ranks)).flatmap(argv_for))
     def check(argv):
-        liealg._SHARED_TYPES.clear()
+        liealg.shared_type.cache_clear()
         cold = run_cli(argv, capsys)
         warm = run_cli(argv, capsys)
         assert cold == warm, argv

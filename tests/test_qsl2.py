@@ -5,7 +5,7 @@ import pytest
 
 from qsym import qsl2
 from qsym.liealg import _mcompose, _vadd_into
-from qsym.poisson import _pair_matrix, jacobi_oracle, leg_embed
+from qsym.poisson import jacobi_oracle, leg_embed
 from qsym.qsl2 import CoPoissonElem, NotInLattice, NotInSpan, PBWElement, UqTensor, _binom
 from qsym.scalars import QRat, one, qpow, zero
 
@@ -461,7 +461,6 @@ def test_pair_and_leg_embeddings_coerce_no_scalar(monkeypatch):
     """_pair_matrix on Delta(E) and leg_embed on the commutor, both at l = 3,
     multiply and add QRat by QRat only: no int or Fraction is coerced."""
     sigma = qsl2.commutor_matrix(3)
-    mats = qsl2._rep_matrices(3)
     original = QRat.of
     coerced = []
 
@@ -471,7 +470,7 @@ def test_pair_and_leg_embeddings_coerce_no_scalar(monkeypatch):
         return original(value)
 
     monkeypatch.setattr(QRat, "of", staticmethod(counting))
-    delta_e = _pair_matrix(mats, 4, qsl2._COPRODUCTS[0])
+    delta_e = qsl2._pair_action(3)[0]
     cubes = [leg_embed(sigma, 4, legs) for legs in ((0, 1), (1, 2))]
     assert coerced == []
     assert delta_e and all(len(c) == 4 * len(sigma) for c in cubes)

@@ -1,11 +1,13 @@
 """The benchmark's span tracer still finds every function it wraps, the
 package's imports stay at module level with no poisson -> bialg cycle, and
-no module keeps state behind a global statement."""
+no module keeps state behind a global statement or a module-level memo."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+from qsym.liealg import shared_type
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 SRC = Path(__file__).resolve().parents[1] / "src" / "qsym"
@@ -62,9 +64,37 @@ def test_imports_at_module_level_and_poisson_does_not_import_bialg():
 
 def test_no_global_statement():
     """No module of qsym rebinds a module global from inside a function:
-    memoisation goes through functools.cache or liealg.shared_type."""
+    memoisation goes through functools.cache."""
     paths = sorted(SRC.glob("*.py"))
     assert paths
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             assert not isinstance(node, ast.Global), (path.name, node.lineno)
+
+
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set")
+            and not node.args and not node.keywords)
+
+
+def test_no_module_level_memo():
+    """No module of qsym binds a module-level name to an empty {}, [],
+    set(), dict() or list(), the shape of a hand-rolled memo, and a
+    shared_type entry holds its root system and, once built, its algebra
+    only: every memo is a functools.cache on the function that computes it."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                assert not (node.value is not None and _is_empty_container(node.value)), \
+                    (path.name, node.lineno)
+    entry = shared_type("A2")
+    assert set(vars(entry)) <= {"rs", "algebra"}
+    entry.algebra
+    assert set(vars(entry)) == {"rs", "algebra"}
