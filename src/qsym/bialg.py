@@ -54,10 +54,6 @@ class TripleTouchesNode(ValueError):
 # two-tensor helpers
 # ---------------------------------------------------------------------------
 
-# acc += scale * t on two-tensors: liealg's _vadd_into, beside tt_op/tt_skew/tt_sym
-tt_add = _vadd_into
-
-
 def _ad_into(acc, row, t, scale=1):
     """acc += scale * [x (x) 1 + 1 (x) x, t], where row maps p to [x, p].
 
@@ -245,7 +241,7 @@ def bd_r_matrix(alg, triple):
             if sol[var(i, j)]:
                 r[(alg.h_idx[i], alg.h_idx[j])] = sol[var(i, j)]
     for g in alg.pos_roots:
-        tt_add(r, {(alg.f_idx[g], alg.e_idx[g]): rs.inner(g, g) / 2})
+        _vadd_into(r, {(alg.f_idx[g], alg.e_idx[g]): rs.inner(g, g) / 2})
 
     d1 = {a - 1 for a in triple.delta1}
     tau0 = {a - 1: triple.tau[a] - 1 for a in triple.delta1}
@@ -258,8 +254,8 @@ def bd_r_matrix(alg, triple):
         while all(cur[i] == 0 for i in range(rank) if i not in d1):
             vec = _transport_one(alg, vec, tau0)
             (idx2, c2), = vec.items()
-            tt_add(r, {(alg.f_idx[g], idx2): half * c2,
-                       (idx2, alg.f_idx[g]): -half * c2})
+            _vadd_into(r, {(alg.f_idx[g], idx2): half * c2,
+                           (idx2, alg.f_idx[g]): -half * c2})
             cur = alg.pos_roots[idx2]
     return r, freedom
 
@@ -307,7 +303,7 @@ def check_cybe(alg, r, module=None):
     if dim ** 3 <= 1000:
         cube = schouten_square(_pair_matrix(mats, dim, r), dim)
         assert (not cube) == holds, "tensor-cube route disagrees"
-    sym = tt_add(tt_add({}, r), tt_op(r))
+    sym = _vadd_into(_vadd_into({}, r), tt_op(r))
     invariant = all(not ad_two_tensor(alg, x, sym) for x in range(alg.dim))
     return {"cybe_holds": holds, "symmetric_part_invariant": invariant}
 
@@ -328,7 +324,7 @@ def cobracket_from_r(carrier, r):
     delta = {}
     for x in range(carrier.dim):
         t = ad_two_tensor(carrier, x, r, -1)
-        if tt_add(dict(t), tt_op(t)):
+        if _vadd_into(dict(t), tt_op(t)):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
         if t:
             delta[x] = t
@@ -352,7 +348,7 @@ def check_lie_bialgebra(carrier, delta):
     rows = [int_columns(row, big_c) for row in rows]
     dl = int_columns(delta, den_lcm(v for t in delta.values() for v in t.values()))
     report = {}
-    report["antisym"] = all(not tt_add(dict(t), tt_op(t)) for t in dl.values())
+    report["antisym"] = all(not _vadd_into(dict(t), tt_op(t)) for t in dl.values())
 
     def cyc_ok(x):
         # t = (1 (x) delta) delta(x); co-Jacobi asks t + its two cyclic shifts = 0
@@ -470,12 +466,7 @@ def semidirect_algebra(alg, lam):
     mod = highest_weight_module(alg, lam)
     n = alg.dim
     names = list(alg.names) + ["v%d" % (k + 1) for k in range(mod.dim)]
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = alg.bracket_idx(i, j)
-            if v:
-                table[(i, j)] = dict(v)
+    table = {ij: dict(v) for ij, v in alg.table.items()}
     for i in range(n):
         for a in range(mod.dim):
             col = mod.mats[i].get(a, {})

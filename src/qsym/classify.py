@@ -31,7 +31,9 @@ from .liealg import (
 )
 from .poisson import generator_brackets, jacobi_oracle, schouten_promoted
 from .rootsys import (
+    _SERIES,
     NotDominant,
+    _rank_ok,
     cominuscule_nodes,
     normalize_type,
     weight_multiplicities,
@@ -159,21 +161,13 @@ def _canonical_pair(g_type, lam):
 # ---------------------------------------------------------------------------
 
 def _simple_types(rank, e_ranks):
-    """The simple types of one rank in series order, E only at e_ranks."""
-    out = [("A", rank)]
-    if rank >= 3:
-        out.append(("B", rank))
-    if rank >= 2:
-        out.append(("C", rank))
-    if rank >= 4:
-        out.append(("D", rank))
-    if rank in e_ranks:
-        out.append(("E", rank))
-    if rank == 4:
-        out.append(("F", 4))
-    if rank == 2:
-        out.append(("G", 2))
-    return out
+    """The simple types of one rank in series order, E only at e_ranks.
+
+    B2 and D3 are left out: _canonical_pair folds them into C2 and A3.
+    """
+    return [(letter, rank) for letter in _SERIES
+            if _rank_ok(letter, rank) and (letter, rank) not in (("B", 2), ("D", 3))
+            and (letter != "E" or rank in e_ranks)]
 
 
 def geometric_ambients(letter, rank, lam, extended=False):

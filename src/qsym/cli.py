@@ -41,8 +41,8 @@ def _scalar(v):
     return v
 
 
-def _type_rank(args):
-    """(series letter, rank) named by --type and --rank; a simple type only."""
+def _shared_type(args):
+    """The SharedType named by --type and --rank; a simple type only."""
     if "x" in args.type.lower():
         raise InvalidType("product type %r is not supported on the command line"
                           % args.type)
@@ -53,8 +53,10 @@ def _type_rank(args):
                               % args.type)
         if not _rank_ok(letter, args.rank):
             raise InvalidType("no simple type %s%d" % (letter, args.rank))
-        return letter, args.rank
-    return normalize_type(args.type)
+        pair = letter, args.rank
+    else:
+        pair = normalize_type(args.type)
+    return shared_type("%s%d" % pair)
 
 
 def _parse_weight(text, rank):
@@ -75,10 +77,9 @@ def _dumps(obj):
 # -- subcommand handlers, each returning (text, exit_code) -------------------
 
 def _cmd_roots(args):
-    letter, rank = _type_rank(args)
-    rs = shared_type("%s%d" % (letter, rank)).rs
+    rs = _shared_type(args).rs
     out = {
-        "type": "%s%d" % (letter, rank),
+        "type": rs.label,
         "rank": rs.rank,
         "cartan": rs.cartan,
         "norms": [_scalar(x) for x in rs.norms],
@@ -90,12 +91,11 @@ def _cmd_roots(args):
 
 
 def _cmd_module(args):
-    letter, rank = _type_rank(args)
-    rs = shared_type("%s%d" % (letter, rank)).rs
+    rs = _shared_type(args).rs
     lam = _parse_weight(args.weight, rs.rank)
     mults = weight_multiplicities(rs, lam)
     out = {
-        "type": "%s%d" % (letter, rank),
+        "type": rs.label,
         "weight": list(lam),
         "dim": weyl_dim(rs, lam),
         "weights": {",".join(map(str, k)): m for k, m in sorted(mults.items())},
@@ -104,17 +104,16 @@ def _cmd_module(args):
 
 
 def _cmd_rmatrix(args):
-    letter, rank = _type_rank(args)
-    alg = shared_type("%s%d" % (letter, rank)).algebra
+    alg = _shared_type(args).algebra
     r = standard_r(alg)
     module = None
     if args.module:
-        module = highest_weight_module(alg, _parse_weight(args.module, rank))
+        module = highest_weight_module(alg, _parse_weight(args.module, alg.rank))
     report = check_cybe(alg, r, module=module)
     entries = {"%s⊗%s" % (alg.names[i], alg.names[j]): _scalar(v)
                for (i, j), v in sorted(r.items())}
     out = {
-        "type": "%s%d" % (letter, rank),
+        "type": alg.rs.label,
         "cybe_holds": report["cybe_holds"],
         "symmetric_part_invariant": report["symmetric_part_invariant"],
         "entries": entries,
@@ -123,8 +122,7 @@ def _cmd_rmatrix(args):
 
 
 def _cmd_bd(args):
-    letter, rank = _type_rank(args)
-    typ = shared_type("%s%d" % (letter, rank))
+    typ = _shared_type(args)
     rs = typ.rs
     alg = typ.algebra if args.check else None
     triples = []
@@ -138,18 +136,17 @@ def _cmd_bd(args):
             r, _ = bd_r_matrix(alg, t)
             item["cybe_holds"] = check_cybe(alg, r)["cybe_holds"]
         triples.append(item)
-    out = {"type": "%s%d" % (letter, rank), "count": len(triples),
+    out = {"type": rs.label, "count": len(triples),
            "triples": triples}
     return _dumps(out), 0
 
 
 def _cmd_double(args):
-    letter, rank = _type_rank(args)
-    alg = shared_type("%s%d" % (letter, rank)).algebra
+    alg = _shared_type(args).algebra
     delta = cobracket_from_r(alg, standard_r(alg))
     double, _, report = drinfeld_double(alg, delta)
     out = {
-        "type": "%s%d" % (letter, rank),
+        "type": alg.rs.label,
         "dim": double.dim,
         "jacobi_holds": report["jacobi_holds"],
         "canonical_r_cybe": report["canonical_r_cybe"],
@@ -159,9 +156,9 @@ def _cmd_double(args):
 
 
 def _cmd_classify(args):
-    letter, rank = _type_rank(args)
-    lam = _parse_weight(args.weight, rank)
-    row = classify_pair((letter, rank), lam, dim_budget=args.dim_budget,
+    rs = _shared_type(args).rs
+    lam = _parse_weight(args.weight, rs.rank)
+    row = classify_pair(rs.label, lam, dim_budget=args.dim_budget,
                         all_bd=args.all_bd, extended=args.extended)
     return _dumps(row.as_dict()), 0
 

@@ -3,9 +3,11 @@
 Modules are built level by level from the highest weight vector; candidate
 vectors f_i(b) are kept or rejected by exact elimination of the contravariant
 Gram matrix, which quotients the Verma module to the irreducible one. The
-Chevalley basis is bootstrapped from the smallest fundamental module of each
-simple component (27 for E6, 56 for E7, 10 for D5; the adjoint only for E8),
-which is faithful, so every structure constant read off it is exact:
+Chevalley basis is bootstrapped from one irreducible module of the type's
+own root system, whose highest weight is on each simple component the
+fundamental weight of smallest dimension (27 for E6, 56 for E7, 10 for D5;
+the adjoint only for E8; the tensor product of these for a product type).
+It is faithful, so every structure constant read off it is exact:
 root-vector operators are nested commutators of the generator matrices along
 a deterministic descent path, with F_gamma rescaled so that
 [E_gamma, F_gamma] = H_gamma exactly.
@@ -319,8 +321,9 @@ class ChevalleyAlgebra(BracketTable):
     descent convention recorded in `recipes`: E_gamma is the left-normed
     bracket [E_i, E_{gamma - alpha_i}] / (p+1) for the smallest simple i
     with gamma - alpha_i a positive root. The structure constants are read
-    off the operators of one faithful module per simple component, the
-    fundamental module of smallest dimension; they do not depend on which.
+    off the operators of one faithful module of rs, the tensor product over
+    the simple components of each one's fundamental module of smallest
+    dimension; they do not depend on which faithful module.
     """
 
     def __init__(self, rs):
@@ -344,14 +347,6 @@ class ChevalleyAlgebra(BracketTable):
 
     # -- structure constants -------------------------------------------------
 
-    def _component_of(self, idx):
-        w = self.weight[idx]
-        for c, off in enumerate(self.rs._offsets):
-            n = self.rs.components[c][1]
-            if any(w[off + k] for k in range(n)):
-                return c
-        return None  # Cartan
-
     def _descent(self, gamma):
         """Smallest simple i with gamma - alpha_i a positive root, and the
         Chevalley denominator p+1 for that pair; gamma is not simple."""
@@ -372,36 +367,22 @@ class ChevalleyAlgebra(BracketTable):
         rs = self.rs
         rank = self.rank
         ops = {}
-        # one module per simple component, assembled block-diagonally: the
-        # fundamental module of smallest Weyl dimension (the first on ties).
-        # A nonzero module of a simple algebra is faithful, so every ratio
-        # read off below is the abstract algebra's, in any such module.
-        dim_off = 0
-        comp_reps = []
-        for letter, n in rs.components:
-            crs = build_root_system(letter, n)
-            omegas = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-            rep = module_matrices(crs, min(omegas, key=lambda w: weyl_dim(crs, w)))
-            comp_reps.append((rep, dim_off))
-            dim_off += rep.dim
-
-        def lift(mat, off):
-            return {j + off: {i + off: v for i, v in col.items()} for j, col in mat.items()}
-
-        # root-vector operators are scaled int matrices (scaled above): the
-        # commutators run on ints and every ratio below is an exact Fraction
-        gen_e = []
-        gen_f = []
-        gen_h = []  # H_i is diagonal: {index: int eigenvalue}
-        for i in range(rank):
-            c = next(k for k, offk in enumerate(rs._offsets)
-                     if offk <= i < offk + rs.components[k][1])
-            local = i - rs._offsets[c]
-            rep, off = comp_reps[c]
-            gen_e.append(scaled(lift(rep.e[local], off)))
-            gen_f.append(scaled(lift(rep.f[local], off)))
-            gen_h.append({j + off: rep.weights[j][local]
-                          for j in range(rep.dim) if rep.weights[j][local]})
+        # one irreducible module of rs itself: on each simple component the
+        # fundamental weight of smallest Weyl dimension (the first on ties).
+        # It is the tensor product of one nonzero module per component, so it
+        # is faithful, and every ratio read off below is the abstract
+        # algebra's. Root-vector operators are scaled int matrices (scaled
+        # above): the commutators run on ints and every ratio below is an
+        # exact Fraction.
+        lam = [0] * rank
+        for off, (_, n) in zip(rs._offsets, rs.components):
+            lam[min(range(off, off + n),
+                    key=lambda i: weyl_dim(rs, [int(k == i) for k in range(rank)]))] = 1
+        rep = module_matrices(rs, lam)
+        gen_e = [scaled(m) for m in rep.e]
+        gen_f = [scaled(m) for m in rep.f]
+        # H_i is diagonal: {index: int eigenvalue}
+        gen_h = [{j: w[i] for j, w in enumerate(rep.weights) if w[i]} for i in range(rank)]
 
         for i in range(rank):
             alpha = tuple(1 if k == i else 0 for k in range(rank))
@@ -448,7 +429,9 @@ class ChevalleyAlgebra(BracketTable):
             self.recipes[self.f_idx[gamma]] = (
                 "comm_f", i, self.f_idx[parent], coef * tilde_scale[parent] / t)
 
-        # extract structure constants with weight pruning
+        # extract structure constants with weight pruning; root vectors of
+        # two simple components commute on the tensor-product module, which
+        # the "unexpected bracket weight" assertion checks
         table = {}
         n_basis = 2 * len(self.pos_roots) + rank
 
@@ -457,7 +440,6 @@ class ChevalleyAlgebra(BracketTable):
                 table[(i, j)] = val
 
         hspace = {self.h_idx[i] for i in range(rank)}
-        component = [self._component_of(a) for a in range(n_basis)]
         for a in range(n_basis):
             for b in range(a + 1, n_basis):
                 wa, wb = self.weight[a], self.weight[b]
@@ -470,8 +452,6 @@ class ChevalleyAlgebra(BracketTable):
                     if b in hspace:
                         scal = -scal
                     put(a, b, {other: scal} if scal else {})
-                    continue
-                if component[a] != component[b]:
                     continue
                 target = tuple(x + y for x, y in zip(wa, wb))
                 # the int commutator first; its scale only when it is nonzero
@@ -569,7 +549,7 @@ def highest_weight_module(alg, lam):
         mats[alg.f_idx[alpha]] = rep.f[i]
         mats[alg.h_idx[i]] = {j: {j: Q(rep.weights[j][i])}
                               for j in range(rep.dim) if rep.weights[j][i]}
-    for gamma in sorted(alg.pos_roots, key=lambda g: (sum(g), g)):
+    for gamma in alg.pos_roots:  # by height: each parent comes first
         for idx in (alg.e_idx[gamma], alg.f_idx[gamma]):
             recipe = alg.recipes[idx]
             if recipe[0] in ("e", "f"):

@@ -117,6 +117,20 @@ def test_geometric_ambients_memoises_radicals():
         assert isinstance(levi, tuple) and isinstance(lam_levi, tuple), node
 
 
+def test_simple_types_written_out():
+    """The sweep's and the ambient search's simple types per rank, in series
+    order: B2 and D3 are left out (they land on C2 and A3), and E only at
+    the ranks asked for."""
+    by_rank = ["A1", "A2 C2 G2", "A3 B3 C3", "A4 B4 C4 D4 F4", "A5 B5 C5 D5",
+               "A6 B6 C6 D6 E6", "A7 B7 C7 D7 E7", "A8 B8 C8 D8 E8", "A9 B9 C9 D9"]
+    for e_ranks, dropped in [((6, 7, 8), ()), ((6, 8), ("E7",)),
+                             ((), ("E6", "E7", "E8"))]:
+        want = [[(label[0], int(label[1:])) for label in labels.split()
+                 if label not in dropped] for labels in by_rank]
+        got = [classify._simple_types(rank, e_ranks) for rank in range(1, 10)]
+        assert got == want, e_ranks
+
+
 def test_hardcoded_list_spot_values():
     yes = [
         ("A", 1, (2,)),

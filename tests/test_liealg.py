@@ -495,16 +495,23 @@ def test_bootstrapped_rank_five_tables_over_fraction():
         _check_table_over_fraction(label)
 
 
-# sha256 of the normalized bracket table, recorded from the bootstrap on the
-# adjoint module, before it moved to the smallest fundamental module
+# sha256 of the normalized bracket table: E6 and E7 recorded from the
+# bootstrap on the adjoint module, the products from the bootstrap on one
+# module per simple component assembled block-diagonally
 _TABLE_SHA256 = {
     "E6": "08725c4f42df8a67c9fdb83a22a9736cb1904ad438106965d1252f8b4177deb8",
     "E7": "b5130dc7a94513cde3a5b7c9f34deae3bd80a50d1262d42231218622a831e9f3",
+    "A1xA1": "e14dac0cf14546e39c64fb2acc81d7d770f73aa21ebf08c4e84efd0b179f73d2",
+    "A2xA1": "759096c82d87e1a697c43480702f41cc7f3c84bbe6884379f16bac58a8085177",
+    "A1xA1xA1": "09c12d65558a92f5b881b2d462fc9c961626d02e85177c8b8236619dd3bf9854",
+    "B2xG2": "a429357856d6042bdc816c291b5a605636f92a67de56ae1688de0fc2d7a6d736",
 }
 
 
 def test_bootstrapped_table_golden_e6_e7():
-    """The E6 and E7 structure constants are those of the adjoint bootstrap."""
+    """The E6 and E7 structure constants are those of the adjoint bootstrap,
+    and a product type's are those of its components' blocks: the
+    tensor-product module gives the same table."""
     for label, want in _TABLE_SHA256.items():
         alg = chevalley_basis(label)
         normalized = repr([(k, sorted(v.items())) for k, v in sorted(alg.table.items())])
@@ -512,8 +519,9 @@ def test_bootstrapped_table_golden_e6_e7():
 
 
 def test_bootstrap_builds_the_smallest_fundamental_module(monkeypatch):
-    """One module per simple component, the fundamental one of smallest
-    dimension: E7 on 56, B5 on 11, C5 on 10, G2 on 7, A2xA1 on 3 plus 2."""
+    """One module per algebra, of its own root system: on each simple
+    component the fundamental weight of smallest dimension, so E7 on 56, B5
+    on 11, C5 on 10, G2 on 7, A2xA1 on 3 x 2 and A1xA1xA1 on 2 x 2 x 2."""
     built = []
 
     def recorded(rs, lam):
@@ -524,7 +532,7 @@ def test_bootstrap_builds_the_smallest_fundamental_module(monkeypatch):
     real = liealg.module_matrices
     monkeypatch.setattr(liealg, "module_matrices", recorded)
     for label, dims in [("E7", [56]), ("B5", [11]), ("C5", [10]), ("G2", [7]),
-                        ("A2xA1", [3, 2])]:
+                        ("A2xA1", [6]), ("A1xA1xA1", [8])]:
         built.clear()
         chevalley_basis(label)
         assert built == dims, label

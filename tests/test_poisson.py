@@ -7,14 +7,14 @@ import pytest
 
 from qsym import poisson
 from qsym.rootsys import build_root_system, weyl_dim
-from qsym.liealg import chevalley_basis, highest_weight_module, _mcompose, _mscaled_sum
+from qsym.liealg import (chevalley_basis, highest_weight_module, _mcompose, _mscaled_sum,
+                         _vadd_into)
 from qsym.bialg import (
     BDTriple,
     _cybe_tensor,
     bd_r_matrix,
     enumerate_bd_triples,
     standard_r,
-    tt_add,
     tt_op,
     tt_skew,
 )
@@ -162,7 +162,7 @@ def test_half_casimir_commutators_equal_schouten_square():
     for label, lams in [("A1", [(1,), (2,), (3,)]), ("A2", [(1, 0), (1, 1)])]:
         alg = chevalley_basis(build_root_system(label))
         r = standard_r(alg)
-        c = {k: v / 2 for k, v in tt_add(tt_add({}, r), tt_op(r)).items()}
+        c = {k: v / 2 for k, v in _vadd_into(_vadd_into({}, r), tt_op(r)).items()}
         for lam in lams:
             mod = highest_weight_module(alg, lam)
             d = mod.dim

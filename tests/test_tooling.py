@@ -1,6 +1,7 @@
 """The benchmark's span tracer still finds every function it wraps, the
-package's imports stay at module level with no poisson -> bialg cycle, and
-no module keeps state behind a global statement or a module-level memo."""
+package's imports stay at module level with no poisson -> bialg cycle, no
+module keeps state behind a global statement or a module-level memo, and
+root systems are built behind the one cache of types."""
 
 import ast
 import importlib
@@ -98,3 +99,35 @@ def test_no_module_level_memo():
     assert set(vars(entry)) <= {"rs", "algebra"}
     entry.algebra
     assert set(vars(entry)) == {"rs", "algebra"}
+
+
+def _calls_by_function(tree, name):
+    """Qualified names of the functions whose bodies call `name`."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_root_systems_built_only_behind_shared_type():
+    """build_root_system is called in qsym only by liealg.shared_type, the
+    one cache of types, and liealg.chevalley_basis, which takes a label
+    from outside; the Chevalley bootstrap builds its module on the
+    algebra's own root system."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        callers |= {"%s.%s" % (path.stem, f)
+                    for f in _calls_by_function(tree, "build_root_system")}
+    assert callers == {"liealg.shared_type", "liealg.chevalley_basis"}, callers
