@@ -140,7 +140,16 @@ class BDTriple:
 
 
 def enumerate_bd_triples(rs):
-    """All valid triples for a simple root system, deterministically ordered."""
+    """All valid triples for a simple root system, deterministically ordered.
+
+    A fresh list each call, over the memoised tuple of _bd_triples.
+    """
+    return list(_bd_triples(rs))
+
+
+@cache
+def _bd_triples(rs):
+    """The triples of enumerate_bd_triples, found once per root system."""
     nodes = list(range(1, rs.rank + 1))
     found = []
     for size in range(rs.rank + 1):
@@ -154,7 +163,7 @@ def enumerate_bd_triples(rs):
                         continue
                     found.append(t)
     found.sort(key=BDTriple.key)
-    return found
+    return tuple(found)
 
 
 def _transport_one(alg, vec, tau0):

@@ -36,6 +36,7 @@ from .rootsys import (
     _rank_ok,
     cominuscule_nodes,
     normalize_type,
+    type_label,
     weight_multiplicities,
     weyl_dim,
 )
@@ -161,11 +162,12 @@ def _canonical_pair(g_type, lam):
 # ---------------------------------------------------------------------------
 
 def _simple_types(rank, e_ranks):
-    """The simple types of one rank in series order, E only at e_ranks.
+    """The labels of the simple types of one rank in series order, E only
+    at e_ranks: what shared_type takes.
 
     B2 and D3 are left out: _canonical_pair folds them into C2 and A3.
     """
-    return [(letter, rank) for letter in _SERIES
+    return [type_label(letter, rank) for letter in _SERIES
             if _rank_ok(letter, rank) and (letter, rank) not in (("B", 2), ("D", 3))
             and (letter != "E" or rank in e_ranks)]
 
@@ -179,8 +181,8 @@ def geometric_ambients(letter, rank, lam, extended=False):
     """
     wanted = _weight_spellings(letter, rank, tuple(lam))
     found = []
-    for lt, rk in _simple_types(rank + 1, (6, 7, 8) if extended else (6, 8)):
-        ambient = shared_type("%s%d" % (lt, rk))
+    for label in _simple_types(rank + 1, (6, 7, 8) if extended else (6, 8)):
+        ambient = shared_type(label)
         for node in cominuscule_nodes(ambient.rs):
             levi, lam_levi, abelian = abelian_radical_module(ambient.rs, node)
             if not abelian or len(levi) != 1:
@@ -218,7 +220,7 @@ class ClassificationRow:
 
     @property
     def label(self):
-        return "%s%d" % self.g_type
+        return type_label(*self.g_type)
 
     @property
     def passing(self):
@@ -278,7 +280,7 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
     letter, rank, lam, aliases = _canonical_pair(g_type, lam)
-    typ = shared_type("%s%d" % (letter, rank))
+    typ = shared_type(type_label(letter, rank))
     rs = typ.rs
     if not any(lam):
         raise NotDominant("the zero weight is out of scope")
@@ -349,13 +351,13 @@ def classification_table(max_rank, dim_budget, all_bd=False, extended=False):
         raise ValueError("max_rank must be at least 1, got %d" % max_rank)
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
-    types = sorted(t for r in range(1, max_rank + 1)
-                   for t in _simple_types(r, (6, 7, 8) if extended else ()))
+    types = sorted((shared_type(label) for r in range(1, max_rank + 1)
+                    for label in _simple_types(r, (6, 7, 8) if extended else ())),
+                   key=lambda typ: typ.rs.components)
     rows = []
-    for lt, rk in types:
-        rs = shared_type("%s%d" % (lt, rk)).rs
-        for lam in _dominant_weights_within(rs, dim_budget):
-            rows.append(classify_pair((lt, rk), lam, dim_budget=dim_budget,
+    for typ in types:
+        for lam in _dominant_weights_within(typ.rs, dim_budget):
+            rows.append(classify_pair(typ.rs.label, lam, dim_budget=dim_budget,
                                       all_bd=all_bd, extended=extended))
     return rows
 

@@ -19,7 +19,7 @@ from .classify import DEFAULT_DIM_BUDGET, classification_table, classify_pair, p
 from .liealg import highest_weight_module, shared_type
 from .poisson import jacobi_oracle
 from .rootsys import (_SERIES, InvalidType, _rank_ok, cominuscule_nodes, normalize_type,
-                      weight_multiplicities, weyl_dim)
+                      type_label, weight_multiplicities, weyl_dim)
 from .scalars import QRat
 
 
@@ -56,7 +56,7 @@ def _shared_type(args):
         pair = letter, args.rank
     else:
         pair = normalize_type(args.type)
-    return shared_type("%s%d" % pair)
+    return shared_type(type_label(*pair))
 
 
 def _parse_weight(text, rank):

@@ -35,7 +35,8 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cache, cached_property
 
-from .rootsys import _SERIES, _check_dominant, _rank_ok, build_root_system, weyl_dim
+from .rootsys import (_SERIES, _check_dominant, _rank_ok, build_root_system, type_label,
+                      weyl_dim)
 from .scalars import den_lcm, echelon
 
 
@@ -614,7 +615,7 @@ def _match_subdiagram(nodes, cartan):
     # at most one series matches, but for D3 = A3 and B2 = C2 (transposed),
     # where the first in series order wins
     for letter in (x for x in _SERIES if _rank_ok(x, n)):
-        mapping = extend([], shared_type("%s%d" % (letter, n)).rs.cartan)
+        mapping = extend([], shared_type(type_label(letter, n)).rs.cartan)
         if mapping:
             return letter, n, mapping
     raise AssertionError("unclassifiable subdiagram %r" % (nodes,))

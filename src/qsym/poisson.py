@@ -2,16 +2,16 @@
 
 Operators on V (x) V and V^(x)3 are plain column-form dicts over packed
 integer indices (a*dim + b, (a*dim + b)*dim + c), with dim V passed next to
-them; a module is a liealg.Module, already built. Their products and every
-sum here go through liealg's one kernel and its accumulator _vadd_into,
-which work over any exact ring, so the same code serves the Fraction
-operators of the classical layer and the QRat ones of qsl2.
+them; a module is a liealg.Module, already built. Their products and sums
+go through liealg's one kernel and its accumulator _vadd_into, which work
+over any exact ring, so the same code serves the Fraction operators of the
+classical layer and the QRat ones of qsl2.
 
 The Schouten criterion asks whether [[P, P]] vanishes on Lambda^3 V. The
 Jacobi oracle extends the degree-2 bracket table (a liealg.BracketTable
 over monomials) by the Leibniz rule and is the independent ground truth
 the criterion is checked against; generator_brackets reads that table off
-r- and the module.
+r- and the module, lazily and over ints (GeneratorBrackets).
 
 The sweep's Schouten verdict (schouten_promoted) is a function of the
 tensor [[r-, r-]] = bialg._cybe_tensor(alg, tt_skew(r)) and the module, so
@@ -22,12 +22,21 @@ wedge, not six, which is sound because that tensor is totally antisymmetric
 denominators. Its sums into S^2 V and S^3 V are hand-written int loops, not
 _vadd_into, kept inline for speed: this is the largest stage of the E6 rows.
 
-schouten_criterion, schouten_square and jacobi_oracle stay on Fraction as
-the references and read no [[r-, r-]] from _cybe_tensor. The first two share
-one expansion of [[P, P]] (_square_images): the pair operator's legs are
-embedded once and the commutators applied to one vector at a time, to each
-basis vector of V^(x)3 for the square and to each wedge vector (all six
-orderings summed) for the criterion.
+The Jacobi side reads no [[r-, r-]] and shares no loop with
+schouten_promoted, only den_lcm, int_columns and tt_skew. Its table is the
+bracket scaled by a constant c > 0 that clears every denominator, which is
+exact: the Jacobi sum is quadratic in the bracket, so it is scaled by c^2
+and vanishes exactly when the unscaled one does. A pair is built on its
+first read, and the oracle stops at its first nonzero triple, so a failing
+module builds few of them. jacobi_oracle itself works over any exact ring:
+the qsl2 table it also checks is over Fractions.
+
+schouten_criterion and schouten_square stay on Fraction as the references
+and read no [[r-, r-]] from _cybe_tensor. They share one expansion of
+[[P, P]] (_square_images): the pair operator's legs are embedded once and
+the commutators applied to one vector at a time, to each basis vector of
+V^(x)3 for the square and to each wedge vector (all six orderings summed)
+for the criterion.
 """
 
 from __future__ import annotations
@@ -235,42 +244,98 @@ def schouten_promoted(tensor, module):
 # the Poisson bracket on S(V) and its Jacobi oracle
 # ---------------------------------------------------------------------------
 
-def generator_brackets(r, module):
-    """{v_i, v_j} = symmetrized r-(v_i (x) v_j), stored for i < j.
+class GeneratorBrackets(BracketTable):
+    """{v_i, v_j} = symmetrized r-(v_i (x) v_j) times scale, over ints, lazily.
 
-    t = tt_skew(r) is skew, so sum t_ab rho(a) (x) rho(b) is flip-skew and
-    its columns i < j determine the bracket: only those are summed, straight
-    into sorted monomials of S^2 V, and no operator on V (x) V is built.
+    t = tt_skew(r) is kept scaled by the lcm D of its denominators, grouped
+    by first leg, and the module matrices by the lcm L of theirs, so every
+    bracket times scale = D * L^2 is an int polynomial over sorted monomials
+    of S^2 V. t is skew, so sum t_ab rho(a) (x) rho(b) is flip-skew and its
+    column (i, j), i < j, determines the bracket; that column is summed on
+    the first bracket_idx of the pair and memoised in table. So table holds
+    only the pairs built so far, empty brackets included.
     """
-    table = {}
-    for (a, b), v in tt_skew(r).items():
-        for i, col_a in module.mats[a].items():
-            for j, col_b in module.mats[b].items():
-                if i < j:
-                    poly = table.setdefault((i, j), {})
-                    for ra, va in col_a.items():
-                        _vadd_into(poly, {(ra, rb) if ra <= rb else (rb, ra): vb
-                                          for rb, vb in col_b.items()}, v * va)
-    return BracketTable(module.dim, {ij: poly for ij, poly in table.items() if poly})
+
+    def __init__(self, r, module):
+        super().__init__(module.dim, {})
+        t = tt_skew(r)
+        big_d = den_lcm(t.values())
+        big_l = den_lcm(v for m in module.mats for col in m.values() for v in col.values())
+        self.scale = big_d * big_l ** 2
+        self._mats = [int_columns(m, big_l) for m in module.mats]
+        self._by_first = {}
+        for (a, b), v in t.items():
+            self._by_first.setdefault(a, []).append((b, v.numerator * (big_d // v.denominator)))
+
+    def bracket_idx(self, i, j):
+        """Bracket of basis elements i and j, with sign, built on first read."""
+        if i > j:
+            return {k: -v for k, v in self.bracket_idx(j, i).items()}
+        if i == j:
+            return {}
+        poly = self.table.get((i, j))
+        if poly is None:
+            poly = self.table[(i, j)] = self._build(i, j)
+        return poly
+
+    def _build(self, i, j):
+        mats, poly = self._mats, {}
+        for a, terms in self._by_first.items():
+            col_a = mats[a].get(i)
+            if not col_a:
+                continue
+            for b, v in terms:
+                col_b = mats[b].get(j)
+                if not col_b:
+                    continue
+                for ra, va in col_a.items():
+                    w = v * va
+                    for rb, vb in col_b.items():
+                        key = (ra, rb) if ra <= rb else (rb, ra)
+                        poly[key] = poly.get(key, 0) + w * vb
+        return {key: v for key, v in poly.items() if v}
+
+
+def generator_brackets(r, module):
+    """The Poisson bracket table of r- on a built module: a GeneratorBrackets,
+    whose pairs are built as they are read."""
+    return GeneratorBrackets(r, module)
 
 
 def jacobi_oracle(B):
-    """Leibniz-extend B and test the cyclic Jacobi sum in S^3 V."""
+    """Leibniz-extend B and test the cyclic Jacobi sum in S^3 V.
 
-    def bracket_with_poly(i, poly):
-        out = {}
-        for (a, b), v in poly.items():
-            for one, other in [(a, b), (b, a)]:
-                _vadd_into(out, {tuple(sorted(mono + (other,))): w
-                                 for mono, w in B.bracket_idx(i, one).items()}, v)
-        return out
-
+    B is any BracketTable over sorted monomials of S^2 V, read through
+    bracket_idx only, with values in any exact ring; the search stops at
+    the first triple whose sum is nonzero.
+    """
+    bracket_idx = B.bracket_idx
     for i in range(B.dim):
         for j in range(i + 1, B.dim):
             for k in range(j + 1, B.dim):
                 acc = {}
-                for x, y, z in [(i, j, k), (j, k, i), (k, i, j)]:
-                    _vadd_into(acc, bracket_with_poly(x, B.bracket_idx(y, z)))
-                if acc:
+                # {i, {j, k}} + {j, {k, i}} + {k, {i, j}}, every pair read in
+                # its stored order i < j and the sign carried by the scalar
+                for x, y, z, flip in [(i, j, k, False), (j, i, k, True), (k, i, j, False)]:
+                    for (a, b), v in bracket_idx(y, z).items():
+                        if flip:
+                            v = -v
+                        # {x, v_a v_b} = {x, v_a} v_b + v_a {x, v_b}
+                        for one, other in [(a, b), (b, a)]:
+                            if x < one:
+                                poly, u = bracket_idx(x, one), v
+                            else:
+                                poly, u = bracket_idx(one, x), -v
+                            for (lo, hi), w in poly.items():
+                                if other <= lo:
+                                    key = (other, lo, hi)
+                                elif other <= hi:
+                                    key = (lo, other, hi)
+                                else:
+                                    key = (lo, hi, other)
+                                c = u * w
+                                s = acc.get(key)
+                                acc[key] = c if s is None else s + c
+                if any(acc.values()):
                     return False
     return True

@@ -82,6 +82,12 @@ def _rank_ok(letter, n):
     )
 
 
+def type_label(letter, n):
+    """The label of the simple type letter n, "E6": the one spelling of a
+    type, which RootSystem.label joins over its components."""
+    return "%s%d" % (letter, n)
+
+
 def _inv(mat):
     """Exact inverse of a small nonsingular Fraction matrix."""
     n = len(mat)
@@ -102,7 +108,7 @@ class RootSystem:
         for letter, n in self.components:
             if letter not in _SERIES or not _rank_ok(letter, n):
                 raise InvalidType("no simple type %s%d" % (letter, n))
-        self.label = "x".join("%s%d" % c for c in components)
+        self.label = "x".join(type_label(*c) for c in components)
         self.rank = sum(n for _, n in components)
         # block-diagonal symmetric form (alpha_i, alpha_j)
         self.bform = [[Q(0)] * self.rank for _ in range(self.rank)]

@@ -9,6 +9,7 @@ from qsym.liealg import (BracketTable, chevalley_basis, casimir, highest_weight_
                          _vadd_into)
 from qsym.bialg import (
     BDTriple,
+    _bd_triples,
     NotAntisymmetric,
     NotCominuscule,
     NotFaithful,
@@ -89,6 +90,20 @@ def test_bd_triple_enumeration():
     g2 = enumerate_bd_triples(build_root_system("G2"))
     assert [(t.delta1, t.delta2) for t in g2] == [((), ())]
     assert all(len(t.delta1) <= 1 for t in g2)
+
+
+def test_bd_triples_found_once_per_root_system():
+    """enumerate_bd_triples searches once per root system and hands each
+    caller its own list, so a caller extending it leaves the memo alone."""
+    a3 = build_root_system("A3")
+    before = _bd_triples.cache_info()
+    first = enumerate_bd_triples(a3)
+    first.append(None)
+    again = enumerate_bd_triples(a3)
+    after = _bd_triples.cache_info()
+    assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+    assert len(again) == 9 and None not in again
+    assert again == first[:-1] and again is not first
 
 
 def test_bd_triple_validation():

@@ -120,8 +120,9 @@ def test_generator_brackets_quantum_plane():
     """{v1, v2} = -(1/2) v1 v2 on the natural sl2 module."""
     sl2 = chevalley_basis(build_root_system("A1"))
     B = generator_brackets(standard_r(sl2), highest_weight_module(sl2, (1,)))
-    assert B.table == {(0, 1): {(0, 1): Q(-1, 2)}}
-    assert B.bracket_idx(1, 0) == {(0, 1): Q(1, 2)}
+    assert {k: Q(v, B.scale) for k, v in B.bracket_idx(1, 0).items()} == {(0, 1): Q(1, 2)}
+    assert {ij: {k: Q(v, B.scale) for k, v in poly.items()}
+            for ij, poly in B.table.items()} == {(0, 1): {(0, 1): Q(-1, 2)}}
 
 
 def test_generator_brackets_2x2_matrix_entries():
@@ -134,10 +135,14 @@ def test_generator_brackets_2x2_matrix_entries():
     x21 = by_weight[(-1, 1)]
     x12 = by_weight[(1, -1)]
     x22 = by_weight[(-1, -1)]
-    assert B.bracket_idx(x11, x12) == {tuple(sorted((x11, x12))): Q(-1, 2)}
-    assert B.bracket_idx(x11, x21) == {tuple(sorted((x11, x21))): Q(-1, 2)}
-    assert B.bracket_idx(x11, x22) == {tuple(sorted((x12, x21))): Q(-1)}
-    assert B.bracket_idx(x12, x21) == {}
+
+    def bracket(i, j):
+        return {k: Q(v, B.scale) for k, v in B.bracket_idx(i, j).items()}
+
+    assert bracket(x11, x12) == {tuple(sorted((x11, x12))): Q(-1, 2)}
+    assert bracket(x11, x21) == {tuple(sorted((x11, x21))): Q(-1, 2)}
+    assert bracket(x11, x22) == {tuple(sorted((x12, x21))): Q(-1)}
+    assert bracket(x12, x21) == {}
 
 
 def test_generator_brackets_symmetric_r_all_zero():
@@ -155,6 +160,17 @@ def test_jacobi_oracle_examples():
     assert jacobi_oracle(generator_brackets(r, highest_weight_module(sl2, (2,))))
     assert not jacobi_oracle(generator_brackets(r, highest_weight_module(sl2, (3,))))
     assert jacobi_oracle(BracketTable(3, {}))
+
+
+def test_generator_brackets_are_built_on_first_read():
+    """The table starts empty, is over ints with a positive scale, and a
+    failing Jacobi verdict reads fewer pairs than there are."""
+    sl2 = chevalley_basis(build_root_system("A1"))
+    B = generator_brackets(standard_r(sl2), highest_weight_module(sl2, (3,)))
+    assert B.table == {} and B.scale > 0
+    assert jacobi_oracle(B) is False
+    assert 0 < len(B.table) < B.dim * (B.dim - 1) // 2
+    assert all(type(v) is int for poly in B.table.values() for v in poly.values())
 
 
 def test_half_casimir_commutators_equal_schouten_square():
@@ -317,6 +333,44 @@ def test_schouten_equals_jacobi_property():
     assert -1 in seen and max(seen) > 0
 
 
+def test_jacobi_on_the_int_table_equals_jacobi_on_fractions_property():
+    """Jacobi on the scaled int table equals Jacobi on the plain Fraction
+    table of every pair divided by the scale: the sum is quadratic in the
+    bracket, and the oracle runs over either ring. Random small (type,
+    weight, r), r the standard r-matrix (None) or a BD triple's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = {label: _small_weights(label) for label in _SMALL_TYPES}
+    triples = {label: [None] + enumerate_bd_triples(build_root_system(label))
+               for label in _SMALL_TYPES}
+    cases = st.sampled_from(_SMALL_TYPES).flatmap(
+        lambda label: st.tuples(st.just(label), st.sampled_from(weights[label]),
+                                st.sampled_from(triples[label])))
+    seen = set()
+
+    @hypothesis.settings(max_examples=25, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(cases)
+    def check(case):
+        label, lam, triple = case
+        alg = chevalley_basis(build_root_system(label))
+        mod = highest_weight_module(alg, lam)
+        r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
+        B = generator_brackets(r, mod)
+        plain = {}
+        for i in range(mod.dim):
+            for j in range(i + 1, mod.dim):
+                poly = {k: Q(v, B.scale) for k, v in B.bracket_idx(i, j).items()}
+                if poly:
+                    plain[(i, j)] = poly
+        verdict = jacobi_oracle(generator_brackets(r, mod))
+        assert verdict == jacobi_oracle(BracketTable(mod.dim, plain)), case
+        seen.add(verdict)
+
+    check()
+    assert seen == {True, False}
+
+
 def _brackets_off_operator(op, dim):
     """{v_i, v_j} for every i != j, read off column (i, j) of a pair operator
     into sorted monomials of S^2 V: the reference for generator_brackets,
@@ -353,7 +407,8 @@ def test_generator_brackets_equal_the_flip_skew_operator():
                 B = generator_brackets(r, mod)
                 ref = _brackets_off_operator(r_minus_operator(r, mod), mod.dim)
                 for (i, j), poly in ref.items():
-                    assert B.bracket_idx(i, j) == poly, (label, lam, i, j)
+                    got = {k: Q(v, B.scale) for k, v in B.bracket_idx(i, j).items()}
+                    assert got == poly, (label, lam, i, j)
     assert {"A2", "A3", "B3", "C3"} <= bd_types
 
 

@@ -188,8 +188,8 @@ def test_not_dominant():
 def test_adjoint_multiplicities_every_simple_type():
     """On the adjoint module the zero weight has multiplicity rank and the
     multiplicities sum to dim g, for every simple type of rank <= 8."""
-    for letter, n in [t for r in range(1, 9) for t in _simple_types(r, (6, 7, 8))]:
-        rs = build_root_system(letter, n)
+    for label in [t for r in range(1, 9) for t in _simple_types(r, (6, 7, 8))]:
+        rs = build_root_system(label)
         theta = rs.root_to_fund(rs.highest_root)
         mults = weight_multiplicities(rs, theta)
         dim_g = 2 * len(rs.positive_roots) + rs.rank

@@ -1,9 +1,11 @@
 """The benchmark's span tracer still finds every function it wraps, the
 package's imports stay at module level with no poisson -> bialg cycle, no
-module keeps state behind a global statement or a module-level memo, and
-root systems are built behind the one cache of types."""
+module keeps state behind a global statement or a module-level memo, root
+systems are built behind the one cache of types, and the Jacobi oracle
+shares no code with the Schouten verdict it checks beyond its scaling helpers."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 from pathlib import Path
@@ -131,3 +133,42 @@ def test_root_systems_built_only_behind_shared_type():
         callers |= {"%s.%s" % (path.stem, f)
                     for f in _calls_by_function(tree, "build_root_system")}
     assert callers == {"liealg.shared_type", "liealg.chevalley_basis"}, callers
+
+
+def _called_names(node):
+    """Names called as plain functions (f(...), not obj.f(...)) inside node."""
+    return {n.func.id for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def _reach(defs, roots):
+    """The roots and every name they call, following poisson's own top-level
+    functions and classes (a class counts as all of its methods)."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            if name in defs:
+                todo.extend(_called_names(defs[name]))
+    return seen
+
+
+def test_jacobi_side_shares_no_loop_with_schouten_promoted():
+    """The Jacobi oracle and its bracket table (jacobi_oracle,
+    generator_brackets, GeneratorBrackets) call nothing that
+    schouten_promoted calls, directly or through poisson's own helpers,
+    apart from builtins and the shared scaling helpers den_lcm, int_columns
+    and tt_skew; neither side calls the other."""
+    tree = ast.parse((SRC / "poisson.py").read_text())
+    defs = {n.name: n for n in tree.body
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    jacobi_roots = {"jacobi_oracle", "generator_brackets", "GeneratorBrackets"}
+    assert jacobi_roots | {"schouten_promoted"} <= set(defs)
+    jacobi = _reach(defs, jacobi_roots)
+    schouten = _reach(defs, {"schouten_promoted"})
+    shared = jacobi & schouten - set(dir(builtins))
+    assert shared <= {"den_lcm", "int_columns", "tt_skew"}, shared
+    assert "tt_skew" in jacobi
+    assert not jacobi & {"schouten_promoted", "_check_antisymmetric"}, jacobi
+    assert not schouten & jacobi_roots, schouten
