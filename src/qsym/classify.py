@@ -33,6 +33,7 @@ from .poisson import generator_brackets, jacobi_oracle, schouten_promoted
 from .rootsys import (
     _SERIES,
     NotDominant,
+    _check_dominant,
     _rank_ok,
     cominuscule_nodes,
     normalize_type,
@@ -64,8 +65,8 @@ def weight_filter(rs, lam, mults):
     rootsys.weight_multiplicities(rs, lam)); classify_pair passes the ones it
     already computed for the Weyl/Freudenthal oracle.
     """
-    lam = tuple(int(c) for c in lam)
-    if len(lam) != rs.rank or any(c < 0 for c in lam) or not any(lam):
+    _check_dominant(rs, lam)
+    if not any(lam):
         raise NotDominant("need a nonzero dominant weight, got %r" % (lam,))
     # lam - mu and alpha_i (row i of the Cartan matrix) in fundamental coordinates
     positive = {rs.root_to_fund(g) for g in rs.positive_roots}
@@ -105,7 +106,7 @@ def in_classification_list(letter, rank, lam):
               "D": [e(0)] + ([e(3)] if rank == 5 else []),
               "E": [e(0)] if rank == 6 else []}.get(letter, [])
     return any(s == letter and n == rank and v in listed
-               for s, n, v in _weight_spellings(letter, rank, (int(c) for c in lam)))
+               for s, n, v in _weight_spellings(letter, rank, lam))
 
 
 def _weight_spellings(letter, rank, lam):
@@ -143,7 +144,7 @@ def _canonical_pair(g_type, lam):
     else:
         letter, rank = g_type
         letter, rank = letter.upper(), int(rank)
-    lam = tuple(int(c) for c in lam)
+    lam = tuple(lam)
     if len(lam) != rank:
         raise NotDominant("weight has %d coordinates, rank is %d"
                           % (len(lam), rank))

@@ -20,14 +20,15 @@ tt_sym) sum through the same _vadd_into. The scaled form sits on the
 kernel: a Fraction scale times a matrix of Python ints (scaled,
 scaled_comm, scaled_ratio). The bootstrap runs on it: commutators multiply
 ints, and the rescaling factors and structure constants are exact Fraction
-ratios found by integer cross-multiplication. Modules (highest_weight_module)
-stay on Fraction, checked against the Weyl/Freudenthal oracle; every
-function that acts on a module takes one already built.
+ratios found by integer cross-multiplication. A Module (highest_weight_module)
+holds Fraction matrices, checked against the Weyl/Freudenthal oracle, and
+their int form, scaled once when it is built; every function that acts on
+a module takes one already built.
 
 shared_type is the one cache of root systems and Chevalley algebras, one
-entry per type whatever its spelling. The Casimir's Cartan part c0 is read
-off the root system's inverse Cartan matrix (its fundamental weights); no
-second inverse is computed here.
+entry per type whatever its spelling, and no root system is built outside
+it. The Casimir's Cartan part c0 is read off the root system's inverse
+Cartan matrix (its fundamental weights); no second inverse is computed here.
 """
 
 from __future__ import annotations
@@ -183,24 +184,14 @@ def scaled_ratio(m, base):
 # irreducible highest-weight modules
 # ---------------------------------------------------------------------------
 
-class ModuleRep:
-    """Generator matrices of V(lambda) in an exact weight basis."""
-
-    def __init__(self, dim, weights, e, f):
-        self.dim = dim
-        self.weights = weights  # fundamental coordinates per basis index
-        self.e = e  # list over simple i of column-form matrices
-        self.f = f
-
-
 def module_matrices(rs, lam):
-    """Irreducible module with highest weight lam (fundamental coordinates)."""
+    """V(lam), lam in fundamental coordinates, as (weights, e, f): the weight of
+    each basis index and, per simple i, the Fraction matrices of e_i and f_i."""
     _check_dominant(rs, lam)
-    lam = tuple(int(c) for c in lam)
     rank = rs.rank
     alpha_fund = [tuple(rs.cartan[i]) for i in range(rank)]
 
-    weights = [lam]
+    weights = [tuple(lam)]
     e = [{} for _ in range(rank)]
     f = [{} for _ in range(rank)]
     prev = [0]
@@ -270,7 +261,7 @@ def module_matrices(rs, lam):
         prev = new_indices
         gram_prev = gram_new
 
-    return ModuleRep(len(weights), weights, e, f)
+    return weights, e, f
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +370,11 @@ class ChevalleyAlgebra(BracketTable):
         for off, (_, n) in zip(rs._offsets, rs.components):
             lam[min(range(off, off + n),
                     key=lambda i: weyl_dim(rs, [int(k == i) for k in range(rank)]))] = 1
-        rep = module_matrices(rs, lam)
-        gen_e = [scaled(m) for m in rep.e]
-        gen_f = [scaled(m) for m in rep.f]
+        weights, e, f = module_matrices(rs, lam)
+        gen_e = [scaled(m) for m in e]
+        gen_f = [scaled(m) for m in f]
         # H_i is diagonal: {index: int eigenvalue}
-        gen_h = [{j: w[i] for j, w in enumerate(rep.weights) if w[i]} for i in range(rank)]
+        gen_h = [{j: w[i] for j, w in enumerate(weights) if w[i]} for i in range(rank)]
 
         for i in range(rank):
             alpha = tuple(1 if k == i else 0 for k in range(rank))
@@ -502,8 +493,6 @@ class ChevalleyAlgebra(BracketTable):
 
 
 def chevalley_basis(rs):
-    if isinstance(rs, str):
-        rs = build_root_system(rs)
     return ChevalleyAlgebra(rs)
 
 
@@ -532,33 +521,36 @@ def shared_type(label):
 
 
 class Module:
-    """Action matrices of every algebra basis element on V(lam)."""
+    """V(lam): its weights and the action of every algebra basis element k,
+    as the Fraction matrix mats[k] and as ints[k], mats[k] times den (the lcm
+    of every entry's denominator) in int columns, so mats[k] == ints[k] / den."""
 
-    def __init__(self, dim, weights, mats):
-        self.dim = dim
+    def __init__(self, weights, mats):
         self.weights = weights
+        self.dim = len(weights)
         self.mats = mats  # aligned with alg basis indices
+        self.den = den_lcm(v for m in mats for col in m.values() for v in col.values())
+        self.ints = [int_columns(m, self.den) for m in mats]
 
 
 def highest_weight_module(alg, lam):
     """V(lam) with exact matrices for all of alg's basis."""
-    rep = module_matrices(alg.rs, lam)
+    weights, e, f = module_matrices(alg.rs, lam)
     mats = [None] * alg.dim
     for i in range(alg.rank):
         alpha = tuple(1 if k == i else 0 for k in range(alg.rank))
-        mats[alg.e_idx[alpha]] = rep.e[i]
-        mats[alg.f_idx[alpha]] = rep.f[i]
-        mats[alg.h_idx[i]] = {j: {j: Q(rep.weights[j][i])}
-                              for j in range(rep.dim) if rep.weights[j][i]}
+        mats[alg.e_idx[alpha]] = e[i]
+        mats[alg.f_idx[alpha]] = f[i]
+        mats[alg.h_idx[i]] = {j: {j: Q(w[i])} for j, w in enumerate(weights) if w[i]}
     for gamma in alg.pos_roots:  # by height: each parent comes first
         for idx in (alg.e_idx[gamma], alg.f_idx[gamma]):
             recipe = alg.recipes[idx]
             if recipe[0] in ("e", "f"):
                 continue
             kind, i, parent, coef = recipe
-            gen = rep.e[i] if kind == "comm_e" else rep.f[i]
+            gen = e[i] if kind == "comm_e" else f[i]
             mats[idx] = _mcomm(gen, mats[parent], coef)
-    return Module(rep.dim, rep.weights, mats)
+    return Module(weights, mats)
 
 
 def casimir(alg):

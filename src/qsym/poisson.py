@@ -22,14 +22,15 @@ wedge, not six, which is sound because that tensor is totally antisymmetric
 denominators. Its sums into S^2 V and S^3 V are hand-written int loops, not
 _vadd_into, kept inline for speed: this is the largest stage of the E6 rows.
 
-The Jacobi side reads no [[r-, r-]] and shares no loop with
-schouten_promoted, only den_lcm, int_columns and tt_skew. Its table is the
-bracket scaled by a constant c > 0 that clears every denominator, which is
-exact: the Jacobi sum is quadratic in the bracket, so it is scaled by c^2
-and vanishes exactly when the unscaled one does. A pair is built on its
-first read, and the oracle stops at its first nonzero triple, so a failing
-module builds few of them. jacobi_oracle itself works over any exact ring:
-the qsl2 table it also checks is over Fractions.
+Both sides read the module's int form (Module.ints over Module.den). The
+Jacobi side reads no [[r-, r-]] and shares no loop with schouten_promoted,
+only den_lcm. Its table is the bracket scaled by a constant c > 0 that
+clears every denominator, which is exact: the Jacobi sum is quadratic in
+the bracket, so it is scaled by c^2 and vanishes exactly when the unscaled
+one does. A pair is built on its first read, and the oracle stops at its
+first nonzero triple, so a failing module builds few of them. jacobi_oracle
+itself works over any exact ring: the qsl2 table it also checks is over
+Fractions.
 
 schouten_criterion and schouten_square stay on Fraction as the references
 and read no [[r-, r-]] from _cybe_tensor. They share one expansion of
@@ -41,7 +42,7 @@ for the criterion.
 
 from __future__ import annotations
 
-from .liealg import BracketTable, _mapply, _vadd_into, int_columns, tt_skew
+from .liealg import BracketTable, _mapply, _vadd_into, tt_skew
 from .scalars import den_lcm
 
 
@@ -185,18 +186,16 @@ def schouten_promoted(tensor, module):
     in S^3 V. The antisymmetry of t is checked exactly before any wedge is
     tried; a tensor that is not antisymmetric raises ValueError.
 
-    The kernel runs on ints: the module matrices are scaled by the lcm L of
-    their denominators and the tensor's coefficients by the lcm D of theirs,
-    exactly (numerator times the cofactor, never a truncation). Each term
-    then carries the same factor D * L^3 > 0, which does not change whether
-    an image vanishes. For each pair i < j the first two legs are summed
-    once into S^2 V (x) g and reused for every k > j.
+    The kernel runs on ints: the module's int form, its matrices times
+    L = module.den, and the tensor's coefficients scaled by the lcm D of
+    their denominators, exactly (numerator times the cofactor, never a
+    truncation). Each term then carries the same factor D * L^3 > 0, which
+    does not change whether an image vanishes. For each pair i < j the first
+    two legs are summed once into S^2 V (x) g and reused for every k > j.
     """
     _check_antisymmetric(tensor)
-    dim, mats = module.dim, module.mats
+    dim, mats = module.dim, module.ints
     big_d = den_lcm(tensor.values())
-    big_l = den_lcm(v for m in mats for col in m.values() for v in col.values())
-    mats = [int_columns(m, big_l) for m in mats]
     groups = {}
     for (x, y, z), v in tensor.items():
         groups.setdefault((x, y), []).append((z, v.numerator * (big_d // v.denominator)))
@@ -248,21 +247,21 @@ class GeneratorBrackets(BracketTable):
     """{v_i, v_j} = symmetrized r-(v_i (x) v_j) times scale, over ints, lazily.
 
     t = tt_skew(r) is kept scaled by the lcm D of its denominators, grouped
-    by first leg, and the module matrices by the lcm L of theirs, so every
-    bracket times scale = D * L^2 is an int polynomial over sorted monomials
-    of S^2 V. t is skew, so sum t_ab rho(a) (x) rho(b) is flip-skew and its
-    column (i, j), i < j, determines the bracket; that column is summed on
-    the first bracket_idx of the pair and memoised in table. So table holds
-    only the pairs built so far, empty brackets included.
+    by first leg, and the module is read in its int form, scaled by
+    L = module.den, so every bracket times scale = D * L^2 is an int
+    polynomial over sorted monomials of S^2 V. t is skew, so
+    sum t_ab rho(a) (x) rho(b) is flip-skew and its column (i, j), i < j,
+    determines the bracket; that column is summed on the first bracket_idx
+    of the pair and memoised in table. So table holds only the pairs built
+    so far, empty brackets included.
     """
 
     def __init__(self, r, module):
         super().__init__(module.dim, {})
         t = tt_skew(r)
         big_d = den_lcm(t.values())
-        big_l = den_lcm(v for m in module.mats for col in m.values() for v in col.values())
-        self.scale = big_d * big_l ** 2
-        self._mats = [int_columns(m, big_l) for m in module.mats]
+        self.scale = big_d * module.den ** 2
+        self._mats = module.ints
         self._by_first = {}
         for (a, b), v in t.items():
             self._by_first.setdefault(a, []).append((b, v.numerator * (big_d // v.denominator)))

@@ -260,8 +260,11 @@ def normalize_type(name):
 # ---------------------------------------------------------------------------
 
 def _check_dominant(rs, lam):
-    if len(lam) != rs.rank or any(c < 0 for c in lam):
-        raise NotDominant("fundamental coordinates must be nonnegative, got %r" % (lam,))
+    """NotDominant unless lam is rank nonnegative ints; nothing is coerced."""
+    if len(lam) != rs.rank:
+        raise NotDominant("weight has %d coordinates, rank is %d" % (len(lam), rs.rank))
+    if any(type(c) is not int or c < 0 for c in lam):
+        raise NotDominant("fundamental coordinates must be nonnegative ints, got %r" % (lam,))
 
 
 def _pairing(rs, x, a):

@@ -1,15 +1,16 @@
 """Classification rows, the weight filter, ambient search, and table sweeps."""
 
 from collections import Counter
+from fractions import Fraction as Q
 from itertools import product
 
 import pytest
 
 from qsym import classify, poisson
 from qsym.bialg import _cybe_tensor, bd_r_matrix, enumerate_bd_triples, standard_r, tt_skew
-from qsym.liealg import shared_type
+from qsym.liealg import highest_weight_module, shared_type
 from qsym.rootsys import (_SERIES, NotDominant, _rank_ok, build_root_system, cominuscule_nodes,
-                          weight_multiplicities)
+                          weight_multiplicities, weyl_dim)
 from qsym.classify import (
     BudgetExceeded,
     classification_table,
@@ -46,6 +47,26 @@ def test_weight_filter_rejects_bad_weights():
     for lam in [(0,), (-1,), (1, 0)]:
         with pytest.raises(NotDominant):
             weight_filter(rs, lam, Unread())
+
+
+def test_weights_that_are_not_ints_are_refused():
+    """A weight coordinate that is not an int raises NotDominant everywhere
+    a weight enters, and is never read as the int it rounds to; a weight of
+    the wrong length is reported by its length."""
+    alg = shared_type("A2").algebra
+    rs = alg.rs
+    for lam in [(1.5, 0), (1.0, 0), (True, 0), (Q(1), 0)]:
+        for call in [lambda: classify_pair("A2", lam),
+                     lambda: highest_weight_module(alg, lam),
+                     lambda: weyl_dim(rs, lam),
+                     lambda: weight_multiplicities(rs, lam),
+                     lambda: weight_filter(rs, lam, {})]:
+            with pytest.raises(NotDominant):
+                call()
+    with pytest.raises(NotDominant, match="weight has 3 coordinates, rank is 2"):
+        weyl_dim(rs, (1, 0, 0))
+    with pytest.raises(NotDominant, match="weight has 1 coordinates, rank is 2"):
+        weight_multiplicities(rs, (1,))
 
 
 def test_classify_pair_sl3_natural_all_true():

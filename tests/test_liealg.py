@@ -26,11 +26,12 @@ from qsym.liealg import (
     _match_subdiagram,
     _mscaled_sum,
     _vadd_into,
+    int_columns,
 )
 from qsym.poisson import generator_brackets
 from qsym.rootsys import (_SERIES, InvalidType, _rank_ok, build_root_system,
                          weight_multiplicities, weyl_dim)
-from qsym.scalars import QRat, echelon
+from qsym.scalars import QRat, den_lcm, echelon
 
 
 def test_module_dimension_and_weights_match_oracles():
@@ -49,40 +50,63 @@ def test_module_dimension_and_weights_match_oracles():
     ]
     for label, lam in cases:
         rs = build_root_system(label)
-        rep = module_matrices(rs, lam)
-        assert rep.dim == weyl_dim(rs, lam), (label, lam)
+        weights, _, _ = module_matrices(rs, lam)
+        assert len(weights) == weyl_dim(rs, lam), (label, lam)
         counted = {}
-        for w in rep.weights:
+        for w in weights:
             counted[w] = counted.get(w, 0) + 1
         assert counted == weight_multiplicities(rs, lam), (label, lam)
+
+
+def test_module_int_form_is_its_matrices_times_one_lcm():
+    """A built module carries its int form: den is the lcm of the
+    denominators of every entry of every matrix, and ints[k] is mats[k]
+    scaled by it, with no zero entry and no empty column."""
+    cases = [("A1", (3,)), ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)),
+             ("C2", (0, 1)), ("G2", (1, 0)), ("B3", (0, 0, 1)),
+             ("E6", (1, 0, 0, 0, 0, 0))]
+    dens = set()
+    for label, lam in cases:
+        mod = highest_weight_module(shared_type(label).algebra, lam)
+        assert mod.den == den_lcm(v for m in mod.mats for col in m.values()
+                                  for v in col.values()), (label, lam)
+        dens.add(mod.den)
+        assert len(mod.ints) == len(mod.mats), (label, lam)
+        for k, (m, mi) in enumerate(zip(mod.mats, mod.ints)):
+            assert mi == int_columns(m, mod.den), (label, lam, k)
+            assert all(type(v) is int and v for col in mi.values() for v in col.values())
+            assert {(i, j): Q(v, mod.den) for j, col in mi.items() for i, v in col.items()} \
+                == {(i, j): v for j, col in m.items() for i, v in col.items() if v}, \
+                (label, lam, k)
+    # the scaling is exercised: some of these modules act with fractions
+    assert dens - {1}, dens
 
 
 def test_generator_relations_on_modules():
     # [e_i, f_j] = delta_ij h_i, and e_i shifts weights up by alpha_i
     for label, lam in [("A2", (1, 1)), ("B2", (0, 1)), ("G2", (1, 0))]:
         rs = build_root_system(label)
-        rep = module_matrices(rs, lam)
+        weights, e, f = module_matrices(rs, lam)
         for i in range(rs.rank):
             for j in range(rs.rank):
-                comm = _mcomm(rep.e[i], rep.f[j])
+                comm = _mcomm(e[i], f[j])
                 if i != j:
                     assert not comm, (label, i, j)
                     continue
-                h = {k: {k: Q(rep.weights[k][i])} for k in range(rep.dim)
-                     if rep.weights[k][i]}
+                h = {k: {k: Q(w[i])} for k, w in enumerate(weights) if w[i]}
                 assert not _mscaled_sum([(Q(1), comm), (Q(-1), h)]), (label, i)
         for i in range(rs.rank):
-            for src, col in rep.e[i].items():
+            for src, col in e[i].items():
                 for dst in col:
                     shift = tuple(a - b for a, b in
-                                  zip(rep.weights[dst], rep.weights[src]))
+                                  zip(weights[dst], weights[src]))
                     assert shift == tuple(rs.cartan[i]), (label, i, src, dst)
 
 
 def test_cartan_pairing_of_root_vectors():
     # [E_gamma, F_gamma] = H_gamma with integer coroot coordinates
     for label in ["A2", "B2", "B3", "C3", "G2", "D4"]:
-        alg = chevalley_basis(label)
+        alg = chevalley_basis(build_root_system(label))
         rs = alg.rs
         for g in alg.pos_roots:
             got = alg.bracket_idx(alg.e_idx[g], alg.f_idx[g])
@@ -95,7 +119,7 @@ def test_cartan_pairing_of_root_vectors():
 
 def test_root_vector_brackets_are_chevalley_integers():
     for label in ["A2", "B3", "G2"]:
-        alg = chevalley_basis(label)
+        alg = chevalley_basis(build_root_system(label))
         n = len(alg.pos_roots)
         for a in range(n):
             for b in range(n):
@@ -115,7 +139,7 @@ def test_root_vector_brackets_are_chevalley_integers():
 def test_jacobi_identity_sampled():
     rng = random.Random(8261)
     for label in ["A2", "B2", "G2", "A1xA1"]:
-        alg = chevalley_basis(label)
+        alg = chevalley_basis(build_root_system(label))
         idxs = list(range(alg.dim))
         for _ in range(60):
             x, y, z = ({rng.choice(idxs): Q(1)} for _ in range(3))
@@ -128,7 +152,7 @@ def test_jacobi_identity_sampled():
 
 def test_invariant_form_normalization():
     for label in ["A2", "B3", "C3", "G2"]:
-        alg = chevalley_basis(label)
+        alg = chevalley_basis(build_root_system(label))
         rs = alg.rs
         theta = rs.highest_root
         h_theta = alg.bracket_idx(alg.e_idx[theta], alg.f_idx[theta])
@@ -145,7 +169,7 @@ def test_form_is_invariant_under_brackets():
     # <[x,y],z> + <y,[x,z]> = 0 on sampled triples
     rng = random.Random(515)
     for label in ["B2", "A3"]:
-        alg = chevalley_basis(label)
+        alg = chevalley_basis(build_root_system(label))
         for _ in range(40):
             a, b, c = (rng.randrange(alg.dim) for _ in range(3))
             lhs = sum((alg.form(k, c) * v
@@ -156,7 +180,7 @@ def test_form_is_invariant_under_brackets():
 
 
 def test_trace_form_is_proportional():
-    alg = chevalley_basis("A2")
+    alg = chevalley_basis(build_root_system("A2"))
     ad = alg.adjoint_rep()
 
     def tr(i, j):
@@ -195,7 +219,7 @@ def test_casimir_acts_by_scalar():
         ("G2", (1, 0)),
     ]
     for label, lam in cases:
-        alg = chevalley_basis(label)
+        alg = chevalley_basis(build_root_system(label))
         rs = alg.rs
         mod = highest_weight_module(alg, lam)
         cas, _ = casimir(alg)
@@ -242,7 +266,7 @@ def test_shared_type_has_one_entry_per_type():
 
 
 def test_casimir_eigenvalue_sl3_vector():
-    alg = chevalley_basis("A2")
+    alg = chevalley_basis(build_root_system("A2"))
     mod = highest_weight_module(alg, (1, 0))
     cas, c0 = casimir(alg)
     assert all(k in {(alg.h_idx[0], alg.h_idx[0]), (alg.h_idx[0], alg.h_idx[1]),
@@ -258,7 +282,7 @@ def test_casimir_eigenvalue_sl3_vector():
 
 
 def test_nonsimple_root_matrices_shift_weights():
-    alg = chevalley_basis("B2")
+    alg = chevalley_basis(build_root_system("B2"))
     mod = highest_weight_module(alg, (1, 0))
     for g in alg.pos_roots:
         mat = mod.mats[alg.e_idx[g]]
@@ -271,7 +295,7 @@ def test_nonsimple_root_matrices_shift_weights():
 
 
 def test_adjoint_rep_is_a_homomorphism():
-    alg = chevalley_basis("A2")
+    alg = chevalley_basis(build_root_system("A2"))
     ad = alg.adjoint_rep()
     rng = random.Random(99)
     for _ in range(25):
@@ -464,7 +488,7 @@ def _ref_comm(a, b):
 
 
 def _check_table_over_fraction(label):
-    alg = chevalley_basis(label)
+    alg = chevalley_basis(build_root_system(label))
     rs = alg.rs
     ad = alg.adjoint_rep()
     for a in range(alg.dim):
@@ -513,7 +537,7 @@ def test_bootstrapped_table_golden_e6_e7():
     and a product type's are those of its components' blocks: the
     tensor-product module gives the same table."""
     for label, want in _TABLE_SHA256.items():
-        alg = chevalley_basis(label)
+        alg = chevalley_basis(build_root_system(label))
         normalized = repr([(k, sorted(v.items())) for k, v in sorted(alg.table.items())])
         assert hashlib.sha256(normalized.encode()).hexdigest() == want, label
 
@@ -525,16 +549,16 @@ def test_bootstrap_builds_the_smallest_fundamental_module(monkeypatch):
     built = []
 
     def recorded(rs, lam):
-        rep = real(rs, lam)
-        built.append(rep.dim)
-        return rep
+        built_module = real(rs, lam)
+        built.append(len(built_module[0]))
+        return built_module
 
     real = liealg.module_matrices
     monkeypatch.setattr(liealg, "module_matrices", recorded)
     for label, dims in [("E7", [56]), ("B5", [11]), ("C5", [10]), ("G2", [7]),
                         ("A2xA1", [6]), ("A1xA1xA1", [8])]:
         built.clear()
-        chevalley_basis(label)
+        chevalley_basis(build_root_system(label))
         assert built == dims, label
 
 

@@ -1,8 +1,9 @@
-"""The benchmark's span tracer still finds every function it wraps, the
-package's imports stay at module level with no poisson -> bialg cycle, no
-module keeps state behind a global statement or a module-level memo, root
-systems are built behind the one cache of types, and the Jacobi oracle
-shares no code with the Schouten verdict it checks beyond its scaling helpers."""
+"""The benchmark's span tracer still finds every function it wraps, each
+defined in the layer its target names, the package's imports stay at module
+level with no poisson -> bialg cycle, no module keeps state behind a global
+statement or a module-level memo, root systems are built behind the one
+cache of types, and the Jacobi oracle shares no code with the Schouten
+verdict it checks beyond den_lcm."""
 
 import ast
 import builtins
@@ -41,6 +42,27 @@ def test_span_targets_resolve():
     finally:
         tracer.uninstall()
     assert spans.Tracer.leftover_wrappers() == 0
+
+
+def test_span_targets_are_defined_in_their_layers():
+    """Every (layer, function) of TARGETS in perfbench/spans.py, read with
+    ast and not imported, names a function or class defined at the top of
+    src/qsym/<layer>.py: the tracer wraps getattr(qsym.<layer>, function),
+    so renaming or deleting one of them would break every traced run."""
+    targets = None
+    for node in ast.parse(SPANS.read_text(), str(SPANS)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            targets = ast.literal_eval(node.value)
+    assert targets, "no TARGETS list in perfbench/spans.py"
+    defined = {}
+    for layer, name in targets:
+        if layer not in defined:
+            path = SRC / (layer + ".py")
+            assert path.is_file(), layer
+            defined[layer] = {n.name for n in ast.parse(path.read_text(), str(path)).body
+                              if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert name in defined[layer], (layer, name)
 
 
 def test_imports_at_module_level_and_poisson_does_not_import_bialg():
@@ -124,15 +146,15 @@ def _calls_by_function(tree, name):
 
 def test_root_systems_built_only_behind_shared_type():
     """build_root_system is called in qsym only by liealg.shared_type, the
-    one cache of types, and liealg.chevalley_basis, which takes a label
-    from outside; the Chevalley bootstrap builds its module on the
-    algebra's own root system."""
+    one cache of types; chevalley_basis takes a root system already built,
+    and the Chevalley bootstrap builds its module on the algebra's own
+    root system."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         callers |= {"%s.%s" % (path.stem, f)
                     for f in _calls_by_function(tree, "build_root_system")}
-    assert callers == {"liealg.shared_type", "liealg.chevalley_basis"}, callers
+    assert callers == {"liealg.shared_type"}, callers
 
 
 def _called_names(node):
@@ -158,8 +180,9 @@ def test_jacobi_side_shares_no_loop_with_schouten_promoted():
     """The Jacobi oracle and its bracket table (jacobi_oracle,
     generator_brackets, GeneratorBrackets) call nothing that
     schouten_promoted calls, directly or through poisson's own helpers,
-    apart from builtins and the shared scaling helpers den_lcm, int_columns
-    and tt_skew; neither side calls the other."""
+    apart from builtins and den_lcm, which each side runs on its own
+    tensor; neither side calls the other, and neither rescales the module:
+    both read its int form, and poisson calls no int_columns."""
     tree = ast.parse((SRC / "poisson.py").read_text())
     defs = {n.name: n for n in tree.body
             if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
@@ -168,7 +191,8 @@ def test_jacobi_side_shares_no_loop_with_schouten_promoted():
     jacobi = _reach(defs, jacobi_roots)
     schouten = _reach(defs, {"schouten_promoted"})
     shared = jacobi & schouten - set(dir(builtins))
-    assert shared <= {"den_lcm", "int_columns", "tt_skew"}, shared
+    assert shared == {"den_lcm"}, shared
+    assert not _calls_by_function(tree, "int_columns"), "poisson rescales a module"
     assert "tt_skew" in jacobi
     assert not jacobi & {"schouten_promoted", "_check_antisymmetric"}, jacobi
     assert not schouten & jacobi_roots, schouten
