@@ -43,7 +43,7 @@ class NotAntisymmetric(ValueError):
 
 
 class NotCominuscule(ValueError):
-    """The marked node has a non-abelian nilradical."""
+    """The marked node is not an int or has a non-abelian nilradical."""
 
 
 class TripleTouchesNode(ValueError):
@@ -505,6 +505,8 @@ def parabolic_semidirect(label, node, triple=None):
     """
     ambient = shared_type(label)
     rs = ambient.rs
+    if type(node) is not int:
+        raise NotCominuscule("node must be an int, got %r" % (node,))
     if node not in cominuscule_nodes(rs):
         raise NotCominuscule("node %d has a non-abelian nilradical in %s"
                              % (node, rs.label))

@@ -137,13 +137,10 @@ def _weight_spellings(letter, rank, lam):
     return out
 
 
-def _canonical_pair(g_type, lam):
-    """Resolve aliases and coincidences to (letter, rank, lam, aliases)."""
-    if isinstance(g_type, str):
-        letter, rank = normalize_type(g_type)
-    else:
-        letter, rank = g_type
-        letter, rank = letter.upper(), int(rank)
+def _canonical_pair(label, lam):
+    """Resolve a type label (any spelling normalize_type reads) and the
+    coincidences B2 = C2, D3 = A3 to (letter, rank, lam, aliases)."""
+    letter, rank = normalize_type(label)
     lam = tuple(lam)
     if len(lam) != rank:
         raise NotDominant("weight has %d coordinates, rank is %d"
@@ -266,7 +263,7 @@ def _r_tensor(alg, triple=None):
     return r, _cybe_tensor(alg, tt_skew(r))
 
 
-def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
+def classify_pair(label, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
                   extended=False):
     """Evaluate every verdict for one pair; see ClassificationRow.
 
@@ -280,7 +277,7 @@ def classify_pair(g_type, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     """
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
-    letter, rank, lam, aliases = _canonical_pair(g_type, lam)
+    letter, rank, lam, aliases = _canonical_pair(label, lam)
     typ = shared_type(type_label(letter, rank))
     rs = typ.rs
     if not any(lam):

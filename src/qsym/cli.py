@@ -46,7 +46,7 @@ def _shared_type(args):
     if "x" in args.type.lower():
         raise InvalidType("product type %r is not supported on the command line"
                           % args.type)
-    if getattr(args, "rank", None) is not None:
+    if args.rank is not None:
         letter = args.type.strip().upper()
         if letter not in _SERIES:
             raise InvalidType("with --rank, --type must be one series letter, got %r"

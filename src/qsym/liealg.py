@@ -585,7 +585,7 @@ def _match_subdiagram(nodes, cartan):
     """Classify the Dynkin diagram induced on `nodes` (indices into cartan).
 
     Returns (series, rank, mapping) where mapping[k] = the node playing the
-    role of canonical simple root k+1 of build_root_system((series, rank)).
+    role of canonical simple root k+1 of shared_type(type_label(series, rank)).rs.
     """
     n = len(nodes)
 

@@ -106,15 +106,15 @@ class RootSystem:
         if not self.components:
             raise InvalidType("a root system needs at least one component")
         for letter, n in self.components:
-            if letter not in _SERIES or not _rank_ok(letter, n):
-                raise InvalidType("no simple type %s%d" % (letter, n))
-        self.label = "x".join(type_label(*c) for c in components)
-        self.rank = sum(n for _, n in components)
+            if type(n) is not int or letter not in _SERIES or not _rank_ok(letter, n):
+                raise InvalidType("no simple type %s%s" % (letter, n))
+        self.label = "x".join(type_label(*c) for c in self.components)
+        self.rank = sum(n for _, n in self.components)
         # block-diagonal symmetric form (alpha_i, alpha_j)
         self.bform = [[Q(0)] * self.rank for _ in range(self.rank)]
         off = 0
         self._offsets = []
-        for letter, n in components:
+        for letter, n in self.components:
             self._offsets.append(off)
             norms, bonds = _norms_and_bonds(letter, n)
             for i in range(n):
@@ -217,24 +217,19 @@ def cominuscule_nodes(rs):
     return [i + 1 for i, c in enumerate(theta) if c == 1]
 
 
-def build_root_system(spec, rank=None):
-    """Build from ('A', 2), 'A2', 'so5', or a product label like 'A2xA1'."""
-    if rank is not None:
-        return RootSystem([(spec, rank)])
-    comps = []
-    for part in spec.split("x"):
-        part = part.strip()
-        if len(part) >= 2 and part[0] in _SERIES and part[1:].isdigit():
-            comps.append((part[0], int(part[1:])))
-        else:
-            comps.append(normalize_type(part))
-    if not comps:
-        raise InvalidType("empty type")
-    return RootSystem(comps)
+def build_root_system(label):
+    """The root system of a type label: one spelling normalize_type reads
+    ('A2', 'so5', 'e6'), or a product of them joined by 'x' ('A2xA1'). A
+    label that is not a str goes whole to normalize_type, which refuses it."""
+    parts = label.split("x") if isinstance(label, str) else [label]
+    return RootSystem([normalize_type(part) for part in parts])
 
 
 def normalize_type(name):
-    """Resolve names like so10, sp4, sl3, e6 to (series letter, rank)."""
+    """Resolve names like so10, sp4, sl3, e6 to (series letter, rank): the
+    one parser of a type spelling."""
+    if not isinstance(name, str):
+        raise InvalidType("a type is a label such as 'A2', got %r" % (name,))
     s = name.strip().lower().replace("(", "").replace(")", "")
     if len(s) >= 2 and s[0] in "abcdefg" and s[1:].isdigit():
         letter, n = s[0].upper(), int(s[1:])

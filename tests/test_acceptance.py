@@ -289,7 +289,7 @@ def test_criterion_11_extended_rows():
     """The 27-dimensional rows pass and decompose through a larger ambient."""
     checks = []
     for lam in ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)):
-        row = classify_pair(("E", 6), lam, dim_budget=27, extended=True)
+        row = classify_pair("E6", lam, dim_budget=27, extended=True)
         tag = "E6 %s" % (lam,)
         checks.append(("%s dim 27" % tag, row.dim_V == 27))
         checks.append(("%s schouten" % tag, row.schouten is True))

@@ -342,6 +342,14 @@ def test_parabolic_semidirect_examples():
         parabolic_semidirect("A3", 1, BDTriple((1,), (2,), {1: 2}))
 
 
+def test_parabolic_semidirect_refuses_nodes_that_are_not_ints():
+    """True and 1.0 equal node 1 but are refused, not served node 1's
+    cached pair; 2.0 is refused in place of failing inside the build."""
+    for node in (True, 1.0, 2.0):
+        with pytest.raises(NotCominuscule, match="node must be an int"):
+            parabolic_semidirect("A3", node)
+
+
 def test_parabolic_semidirect_with_bd_triple():
     """A Levi-supported triple still restricts to a semidirect bialgebra."""
     S, rep = parabolic_semidirect("A3", 1, BDTriple((2,), (3,), {2: 3}))

@@ -9,7 +9,7 @@ import pytest
 from qsym import classify, poisson
 from qsym.bialg import _cybe_tensor, bd_r_matrix, enumerate_bd_triples, standard_r, tt_skew
 from qsym.liealg import highest_weight_module, shared_type
-from qsym.rootsys import (_SERIES, NotDominant, _rank_ok, build_root_system, cominuscule_nodes,
+from qsym.rootsys import (_SERIES, InvalidType, NotDominant, _rank_ok, build_root_system, cominuscule_nodes,
                           weight_multiplicities, weyl_dim)
 from qsym.classify import (
     BudgetExceeded,
@@ -67,6 +67,14 @@ def test_weights_that_are_not_ints_are_refused():
         weyl_dim(rs, (1, 0, 0))
     with pytest.raises(NotDominant, match="weight has 1 coordinates, rank is 2"):
         weight_multiplicities(rs, (1,))
+
+
+def test_types_that_are_not_labels_are_refused():
+    """classify_pair takes a type label only: a (letter, rank) pair raises
+    InvalidType, and a float rank is never read as the int it rounds to."""
+    for g_type in [("a", 2.7), ("A", 2)]:
+        with pytest.raises(InvalidType):
+            classify_pair(g_type, (1, 0))
 
 
 def test_classify_pair_sl3_natural_all_true():

@@ -350,7 +350,7 @@ def _match_by_permutations(nodes, cartan):
     so the coincidences D3 = A3 and B2 = C2 (transposed) resolve to A and B."""
     for letter in "ABCDEFG":
         try:
-            ref = build_root_system(letter, len(nodes)).cartan
+            ref = build_root_system("%s%d" % (letter, len(nodes))).cartan
         except InvalidType:
             continue
         for perm in permutations(nodes):

@@ -12,6 +12,7 @@ from qsym.rootsys import (
     build_root_system,
     cominuscule_nodes,
     normalize_type,
+    type_label,
     weight_multiplicities,
     weyl_dim,
 )
@@ -27,7 +28,7 @@ def test_positive_root_counts():
         ("G", 2): 6, ("F", 4): 24, ("E", 6): 36,
     }
     for (letter, n), count in cases.items():
-        rs = build_root_system(letter, n)
+        rs = build_root_system(type_label(letter, n))
         assert len(rs.positive_roots) == count, rs.label
 
 
@@ -42,7 +43,7 @@ def test_highest_roots():
         ("E", 6): (1, 2, 2, 3, 2, 1),
     }
     for (letter, n), theta in cases.items():
-        assert build_root_system(letter, n).highest_root == theta
+        assert build_root_system(type_label(letter, n)).highest_root == theta
 
 
 def test_cominuscule_nodes():
@@ -60,7 +61,7 @@ def test_cominuscule_nodes():
         ("E", 8): [],
     }
     for (letter, n), nodes in cases.items():
-        assert cominuscule_nodes(build_root_system(letter, n)) == nodes
+        assert cominuscule_nodes(build_root_system(type_label(letter, n))) == nodes
 
 
 def test_cartan_matches_form():
@@ -75,9 +76,9 @@ def test_cartan_matches_form():
 
 
 def test_short_root_norms():
-    assert build_root_system("B", 3).norms == [Q(2), Q(2), Q(1)]
-    assert build_root_system("G", 2).norms == [Q(2, 3), Q(2)]
-    assert build_root_system("C", 3).norms == [Q(1), Q(1), Q(2)]
+    assert build_root_system("B3").norms == [Q(2), Q(2), Q(1)]
+    assert build_root_system("G2").norms == [Q(2, 3), Q(2)]
+    assert build_root_system("C3").norms == [Q(1), Q(1), Q(2)]
 
 
 def test_fundamental_weight_duality():
@@ -90,11 +91,11 @@ def test_fundamental_weight_duality():
                 expected = 1 if i == j else 0
                 assert 2 * rs.inner(w, alpha_j) / rs.norms[j] == expected
                 assert rs.copair(w, j) == expected
-    assert build_root_system("A", 2).fundamental_weights[0] == (Q(2, 3), Q(1, 3))
+    assert build_root_system("A2").fundamental_weights[0] == (Q(2, 3), Q(1, 3))
 
 
 def test_is_root_membership():
-    rs = build_root_system("B", 2)
+    rs = build_root_system("B2")
     assert rs.is_root((1, 1))
     assert rs.is_root((-1, -2))
     assert not rs.is_root((2, 1))
@@ -102,6 +103,8 @@ def test_is_root_membership():
 
 
 def test_products_are_block_diagonal():
+    for label in ("sl3xA1", " A2 x A1 ", "a2xsl2"):
+        assert build_root_system(label).label == "A2xA1"
     rs = build_root_system("A2xA1")
     assert rs.rank == 3
     assert len(rs.positive_roots) == 4
@@ -118,7 +121,7 @@ def test_type_aliases():
     assert normalize_type("sl4") == ("A", 3)
     assert normalize_type("e6") == ("E", 6)
     assert normalize_type("G2") == ("G", 2)
-    for bad in ("so4", "so3", "sp3", "sp2", "h3", "B1", "D2", "E9"):
+    for bad in ("so4", "so3", "sp3", "sp2", "h3", "B1", "D2", "E9", ("A", 2), None, 2):
         with pytest.raises(InvalidType):
             normalize_type(bad)
 
@@ -126,11 +129,29 @@ def test_type_aliases():
 def test_invalid_builds():
     for letter, n in (("D", 2), ("B", 1), ("E", 5), ("F", 3), ("G", 3)):
         with pytest.raises(InvalidType):
-            build_root_system(letter, n)
+            build_root_system(type_label(letter, n))
     with pytest.raises(InvalidType):
         RootSystem([])
+    # a rank that is not an int is refused, never read as the int it equals
+    for n in (True, 2.0):
+        with pytest.raises(InvalidType):
+            RootSystem([("A", n)])
+    for bad in (("A", 2), None):
+        with pytest.raises(InvalidType):
+            build_root_system(bad)
+    with pytest.raises(InvalidType, match=r"no simple type E9 \(from 'E9'\)"):
+        build_root_system("E9")
     # D3 is a legal alias of A3 for construction
-    assert len(build_root_system("D", 3).positive_roots) == 6
+    assert len(build_root_system("D3").positive_roots) == 6
+
+
+def test_components_are_read_once():
+    """A generator of components builds the same system as a list."""
+    comps = [("A", 2), ("B", 3)]
+    ref = RootSystem(comps)
+    rs = RootSystem(c for c in comps)
+    assert (rs.label, rs.rank, rs.cartan) == (ref.label, ref.rank, ref.cartan)
+    assert rs.label == "A2xB3" and rs.rank == 5
 
 
 def test_weyl_dimensions():
@@ -148,7 +169,7 @@ def test_weyl_dimensions():
 
 
 def test_weight_multiplicities_small():
-    rs = build_root_system("A", 2)
+    rs = build_root_system("A2")
     adj = weight_multiplicities(rs, (1, 1))
     assert sum(adj.values()) == 8
     assert adj[(0, 0)] == 2
@@ -157,14 +178,14 @@ def test_weight_multiplicities_small():
     nat = weight_multiplicities(rs, (1, 0))
     assert sorted(nat.values()) == [1, 1, 1]
 
-    sl2 = build_root_system("A", 1)
+    sl2 = build_root_system("A1")
     assert weight_multiplicities(sl2, (2,)) == {(2,): 1, (0,): 1, (-2,): 1}
 
-    g2 = weight_multiplicities(build_root_system("G", 2), (1, 0))
+    g2 = weight_multiplicities(build_root_system("G2"), (1, 0))
     assert sum(g2.values()) == 7
     assert g2[(0, 0)] == 1
 
-    b3_spin = weight_multiplicities(build_root_system("B", 3), (0, 0, 1))
+    b3_spin = weight_multiplicities(build_root_system("B3"), (0, 0, 1))
     assert sum(b3_spin.values()) == 8
     assert set(b3_spin.values()) == {1}
 
@@ -178,7 +199,7 @@ def test_multiplicity_sums_match_weyl_dim():
 
 
 def test_not_dominant():
-    rs = build_root_system("A", 2)
+    rs = build_root_system("A2")
     with pytest.raises(NotDominant):
         weyl_dim(rs, (-1, 0))
     with pytest.raises(NotDominant):

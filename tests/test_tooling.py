@@ -157,6 +157,21 @@ def test_root_systems_built_only_behind_shared_type():
     assert callers == {"liealg.shared_type"}, callers
 
 
+def test_type_spellings_parsed_only_in_rootsys():
+    """A type spelling is parsed only by rootsys.normalize_type: the other
+    isdigit callers read weights (cli) and PBW words (qsl2), and classify
+    neither reads a rank with int nor a letter with upper."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        callers |= {"%s.%s" % (path.stem, f) for f in _calls_by_function(tree, "isdigit")}
+    assert callers == {"rootsys.normalize_type", "cli._attach_weight_values",
+                       "qsl2._tokenize"}, callers
+    tree = ast.parse((SRC / "classify.py").read_text())
+    for name in ("int", "upper"):
+        assert not _calls_by_function(tree, name), name
+
+
 def _called_names(node):
     """Names called as plain functions (f(...), not obj.f(...)) inside node."""
     return {n.func.id for n in ast.walk(node)
