@@ -168,21 +168,21 @@ def _bd_triples(rs):
 
 def _transport_one(alg, vec, tau0):
     """Image of a single root vector under the subalgebra isomorphism
-    E_i -> E_tau(i); vec is {e_index: coeff} with a single entry."""
+    E_i -> E_tau(i); vec is {e_index: coeff} with a single entry. E_gamma is
+    rebuilt along alg.descent with each E_i replaced by E_tau(i)."""
     (idx, coeff), = vec.items()
 
-    def theta(k):
-        recipe = alg.recipes[k]
-        if recipe[0] == "e":
-            return {alg.e_idx[tuple(1 if a == tau0[recipe[1]] else 0
-                                    for a in range(alg.rank))]: Q(1)}
-        _, i, parent, coef = recipe
-        gen = {alg.e_idx[tuple(1 if a == tau0[i] else 0
-                               for a in range(alg.rank))]: Q(1)}
-        return {k2: v * coef for k2, v in alg.bracket(gen, theta(parent)).items()}
+    def theta(gamma):
+        if gamma in alg.descent:
+            i, parent, coef = alg.descent[gamma]
+        else:
+            i, parent = gamma.index(1), None
+        gen = {alg.e_idx[tuple(1 if a == tau0[i] else 0 for a in range(alg.rank))]: Q(1)}
+        if parent is None:
+            return gen
+        return {k: v * coef for k, v in alg.bracket(gen, theta(parent)).items()}
 
-    out = theta(idx)
-    (idx2, c2), = out.items()
+    (idx2, c2), = theta(alg.pos_roots[idx]).items()
     return {idx2: c2 * coeff}
 
 

@@ -20,7 +20,7 @@ from .liealg import highest_weight_module, shared_type
 from .poisson import jacobi_oracle
 from .rootsys import (_SERIES, InvalidType, _rank_ok, cominuscule_nodes, normalize_type,
                       type_label, weight_multiplicities, weyl_dim)
-from .scalars import QRat
+from .scalars import QRat, ascii_int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +62,7 @@ def _shared_type(args):
 def _parse_weight(text, rank):
     parts = [p.strip() for p in text.split(",")]
     try:
-        lam = tuple(int(p) for p in parts)
+        lam = tuple(ascii_int(p) for p in parts)
     except ValueError:
         raise ValueError("weight must be comma-separated integers, got %r" % text)
     if len(lam) != rank:
@@ -238,7 +238,7 @@ def _cmd_braided(args):
 def _add_type_args(p):
     p.add_argument("--type", required=True,
                    help="series letter (with --rank) or a name like so10, sl3, A2")
-    p.add_argument("--rank", type=int)
+    p.add_argument("--rank", type=ascii_int)
 
 
 def build_parser():
@@ -273,14 +273,14 @@ def build_parser():
     p = sub.add_parser("classify", parents=[common], help="verdicts for one pair")
     _add_type_args(p)
     p.add_argument("--weight", required=True)
-    p.add_argument("--dim-budget", type=int, default=DEFAULT_DIM_BUDGET)
+    p.add_argument("--dim-budget", type=ascii_int, default=DEFAULT_DIM_BUDGET)
     p.add_argument("--all-bd", action="store_true")
     p.add_argument("--extended", action="store_true")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("table", parents=[common], help="full classification sweep")
-    p.add_argument("--max-rank", type=int, required=True)
-    p.add_argument("--dim-budget", type=int, required=True)
+    p.add_argument("--max-rank", type=ascii_int, required=True)
+    p.add_argument("--dim-budget", type=ascii_int, required=True)
     p.add_argument("--diff-paper", action="store_true")
     p.add_argument("--all-bd", action="store_true")
     p.add_argument("--extended", action="store_true")
@@ -295,13 +295,13 @@ def build_parser():
     ps.set_defaults(func=_cmd_sigma)
     pc = qsub.add_parser("copoisson", parents=[common])
     pc.add_argument("--element", required=True)
-    pc.add_argument("--power", type=int, default=1)
+    pc.add_argument("--power", type=ascii_int, default=1)
     pc.set_defaults(func=_cmd_copoisson)
     pd = qsub.add_parser("donin", parents=[common])
     pd.set_defaults(func=_cmd_donin)
     pb = qsub.add_parser("braided", parents=[common])
-    pb.add_argument("--l", type=int, required=True)
-    pb.add_argument("--max-degree", type=int, default=3)
+    pb.add_argument("--l", type=ascii_int, required=True)
+    pb.add_argument("--max-degree", type=ascii_int, default=3)
     pb.set_defaults(func=_cmd_braided)
 
     return parser

@@ -7,10 +7,10 @@ Chevalley basis is bootstrapped from one irreducible module of the type's
 own root system, whose highest weight is on each simple component the
 fundamental weight of smallest dimension (27 for E6, 56 for E7, 10 for D5;
 the adjoint only for E8; the tensor product of these for a product type).
-It is faithful, so every structure constant read off it is exact:
-root-vector operators are nested commutators of the generator matrices along
-a deterministic descent path, with F_gamma rescaled so that
-[E_gamma, F_gamma] = H_gamma exactly.
+It is faithful, so every structure constant read off it is exact. One
+recurrence (root_vector_ops) builds its root-vector operators and every
+module's: commutators of the generators along one descent table, each F_gamma
+rescaled by a factor measured once so that [E_gamma, F_gamma] = H_gamma.
 
 Sparse matrices are in column form, and one kernel (_vadd_into, _mapply,
 _mcompose, _mscaled_sum, _mcomm) works over any exact ring: it builds no
@@ -306,16 +306,33 @@ class BracketTable:
                 for a in range(self.dim)]
 
 
+def root_vector_ops(alg, e, f):
+    """Scaled E_gamma and F~_gamma per positive root gamma, from the Fraction
+    generators e[i], f[i] of a module of alg: e_i and f_i on the simple roots,
+    then E_gamma = coef [e_i, E_parent] and F~_gamma = coef [f_i, F~_parent]
+    along alg.descent. F_gamma is F~_gamma / alg.f_norm[gamma]."""
+    e, f = [scaled(m) for m in e], [scaled(m) for m in f]
+    simple = [tuple(int(k == i) for k in range(alg.rank)) for i in range(alg.rank)]
+    e_ops, ft_ops = dict(zip(simple, e)), dict(zip(simple, f))
+    for gamma, (i, parent, coef) in alg.descent.items():
+        s, m = scaled_comm(e[i], e_ops[parent])
+        e_ops[gamma] = (s * coef, m)
+        s, m = scaled_comm(f[i], ft_ops[parent])
+        ft_ops[gamma] = (s * coef, m)
+    return e_ops, ft_ops
+
+
 class ChevalleyAlgebra(BracketTable):
     """Basis E_gamma, H_i, F_gamma, exact brackets.
 
     Signs of the non-simple root vectors are fixed by the deterministic
-    descent convention recorded in `recipes`: E_gamma is the left-normed
-    bracket [E_i, E_{gamma - alpha_i}] / (p+1) for the smallest simple i
-    with gamma - alpha_i a positive root. The structure constants are read
-    off the operators of one faithful module of rs, the tensor product over
-    the simple components of each one's fundamental module of smallest
-    dimension; they do not depend on which faithful module.
+    convention of `descent`: E_gamma is the left-normed bracket
+    [E_i, E_{gamma - alpha_i}] / (p+1) for the smallest simple i with
+    gamma - alpha_i a positive root, F~_gamma the same bracket of the f_i,
+    and F_gamma = F~_gamma / f_norm[gamma] (root_vector_ops). The structure
+    constants are read off the operators of one faithful module of rs, the
+    tensor product over the simple components of each one's fundamental
+    module of smallest dimension; they do not depend on which faithful module.
     """
 
     def __init__(self, rs):
@@ -332,16 +349,16 @@ class ChevalleyAlgebra(BracketTable):
         self.f_idx = {g: len(pos) + rs.rank + k for k, g in enumerate(pos)}
         zero = (0,) * rs.rank
         self.weight = pos + [zero] * rs.rank + [tuple(-x for x in g) for g in pos]
-        # recipe per root vector: how to build its matrix in any representation
-        self.recipes = {}
+        # (i, parent, 1/(p+1)) per non-simple root, parents first
+        self.descent = {g: self._descent(g) for g in pos if sum(g) > 1}
         self._bootstrap()
         self._form = self._build_form()
 
     # -- structure constants -------------------------------------------------
 
     def _descent(self, gamma):
-        """Smallest simple i with gamma - alpha_i a positive root, and the
-        Chevalley denominator p+1 for that pair; gamma is not simple."""
+        """Smallest simple i with gamma - alpha_i a positive root, that root and
+        the Chevalley coefficient 1/(p+1) of the pair; gamma is not simple."""
         for i in range(self.rank):
             down = list(gamma)
             down[i] -= 1
@@ -352,7 +369,7 @@ class ChevalleyAlgebra(BracketTable):
                 while self.rs.is_root(tuple(lower)):
                     lower[i] -= 1
                     p += 1
-                return i, tuple(down), p
+                return i, tuple(down), Q(1, p + 1)
         raise AssertionError("no simple descent from %s" % (gamma,))
 
     def _bootstrap(self):
@@ -371,17 +388,8 @@ class ChevalleyAlgebra(BracketTable):
             lam[min(range(off, off + n),
                     key=lambda i: weyl_dim(rs, [int(k == i) for k in range(rank)]))] = 1
         weights, e, f = module_matrices(rs, lam)
-        gen_e = [scaled(m) for m in e]
-        gen_f = [scaled(m) for m in f]
         # H_i is diagonal: {index: int eigenvalue}
         gen_h = [{j: w[i] for j, w in enumerate(weights) if w[i]} for i in range(rank)]
-
-        for i in range(rank):
-            alpha = tuple(1 if k == i else 0 for k in range(rank))
-            ops[self.e_idx[alpha]] = gen_e[i]
-            ops[self.f_idx[alpha]] = gen_f[i]
-            self.recipes[self.e_idx[alpha]] = ("e", i)
-            self.recipes[self.f_idx[alpha]] = ("f", i)
 
         # each root's coroot is read up to three times: built once
         @cache
@@ -402,24 +410,15 @@ class ChevalleyAlgebra(BracketTable):
                     diag[k] = diag.get(k, 0) + cj * w
             return Q(1, big_l), {k: {k: v} for k, v in diag.items() if v}
 
-        tilde_scale = {}  # f-side rescaling factors t_gamma
+        # F_gamma = F~_gamma / t_gamma with [E_gamma, F~_gamma] = t_gamma H_gamma
+        e_ops, ft_ops = root_vector_ops(self, e, f)
+        self.f_norm = {}
         for gamma in self.pos_roots:
-            if sum(gamma) == 1:
-                tilde_scale[gamma] = Q(1)
-                continue
-            i, parent, p = self._descent(gamma)
-            coef = Q(1, p + 1)
-            s, m = scaled_comm(gen_e[i], ops[self.e_idx[parent]])
-            e_op = ops[self.e_idx[gamma]] = (s * coef, m)
-            s, m = scaled_comm(gen_f[i], ops[self.f_idx[parent]])
-            ft_op = (s * coef * tilde_scale[parent], m)
-            t = scaled_ratio(scaled_comm(e_op, ft_op), coroot_op(gamma))
+            t = scaled_ratio(scaled_comm(e_ops[gamma], ft_ops[gamma]), coroot_op(gamma))
             assert t is not None and t != 0, "bad Cartan scale at %s" % (gamma,)
-            tilde_scale[gamma] = t
-            ops[self.f_idx[gamma]] = (ft_op[0] / t, m)
-            self.recipes[self.e_idx[gamma]] = ("comm_e", i, self.e_idx[parent], coef)
-            self.recipes[self.f_idx[gamma]] = (
-                "comm_f", i, self.f_idx[parent], coef * tilde_scale[parent] / t)
+            self.f_norm[gamma] = t
+            ops[self.e_idx[gamma]] = e_ops[gamma]
+            ops[self.f_idx[gamma]] = (ft_ops[gamma][0] / t, ft_ops[gamma][1])
 
         # extract structure constants with weight pruning; root vectors of
         # two simple components commute on the tensor-product module, which
@@ -534,22 +533,21 @@ class Module:
 
 
 def highest_weight_module(alg, lam):
-    """V(lam) with exact matrices for all of alg's basis."""
+    """V(lam) with exact matrices for all of alg's basis, the root vectors
+    by root_vector_ops."""
     weights, e, f = module_matrices(alg.rs, lam)
+    e_ops, ft_ops = root_vector_ops(alg, e, f)
+
+    def fractions(s, m):
+        return {j: {i: s * v for i, v in col.items()} for j, col in m.items()}
+
     mats = [None] * alg.dim
+    for gamma in alg.pos_roots:
+        (se, me), (sf, mf) = e_ops[gamma], ft_ops[gamma]
+        mats[alg.e_idx[gamma]] = fractions(se, me)
+        mats[alg.f_idx[gamma]] = fractions(sf / alg.f_norm[gamma], mf)
     for i in range(alg.rank):
-        alpha = tuple(1 if k == i else 0 for k in range(alg.rank))
-        mats[alg.e_idx[alpha]] = e[i]
-        mats[alg.f_idx[alpha]] = f[i]
         mats[alg.h_idx[i]] = {j: {j: Q(w[i])} for j, w in enumerate(weights) if w[i]}
-    for gamma in alg.pos_roots:  # by height: each parent comes first
-        for idx in (alg.e_idx[gamma], alg.f_idx[gamma]):
-            recipe = alg.recipes[idx]
-            if recipe[0] in ("e", "f"):
-                continue
-            kind, i, parent, coef = recipe
-            gen = e[i] if kind == "comm_e" else f[i]
-            mats[idx] = _mcomm(gen, mats[parent], coef)
     return Module(weights, mats)
 
 
@@ -613,7 +611,6 @@ def _match_subdiagram(nodes, cartan):
     raise AssertionError("unclassifiable subdiagram %r" % (nodes,))
 
 
-@cache
 def abelian_radical_module(rs, node):
     """Levi type, Levi-highest weight of the nilradical, and abelianness.
 
@@ -621,8 +618,17 @@ def abelian_radical_module(rs, node):
     node coefficient is positive; it is abelian exactly when no two such
     roots sum to a root. The Levi type is a tuple of (series, rank) pairs
     and the weight an int tuple in the Levi's fundamental coordinates; the
-    cached result is shared between callers.
+    result, cached per root system and node (_abelian_radical), is shared
+    between callers. A node that is not an int is refused before the cache.
     """
+    if type(node) is not int:
+        raise ValueError("node must be an int, got %r" % (node,))
+    return _abelian_radical(rs, node)
+
+
+@cache
+def _abelian_radical(rs, node):
+    """abelian_radical_module of an int node, computed once."""
     k = node - 1
     if not 0 <= k < rs.rank:
         raise ValueError("node out of range: %r" % (node,))

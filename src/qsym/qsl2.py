@@ -36,7 +36,7 @@ from itertools import product
 
 from .liealg import BracketTable, _mcompose, _mscaled_sum, _vadd_into
 from .poisson import _pair_matrix, leg_embed
-from .scalars import QRat, divided_bracket, echelon, one, qpow, zero
+from .scalars import QRat, ascii_int, divided_bracket, echelon, one, qpow, zero
 
 
 class NotInSpan(ValueError):
@@ -318,12 +318,11 @@ def _tokenize(word):
             raise ValueError("unknown generator %r" % ch)
         power = 1
         if i < len(word) and word[i] == "^":
+            # the exponent runs to the next space, '*' or generator
             j = i + 1
-            if j < len(word) and word[j] == "-":
+            while j < len(word) and word[j] not in " *EFK":
                 j += 1
-            while j < len(word) and word[j].isdigit():
-                j += 1
-            power = int(word[i + 1:j])
+            power = ascii_int(word[i + 1:j], "exponent")
             i = j
         out.append((ch, power))
     return out
@@ -928,6 +927,8 @@ def braided_flatness(l, max_degree=3):
     The braided powers are the joint kernels of the adjacent commutor
     actions minus the identity; degrees beyond 3 are out of scope.
     """
+    if type(l) is not int or type(max_degree) is not int:
+        raise ValueError("l and max_degree must be ints, got %r and %r" % (l, max_degree))
     if l < 1:
         raise ValueError("l must be at least 1")
     if max_degree not in (2, 3):

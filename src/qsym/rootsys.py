@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from .scalars import den_lcm, echelon
+from .scalars import ascii_int, den_lcm, echelon
 
 
 class InvalidType(ValueError):
@@ -231,20 +231,25 @@ def normalize_type(name):
     if not isinstance(name, str):
         raise InvalidType("a type is a label such as 'A2', got %r" % (name,))
     s = name.strip().lower().replace("(", "").replace(")", "")
-    if len(s) >= 2 and s[0] in "abcdefg" and s[1:].isdigit():
-        letter, n = s[0].upper(), int(s[1:])
-    elif s.startswith("sl") and s[2:].isdigit():
-        letter, n = "A", int(s[2:]) - 1
-    elif s.startswith("so") and s[2:].isdigit():
-        m = int(s[2:])
+    head = s[:2] if s[:2] in ("sl", "so", "sp") else s[:1]
+    digits = s[len(head):]
+    try:
+        m = ascii_int(digits)
+    except ValueError:
+        m = None
+    # a rank has no sign: "a+2" does not spell A2
+    if m is None or digits[0] in "+-" or head not in ("sl", "so", "sp", *"abcdefg"):
+        raise InvalidType("cannot parse type %r" % name)
+    if head == "sl":
+        letter, n = "A", m - 1
+    elif head == "so":
         letter, n = ("B", (m - 1) // 2) if m % 2 else ("D", m // 2)
-    elif s.startswith("sp") and s[2:].isdigit():
-        m = int(s[2:])
+    elif head == "sp":
         if m % 2:
             raise InvalidType("sp needs an even dimension, got %s" % name)
         letter, n = "C", m // 2
     else:
-        raise InvalidType("cannot parse type %r" % name)
+        letter, n = head.upper(), m
     if not _rank_ok(letter, n):
         raise InvalidType("no simple type %s%d (from %r)" % (letter, n, name))
     return letter, n

@@ -16,10 +16,12 @@ Fraction coefficients here; liealg uses it for its scaled matrices, a
 Fraction scale times a matrix of Python ints. echelon is the one exact
 elimination, over Fraction or over QRat. Sparse matrices live in liealg,
 whose column-form kernel works over any exact ring: ints, Fractions and QRat.
+ascii_int is the one reader of an int from text, ASCII digits only.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Q
 from math import gcd, lcm
 
@@ -177,6 +179,18 @@ _INT = {int}
 def den_lcm(values):
     """Least common multiple of the denominators of ints and Fractions."""
     return lcm(1, *{v.denominator for v in values})
+
+
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def ascii_int(text, what="value"):
+    """The int that text spells as an optional sign and ASCII digits; any
+    other text, which int() may still read (other scripts' digits,
+    underscores, spaces), raises ValueError naming what was read."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError("%s must be an integer, got %r" % (what, text))
+    return int(text)
 
 
 def _ints(cs):

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from qsym import classify, poisson
+from qsym import classify, liealg, poisson
 from qsym.bialg import _cybe_tensor, bd_r_matrix, enumerate_bd_triples, standard_r, tt_skew
 from qsym.liealg import highest_weight_module, shared_type
 from qsym.rootsys import (_SERIES, InvalidType, NotDominant, _rank_ok, build_root_system, cominuscule_nodes,
@@ -137,9 +137,9 @@ def test_geometric_ambients_memoises_radicals():
     """A second search over the same ambients computes no nilradical again,
     and the kept nilradical data is immutable."""
     first = geometric_ambients("D", 5, (0, 0, 0, 0, 1))
-    misses = classify.abelian_radical_module.cache_info().misses
+    misses = liealg._abelian_radical.cache_info().misses
     assert geometric_ambients("D", 5, (0, 0, 0, 0, 1)) == first
-    assert classify.abelian_radical_module.cache_info().misses == misses
+    assert liealg._abelian_radical.cache_info().misses == misses
     rs = shared_type("E6").rs
     for node in cominuscule_nodes(rs):
         levi, lam_levi, abelian = classify.abelian_radical_module(rs, node)

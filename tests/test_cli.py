@@ -140,6 +140,45 @@ def test_math_error_single_line(tmp_path, capsys):
                    capsys) == run_cli(["table", "--max-rank", "2", "--dim-budget", "-5"], capsys)
 
 
+def test_ints_read_from_text_are_ascii(capsys):
+    """Every int the command line reads from text, a type's rank, a weight
+    and every int option, is an optional sign and ASCII digits: the digits
+    of other scripts, superscripts and underscores, which int() takes, exit
+    1 with one error line (e٦ read E6, --rank ٣ read 3, --weight
+    1_0,0 read (10, 0))."""
+    refused = [
+        (["roots", "--type", "e\u0666"], "InvalidType: cannot parse type 'e\u0666'"),
+        (["roots", "--type", "A\u00b2"], "InvalidType: cannot parse type 'A\u00b2'"),
+        (["module", "--type", "A2", "--weight", "\u0661,0"],
+         "ValueError: weight must be comma-separated integers, got '\u0661,0'"),
+        (["module", "--type", "A2", "--weight", "1_0,0"],
+         "ValueError: weight must be comma-separated integers, got '1_0,0'"),
+        (["rmatrix", "--type", "A2", "--module", "1,\u0660"],
+         "ValueError: weight must be comma-separated integers, got '1,\u0660'"),
+    ]
+    for argv, line in refused:
+        assert run_cli(argv, capsys) == (1, "error: %s\n" % line), argv
+    # an int option, last in each argv, is refused by argparse: usage, then
+    # one error line, on stderr
+    usage = [
+        ["roots", "--type", "A", "--rank", "\u0663"],
+        ["table", "--dim-budget", "20", "--max-rank", "\u0663"],
+        ["table", "--max-rank", "2", "--dim-budget", "2_0"],
+        ["classify", "--type", "A2", "--weight", "1,0", "--dim-budget", "\u0663"],
+        ["qsl2", "braided", "--l", "1_0"],
+        ["qsl2", "braided", "--l", "2", "--max-degree", "\u0662"],
+        ["qsl2", "copoisson", "--element", "X+", "--power", "\u0662"],
+    ]
+    for argv in usage:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1 and captured.out == "", argv
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert errors == ["error: argument %s: invalid ascii_int value: %r"
+                          % (argv[-2], argv[-1])], argv
+
+
 def test_internal_assertion_single_line(capsys, monkeypatch):
     """A failed internal invariant is one error line with exit 1, too."""
     def broken(args):

@@ -519,6 +519,77 @@ def test_bootstrapped_rank_five_tables_over_fraction():
         _check_table_over_fraction(label)
 
 
+def _replay_module(rs, lam):
+    """V(lam)'s root-vector matrices by a Fraction replay written out here,
+    as {root: (E, F)}: along the descent of the smallest simple i with
+    gamma - alpha_i = parent a positive root, E_gamma = [e_i, E_parent]/(p+1)
+    and F~_gamma = [f_i, F~_parent]/(p+1) with _ref_comm, and F_gamma =
+    F~_gamma / t with t measured on this module from [E_gamma, F~_gamma] =
+    t H_gamma."""
+    weights, e, f = module_matrices(rs, lam)
+    rank = rs.rank
+
+    def minus(root, i, times=1):
+        return tuple(c - times * (k == i) for k, c in enumerate(root))
+
+    ops, tilde = {}, {}
+    for gamma in rs.positive_roots:  # by height: each parent comes first
+        if sum(gamma) == 1:
+            i = gamma.index(1)
+            ops[gamma] = tilde[gamma] = e[i], f[i]
+        else:
+            i = next(i for i in range(rank) if minus(gamma, i) in ops)
+            parent = minus(gamma, i)
+            p = 0
+            while rs.is_root(minus(parent, i, p + 1)):
+                p += 1
+            coef = Q(1, p + 1)
+            e_gamma = _ref_combination([(coef, _ref_comm(e[i], ops[parent][0]))])
+            tilde[gamma] = e_gamma, _ref_combination([(coef, _ref_comm(f[i], tilde[parent][1]))])
+        e_gamma, ft_gamma = tilde[gamma]
+        gnorm = rs.inner(gamma, gamma)
+        h = {k: sum(Q(gamma[j]) * rs.norms[j] / gnorm * w[j] for j in range(rank))
+             for k, w in enumerate(weights)}
+        h = {k: v for k, v in h.items() if v}
+        comm = _ref_comm(e_gamma, ft_gamma)
+        k0 = min(h)
+        t = comm[k0][k0] / h[k0]
+        assert comm == {k: {k: t * v} for k, v in h.items()}, (rs.label, lam, gamma)
+        ops[gamma] = e_gamma, _ref_combination([(1 / t, ft_gamma)])
+    return ops
+
+
+def test_module_root_vectors_match_a_fraction_replay():
+    """highest_weight_module's matrices equal the Fraction replay written out
+    in this file, on omega_1 and one more module of every simple type of
+    rank at most 4 (G2 and F4 among them): the one recurrence on the scaled
+    form, with F_gamma divided by the bootstrap's scale, builds the same
+    operators as nested Fraction commutators normalised on the module
+    itself."""
+    for letter in _SERIES:
+        for n in range(1, 5):
+            if not _rank_ok(letter, n):
+                continue
+            alg = shared_type("%s%d" % (letter, n)).algebra
+            other = (2,) if n == 1 else tuple(int(k == n - 1) for k in range(n))
+            for lam in [tuple(int(k == 0) for k in range(n)), other]:
+                module = highest_weight_module(alg, lam)
+                for gamma, (e_gamma, f_gamma) in _replay_module(alg.rs, lam).items():
+                    assert module.mats[alg.e_idx[gamma]] == e_gamma, (alg.rs.label, lam, gamma)
+                    assert module.mats[alg.f_idx[gamma]] == f_gamma, (alg.rs.label, lam, gamma)
+
+
+def test_abelian_radical_refuses_a_node_that_is_not_an_int():
+    """abelian_radical_module refuses True, 1.0 and 2.0 with ValueError before
+    its cache: True and 1.0 were served node 1's cached data and 2.0 raised a
+    bare TypeError."""
+    rs = shared_type("E6").rs
+    abelian_radical_module(rs, 1)
+    for node in [True, 1.0, 2.0, "1", None]:
+        with pytest.raises(ValueError, match="node must be an int"):
+            abelian_radical_module(rs, node)
+
+
 # sha256 of the normalized bracket table: E6 and E7 recorded from the
 # bootstrap on the adjoint module, the products from the bootstrap on one
 # module per simple component assembled block-diagonally

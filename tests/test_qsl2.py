@@ -431,6 +431,21 @@ def test_braided_flatness_dimensions():
         qsl2.braided_flatness(0)
     with pytest.raises(ValueError):
         qsl2.braided_flatness(1, max_degree=4)
+    # l and max_degree are ints: True ran l = 1, 2.0 raised a bare TypeError
+    # and max_degree=2.0 was accepted
+    for args, kwargs in [((True,), {}), ((2.0,), {}), ((2,), {"max_degree": 2.0}),
+                         ((2,), {"max_degree": True})]:
+        with pytest.raises(ValueError, match="must be ints"):
+            qsl2.braided_flatness(*args, **kwargs)
+
+
+def test_exponents_are_ascii_integers():
+    """An exponent of a PBW word is read by the one int reader: E^٢ read E^2
+    and E^ leaked int()'s own message."""
+    assert qsl2.normal_form("E^+2") == qsl2.normal_form("E^2")
+    for word in ["E^\u0662", "E^", "E^ 2", "F^1_0", "K^-\u0661"]:
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            qsl2.normal_form(word)
 
 
 def test_braided_eigenvalue_structure():

@@ -121,7 +121,9 @@ def test_type_aliases():
     assert normalize_type("sl4") == ("A", 3)
     assert normalize_type("e6") == ("E", 6)
     assert normalize_type("G2") == ("G", 2)
-    for bad in ("so4", "so3", "sp3", "sp2", "h3", "B1", "D2", "E9", ("A", 2), None, 2):
+    # a rank is unsigned ASCII digits: e٦ read E6 and A² raised int()'s ValueError
+    for bad in ("so4", "so3", "sp3", "sp2", "h3", "B1", "D2", "E9", ("A", 2), None, 2,
+                "e\u0666", "A\u00b2", "so1\u0660", "sl\u0663", "a1_0", "d 4", "a+2", "e-6"):
         with pytest.raises(InvalidType):
             normalize_type(bad)
 

@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from qsym.liealg import _mcompose, scaled, scaled_comm, scaled_ratio
-from qsym.scalars import (PoleAtOne, QRat, den_lcm, divided_bracket, echelon, one, q,
-                          qpow, specialize_q1, zero)
+from qsym.scalars import (PoleAtOne, QRat, ascii_int, den_lcm, divided_bracket, echelon,
+                          one, q, qpow, specialize_q1, zero)
 
 
 def test_reduction_and_monic_denominator():
@@ -178,6 +178,16 @@ def test_scaled_ratio():
     # same support, entries not proportional
     skew = _mat({0: {0: 2, 1: "2/3"}, 3: {2: -1}})
     assert scaled_ratio(scaled(skew), sbase) is None
+
+
+def test_ascii_int_reads_a_sign_and_ascii_digits_only():
+    """ascii_int reads [+-]?[0-9]+ and refuses the rest of what int() takes:
+    other scripts' digits, superscripts, underscores and spaces."""
+    for text, want in [("0", 0), ("7", 7), ("+3", 3), ("-12", -12), ("007", 7)]:
+        assert ascii_int(text) == want, text
+    for text in ["", "+", "-", "\u0663", "\u00b2", "1_0", " 3", "3 ", "3\n", "3.0", "0x1", "1e2"]:
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            ascii_int(text, "exponent")
 
 
 def test_echelon_rank_deficient():

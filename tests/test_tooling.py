@@ -2,8 +2,9 @@
 defined in the layer its target names, the package's imports stay at module
 level with no poisson -> bialg cycle, no module keeps state behind a global
 statement or a module-level memo, root systems are built behind the one
-cache of types, and the Jacobi oracle shares no code with the Schouten
-verdict it checks beyond den_lcm."""
+cache of types, ints are read from text by one reader, root-vector
+operators are built by one recurrence, and the Jacobi oracle shares no code
+with the Schouten verdict it checks beyond den_lcm."""
 
 import ast
 import builtins
@@ -158,18 +159,53 @@ def test_root_systems_built_only_behind_shared_type():
 
 
 def test_type_spellings_parsed_only_in_rootsys():
-    """A type spelling is parsed only by rootsys.normalize_type: the other
-    isdigit callers read weights (cli) and PBW words (qsl2), and classify
-    neither reads a rank with int nor a letter with upper."""
+    """A type spelling is parsed only by rootsys.normalize_type, and every
+    int read from text goes through the one reader scalars.ascii_int: it is
+    called by normalize_type (ranks), cli._parse_weight (weights) and
+    qsl2._tokenize (exponents) and is the type= of all seven int options
+    of the CLI; no isdigit-like test is left but the one that tells a
+    negative weight from an option, none of those readers and no cli
+    function calls int, and classify neither reads a rank with int nor a
+    letter with upper."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+
+    def callers(name):
+        return {"%s.%s" % (stem, f) for stem, tree in trees.items()
+                for f in _calls_by_function(tree, name)}
+
+    assert callers("ascii_int") == {"rootsys.normalize_type", "cli._parse_weight",
+                                    "qsl2._tokenize"}
+    for name in ("isdigit", "isdecimal", "isnumeric"):
+        assert callers(name) <= {"cli._attach_weight_values"}, name
+    assert not callers("int") & {"rootsys.normalize_type", "qsl2._tokenize"}
+    assert not _calls_by_function(trees["cli"], "int")
+    types = [kw.value for node in ast.walk(trees["cli"])
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+             for kw in node.keywords if kw.arg == "type"]
+    assert len(types) == 7 and all(isinstance(t, ast.Name) and t.id == "ascii_int"
+                                   for t in types), [ast.dump(t) for t in types]
+    for name in ("int", "upper"):
+        assert not _calls_by_function(trees["classify"], name), name
+
+
+def test_one_root_vector_recurrence():
+    """liealg.root_vector_ops alone builds root-vector operators:
+    the Chevalley bootstrap and highest_weight_module call it and nothing
+    else does, highest_weight_module takes no commutator of its own, and the
+    recipe table the recurrence replaced is gone from src/qsym."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        callers |= {"%s.%s" % (path.stem, f) for f in _calls_by_function(tree, "isdigit")}
-    assert callers == {"rootsys.normalize_type", "cli._attach_weight_values",
-                       "qsl2._tokenize"}, callers
-    tree = ast.parse((SRC / "classify.py").read_text())
-    for name in ("int", "upper"):
-        assert not _calls_by_function(tree, name), name
+        text = path.read_text()
+        assert "recipes" not in text, path.name
+        callers |= {"%s.%s" % (path.stem, f)
+                    for f in _calls_by_function(ast.parse(text, str(path)), "root_vector_ops")}
+    assert callers == {"liealg.ChevalleyAlgebra._bootstrap",
+                       "liealg.highest_weight_module"}, callers
+    tree = ast.parse((SRC / "liealg.py").read_text())
+    for name in ("_mcomm", "scaled_comm"):
+        assert not any(f.split(".")[0] == "highest_weight_module"
+                       for f in _calls_by_function(tree, name)), name
 
 
 def _called_names(node):
