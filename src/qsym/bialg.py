@@ -293,17 +293,18 @@ def _cybe_tensor(carrier, r):
 def check_cybe(alg, r, module=None):
     """CYBE and invariance report for r, certified through a faithful module.
 
-    module is a built liealg.Module of alg, or None for the adjoint. The
-    brackets are expanded exactly in g^(x)3; with a faithful module the
+    module is a built liealg.Module of alg, read as its ints (a positive
+    multiple of the action, so no verdict changes), or None for the adjoint.
+    The brackets are expanded exactly in g^(x)3; with a faithful module the
     tensor cube of the representation is injective, so vanishing there is
-    equivalent. For small modules (dim^3 <= 1000) the operators on V^(x)3 are
-    also built explicitly, as the Schouten square of the rho (x) rho image of
-    r, and the two routes are required to agree.
+    equivalent. For small modules (dim^3 <= 1000) the operators on V^(x)3
+    are also built explicitly, as the Schouten square of the rho (x) rho
+    image of r, and the two routes are required to agree.
     """
     if module is None:
         mats, dim = alg.adjoint_rep(), alg.dim
     else:
-        mats, dim = module.mats, module.dim
+        mats, dim = module.ints, module.dim
     for i in range(alg.dim):
         if not mats[i]:
             raise NotFaithful("module kills %s" % alg.names[i])
@@ -312,7 +313,7 @@ def check_cybe(alg, r, module=None):
     if dim ** 3 <= 1000:
         cube = schouten_square(_pair_matrix(mats, dim, r), dim)
         assert (not cube) == holds, "tensor-cube route disagrees"
-    sym = _vadd_into(_vadd_into({}, r), tt_op(r))
+    sym = tt_sym(r)
     invariant = all(not ad_two_tensor(alg, x, sym) for x in range(alg.dim))
     return {"cybe_holds": holds, "symmetric_part_invariant": invariant}
 
@@ -333,7 +334,7 @@ def cobracket_from_r(carrier, r):
     delta = {}
     for x in range(carrier.dim):
         t = ad_two_tensor(carrier, x, r, -1)
-        if _vadd_into(dict(t), tt_op(t)):
+        if tt_sym(t):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
         if t:
             delta[x] = t
@@ -473,19 +474,20 @@ class SemidirectAlgebra(BracketTable):
 def semidirect_algebra(alg, lam):
     """g acting on V(lam); mixed Jacobi verified."""
     mod = highest_weight_module(alg, lam)
+    mats = mod.fractions()
     n = alg.dim
     names = list(alg.names) + ["v%d" % (k + 1) for k in range(mod.dim)]
     table = {ij: dict(v) for ij, v in alg.table.items()}
     for i in range(n):
         for a in range(mod.dim):
-            col = mod.mats[i].get(a, {})
+            col = mats[i].get(a, {})
             if col:
                 table[(i, n + a)] = {n + b: v for b, v in col.items()}
     # mixed Jacobi <=> the action matrices represent the brackets
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = _mcomm(mod.mats[i], mod.mats[j])
-            rhs = _mscaled_sum([(v, mod.mats[k])
+            lhs = _mcomm(mats[i], mats[j])
+            rhs = _mscaled_sum([(v, mats[k])
                                 for k, v in alg.bracket_idx(i, j).items()])
             assert lhs == rhs, "module is not a representation at (%d, %d)" % (i, j)
     return SemidirectAlgebra(names, table, range(n), range(n, n + mod.dim))

@@ -252,13 +252,8 @@ class ClassificationRow:
 
 
 @cache
-def _r_tensor(alg, triple=None):
-    """The pair (r, [[r-, r-]]) of the standard r (no triple) or of a BD
-    triple's r-matrix, built once per algebra and triple.
-
-    Call it as _r_tensor(alg) or _r_tensor(alg, triple): the cache keys on
-    the arguments as passed, so _r_tensor(alg, None) would be a second entry.
-    """
+def _r_tensor(alg, triple):
+    """(r, [[r-, r-]]) of the standard r (triple None) or of a BD triple's r-matrix."""
     r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
     return r, _cybe_tensor(alg, tt_skew(r))
 
@@ -290,7 +285,7 @@ def classify_pair(label, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     alg = typ.algebra
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
-    r, tensor = _r_tensor(alg)
+    r, tensor = _r_tensor(alg, None)
     schouten = schouten_promoted(tensor, mod)
     jacobi = jacobi_oracle(generator_brackets(r, mod))
     bd_verdicts = None

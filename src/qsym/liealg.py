@@ -21,9 +21,8 @@ kernel: a Fraction scale times a matrix of Python ints (scaled,
 scaled_comm, scaled_ratio). The bootstrap runs on it: commutators multiply
 ints, and the rescaling factors and structure constants are exact Fraction
 ratios found by integer cross-multiplication. A Module (highest_weight_module)
-holds Fraction matrices, checked against the Weyl/Freudenthal oracle, and
-their int form, scaled once when it is built; every function that acts on
-a module takes one already built.
+holds the int form of those scaled operators, Fractions on request, checked
+against the Weyl/Freudenthal oracle; every function acting on one takes it built.
 
 shared_type is the one cache of root systems and Chevalley algebras, one
 entry per type whatever its spelling, and no root system is built outside
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cache, cached_property
+from math import gcd
 
 from .rootsys import (_SERIES, _check_dominant, _rank_ok, build_root_system, type_label,
                       weyl_dim)
@@ -520,35 +520,39 @@ def shared_type(label):
 
 
 class Module:
-    """V(lam): its weights and the action of every algebra basis element k,
-    as the Fraction matrix mats[k] and as ints[k], mats[k] times den (the lcm
-    of every entry's denominator) in int columns, so mats[k] == ints[k] / den."""
+    """V(lam): its weights and the action ints[k] / den of each basis element
+    k, int columns over one denominator, built from scaled operators (s, M):
+    the lcm of the denominators of s * M is (s * g).denominator, g the gcd
+    of M's entries (0 for an empty M), so M times s * den is an int matrix."""
 
-    def __init__(self, weights, mats):
-        self.weights = weights
-        self.dim = len(weights)
-        self.mats = mats  # aligned with alg basis indices
-        self.den = den_lcm(v for m in mats for col in m.values() for v in col.values())
-        self.ints = [int_columns(m, self.den) for m in mats]
+    def __init__(self, weights, ops):
+        self.weights, self.dim = weights, len(weights)
+        self.den = den_lcm(s * gcd(*(v for col in m.values() for v in col.values()))
+                           for s, m in ops)
+        self.ints = []  # aligned with alg basis indices
+        for s, m in ops:
+            c = s * self.den
+            self.ints.append({j: {i: v // c.denominator * c.numerator for i, v in col.items()}
+                              for j, col in m.items()})
+
+    def fractions(self):
+        """The Fraction matrices ints[k] / den, built anew on each call."""
+        return [{j: {i: Q(v, self.den) for i, v in col.items()} for j, col in m.items()}
+                for m in self.ints]
 
 
 def highest_weight_module(alg, lam):
-    """V(lam) with exact matrices for all of alg's basis, the root vectors
-    by root_vector_ops."""
+    """V(lam) on alg's basis, from scaled operators: root_vector_ops's E_gamma,
+    F_gamma = F~_gamma / f_norm[gamma], and H_i, its int diagonal at scale 1."""
     weights, e, f = module_matrices(alg.rs, lam)
     e_ops, ft_ops = root_vector_ops(alg, e, f)
-
-    def fractions(s, m):
-        return {j: {i: s * v for i, v in col.items()} for j, col in m.items()}
-
-    mats = [None] * alg.dim
+    ops = [None] * alg.dim
     for gamma in alg.pos_roots:
-        (se, me), (sf, mf) = e_ops[gamma], ft_ops[gamma]
-        mats[alg.e_idx[gamma]] = fractions(se, me)
-        mats[alg.f_idx[gamma]] = fractions(sf / alg.f_norm[gamma], mf)
+        ops[alg.e_idx[gamma]] = e_ops[gamma]
+        ops[alg.f_idx[gamma]] = ft_ops[gamma][0] / alg.f_norm[gamma], ft_ops[gamma][1]
     for i in range(alg.rank):
-        mats[alg.h_idx[i]] = {j: {j: Q(w[i])} for j, w in enumerate(weights) if w[i]}
-    return Module(weights, mats)
+        ops[alg.h_idx[i]] = 1, {j: {j: w[i]} for j, w in enumerate(weights) if w[i]}
+    return Module(weights, ops)
 
 
 def casimir(alg):

@@ -76,7 +76,7 @@ def _check_flip_skew(matrix, dim):
 
 def r_minus_operator(r, module):
     """rho (x) rho image of r- = (r - r^op)/2 on V (x) V, verified flip-skew."""
-    matrix = _pair_matrix(module.mats, module.dim, tt_skew(r))
+    matrix = _pair_matrix(module.fractions(), module.dim, tt_skew(r))
     _check_flip_skew(matrix, module.dim)
     return matrix
 

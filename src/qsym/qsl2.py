@@ -51,11 +51,9 @@ class NotInLattice(ValueError):
 # PBW elements
 # ---------------------------------------------------------------------------
 
-def _coeff_str(v, var="q"):
-    s = v.to_str(var)
-    if not s.startswith("(") and (" + " in s or " - " in s):
-        s = "(%s)" % s
-    return s
+def _coeff_str(v):
+    s = v.to_str()
+    return "(%s)" % s if not s.startswith("(") and (" + " in s or " - " in s) else s
 
 
 def _mono_str(key):

@@ -132,7 +132,7 @@ def test_criterion_05_casimir_commutator_routes():
         for lam in lams:
             mod = highest_weight_module(alg, lam)
             d = mod.dim
-            cop = _pair_matrix(mod.mats, d, c)
+            cop = _pair_matrix(mod.fractions(), d, c)
             c12 = leg_embed(cop, d, (0, 1))
             c13 = leg_embed(cop, d, (0, 2))
             c23 = leg_embed(cop, d, (1, 2))

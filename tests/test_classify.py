@@ -272,7 +272,7 @@ def test_bd_verdicts_run_one_schouten_per_distinct_tensor(monkeypatch):
         calls.clear()
         row = classify_pair(label, lam, all_bd=True)
         assert len(row.bd_verdicts) == len(enumerate_bd_triples(shared_type(label).rs))
-        assert calls == [classify._r_tensor(shared_type(label).algebra)[1]], (label, lam)
+        assert calls == [classify._r_tensor(shared_type(label).algebra, None)[1]], (label, lam)
 
     # the zero tensor differs from the standard one, and its verdict (True)
     # differs from the adjoint row's standard verdict (False)
@@ -287,7 +287,7 @@ def test_bd_verdicts_run_one_schouten_per_distinct_tensor(monkeypatch):
     monkeypatch.setattr(classify, "_r_tensor", zeroed)
     calls.clear()
     row = classify_pair("A2", (1, 1), all_bd=True)
-    assert calls == [real_r_tensor(typ.algebra)[1], {}]
+    assert calls == [real_r_tensor(typ.algebra, None)[1], {}]
     assert row.schouten is False and row.bd_verdicts[triple.key()] is True
     assert [v for k, v in row.bd_verdicts.items() if k != triple.key()] == [False, False]
 
@@ -320,13 +320,29 @@ def test_r_tensor_memo_holds_fresh_tensors():
         alg = typ.algebra
         misses = classify._r_tensor.cache_info().misses
         r = standard_r(alg)
-        assert classify._r_tensor(alg) == (r, _cybe_tensor(alg, tt_skew(r))), label
+        assert classify._r_tensor(alg, None) == (r, _cybe_tensor(alg, tt_skew(r))), label
         for triple in enumerate_bd_triples(typ.rs):
             r_t, _ = bd_r_matrix(alg, triple)
             assert classify._r_tensor(alg, triple) == (r_t, _cybe_tensor(alg, tt_skew(r_t))), \
                 (label, triple)
         assert classify._r_tensor.cache_info().misses == misses, label
     assert shared_type("so10").algebra is shared_type("D5").algebra
+
+
+def test_sweep_builds_no_fraction_module_matrix(monkeypatch):
+    """A sweep row reads only the module's int form: with Module.fractions
+    made to raise, classify_pair still runs its every verdict, --all-bd and
+    a parabolic ambient (A3 (1, 0, 0)) included."""
+    def refuse(self):
+        raise AssertionError("Fraction module matrices built")
+
+    monkeypatch.setattr(liealg.Module, "fractions", refuse)
+    with pytest.raises(AssertionError, match="Fraction module"):
+        highest_weight_module(shared_type("A1").algebra, (1,)).fractions()
+    rows = [classify_pair("A2", (1, 1), all_bd=True), classify_pair("C3", (0, 1, 0)),
+            classify_pair("B3", (0, 0, 1)), classify_pair("A3", (1, 0, 0))]
+    assert rows[0].bd_verdicts and all(row.oracle_ok for row in rows)
+    assert rows[3].ambients and rows[3].semidirect_constructed
 
 
 def test_table_rank_two():

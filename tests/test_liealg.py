@@ -60,26 +60,34 @@ def test_module_dimension_and_weights_match_oracles():
 
 def test_module_int_form_is_its_matrices_times_one_lcm():
     """A built module carries its int form: den is the lcm of the
-    denominators of every entry of every matrix, and ints[k] is mats[k]
-    scaled by it, with no zero entry and no empty column."""
+    denominators of every entry of the Fraction replay's matrices
+    (_replay_module, with H_i the weights' diagonal), ints[k] is the
+    replay's matrix scaled by it, with no zero entry and no empty column,
+    and fractions() gives the replay's matrices back."""
     cases = [("A1", (3,)), ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)),
-             ("C2", (0, 1)), ("G2", (1, 0)), ("B3", (0, 0, 1)),
-             ("E6", (1, 0, 0, 0, 0, 0))]
+             ("C2", (0, 1)), ("G2", (1, 0)), ("G2", (0, 1)), ("B3", (0, 0, 1)),
+             ("B4", (1, 0, 0, 1)), ("E6", (1, 0, 0, 0, 0, 0))]
     dens = set()
     for label, lam in cases:
-        mod = highest_weight_module(shared_type(label).algebra, lam)
-        assert mod.den == den_lcm(v for m in mod.mats for col in m.values()
+        alg = shared_type(label).algebra
+        mod = highest_weight_module(alg, lam)
+        ref = [None] * alg.dim
+        for gamma, (e_gamma, f_gamma) in _replay_module(alg.rs, lam).items():
+            ref[alg.e_idx[gamma]], ref[alg.f_idx[gamma]] = e_gamma, f_gamma
+        for i in range(alg.rank):
+            ref[alg.h_idx[i]] = {j: {j: Q(w[i])} for j, w in enumerate(mod.weights) if w[i]}
+        assert mod.den == den_lcm(v for m in ref for col in m.values()
                                   for v in col.values()), (label, lam)
         dens.add(mod.den)
-        assert len(mod.ints) == len(mod.mats), (label, lam)
-        for k, (m, mi) in enumerate(zip(mod.mats, mod.ints)):
+        assert len(mod.ints) == alg.dim, (label, lam)
+        for k, (m, mi) in enumerate(zip(ref, mod.ints)):
             assert mi == int_columns(m, mod.den), (label, lam, k)
             assert all(type(v) is int and v for col in mi.values() for v in col.values())
-            assert {(i, j): Q(v, mod.den) for j, col in mi.items() for i, v in col.items()} \
-                == {(i, j): v for j, col in m.items() for i, v in col.items() if v}, \
-                (label, lam, k)
-    # the scaling is exercised: some of these modules act with fractions
+        assert mod.fractions() == ref, (label, lam)
+    # the scaling is exercised: some of these modules act with fractions,
+    # G2 (0, 1) over 12 and B4 (1, 0, 0, 1) over 8
     assert dens - {1}, dens
+    assert {12, 8} <= dens, dens
 
 
 def test_generator_relations_on_modules():
@@ -223,7 +231,8 @@ def test_casimir_acts_by_scalar():
         rs = alg.rs
         mod = highest_weight_module(alg, lam)
         cas, _ = casimir(alg)
-        action = _mscaled_sum([(v, _mcompose(mod.mats[i], mod.mats[j]))
+        mats = mod.fractions()
+        action = _mscaled_sum([(v, _mcompose(mats[i], mats[j]))
                                for (i, j), v in cas.items()])
         lam_root = rs.fund_to_root(lam)
         rho = rs.fund_to_root([1] * rs.rank)
@@ -272,9 +281,9 @@ def test_casimir_eigenvalue_sl3_vector():
     assert all(k in {(alg.h_idx[0], alg.h_idx[0]), (alg.h_idx[0], alg.h_idx[1]),
                      (alg.h_idx[1], alg.h_idx[0]), (alg.h_idx[1], alg.h_idx[1])}
                for k in c0)
-    action = {}
+    action, mats = {}, mod.fractions()
     for (i, j), v in cas.items():
-        for col, vec in _mcompose(mod.mats[i], mod.mats[j]).items():
+        for col, vec in _mcompose(mats[i], mats[j]).items():
             acc = action.setdefault(col, {})
             for row, x in vec.items():
                 acc[row] = acc.get(row, Q(0)) + v * x
@@ -284,8 +293,9 @@ def test_casimir_eigenvalue_sl3_vector():
 def test_nonsimple_root_matrices_shift_weights():
     alg = chevalley_basis(build_root_system("B2"))
     mod = highest_weight_module(alg, (1, 0))
+    mats = mod.fractions()
     for g in alg.pos_roots:
-        mat = mod.mats[alg.e_idx[g]]
+        mat = mats[alg.e_idx[g]]
         gf = [sum(Q(g[k]) * alg.rs.cartan[k][j] for k in range(alg.rs.rank))
               for j in range(alg.rs.rank)]
         for src, col in mat.items():
@@ -573,10 +583,10 @@ def test_module_root_vectors_match_a_fraction_replay():
             alg = shared_type("%s%d" % (letter, n)).algebra
             other = (2,) if n == 1 else tuple(int(k == n - 1) for k in range(n))
             for lam in [tuple(int(k == 0) for k in range(n)), other]:
-                module = highest_weight_module(alg, lam)
+                mats = highest_weight_module(alg, lam).fractions()
                 for gamma, (e_gamma, f_gamma) in _replay_module(alg.rs, lam).items():
-                    assert module.mats[alg.e_idx[gamma]] == e_gamma, (alg.rs.label, lam, gamma)
-                    assert module.mats[alg.f_idx[gamma]] == f_gamma, (alg.rs.label, lam, gamma)
+                    assert mats[alg.e_idx[gamma]] == e_gamma, (alg.rs.label, lam, gamma)
+                    assert mats[alg.f_idx[gamma]] == f_gamma, (alg.rs.label, lam, gamma)
 
 
 def test_abelian_radical_refuses_a_node_that_is_not_an_int():

@@ -68,7 +68,8 @@ def test_r_minus_operator_dim4_matches_direct_expansion():
     sl2 = chevalley_basis(build_root_system("A1"))
     mod = highest_weight_module(sl2, (3,))
     op = r_minus_operator(standard_r(sl2), mod)
-    e_mat, f_mat = mod.mats[sl2.e_idx[(1,)]], mod.mats[sl2.f_idx[(1,)]]
+    mats = mod.fractions()
+    e_mat, f_mat = mats[sl2.e_idx[(1,)]], mats[sl2.f_idx[(1,)]]
     # expand the two terms explicitly over the 4-dim basis
     expect = {}
     dim = 4
@@ -182,7 +183,7 @@ def test_half_casimir_commutators_equal_schouten_square():
         for lam in lams:
             mod = highest_weight_module(alg, lam)
             d = mod.dim
-            cop = _pair_matrix(mod.mats, d, c)
+            cop = _pair_matrix(mod.fractions(), d, c)
             c12 = leg_embed(cop, d, (0, 1))
             c13 = leg_embed(cop, d, (0, 2))
             c23 = leg_embed(cop, d, (1, 2))
@@ -216,7 +217,7 @@ def test_schouten_square_is_flip_skew_and_equivariant():
 
     sl2 = chevalley_basis(build_root_system("A1"))
     mod = highest_weight_module(sl2, (2,))
-    d = mod.dim
+    d, mats = mod.dim, mod.fractions()
     sq = schouten_square(r_minus_operator(standard_r(sl2), mod), d)
     for x in range(sl2.dim):
         diag = {}
@@ -225,11 +226,11 @@ def test_schouten_square_is_flip_skew_and_equivariant():
                 for c in range(d):
                     col = (a * d + b) * d + c
                     acc = {}
-                    for ra, v in mod.mats[x].get(a, {}).items():
+                    for ra, v in mats[x].get(a, {}).items():
                         acc[(ra * d + b) * d + c] = acc.get((ra * d + b) * d + c, Q(0)) + v
-                    for rb, v in mod.mats[x].get(b, {}).items():
+                    for rb, v in mats[x].get(b, {}).items():
                         acc[(a * d + rb) * d + c] = acc.get((a * d + rb) * d + c, Q(0)) + v
-                    for rc, v in mod.mats[x].get(c, {}).items():
+                    for rc, v in mats[x].get(c, {}).items():
                         acc[(a * d + b) * d + rc] = acc.get((a * d + b) * d + rc, Q(0)) + v
                     acc = {k: v for k, v in acc.items() if v}
                     if acc:
@@ -260,7 +261,7 @@ def test_promoted_verdict_matches_full_report():
     for label, lam, want in cases:
         alg = chevalley_basis(build_root_system(label))
         mod = highest_weight_module(alg, lam)
-        if 2 in _denominators(v for m in mod.mats for col in m.values()
+        if 2 in _denominators(v for m in mod.fractions() for col in m.values()
                               for v in col.values()):
             halves.add(label)
         r = standard_r(alg)

@@ -1,10 +1,10 @@
 """The benchmark's span tracer still finds every function it wraps, each
 defined in the layer its target names, the package's imports stay at module
 level with no poisson -> bialg cycle, no module keeps state behind a global
-statement or a module-level memo, root systems are built behind the one
-cache of types, ints are read from text by one reader, root-vector
-operators are built by one recurrence, and the Jacobi oracle shares no code
-with the Schouten verdict it checks beyond den_lcm."""
+statement, a module-level memo or a second cached_property, root systems
+are built behind the one cache of types, ints are read from text by one
+reader, root-vector operators are built by one recurrence, and the Jacobi
+oracle shares no code with the Schouten verdict it checks beyond den_lcm."""
 
 import ast
 import builtins
@@ -143,6 +143,26 @@ def _calls_by_function(tree, name):
 
     visit(tree, ())
     return found
+
+
+def test_one_cached_property():
+    """SharedType.algebra is the only cached_property in qsym, and nothing
+    else names one: every other memo is a functools.cache on the function
+    that computes it, so no object grows a lazily built attribute."""
+    found = set()
+
+    def visit(node, scope, stem):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif (isinstance(node, ast.Name) and node.id == "cached_property"
+              or isinstance(node, ast.Attribute) and node.attr == "cached_property"):
+            found.add(".".join((stem,) + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, stem)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), (), path.stem)
+    assert found == {"liealg.SharedType.algebra"}, found
 
 
 def test_root_systems_built_only_behind_shared_type():
