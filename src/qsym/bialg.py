@@ -4,6 +4,12 @@ Two-tensors are sparse maps (basis index, basis index) -> Fraction over a
 carrier algebra; a cobracket is a dict basis index -> two-tensor, with no
 entry where delta(x) = 0. Carriers are liealg.BracketTable with names:
 ChevalleyAlgebra, SemidirectAlgebra and the Drinfeld double.
+
+The CYBE tensor, the cobracket -ad r, check_cybe's invariance check and the
+bialgebra axioms run on one int reading of the bracket table, int_brackets
+(C [a, p], C the lcm of its denominators), and r times the lcm D of its own;
+a Fraction result is divided by its one scale at the end. check_cybe's
+tensor-cube route stays on the Fraction adjoint, independent of them.
 """
 
 from __future__ import annotations
@@ -54,13 +60,44 @@ class TripleTouchesNode(ValueError):
 # two-tensor helpers
 # ---------------------------------------------------------------------------
 
+def int_brackets(carrier):
+    """(C, rows): rows[a][p] = C * [a, p] as an int vector, C > 0 the lcm of
+    the denominators of carrier.table, which is read once; the entry for
+    a > p is the negated entry for p < a. rows[a] is column form of C ad_a."""
+    table = carrier.table
+    big_c = den_lcm(v for out in table.values() for v in out.values())
+    rows = [{} for _ in range(carrier.dim)]
+    for (a, p), out in table.items():
+        col = {k: v.numerator * (big_c // v.denominator) for k, v in out.items() if v}
+        if col:
+            rows[a][p] = col
+            rows[p][a] = {k: -v for k, v in col.items()}
+    return big_c, rows
+
+
+def _int_tensor(t):
+    """(D, t times D as ints), D > 0 the lcm of the denominators of t."""
+    big_d = den_lcm(t.values())
+    return big_d, {key: v.numerator * (big_d // v.denominator) for key, v in t.items()}
+
+
+def _int_cobracket(carrier, t):
+    """(C * D, {x: -ad_x t times C * D}) over ints, from int_brackets and
+    _int_tensor, with no zero entry and no entry where -ad_x t = 0."""
+    big_c, rows = int_brackets(carrier)
+    big_d, ti = _int_tensor(t)
+    delta = {}
+    for x in range(carrier.dim):
+        if d := {key: v for key, v in _ad_into({}, rows[x], ti, -1).items() if v}:
+            delta[x] = d
+    return big_c * big_d, delta
+
+
 def _ad_into(acc, row, t, scale=1):
     """acc += scale * [x (x) 1 + 1 (x) x, t], where row maps p to [x, p].
 
-    A hand-written accumulator, not _vadd_into: it may leave zero entries,
-    so callers test any(acc.values()). It is the inner loop of the cocycle
-    check, where building a dict per bracket cost three times as much.
-    """
+    Hand-written, not _vadd_into, as the inner loop of the cobracket and the
+    cocycle check: it may leave zero entries, which callers drop or test."""
     for (p, q), v in t.items():
         v *= scale
         out = row.get(p)
@@ -72,12 +109,6 @@ def _ad_into(acc, row, t, scale=1):
             for k, c in out.items():
                 acc[(p, k)] = acc.get((p, k), 0) + v * c
     return acc
-
-
-def ad_two_tensor(carrier, x, t, scale=1):
-    """scale * [x (x) 1 + 1 (x) x, t] for a basis index x, in carrier (x) carrier."""
-    row = {p: carrier.bracket_idx(x, p) for p in range(carrier.dim)}
-    return {k: v for k, v in _ad_into({}, row, t, scale).items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +305,35 @@ def bd_r_matrix(alg, triple):
 # ---------------------------------------------------------------------------
 
 def _cybe_tensor(carrier, r):
-    """[r12, r13] + [r12, r23] + [r13, r23] in carrier^(x)3.
+    """[r12, r13] + [r12, r23] + [r13, r23] in carrier^(x)3, as Fractions.
 
     This is also the Schouten square [[r, r]] expanded through the structure
-    constants, which the Poisson criterion applies to modules.
+    constants, which the Poisson criterion applies to modules. Summed on
+    int_brackets (scale C) and r times D, each term carries D^2 * C; r is
+    grouped by leg, so only pairs of terms with a nonzero bracket are read.
     """
+    big_c, rows = int_brackets(carrier)
+    big_d, rt = _int_tensor(r)
+    by_first, by_second = {}, {}
+    for (c, d), w in rt.items():
+        by_first.setdefault(c, []).append((d, w))
+        by_second.setdefault(d, []).append((c, w))
     out = {}
-    items = list(r.items())
-    for (a, b), v in items:
-        for (c, d), w in items:
-            vw = v * w
-            _vadd_into(out, {(k, b, d): x for k, x in carrier.bracket_idx(a, c).items()}, vw)
-            _vadd_into(out, {(a, k, d): x for k, x in carrier.bracket_idx(b, c).items()}, vw)
-            _vadd_into(out, {(a, c, k): x for k, x in carrier.bracket_idx(b, d).items()}, vw)
-    return out
+    for (a, b), v in rt.items():
+        for c, col in rows[a].items():  # [a, c] (x) b (x) d
+            for d, w in by_first.get(c, ()):
+                for k, x in col.items():
+                    out[k, b, d] = out.get((k, b, d), 0) + v * w * x
+        for c, col in rows[b].items():  # a (x) [b, c] (x) d
+            for d, w in by_first.get(c, ()):
+                for k, x in col.items():
+                    out[a, k, d] = out.get((a, k, d), 0) + v * w * x
+        for d, col in rows[b].items():  # a (x) c (x) [b, d]
+            for c, w in by_second.get(d, ()):
+                for k, x in col.items():
+                    out[a, c, k] = out.get((a, c, k), 0) + v * w * x
+    scale = big_d * big_d * big_c
+    return {key: Q(v, scale) for key, v in out.items() if v}
 
 
 def check_cybe(alg, r, module=None):
@@ -313,8 +359,7 @@ def check_cybe(alg, r, module=None):
     if dim ** 3 <= 1000:
         cube = schouten_square(_pair_matrix(mats, dim, r), dim)
         assert (not cube) == holds, "tensor-cube route disagrees"
-    sym = tt_sym(r)
-    invariant = all(not ad_two_tensor(alg, x, sym) for x in range(alg.dim))
+    invariant = not _int_cobracket(alg, tt_sym(r))[1]
     return {"cybe_holds": holds, "symmetric_part_invariant": invariant}
 
 
@@ -323,7 +368,7 @@ def cobracket_from_r(carrier, r):
 
     Returns delta as a dict {x: delta(x)} over basis indices, with no entry
     for an x whose delta(x) is zero; a delta(x) that is not antisymmetric
-    raises NotAntisymmetric.
+    raises NotAntisymmetric. delta is summed on ints (_int_cobracket).
     """
     g_indices = getattr(carrier, "g_indices", None)
     if g_indices is not None:
@@ -331,31 +376,26 @@ def cobracket_from_r(carrier, r):
         for (a, b) in r:
             if a not in gset or b not in gset:
                 raise ValueError("r must be supported on the g-part")
-    delta = {}
-    for x in range(carrier.dim):
-        t = ad_two_tensor(carrier, x, r, -1)
-        if tt_sym(t):
+    scale, delta = _int_cobracket(carrier, r)
+    for x, t in delta.items():
+        if any(t.get((b, a)) != -v for (a, b), v in t.items()):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
-        if t:
-            delta[x] = t
-    return delta
+    return {x: {key: Q(v, scale) for key, v in t.items()} for x, t in delta.items()}
 
 
 def check_lie_bialgebra(carrier, delta):
     """Axiom report: antisym, co_jacobi, cocycle (+ shape fields for semidirect).
 
-    The axioms are checked on one scaled int copy. The brackets, read through
-    the carrier's bracket_idx, are multiplied by the lcm C of their
-    denominators and delta by the lcm D of theirs, exactly (numerator times
+    The axioms are checked on one scaled int copy. The brackets are the
+    carrier's int_brackets, scaled by the lcm C of their denominators, and
+    delta is multiplied by the lcm D of theirs, exactly (numerator times
     the cofactor). Every cocycle term then carries C * D, every co-Jacobi
     term D^2 and every antisymmetry term D; a uniform positive factor does
     not change whether an equation holds.
     """
     n = carrier.dim
     # rows[a][p] = [a, p] and dl[x] = delta(x), scaled to ints
-    rows = carrier.adjoint_rep()
-    big_c = den_lcm(c for row in rows for out in row.values() for c in out.values())
-    rows = [int_columns(row, big_c) for row in rows]
+    _, rows = int_brackets(carrier)
     dl = int_columns(delta, den_lcm(v for t in delta.values() for v in t.values()))
     report = {}
     report["antisym"] = all(not _vadd_into(dict(t), tt_op(t)) for t in dl.values())
@@ -545,15 +585,15 @@ def _parabolic(alg, node, triple):
                           range(len(levi)),
                           range(len(levi), len(p_indices)))
 
+    scale, amb_delta = _int_cobracket(alg, r)
     closure = True
     delta = {}
     for x_amb in p_indices:
-        t = ad_two_tensor(alg, x_amb, r, -1)
+        t = amb_delta.get(x_amb, {})
         if any(a not in pos or b not in pos for (a, b) in t):
             closure = False
-            continue
-        if t:
-            delta[pos[x_amb]] = {(pos[a], pos[b]): v for (a, b), v in t.items()}
+        elif t:
+            delta[pos[x_amb]] = {(pos[a], pos[b]): Q(v, scale) for (a, b), v in t.items()}
     S.cobracket = delta
     report = {"closure": closure}
     report.update(check_lie_bialgebra(S, delta))

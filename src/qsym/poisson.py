@@ -19,8 +19,8 @@ the sweep builds no pair operator; those (_pair_matrix) serve the Fraction
 references, bialg.check_cybe and qsl2. The verdict applies one ordering per
 wedge, not six, which is sound because that tensor is totally antisymmetric
 (checked exactly first), and runs on Python ints scaled by the lcm of the
-denominators. Its sums into S^2 V and S^3 V are hand-written int loops, not
-_vadd_into, kept inline for speed: this is the largest stage of the E6 rows.
+denominators. It contracts one leg at a time, the first once per i, in
+hand-written int loops, not _vadd_into: a large stage of the E6 rows.
 
 Both sides read the module's int form (Module.ints over Module.den). The
 Jacobi side reads no [[r-, r-]] and shares no loop with schouten_promoted,
@@ -183,41 +183,44 @@ def schouten_promoted(tensor, module):
     sum_s sgn(s) P_s (e_i (x) e_j (x) e_k) is then
     sum_s P_s T(e_i (x) e_j (x) e_k), the symmetrization of the image of one
     pure tensor, and that vanishes exactly when T(e_i (x) e_j (x) e_k) is zero
-    in S^3 V. The antisymmetry of t is checked exactly before any wedge is
-    tried; a tensor that is not antisymmetric raises ValueError.
+    in S^3 V. The antisymmetry of t is checked exactly, on D * t, before any
+    wedge is tried; a tensor that is not antisymmetric raises ValueError.
 
-    The kernel runs on ints: the module's int form, its matrices times
-    L = module.den, and the tensor's coefficients scaled by the lcm D of
-    their denominators, exactly (numerator times the cofactor, never a
-    truncation). Each term then carries the same factor D * L^3 > 0, which
-    does not change whether an image vanishes. For each pair i < j the first
-    two legs are summed once into S^2 V (x) g and reused for every k > j.
+    The kernel runs on ints: the module's matrices times L = module.den and
+    t times the lcm D of its denominators, so each term carries D * L^3 > 0.
+    The legs are contracted one at a time: for each i, first[y][(a, z)] =
+    sum_x t_xyz rho(x)[a, i] over the x with a nonzero column i (ops_at[i]);
+    for each j > i only the y in ops_at[j], and for each k > j only the z
+    with a nonzero column k, are read. The first nonzero wedge ends it.
     """
-    _check_antisymmetric(tensor)
     dim, mats = module.dim, module.ints
     big_d = den_lcm(tensor.values())
-    groups = {}
-    for (x, y, z), v in tensor.items():
-        groups.setdefault((x, y), []).append((z, v.numerator * (big_d // v.denominator)))
+    scaled = {key: v.numerator * (big_d // v.denominator) for key, v in tensor.items()}
+    _check_antisymmetric(scaled)
+    by_first = {}
+    for (x, y, z), v in scaled.items():
+        by_first.setdefault(x, []).append((y, z, v))
+    ops_at = [[x for x, m in enumerate(mats) if k in m] for k in range(dim)]
     for i in range(dim):
+        first = {}
+        for x in ops_at[i]:
+            colx = mats[x][i]
+            for y, z, v in by_first.get(x, ()):
+                d = first.setdefault(y, {})
+                for ra, va in colx.items():
+                    key = (ra, z)
+                    d[key] = d.get(key, 0) + va * v
         for j in range(i + 1, dim):
             # u[z][(lo, hi)]: the terms of T(e_i (x) e_j (x) .) by third leg z,
             # the first two legs as a sorted pair, a monomial of S^2 V
             u = {}
-            for (x, y), lst in groups.items():
-                colx = mats[x].get(i)
-                if not colx:
-                    continue
-                coly = mats[y].get(j)
-                if not coly:
-                    continue
-                for ra, va in colx.items():
+            for y in ops_at[j]:
+                coly = mats[y][j]
+                for (ra, z), w in first.get(y, {}).items():
+                    uz = u.setdefault(z, {})
                     for rb, vb in coly.items():
                         pair = (ra, rb) if ra <= rb else (rb, ra)
-                        w = va * vb
-                        for z, v in lst:
-                            d = u.setdefault(z, {})
-                            d[pair] = d.get(pair, 0) + w * v
+                        uz[pair] = uz.get(pair, 0) + w * vb
             for k in range(j + 1, dim):
                 # the image of e_i (x) e_j (x) e_k in S^3 V, by sorted monomial
                 acc = {}

@@ -4,10 +4,11 @@ Roots are int tuples in simple-root coordinates and weights are int tuples
 in fundamental coordinates; simple root alpha_i is row i of the Cartan matrix
 A[i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j) there. The invariant form is
 Fraction (bform, norms, inner), normalized so long roots have squared length
-2. fund_to_root and fundamental_weights give the Fraction root-coordinate
-view of a weight. Weyl's dimension formula and Freudenthal's multiplicities
-run on ints: the Weyl group acts by s_j(mu) = mu - mu_j alpha_j, and the form
-enters as the int norms norm_ints, whose common factor cancels.
+2; inner sums over its int copy _gram and divides once. fund_to_root and
+fundamental_weights give the Fraction root-coordinate view of a weight.
+Weyl's dimension formula and Freudenthal's multiplicities run on ints: the
+Weyl group acts by s_j(mu) = mu - mu_j alpha_j, and the form enters as the
+int norms norm_ints, the diagonal of _gram, whose common factor cancels.
 """
 
 from __future__ import annotations
@@ -124,9 +125,11 @@ class RootSystem:
                 self.bform[off + j][off + i] = v
             off += n
         self.norms = [self.bform[i][i] for i in range(self.rank)]
-        # the norms times the lcm of their denominators (see _pairing)
-        big_l = den_lcm(self.norms)
-        self.norm_ints = [int(x * big_l) for x in self.norms]
+        # bform times the lcm of its denominators, as ints (see inner, _pairing)
+        self._gram_den = den_lcm(v for row in self.bform for v in row)
+        self._gram = [[v.numerator * (self._gram_den // v.denominator) for v in row]
+                      for row in self.bform]
+        self.norm_ints = [self._gram[i][i] for i in range(self.rank)]
         self.cartan = [
             [int(2 * self.bform[i][j] / self.bform[j][j]) for j in range(self.rank)]
             for i in range(self.rank)
@@ -181,16 +184,11 @@ class RootSystem:
     # -- exact linear algebra on coordinates --------------------------------
 
     def inner(self, x, y):
-        """Invariant form of two vectors in simple-root coordinates."""
-        total = Q(0)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.bform[i]
-            for j, yj in enumerate(y):
-                if yj != 0:
-                    total += Q(xi) * row[j] * yj
-        return total
+        """Invariant form of two vectors in simple-root coordinates, summed on
+        _gram = bform * _gram_den and divided once: one Fraction per call."""
+        total = sum(xi * g * yj for xi, row in zip(x, self._gram) if xi
+                    for g, yj in zip(row, y) if yj)
+        return Q(total, self._gram_den)
 
     def copair(self, x, j):
         """2(x, alpha_j)/(alpha_j, alpha_j) for x in root coordinates."""
@@ -271,8 +269,8 @@ def _pairing(rs, x, a):
     """sum_j a_j x_j s_j: the form (x, a) of a weight x and a root a, times 2L.
 
     (omega_i, alpha_j) = delta_ij (alpha_j, alpha_j)/2, and s_j is
-    (alpha_j, alpha_j) times L, the lcm of the norms' denominators. The
-    constant 2L cancels in Weyl's and Freudenthal's ratios.
+    (alpha_j, alpha_j) times L = rs._gram_den, the lcm of bform's
+    denominators. The constant 2L cancels in Weyl's and Freudenthal's ratios.
     """
     return sum(ai * xi * si for ai, xi, si in zip(a, x, rs.norm_ints))
 

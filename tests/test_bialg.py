@@ -6,15 +6,15 @@ import pytest
 
 from qsym.rootsys import build_root_system
 from qsym.liealg import (BracketTable, chevalley_basis, casimir, highest_weight_module,
-                         _vadd_into)
+                         shared_type, _vadd_into)
 from qsym.bialg import (
     BDTriple,
     _bd_triples,
+    _cybe_tensor,
     NotAntisymmetric,
     NotCominuscule,
     NotFaithful,
     TripleTouchesNode,
-    ad_two_tensor,
     bd_r_matrix,
     check_cybe,
     check_lie_bialgebra,
@@ -37,7 +37,7 @@ def _alg(label):
 def _ungated_cobracket(alg, r):
     """delta(x) = -ad_x r with no antisymmetry gate, for broken r whose
     reports are wanted downstream (cobracket_from_r refuses them)."""
-    return {x: t for x in range(alg.dim) if (t := ad_two_tensor(alg, x, r, -1))}
+    return {x: t for x in range(alg.dim) if (t := _ref_delta(alg, r, x))}
 
 
 def _rank_of(rows):
@@ -372,6 +372,85 @@ def _ref_delta(alg, r, x):
     return {key: v for key, v in out.items() if v}
 
 
+def _ref_cybe_tensor(carrier, r):
+    """[r12, r13] + [r12, r23] + [r13, r23] written out over Fractions, pair
+    of terms by pair of terms, through the carrier's bracket_idx."""
+    out = {}
+    items = list(r.items())
+    for (a, b), v in items:
+        for (c, d), w in items:
+            vw = v * w
+            _vadd_into(out, {(k, b, d): x for k, x in carrier.bracket_idx(a, c).items()}, vw)
+            _vadd_into(out, {(a, k, d): x for k, x in carrier.bracket_idx(b, c).items()}, vw)
+            _vadd_into(out, {(a, c, k): x for k, x in carrier.bracket_idx(b, d).items()}, vw)
+    return out
+
+
+def _cybe_cases(alg, r):
+    """r, its skew part and r with a third added to one Cartan entry: the
+    first solves the CYBE, the other two do not."""
+    h = alg.h_idx[0]
+    bumped = _vadd_into(dict(r), {(h, h): Q(1, 3)})
+    return [("r", r), ("skew", tt_skew(r)), ("bumped", bumped)]
+
+
+def test_int_cybe_kernel_matches_fraction_reference():
+    """_cybe_tensor, summed on int brackets and divided once, equals the
+    Fraction reference: on the standard r of eight types, on every BD triple
+    of A2-A4, and on the canonical r of A2's Drinfeld double. check_cybe's
+    int invariance check agrees with -ad_x of the symmetric part written out."""
+    cases = []
+    for label in ["A1", "A2", "A3", "A4", "B2", "C3", "G2", "D4"]:
+        alg = _alg(label)
+        cases += [(label, alg, name, r) for name, r in _cybe_cases(alg, standard_r(alg))]
+    for label in ["A2", "A3", "A4"]:
+        alg = shared_type(label).algebra
+        for t in enumerate_bd_triples(alg.rs):
+            r, _ = bd_r_matrix(alg, t)
+            cases += [((label, t), alg, name, rr) for name, rr in _cybe_cases(alg, r)[:2]]
+    for label, alg, name, r in cases:
+        got = _cybe_tensor(alg, r)
+        assert got == _ref_cybe_tensor(alg, r), (label, name)
+        assert (not got) == (name == "r"), (label, name)
+        if isinstance(label, tuple):
+            continue
+        sym = tt_sym(r)
+        invariant = all(not _ref_delta(alg, sym, x) for x in range(alg.dim))
+        assert check_cybe(alg, r)["symmetric_part_invariant"] == invariant, (label, name)
+        assert invariant == (name != "bumped"), (label, name)
+    sl3 = _alg("A2")
+    D, r_can, rep = drinfeld_double(sl3, cobracket_from_r(sl3, standard_r(sl3)))
+    assert rep["canonical_r_cybe"] and _cybe_tensor(D, r_can) == {}
+    skew = tt_skew(r_can)
+    assert _cybe_tensor(D, skew) == _ref_cybe_tensor(D, skew) != {}
+
+
+def test_bd_tensors_equal_the_standard_tensor_property():
+    """[[r-, r-]] is one tensor for the standard r and every BD triple of a
+    random type of rank <= 4: by the modified CYBE it is -CYB(Omega/2) for
+    every BD r-matrix, the theorem classify_pair's all_bd shortcut rests on."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
+    seen = set()
+
+    @hypothesis.settings(max_examples=8, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from(labels))
+    def check(label):
+        alg = shared_type(label).algebra
+        want = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+        assert want, label
+        triples = enumerate_bd_triples(alg.rs)
+        for t in triples:
+            assert _cybe_tensor(alg, tt_skew(bd_r_matrix(alg, t)[0])) == want, (label, t)
+        seen.add(len(triples))
+
+    check()
+    # the draws include a type with more than the empty triple
+    assert max(seen) > 1
+
+
 def test_cobrackets_match_written_out_delta():
     """cobracket_from_r and the parabolic restriction both give
     delta(x) = [r, x (x) 1 + 1 (x) x], the sign included."""
@@ -500,3 +579,28 @@ def test_int_axiom_check_matches_fraction_reference():
         ref = _ref_axioms(carrier, delta)
         assert check_lie_bialgebra(carrier, delta) == ref, name
         assert (ref["antisym"], ref["co_jacobi"], ref["cocycle"]) == want[name], name
+
+
+def test_parabolic_delta_mutations_are_caught():
+    """A unit added to one entry of the parabolic cobracket, alone or with
+    its transposed entry lowered by one (so antisymmetry still holds), is
+    caught by the int axiom check and by the Fraction reference alike, on
+    the A2 node-1 and the B2 cominuscule parabolics."""
+    for label, node in [("A2", 1), ("B2", 1)]:
+        S, rep = parabolic_semidirect(label, node)
+        assert all(rep.values())
+        tried = 0
+        for x, t in S.cobracket.items():
+            for (a, b) in t:
+                for transposed in (False, True):
+                    bad = {y: dict(s) for y, s in S.cobracket.items()}
+                    bad[x][(a, b)] += 1
+                    if transposed:
+                        bad[x][(b, a)] -= 1
+                    ref = _ref_axioms(S, bad)
+                    got = check_lie_bialgebra(S, bad)
+                    assert {k: got[k] for k in ref} == ref, (label, x, a, b)
+                    assert not all(ref.values()), (label, x, a, b, transposed)
+                    assert ref["antisym"] == transposed, (label, x, a, b)
+                    tried += 1
+        assert tried

@@ -345,6 +345,27 @@ def test_sweep_builds_no_fraction_module_matrix(monkeypatch):
     assert rows[3].ambients and rows[3].semidirect_constructed
 
 
+def test_sweep_reads_no_fraction_adjoint(monkeypatch):
+    """The sweep's [[r-, r-]] tensors, the parabolic cobracket and its axiom
+    check all read the int brackets (bialg.int_brackets): with the Fraction
+    adjoint made to raise and the memos emptied, A3 (1, 0, 0), which has a
+    parabolic ambient, and A2 (1, 1) under all_bd still classify. No
+    Fraction cobracket (ad_two_tensor) is left in bialg."""
+    from qsym import bialg
+
+    def refuse(self):
+        raise AssertionError("Fraction adjoint built")
+
+    assert not hasattr(bialg, "ad_two_tensor")
+    monkeypatch.setattr(liealg.BracketTable, "adjoint_rep", refuse)
+    bialg._parabolic.cache_clear()
+    classify._r_tensor.cache_clear()
+    row = classify_pair("A3", (1, 0, 0))
+    assert row.ambients and row.semidirect_constructed and row.passing
+    row = classify_pair("A2", (1, 1), all_bd=True)
+    assert len(row.bd_verdicts) == len(enumerate_bd_triples(shared_type("A2").rs))
+
+
 def test_table_rank_two():
     rows = classification_table(2, 16)
     passing = {(r.label, r.lam) for r in rows if r.passing}

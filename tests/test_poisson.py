@@ -7,8 +7,9 @@ import pytest
 
 from qsym import poisson
 from qsym.rootsys import build_root_system, weyl_dim
-from qsym.liealg import (chevalley_basis, highest_weight_module, _mcompose, _mscaled_sum,
-                         _vadd_into)
+from qsym.liealg import (chevalley_basis, highest_weight_module, shared_type, _mcompose,
+                         _mscaled_sum, _vadd_into)
+from qsym.scalars import den_lcm
 from qsym.bialg import (
     BDTriple,
     _cybe_tensor,
@@ -458,3 +459,79 @@ def test_schouten_promoted_refuses_a_source_that_is_not_skew():
     for lam in [(1,), (2,), (3,)]:
         with pytest.raises(ValueError, match="not totally antisymmetric"):
             schouten_promoted(tensor, highest_weight_module(sl2, lam))
+
+
+def _ref_schouten_promoted(tensor, module):
+    """schouten_promoted's verdict by the pair loop: for each pair i < j,
+    every (x, y) group of the tensor is scanned for columns i and j, and the
+    first two legs are summed into S^2 V (x) g for every k > j. The same
+    terms at the same int scale D * L^3 as the kernel, in another order."""
+    poisson._check_antisymmetric(tensor)
+    dim, mats = module.dim, module.ints
+    big_d = den_lcm(tensor.values())
+    groups = {}
+    for (x, y, z), v in tensor.items():
+        groups.setdefault((x, y), []).append((z, v.numerator * (big_d // v.denominator)))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            u = {}
+            for (x, y), lst in groups.items():
+                colx = mats[x].get(i)
+                if not colx:
+                    continue
+                coly = mats[y].get(j)
+                if not coly:
+                    continue
+                for ra, va in colx.items():
+                    for rb, vb in coly.items():
+                        pair = (ra, rb) if ra <= rb else (rb, ra)
+                        w = va * vb
+                        for z, v in lst:
+                            d = u.setdefault(z, {})
+                            d[pair] = d.get(pair, 0) + w * v
+            for k in range(j + 1, dim):
+                acc = {}
+                for z, d in u.items():
+                    colz = mats[z].get(k)
+                    if not colz:
+                        continue
+                    for (lo, hi), w in d.items():
+                        for rc, vc in colz.items():
+                            key = tuple(sorted((lo, hi, rc)))
+                            acc[key] = acc.get(key, 0) + w * vc
+                if any(acc.values()):
+                    return False
+    return True
+
+
+def test_schouten_kernel_matches_the_pair_loop_reference():
+    """schouten_promoted, which contracts the first leg once per i, agrees
+    with the pair-loop reference on every row of rank <= 4 and budget 20,
+    and on D4 w1 and E6 w1 once one antisymmetric orbit of coefficients
+    (all six orderings of one term, each with its sign) is moved by a unit,
+    which makes both rows fail."""
+    from qsym.classify import _dominant_weights_within, _simple_types
+
+    verdicts = []
+    for rank in range(1, 5):
+        for label in _simple_types(rank, ()):
+            alg = shared_type(label).algebra
+            tensor = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+            for lam in _dominant_weights_within(alg.rs, 20):
+                mod = highest_weight_module(alg, lam)
+                got = schouten_promoted(tensor, mod)
+                assert got == _ref_schouten_promoted(tensor, mod), (label, lam)
+                verdicts.append(got)
+    assert len(verdicts) == 66 and True in verdicts and False in verdicts
+    for label, lam in [("D4", (1, 0, 0, 0)), ("E6", (1, 0, 0, 0, 0, 0))]:
+        alg = shared_type(label).algebra
+        tensor = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+        mod = highest_weight_module(alg, lam)
+        assert schouten_promoted(tensor, mod) is True
+        term = min(tensor)
+        for perm, sign in _S3:
+            key = tuple(term[p] for p in perm)
+            tensor[key] = tensor.get(key, 0) + sign
+        assert _totally_antisymmetric(tensor), label
+        assert schouten_promoted(tensor, mod) is _ref_schouten_promoted(tensor, mod) is False, \
+            label
