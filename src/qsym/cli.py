@@ -107,7 +107,7 @@ def _cmd_rmatrix(args):
     alg = _shared_type(args).algebra
     r = standard_r(alg)
     module = None
-    if args.module:
+    if args.module is not None:
         module = highest_weight_module(alg, _parse_weight(args.module, alg.rank))
     report = check_cybe(alg, r, module=module)
     entries = {"%s⊗%s" % (alg.names[i], alg.names[j]): _scalar(v)

@@ -7,10 +7,12 @@ Chevalley basis is bootstrapped from one irreducible module of the type's
 own root system, whose highest weight is on each simple component the
 fundamental weight of smallest dimension (27 for E6, 56 for E7, 10 for D5;
 the adjoint only for E8; the tensor product of these for a product type).
-It is faithful, so every structure constant read off it is exact. One
-recurrence (root_vector_ops) builds its root-vector operators and every
-module's: commutators of the generators along one descent table, each F_gamma
-rescaled by a factor measured once so that [E_gamma, F_gamma] = H_gamma.
+It is faithful, so every structure constant read off it is exact, and it
+satisfies Serre's relations, checked first, so no commutator whose weight is
+neither a root nor 0 is computed: it vanishes. One recurrence (root_vector_ops)
+builds its root-vector operators and every module's: commutators of the
+generators along one descent table, each F_gamma rescaled by a factor
+measured once so that [E_gamma, F_gamma] = H_gamma.
 
 Sparse matrices are in column form, and one kernel (_vadd_into, _mapply,
 _mcompose, _mscaled_sum, _mcomm) works over any exact ring: it builds no
@@ -308,12 +310,11 @@ class BracketTable:
 
 def root_vector_ops(alg, e, f):
     """Scaled E_gamma and F~_gamma per positive root gamma, from the Fraction
-    generators e[i], f[i] of a module of alg: e_i and f_i on the simple roots,
+    generators e[i], f[i] of a module of alg: e_i and f_i on alg.simple,
     then E_gamma = coef [e_i, E_parent] and F~_gamma = coef [f_i, F~_parent]
     along alg.descent. F_gamma is F~_gamma / alg.f_norm[gamma]."""
     e, f = [scaled(m) for m in e], [scaled(m) for m in f]
-    simple = [tuple(int(k == i) for k in range(alg.rank)) for i in range(alg.rank)]
-    e_ops, ft_ops = dict(zip(simple, e)), dict(zip(simple, f))
+    e_ops, ft_ops = dict(zip(alg.simple, e)), dict(zip(alg.simple, f))
     for gamma, (i, parent, coef) in alg.descent.items():
         s, m = scaled_comm(e[i], e_ops[parent])
         e_ops[gamma] = (s * coef, m)
@@ -340,6 +341,7 @@ class ChevalleyAlgebra(BracketTable):
         self.rank = rs.rank
         pos = list(rs.positive_roots)
         self.pos_roots = pos
+        self.simple = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
         self.names = (["E%s" % (tuple(g),) for g in pos]
                       + ["H%d" % (i + 1) for i in range(rs.rank)]
                       + ["F%s" % (tuple(g),) for g in pos])
@@ -410,8 +412,25 @@ class ChevalleyAlgebra(BracketTable):
                     diag[k] = diag.get(k, 0) + cj * w
             return Q(1, big_l), {k: {k: v} for k, v in diag.items() if v}
 
-        # F_gamma = F~_gamma / t_gamma with [E_gamma, F~_gamma] = t_gamma H_gamma
+        # Serre (Humphreys, section 18): e_i, f_i shifting weights by +-alpha_i,
+        # [e_i, f_j] = 0 for i != j, [e_i, f_i] in Q^* h_i ("bad Cartan scale"
+        # below; f_norm absorbs it) and (ad e_i)^(1 - A[j][i]) e_j = 0, and so
+        # for f, make V a g-module: E_gamma, F~_gamma lie in rho(g_(+-gamma)).
         e_ops, ft_ops = root_vector_ops(self, e, f)
+        gens = [(e_ops[g][1], ft_ops[g][1]) for g in self.simple]
+        for i, (ei, fi) in enumerate(gens):
+            for m, sign in ((ei, 1), (fi, -1)):
+                assert all(weights[k] == tuple(x + sign * y for x, y in
+                                               zip(weights[j], rs.cartan[i]))
+                           for j, col in m.items() for k in col), "e/f_%d off weight" % i
+            for j, (ej, fj) in enumerate(gens):
+                if i != j:
+                    assert not _mcomm(ei, fj), "[e_%d, f_%d] != 0" % (i, j)
+                    for x, y in ((ei, ej), (fi, fj)):
+                        for _ in range(1 - rs.cartan[j][i]):
+                            y = _mcomm(x, y)
+                        assert not y, "Serre relation fails at %d, %d" % (i, j)
+        # F_gamma = F~_gamma / t_gamma with [E_gamma, F~_gamma] = t_gamma H_gamma
         self.f_norm = {}
         for gamma in self.pos_roots:
             t = scaled_ratio(scaled_comm(e_ops[gamma], ft_ops[gamma]), coroot_op(gamma))
@@ -420,9 +439,9 @@ class ChevalleyAlgebra(BracketTable):
             ops[self.e_idx[gamma]] = e_ops[gamma]
             ops[self.f_idx[gamma]] = (ft_ops[gamma][0] / t, ft_ops[gamma][1])
 
-        # extract structure constants with weight pruning; root vectors of
-        # two simple components commute on the tensor-product module, which
-        # the "unexpected bracket weight" assertion checks
+        # extract structure constants with weight pruning: a commutator whose
+        # weight is neither a root nor 0 (two simple components, say) is not
+        # computed, as it vanishes by the Serre check above
         table = {}
         n_basis = 2 * len(self.pos_roots) + rank
 
@@ -445,25 +464,19 @@ class ChevalleyAlgebra(BracketTable):
                     put(a, b, {other: scal} if scal else {})
                     continue
                 target = tuple(x + y for x, y in zip(wa, wb))
+                tgt = self.e_idx.get(target, self.f_idx.get(tuple(-x for x in target)))
+                if tgt is None and any(target):
+                    continue
                 # the int commutator first; its scale only when it is nonzero
                 (sa, ma), (sb, mb) = ops[a], ops[b]
                 m = _mcomm(ma, mb)
-                if not any(target):
-                    if not m:
-                        continue
+                if not m:
+                    continue
+                if tgt is None:
                     # must be [E_g, F_g] = H_g
                     assert scaled_ratio((sa * sb, m), coroot_op(wa)) == 1, \
                         "Cartan bracket mismatch at %s" % (wa,)
                     put(a, b, {self.h_idx[j]: c for j, c in coroot(wa).items()})
-                    continue
-                if target in self.e_idx:
-                    tgt = self.e_idx[target]
-                elif tuple(-x for x in target) in self.f_idx:
-                    tgt = self.f_idx[tuple(-x for x in target)]
-                else:
-                    assert not m, "unexpected bracket weight %s" % (target,)
-                    continue
-                if not m:
                     continue
                 ratio = scaled_ratio((sa * sb, m), ops[tgt])
                 assert ratio is not None, "bracket not a multiple at %s,%s" % (a, b)

@@ -604,3 +604,92 @@ def test_parabolic_delta_mutations_are_caught():
                     assert ref["antisym"] == transposed, (label, x, a, b)
                     tried += 1
         assert tried
+
+
+def _parabolic_cases():
+    """(label, node, triple) for every simple type of rank <= 5 and each of
+    its cominuscule nodes: the standard triple, and the first nonempty BD
+    triple clear of the node where there is one."""
+    from qsym.rootsys import _SERIES, _rank_ok, cominuscule_nodes
+    cases = []
+    for letter in _SERIES:
+        for n in range(1, 6):
+            if not _rank_ok(letter, n):
+                continue
+            rs = shared_type("%s%d" % (letter, n)).rs
+            for node in cominuscule_nodes(rs):
+                cases.append((rs.label, node, None))
+                triple = next((t for t in enumerate_bd_triples(rs) if t.tau
+                               and node not in t.delta1 and node not in t.delta2), None)
+                if triple is not None:
+                    cases.append((rs.label, node, triple))
+    return cases
+
+
+def test_axioms_on_generators_match_the_all_pairs_reference():
+    """On every parabolic of rank <= 5, with the standard triple and with a
+    BD triple, the axioms read on S.generators (the cocycle on a generator
+    and any other element, co-Jacobi at the generators) equal the all-pairs,
+    all-x Fraction reference, and every one holds."""
+    cases = _parabolic_cases()
+    assert len(cases) > 30 and sum(t is not None for _, _, t in cases) > 10
+    for label, node, triple in cases:
+        S, rep = parabolic_semidirect(label, node, triple)
+        assert set(S.generators) <= set(range(S.dim))
+        ref = _ref_axioms(S, S.cobracket)
+        got = check_lie_bialgebra(S, S.cobracket)
+        assert list(got)[:3] == ["antisym", "co_jacobi", "cocycle"]
+        assert {k: got[k] for k in ref} == ref, (label, node, triple)
+        assert all(ref.values()) and all(rep.values()), (label, node, triple)
+
+
+def test_parabolic_generators_span_the_parabolic():
+    """The brackets of S.generators span S: ad of the generators, applied
+    until nothing new appears, reaches dim S, on every parabolic of rank
+    <= 5 and on E6:1, E6:6 and E7:7."""
+    cases = {(label, node) for label, node, _ in _parabolic_cases()}
+    for label, node in sorted(cases) + [("E6", 1), ("E6", 6), ("E7", 7)]:
+        S, _ = parabolic_semidirect(label, node)
+        basis = {}  # pivot index -> vector with entry 1 at its pivot
+
+        def reduce(v):
+            v = dict(v)
+            for p, b in basis.items():
+                if v.get(p):
+                    _vadd_into(v, b, -v[p])
+            return v
+
+        todo = [{g: Q(1)} for g in S.generators]
+        while todo:
+            v = reduce(todo.pop())
+            if v:
+                p = min(v)
+                v = {k: c / v[p] for k, c in v.items()}
+                for q, b in basis.items():
+                    if b.get(p):
+                        _vadd_into(b, v, -b[p])
+                basis[p] = v
+                todo += [S.bracket({g: Q(1)}, v) for g in S.generators]
+        assert len(basis) == S.dim, (label, node)
+
+
+def test_e7_parabolic_cocycle_work_is_bounded(monkeypatch):
+    """A work count with no timing in it: the E7:7 parabolic (dim 106, 20
+    generators) evaluates 20 * 105 - 190 = 1,910 cocycle pairs (a generator
+    and any other element, each pair of generators once), at most 20 * 105
+    = 2,100, against the 5,565 pairs of all a < b. Each pair applies
+    _ad_into twice."""
+    import qsym.bialg as bialg
+
+    S, _ = parabolic_semidirect("E7", 7)
+    assert (S.dim, len(S.generators)) == (106, 20)
+    calls = []
+    real = bialg._ad_into
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bialg, "_ad_into", counting)
+    assert all(check_lie_bialgebra(S, S.cobracket).values())
+    assert len(calls) == 2 * (20 * 105 - 190) and 20 * 105 < 5565

@@ -140,6 +140,17 @@ def test_math_error_single_line(tmp_path, capsys):
                    capsys) == run_cli(["table", "--max-rank", "2", "--dim-budget", "-5"], capsys)
 
 
+def test_empty_module_weight_is_refused(capsys):
+    """rmatrix --module '' is a weight that does not parse, refused like
+    --module ,, with exit 1 and one error line, not read as an absent option
+    (it printed the adjoint report with exit 0)."""
+    for text in ["", ",,"]:
+        argv = ["rmatrix", "--type", "A2", "--module", text]
+        assert run_cli(argv, capsys) == (
+            1, "error: ValueError: weight must be comma-separated integers, got %r\n"
+            % text), argv
+
+
 def test_ints_read_from_text_are_ascii(capsys):
     """Every int the command line reads from text, a type's rank, a weight
     and every int option, is an optional sign and ASCII digits: the digits

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction as Q
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -529,14 +529,25 @@ def test_bootstrapped_rank_five_tables_over_fraction():
         _check_table_over_fraction(label)
 
 
+def _coroot_diag(rs, weights, gamma):
+    """H_gamma on a module with these weights, as {index: eigenvalue}."""
+    gnorm = rs.inner(gamma, gamma)
+    h = {k: sum(Q(gamma[j]) * rs.norms[j] / gnorm * w[j] for j in range(rs.rank))
+         for k, w in enumerate(weights)}
+    return {k: v for k, v in h.items() if v}
+
+
 def _replay_module(rs, lam):
+    return _replay_ops(rs, *module_matrices(rs, lam))
+
+
+def _replay_ops(rs, weights, e, f):
     """V(lam)'s root-vector matrices by a Fraction replay written out here,
     as {root: (E, F)}: along the descent of the smallest simple i with
     gamma - alpha_i = parent a positive root, E_gamma = [e_i, E_parent]/(p+1)
     and F~_gamma = [f_i, F~_parent]/(p+1) with _ref_comm, and F_gamma =
     F~_gamma / t with t measured on this module from [E_gamma, F~_gamma] =
-    t H_gamma."""
-    weights, e, f = module_matrices(rs, lam)
+    t H_gamma, which must hold with t != 0 (AssertionError otherwise)."""
     rank = rs.rank
 
     def minus(root, i, times=1):
@@ -557,14 +568,11 @@ def _replay_module(rs, lam):
             e_gamma = _ref_combination([(coef, _ref_comm(e[i], ops[parent][0]))])
             tilde[gamma] = e_gamma, _ref_combination([(coef, _ref_comm(f[i], tilde[parent][1]))])
         e_gamma, ft_gamma = tilde[gamma]
-        gnorm = rs.inner(gamma, gamma)
-        h = {k: sum(Q(gamma[j]) * rs.norms[j] / gnorm * w[j] for j in range(rank))
-             for k, w in enumerate(weights)}
-        h = {k: v for k, v in h.items() if v}
+        h = _coroot_diag(rs, weights, gamma)
         comm = _ref_comm(e_gamma, ft_gamma)
         k0 = min(h)
-        t = comm[k0][k0] / h[k0]
-        assert comm == {k: {k: t * v} for k, v in h.items()}, (rs.label, lam, gamma)
+        t = comm.get(k0, {}).get(k0, 0) / h[k0]
+        assert t and comm == {k: {k: t * v} for k, v in h.items()}, (rs.label, gamma)
         ops[gamma] = e_gamma, _ref_combination([(1 / t, ft_gamma)])
     return ops
 
@@ -729,3 +737,164 @@ def test_weights_are_int_tuples():
         for node in range(1, rs.rank + 1):
             _, lam_levi, _ = abelian_radical_module(rs, node)
             assert ints(lam_levi), (label, node)
+
+
+def _bootstrap_module(monkeypatch, label):
+    """(rs, weights, e, f, e_ops, ft_ops): the module a fresh bootstrap of
+    label reads, and the root-vector operators it builds on it."""
+    seen = {}
+    real_module, real_ops = liealg.module_matrices, liealg.root_vector_ops
+
+    def module(rs, lam):
+        seen["module"] = real_module(rs, lam)
+        return seen["module"]
+
+    def ops(alg, e, f):
+        seen["ops"] = real_ops(alg, e, f)
+        return seen["ops"]
+
+    with monkeypatch.context() as m:
+        m.setattr(liealg, "module_matrices", module)
+        m.setattr(liealg, "root_vector_ops", ops)
+        rs = shared_type(label).rs
+        chevalley_basis(rs)
+    return (rs,) + seen["module"] + seen["ops"]
+
+
+def test_bootstrap_skips_only_vanishing_commutators(monkeypatch):
+    """The commutators the bootstrap no longer computes, those of two root
+    vectors whose weight is neither a root nor 0, are computed here with
+    _ref_comm on the bootstrap's own operators and vanish, on every simple
+    type of rank <= 4 and on A2xA1."""
+    labels = ["A2xA1"] + ["%s%d" % (letter, n) for letter in _SERIES for n in range(1, 5)
+                          if _rank_ok(letter, n)]
+    for label in labels:
+        *_, e_ops, ft_ops = _bootstrap_module(monkeypatch, label)
+        alg = shared_type(label).algebra
+        ops = [(g, e_ops[g][1]) for g in alg.pos_roots]
+        ops += [(tuple(-x for x in g), ft_ops[g][1]) for g in alg.pos_roots]
+        skipped = 0
+        for (wa, ma), (wb, mb) in combinations(ops, 2):
+            target = tuple(x + y for x, y in zip(wa, wb))
+            neg = tuple(-x for x in target)
+            if any(target) and target not in alg.e_idx and neg not in alg.e_idx:
+                assert not _ref_comm(ma, mb), (label, wa, wb)
+                skipped += 1
+        assert skipped or len(alg.pos_roots) == 1, label
+
+
+def _all_commutator_table(alg, weights, e, f):
+    """The bootstrap's root-vector brackets with every commutator computed
+    and no Serre check, on the Fraction replay: a
+    commutator of weight 0 must be H_gamma, one of a root's weight a multiple
+    of that root vector, and any other must vanish ("unexpected bracket
+    weight"). Returns the table's root-vector entries or raises
+    AssertionError where that route refused."""
+    rs = alg.rs
+    vecs = {}
+    for g, (e_gamma, f_gamma) in _replay_ops(rs, weights, e, f).items():
+        vecs[alg.e_idx[g]], vecs[alg.f_idx[g]] = e_gamma, f_gamma
+    table = {}
+    for a, b in combinations(sorted(vecs), 2):
+        comm = _ref_comm(vecs[a], vecs[b])
+        if not comm:
+            continue
+        target = tuple(x + y for x, y in zip(alg.weight[a], alg.weight[b]))
+        neg = tuple(-x for x in target)
+        if not any(target):
+            g = alg.weight[a]
+            assert comm == {k: {k: v} for k, v in _coroot_diag(rs, weights, g).items()}
+            gnorm = rs.inner(g, g)
+            table[(a, b)] = {alg.h_idx[j]: Q(g[j]) * rs.norms[j] / gnorm
+                             for j in range(rs.rank) if g[j]}
+            continue
+        tgt = alg.e_idx.get(target, alg.f_idx.get(neg))
+        assert tgt is not None, "unexpected bracket weight %s" % (target,)
+        j0 = min(vecs[tgt])
+        i0 = min(vecs[tgt][j0])
+        ratio = comm.get(j0, {}).get(i0, 0) / vecs[tgt][j0][i0]
+        assert ratio and comm == _ref_combination([(ratio, vecs[tgt])])
+        table[(a, b)] = {tgt: ratio}
+    return table
+
+
+def test_serre_route_refuses_what_the_all_commutator_route_refuses(monkeypatch):
+    """Mutations of the A2, B2 and G2 bootstrap modules: a unit added to
+    each nonzero entry of each e_i and f_i, and a unit placed at each zero
+    entry. The bootstrap (Serre relations, then only root and zero weights)
+    and the route computing every commutator refuse exactly the same ones;
+    each mutation both pass leaves the table unchanged (a torus rescaling)."""
+    counts = {}
+    for label in ["A2", "B2", "G2"]:
+        rs, weights, e, f, _, _ = _bootstrap_module(monkeypatch, label)
+        alg = shared_type(label).algebra
+        cartan = set(alg.h_idx.values())
+        root_part = {k: v for k, v in alg.table.items() if not cartan & set(k)}
+        assert _all_commutator_table(alg, weights, e, f) == root_part, label
+        for side, i in product((0, 1), range(rs.rank)):
+            for col, row in product(range(len(weights)), repeat=2):
+                mats = [[{j: dict(c) for j, c in m.items()} for m in ms] for ms in (e, f)]
+                m = mats[side][i]
+                was = m.get(col, {}).get(row, 0)
+                m.setdefault(col, {})[row] = was + 1
+                if not m[col][row]:
+                    del m[col][row]
+                try:
+                    ref = _all_commutator_table(alg, weights, *mats)
+                except AssertionError:
+                    ref = None
+                with monkeypatch.context() as patched:
+                    patched.setattr(liealg, "module_matrices",
+                                    lambda rs, lam: (weights, mats[0], mats[1]))
+                    try:
+                        got = liealg.ChevalleyAlgebra(rs).table
+                    except AssertionError:
+                        got = None
+                where = (label, side, i, col, row)
+                assert (got is None) == (ref is None), where
+                if got is not None:
+                    assert got == alg.table and ref == root_part, where
+                key = (label, bool(was), got is None)
+                counts[key] = counts.get(key, 0) + 1
+    nonzero = sum(v for (_, was, _), v in counts.items() if was)
+    zero = sum(v for (_, was, _), v in counts.items() if not was)
+    passed = {label: v for (label, _, refused), v in counts.items() if not refused}
+    assert (nonzero, zero) == (22, 274), counts
+    assert passed == {"A2": 4, "B2": 2}, counts
+    # the weight shifts are part of Serre's presentation ([h_i, e_j] =
+    # A[j][i] e_j): weights that disagree with the e_i are refused first
+    rs, weights, e, f, _, _ = _bootstrap_module(monkeypatch, "A2")
+    bad = [tuple(x + 1 for x in weights[0])] + list(weights[1:])
+    monkeypatch.setattr(liealg, "module_matrices", lambda rs, lam: (bad, e, f))
+    with pytest.raises(AssertionError, match="off weight"):
+        liealg.ChevalleyAlgebra(rs)
+
+
+def test_e7_bootstrap_computes_no_off_root_commutator(monkeypatch):
+    """A work count with no timing in it: of E7's bootstrap commutators
+    (_mcomm calls, each weighed by one entry of each argument on the
+    56-dimensional module), the only ones whose weight is neither a root
+    nor 0 are the 3 * 7 * 6 = 126 Serre relations: [e_i, f_j] and the last
+    step of each (ad e_i)^(1 - A[j][i]) e_j and its f twin, i != j."""
+    rs = shared_type("E7").rs
+    weights, _, _ = module_matrices(rs, (0,) * 6 + (1,))
+    fund = {tuple(sum(g[k] * rs.cartan[k][m] for k in range(rs.rank)) for m in range(7))
+            for g in rs.positive_roots}
+    fund |= {tuple(-x for x in w) for w in fund} | {(0,) * 7}
+    calls = []
+    real = liealg._mcomm
+
+    def shift(m):
+        j = min(m)
+        i = min(m[j])
+        return tuple(x - y for x, y in zip(weights[i], weights[j]))
+
+    def counting(a, b, scale=None):
+        calls.append(tuple(x + y for x, y in zip(shift(a), shift(b))))
+        return real(a, b, scale)
+
+    monkeypatch.setattr(liealg, "_mcomm", counting)
+    chevalley_basis(rs)
+    off_root = [w for w in calls if w not in fund]
+    assert len(weights) == 56 and len(calls) > 1000
+    assert len(off_root) == 3 * 7 * 6, len(off_root)
