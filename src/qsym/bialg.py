@@ -31,7 +31,7 @@ from .liealg import (
     tt_skew,
     tt_sym,
 )
-from .poisson import _pair_matrix, schouten_square
+from .poisson import _check_antisymmetric, _pair_matrix, schouten_square
 from .rootsys import cominuscule_nodes
 from .scalars import den_lcm, echelon
 
@@ -334,6 +334,49 @@ def _cybe_tensor(carrier, r):
                     out[a, c, k] = out.get((a, c, k), 0) + v * w * x
     scale = big_d * big_d * big_c
     return {key: Q(v, scale) for key, v in out.items() if v}
+
+
+def _is_invariant(alg, t):
+    """Whether a totally antisymmetric three-tensor t over a ChevalleyAlgebra
+    is g-invariant; a t that is not antisymmetric raises ValueError, as in
+    schouten_promoted (poisson._check_antisymmetric).
+
+    Every term must have weight 0, the sum of its legs' root weights, and
+    ad e_i must kill t for every simple i. That is enough: a weight-0 vector
+    of a finite-dimensional module that every e_i kills is a highest weight
+    vector of weight 0, so it spans a trivial summand. ad e_i commutes with
+    the permutations of the legs, so ad e_i t is antisymmetric too, and is
+    zero exactly when its entries at increasing index triples are. Those
+    are summed from the terms of t at increasing triples alone: the image
+    of a leg is moved into place among the other two, with the sign of the
+    move. Read on int_brackets (scale C) and t times D, so every term
+    carries C * D > 0.
+    """
+    weight = alg.weight
+    if any(any(map(sum, zip(weight[x], weight[y], weight[z]))) for x, y, z in t):
+        return False
+    _, ti = _int_tensor(t)
+    _check_antisymmetric(ti)
+    ti = [(key, v) for key, v in ti.items() if key[0] < key[1] < key[2]]
+    _, rows = int_brackets(alg)
+    for g in alg.simple:
+        row, acc = rows[alg.e_idx[g]], {}
+        for key, v in ti:
+            for p, (a, b) in enumerate(((key[1], key[2]), (key[0], key[2]), (key[0], key[1]))):
+                for k, c in row.get(key[p], {}).items():
+                    if k < a:
+                        new, q = (k, a, b), 0
+                    elif a < k < b:
+                        new, q = (a, k, b), 1
+                    elif k > b:
+                        new, q = (a, b, k), 2
+                    else:
+                        continue
+                    w = c * v if p % 2 == q % 2 else -c * v
+                    acc[new] = acc.get(new, 0) + w
+        if any(acc.values()):
+            return False
+    return True
 
 
 def check_cybe(alg, r, module=None):

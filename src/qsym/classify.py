@@ -18,6 +18,7 @@ from itertools import permutations
 
 from .bialg import (
     _cybe_tensor,
+    _is_invariant,
     bd_r_matrix,
     enumerate_bd_triples,
     parabolic_semidirect,
@@ -258,17 +259,27 @@ def _r_tensor(alg, triple):
     return r, _cybe_tensor(alg, tt_skew(r))
 
 
+@cache
+def _invariant(alg, triple):
+    """Whether _r_tensor(alg, triple)'s [[r-, r-]] is g-invariant, checked
+    once per type and triple (bialg._is_invariant). It is, by the modified
+    CYBE, but schouten_promoted reads dominant wedges only on this check."""
+    return _is_invariant(alg, _r_tensor(alg, triple)[1])
+
+
 def classify_pair(label, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
                   extended=False):
     """Evaluate every verdict for one pair; see ClassificationRow.
 
     No pair operator is built: the Schouten verdict is schouten_promoted on
-    the standard r's [[r-, r-]] and the module, and Jacobi reads the standard
-    r's generator_brackets. Each r and its [[r-, r-]] are built once per type
-    and triple (_r_tensor), not once per row. Under all_bd, a triple whose
-    [[r-, r-]] equals the standard r's takes the standard verdict, which is
-    exact because schouten_promoted is a function of (tensor, module) alone;
-    any other triple gets its own schouten_promoted call.
+    the standard r's [[r-, r-]] and the module, read on the dominant wedges
+    once the tensor is checked invariant, and Jacobi reads the standard r's
+    generator_brackets. Each r, its [[r-, r-]] and that check are made once
+    per type and triple (_r_tensor, _invariant), not once per row. Under
+    all_bd, a triple whose [[r-, r-]] equals the standard r's takes the
+    standard verdict, which is exact because the verdict is a function of
+    (tensor, module) alone; any other triple gets its own schouten_promoted
+    call.
     """
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
@@ -286,13 +297,15 @@ def classify_pair(label, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
     r, tensor = _r_tensor(alg, None)
-    schouten = schouten_promoted(tensor, mod)
+    schouten = schouten_promoted(tensor, mod, invariant=_invariant(alg, None))
     jacobi = jacobi_oracle(generator_brackets(r, mod))
     bd_verdicts = None
     if all_bd:
-        tensors = {t.key(): _r_tensor(alg, t)[1] for t in enumerate_bd_triples(rs)}
-        bd_verdicts = {key: schouten if t == tensor else schouten_promoted(t, mod)
-                       for key, t in tensors.items()}
+        bd_verdicts = {}
+        for triple in enumerate_bd_triples(rs):
+            t = _r_tensor(alg, triple)[1]
+            bd_verdicts[triple.key()] = schouten if t == tensor else schouten_promoted(
+                t, mod, invariant=_invariant(alg, triple))
     ambients = geometric_ambients(letter, rank, lam, extended=extended)
     semidirect = False
     if ambients:

@@ -15,7 +15,8 @@ from fractions import Fraction as Q
 from . import qsl2
 from .bialg import (bd_r_matrix, check_cybe, cobracket_from_r, drinfeld_double,
                     enumerate_bd_triples, standard_r)
-from .classify import DEFAULT_DIM_BUDGET, classification_table, classify_pair, paper_diff
+from .classify import (DEFAULT_DIM_BUDGET, BudgetExceeded, classification_table,
+                       classify_pair, paper_diff)
 from .liealg import highest_weight_module, shared_type
 from .poisson import jacobi_oracle
 from .rootsys import (_SERIES, InvalidType, _rank_ok, cominuscule_nodes, normalize_type,
@@ -70,6 +71,22 @@ def _parse_weight(text, rank):
     return lam
 
 
+# the largest module `module` weighs and `rmatrix --module` builds, checked
+# on its Weyl dimension first, as classify checks its budget; it is above
+# every module the tests and the README ask for (C3 (2, 2, 1), 5,460)
+MODULE_DIM_BUDGET = 10000
+
+
+def _module_weight(rs, text):
+    """The weight parsed from text and its Weyl dimension, refused with
+    BudgetExceeded above MODULE_DIM_BUDGET before any module is built."""
+    lam = _parse_weight(text, rs.rank)
+    dim = weyl_dim(rs, lam)
+    if dim > MODULE_DIM_BUDGET:
+        raise BudgetExceeded("dim V = %d exceeds the budget %d" % (dim, MODULE_DIM_BUDGET))
+    return lam, dim
+
+
 def _dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -92,12 +109,12 @@ def _cmd_roots(args):
 
 def _cmd_module(args):
     rs = _shared_type(args).rs
-    lam = _parse_weight(args.weight, rs.rank)
+    lam, dim = _module_weight(rs, args.weight)
     mults = weight_multiplicities(rs, lam)
     out = {
         "type": rs.label,
         "weight": list(lam),
-        "dim": weyl_dim(rs, lam),
+        "dim": dim,
         "weights": {",".join(map(str, k)): m for k, m in sorted(mults.items())},
     }
     return _dumps(out), 0
@@ -108,7 +125,7 @@ def _cmd_rmatrix(args):
     r = standard_r(alg)
     module = None
     if args.module is not None:
-        module = highest_weight_module(alg, _parse_weight(args.module, alg.rank))
+        module = highest_weight_module(alg, _module_weight(alg.rs, args.module)[0])
     report = check_cybe(alg, r, module=module)
     entries = {"%s⊗%s" % (alg.names[i], alg.names[j]): _scalar(v)
                for (i, j), v in sorted(r.items())}

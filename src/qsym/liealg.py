@@ -8,8 +8,11 @@ own root system, whose highest weight is on each simple component the
 fundamental weight of smallest dimension (27 for E6, 56 for E7, 10 for D5;
 the adjoint only for E8; the tensor product of these for a product type).
 It is faithful, so every structure constant read off it is exact, and it
-satisfies Serre's relations, checked first, so no commutator whose weight is
-neither a root nor 0 is computed: it vanishes. One recurrence (root_vector_ops)
+satisfies Serre's relations, checked first (_check_relations), so it is a
+representation: no commutator whose weight is neither a root nor 0 is
+computed, as it vanishes, and each root-vector constant is read off one
+entry of one commutator, as the root space is a line. Every module runs the
+same relation check (highest_weight_module). One recurrence (root_vector_ops)
 builds its root-vector operators and every module's: commutators of the
 generators along one descent table, each F_gamma rescaled by a factor
 measured once so that [E_gamma, F_gamma] = H_gamma.
@@ -37,6 +40,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cache, cached_property
 from math import gcd
+from operator import add, sub
 
 from .rootsys import (_SERIES, _check_dominant, _rank_ok, build_root_system, type_label,
                       weyl_dim)
@@ -323,6 +327,43 @@ def root_vector_ops(alg, e, f):
     return e_ops, ft_ops
 
 
+def _check_relations(alg, weights, e_ops, ft_ops):
+    """Serre's relations on the simple generators of a module of alg, whose
+    basis vector k has weight weights[k]; returns {alpha_i: t_i} with
+    [e_i, f_i] = t_i h_i, h_i the diagonal of weight coordinate i.
+
+    e_i and f_i are e_ops and ft_ops at the simple roots, scaled as
+    root_vector_ops returns them. Checked, AssertionError otherwise: e_i and
+    f_i shift weights by +-alpha_i, which is [h_i, e_j] = A[j][i] e_j and its
+    f twin; [e_i, f_j] = 0 for i != j; (ad e_i)^(1 - A[j][i]) e_j = 0 and its
+    f twin; and [e_i, f_i] in Q h_i (t_i is 0 where both vanish). Once f_i is
+    divided by t_i, these are Serre's presentation of g (Humphreys, section
+    18): e_i, f_i and h_i define a representation of g on the module.
+    """
+    rs = alg.rs
+    gens = [(e_ops[g], ft_ops[g]) for g in alg.simple]
+    for i, ((_, ei), (_, fi)) in enumerate(gens):
+        for m, step in ((ei, add), (fi, sub)):
+            for j, col in m.items():
+                want = tuple(map(step, weights[j], rs.cartan[i]))
+                for k in col:
+                    assert weights[k] == want, "e/f_%d off weight" % i
+        for j, ((_, ej), (_, fj)) in enumerate(gens):
+            if i != j:
+                assert not _mcomm(ei, fj), "[e_%d, f_%d] != 0" % (i, j)
+                for x, y in ((ei, ej), (fi, fj)):
+                    for _ in range(1 - rs.cartan[j][i]):
+                        y = _mcomm(x, y)
+                    assert not y, "Serre relation fails at %d, %d" % (i, j)
+    norms = {}
+    for i, (g, (e, f)) in enumerate(zip(alg.simple, gens)):
+        h = 1, {k: {k: w[i]} for k, w in enumerate(weights) if w[i]}
+        t = scaled_ratio(scaled_comm(e, f), h)
+        assert t is not None, "[e_%d, f_%d] is not a multiple of h_%d" % (i, i, i)
+        norms[g] = t
+    return norms
+
+
 class ChevalleyAlgebra(BracketTable):
     """Basis E_gamma, H_i, F_gamma, exact brackets.
 
@@ -393,14 +434,13 @@ class ChevalleyAlgebra(BracketTable):
         # H_i is diagonal: {index: int eigenvalue}
         gen_h = [{j: w[i] for j, w in enumerate(weights) if w[i]} for i in range(rank)]
 
-        # each root's coroot is read up to three times: built once
+        # each root's coroot is read up to twice: built once
         @cache
         def coroot(gamma):
             # H_gamma in coroot coordinates: gamma^ = sum gamma_j (a_j,a_j)/(g,g) a_j^
             gnorm = rs.inner(gamma, gamma)
             return {j: gamma[j] * rs.norms[j] / gnorm for j in range(rank) if gamma[j]}
 
-        @cache
         def coroot_op(gamma):
             # H_gamma as a scaled diagonal matrix
             coords = coroot(gamma)
@@ -412,44 +452,44 @@ class ChevalleyAlgebra(BracketTable):
                     diag[k] = diag.get(k, 0) + cj * w
             return Q(1, big_l), {k: {k: v} for k, v in diag.items() if v}
 
-        # Serre (Humphreys, section 18): e_i, f_i shifting weights by +-alpha_i,
-        # [e_i, f_j] = 0 for i != j, [e_i, f_i] in Q^* h_i ("bad Cartan scale"
-        # below; f_norm absorbs it) and (ad e_i)^(1 - A[j][i]) e_j = 0, and so
-        # for f, make V a g-module: E_gamma, F~_gamma lie in rho(g_(+-gamma)).
+        # Serre's relations (_check_relations) make V a g-module: E_gamma and
+        # F~_gamma lie in rho(g_(+-gamma)), and f_norm absorbs [e_i, f_i] in Q^* h_i
         e_ops, ft_ops = root_vector_ops(self, e, f)
-        gens = [(e_ops[g][1], ft_ops[g][1]) for g in self.simple]
-        for i, (ei, fi) in enumerate(gens):
-            for m, sign in ((ei, 1), (fi, -1)):
-                assert all(weights[k] == tuple(x + sign * y for x, y in
-                                               zip(weights[j], rs.cartan[i]))
-                           for j, col in m.items() for k in col), "e/f_%d off weight" % i
-            for j, (ej, fj) in enumerate(gens):
-                if i != j:
-                    assert not _mcomm(ei, fj), "[e_%d, f_%d] != 0" % (i, j)
-                    for x, y in ((ei, ej), (fi, fj)):
-                        for _ in range(1 - rs.cartan[j][i]):
-                            y = _mcomm(x, y)
-                        assert not y, "Serre relation fails at %d, %d" % (i, j)
+        simple_t = _check_relations(self, weights, e_ops, ft_ops)
         # F_gamma = F~_gamma / t_gamma with [E_gamma, F~_gamma] = t_gamma H_gamma
         self.f_norm = {}
         for gamma in self.pos_roots:
-            t = scaled_ratio(scaled_comm(e_ops[gamma], ft_ops[gamma]), coroot_op(gamma))
+            t = simple_t[gamma] if gamma in simple_t else scaled_ratio(
+                scaled_comm(e_ops[gamma], ft_ops[gamma]), coroot_op(gamma))
             assert t is not None and t != 0, "bad Cartan scale at %s" % (gamma,)
             self.f_norm[gamma] = t
             ops[self.e_idx[gamma]] = e_ops[gamma]
             ops[self.f_idx[gamma]] = (ft_ops[gamma][0] / t, ft_ops[gamma][1])
 
-        # extract structure constants with weight pruning: a commutator whose
-        # weight is neither a root nor 0 (two simple components, say) is not
-        # computed, as it vanishes by the Serre check above
+        # structure constants of the root vectors. V is a representation, so
+        # rho [x_a, x_b] = [rho x_a, rho x_b]: a pair whose weight is neither a
+        # root nor 0 (two simple components, say) brackets to 0 and is skipped;
+        # [E_g, F_g] is H_g, as f_norm normalised it; and a pair of weight a
+        # root gamma brackets to c E_gamma (or c F_gamma), as rho(g_gamma) is
+        # the line of rho(E_gamma), which is nonzero since t_gamma != 0 above.
+        # So c is read off one entry: the first nonzero entry y of E_gamma's
+        # int matrix, in row i0 of column j0 (anchors), gives
+        # c = sa sb x / (s_gamma y), x the entry of the int commutator there,
+        # (M_a M_b - M_b M_a) e_j0 at i0. No commutator matrix is formed.
         table = {}
         n_basis = 2 * len(self.pos_roots) + rank
+        anchors = {}
+        for k, (s, m) in ops.items():
+            j0 = min(m)
+            i0 = min(m[j0])
+            anchors[k] = j0, i0, s * m[j0][i0]
 
         def put(i, j, val):
             if val:
                 table[(i, j)] = val
 
         hspace = {self.h_idx[i] for i in range(rank)}
+        root_at = {w: k for k, w in enumerate(self.weight) if any(w)}  # E or F by weight
         for a in range(n_basis):
             for b in range(a + 1, n_basis):
                 wa, wb = self.weight[a], self.weight[b]
@@ -463,24 +503,22 @@ class ChevalleyAlgebra(BracketTable):
                         scal = -scal
                     put(a, b, {other: scal} if scal else {})
                     continue
-                target = tuple(x + y for x, y in zip(wa, wb))
-                tgt = self.e_idx.get(target, self.f_idx.get(tuple(-x for x in target)))
-                if tgt is None and any(target):
-                    continue
-                # the int commutator first; its scale only when it is nonzero
-                (sa, ma), (sb, mb) = ops[a], ops[b]
-                m = _mcomm(ma, mb)
-                if not m:
-                    continue
-                if tgt is None:
-                    # must be [E_g, F_g] = H_g
-                    assert scaled_ratio((sa * sb, m), coroot_op(wa)) == 1, \
-                        "Cartan bracket mismatch at %s" % (wa,)
+                target = tuple(map(add, wa, wb))
+                if not any(target):
                     put(a, b, {self.h_idx[j]: c for j, c in coroot(wa).items()})
                     continue
-                ratio = scaled_ratio((sa * sb, m), ops[tgt])
-                assert ratio is not None, "bracket not a multiple at %s,%s" % (a, b)
-                put(a, b, {tgt: ratio})
+                tgt = root_at.get(target)
+                if tgt is None:
+                    continue
+                j0, i0, y = anchors[tgt]
+                (sa, ma), (sb, mb) = ops[a], ops[b]
+                x = 0
+                for k, c in mb.get(j0, {}).items():
+                    x += c * ma.get(k, {}).get(i0, 0)
+                for k, c in ma.get(j0, {}).items():
+                    x -= c * mb.get(k, {}).get(i0, 0)
+                if x:
+                    put(a, b, {tgt: sa * sb * x / y})
 
         self.table = table
 
@@ -556,9 +594,20 @@ class Module:
 
 def highest_weight_module(alg, lam):
     """V(lam) on alg's basis, from scaled operators: root_vector_ops's E_gamma,
-    F_gamma = F~_gamma / f_norm[gamma], and H_i, its int diagonal at scale 1."""
+    F_gamma = F~_gamma / f_norm[gamma], and H_i, its int diagonal at scale 1.
+
+    The bootstrap's relation check (_check_relations) runs on the module's
+    own e_i and f_i, with [E_i, F_i] = H_i exactly (t_i = f_norm[alpha_i],
+    or h_i = 0 on the module); AssertionError otherwise. By Serre's theorem
+    the operators are then a representation of g on alg's basis: E_gamma and
+    F_gamma follow the bootstrap's recurrence, so they are rho(E_gamma) and
+    rho(F_gamma) of alg's own basis elements."""
     weights, e, f = module_matrices(alg.rs, lam)
     e_ops, ft_ops = root_vector_ops(alg, e, f)
+    simple_t = _check_relations(alg, weights, e_ops, ft_ops)
+    for i, g in enumerate(alg.simple):
+        assert simple_t[g] == alg.f_norm[g] or not any(w[i] for w in weights), \
+            "[E_%d, F_%d] != H_%d on the module" % (i, i, i)
     ops = [None] * alg.dim
     for gamma in alg.pos_roots:
         ops[alg.e_idx[gamma]] = e_ops[gamma]

@@ -262,9 +262,10 @@ def test_bd_verdicts_run_one_schouten_per_distinct_tensor(monkeypatch):
     memoised tensor differs gets a call of its own, on that tensor."""
     calls = []
 
-    def counted(tensor, mod):
+    def counted(tensor, mod, invariant=False):
         calls.append(tensor)
-        return real(tensor, mod)
+        assert invariant, "a [[r-, r-]] not certified invariant"
+        return real(tensor, mod, invariant=invariant)
 
     real = classify.schouten_promoted
     monkeypatch.setattr(classify, "schouten_promoted", counted)

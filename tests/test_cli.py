@@ -151,6 +151,26 @@ def test_empty_module_weight_is_refused(capsys):
             % text), argv
 
 
+def test_module_commands_refuse_weights_over_the_dimension_budget(capsys):
+    """module and rmatrix --module check the Weyl dimension against
+    cli.MODULE_DIM_BUDGET before any Freudenthal run or module build: a
+    weight of dimension 5 * 10^39 and A2 (40, 40), 68,921 dimensions, which
+    ran without end, exit 1 with one error line, and the largest module the
+    tests weigh, C3 (2, 2, 1) of 5,460 dimensions, is still in."""
+    assert cli.MODULE_DIM_BUDGET == 10000
+    refused = [
+        (["module", "--type", "A2", "--weight", "99999999999999999999,0"],
+         5000000000000000000050000000000000000000),
+        (["rmatrix", "--type", "A2", "--module", "40,40"], 68921),
+        (["module", "--type", "E8", "--weight", "1,0,0,0,0,0,0,1"], 779247),
+    ]
+    for argv, dim in refused:
+        assert run_cli(argv, capsys) == (
+            1, "error: BudgetExceeded: dim V = %d exceeds the budget 10000\n" % dim), argv
+    code, out = run_cli(["module", "--type", "C3", "--weight", "2,2,1"], capsys)
+    assert code == 0 and json.loads(out)["dim"] == 5460
+
+
 def test_ints_read_from_text_are_ascii(capsys):
     """Every int the command line reads from text, a type's rank, a weight
     and every int option, is an optional sign and ASCII digits: the digits

@@ -875,7 +875,11 @@ def test_e7_bootstrap_computes_no_off_root_commutator(monkeypatch):
     (_mcomm calls, each weighed by one entry of each argument on the
     56-dimensional module), the only ones whose weight is neither a root
     nor 0 are the 3 * 7 * 6 = 126 Serre relations: [e_i, f_j] and the last
-    step of each (ad e_i)^(1 - A[j][i]) e_j and its f twin, i != j."""
+    step of each (ad e_i)^(1 - A[j][i]) e_j and its f twin, i != j. All
+    325 are: 2 * 56 along the descent (root_vector_ops), 42 [e_i, f_j],
+    2 * (12 * 2 + 30) Serre steps (12 ordered pairs of adjacent nodes), 7
+    [e_i, f_i] and 56 [E_gamma, F~_gamma] at the non-simple roots (f_norm);
+    no root-vector pair takes a whole commutator."""
     rs = shared_type("E7").rs
     weights, _, _ = module_matrices(rs, (0,) * 6 + (1,))
     fund = {tuple(sum(g[k] * rs.cartan[k][m] for k in range(rs.rank)) for m in range(7))
@@ -896,5 +900,93 @@ def test_e7_bootstrap_computes_no_off_root_commutator(monkeypatch):
     monkeypatch.setattr(liealg, "_mcomm", counting)
     chevalley_basis(rs)
     off_root = [w for w in calls if w not in fund]
-    assert len(weights) == 56 and len(calls) > 1000
+    assert len(weights) == 56 and len(calls) == 2 * 56 + 42 + 2 * (12 * 2 + 30) + 7 + 56
     assert len(off_root) == 3 * 7 * 6, len(off_root)
+
+
+def _ref_bootstrap(alg, weights, e_ops, ft_ops):
+    """(f_norm, root-vector table) of the bootstrap by whole commutators, the
+    route the one-entry reading replaced: t_gamma from [E_gamma, F~_gamma] =
+    t_gamma H_gamma, the commutator of each root-vector pair of weight 0
+    equal to H_gamma ("Cartan bracket mismatch"), and that of each pair of
+    weight a root a multiple of its root vector ("bracket not a multiple"),
+    compared over the whole int matrix by scaled_ratio. Pairs of any other
+    weight are skipped, as test_bootstrap_skips_only_vanishing_commutators
+    shows they vanish."""
+    rs = alg.rs
+
+    def coroot_op(gamma):
+        return liealg.scaled({k: {k: v} for k, v in _coroot_diag(rs, weights, gamma).items()})
+
+    f_norm, ops = {}, {}
+    for g in alg.pos_roots:
+        t = liealg.scaled_ratio(liealg.scaled_comm(e_ops[g], ft_ops[g]), coroot_op(g))
+        assert t, "bad Cartan scale at %s" % (g,)
+        f_norm[g] = t
+        ops[alg.e_idx[g]] = e_ops[g]
+        ops[alg.f_idx[g]] = ft_ops[g][0] / t, ft_ops[g][1]
+    table = {}
+    for a, b in combinations(sorted(ops), 2):
+        wa = alg.weight[a]
+        target = tuple(x + y for x, y in zip(wa, alg.weight[b]))
+        tgt = alg.e_idx.get(target, alg.f_idx.get(tuple(-x for x in target)))
+        if tgt is None and any(target):
+            continue
+        comm = liealg.scaled_comm(ops[a], ops[b])
+        if not comm[1]:
+            continue
+        if tgt is None:
+            assert liealg.scaled_ratio(comm, coroot_op(wa)) == 1, \
+                "Cartan bracket mismatch at %s" % (wa,)
+            gnorm = rs.inner(wa, wa)
+            table[(a, b)] = {alg.h_idx[j]: Q(wa[j]) * rs.norms[j] / gnorm
+                             for j in range(rs.rank) if wa[j]}
+            continue
+        ratio = liealg.scaled_ratio(comm, ops[tgt])
+        assert ratio is not None, "bracket not a multiple at %s,%s" % (a, b)
+        table[(a, b)] = {tgt: ratio}
+    return f_norm, table
+
+
+def test_bootstrap_constants_match_the_whole_commutator_reference(monkeypatch):
+    """The bootstrap reads each root-vector structure constant off one entry
+    of one int commutator and sets [E_gamma, F_gamma] = H_gamma without a
+    commutator; the whole-commutator route (_ref_bootstrap) gives the same
+    f_norm and the same root-vector table, and refuses nothing, on every
+    simple type of rank <= 4 (F4 among them), E6, E7 and A2xA1."""
+    labels = ["%s%d" % (letter, n) for letter in _SERIES for n in range(1, 5)
+              if _rank_ok(letter, n)] + ["E6", "E7", "A2xA1"]
+    for label in labels:
+        rs, weights, _, _, e_ops, ft_ops = _bootstrap_module(monkeypatch, label)
+        alg = shared_type(label).algebra
+        cartan = set(alg.h_idx.values())
+        root_part = {k: v for k, v in alg.table.items() if not cartan & set(k)}
+        assert _ref_bootstrap(alg, weights, e_ops, ft_ops) == (alg.f_norm, root_part), label
+
+
+def test_module_relation_check_refuses_every_unit_change(monkeypatch):
+    """highest_weight_module runs the bootstrap's relation check
+    (_check_relations) on its own e_i and f_i and asks [E_i, F_i] = H_i
+    exactly: a unit added to any entry of any e_i or f_i of A2 (1, 0),
+    A2 (1, 1), B2 (1, 0) or B2 (0, 1), or placed at any zero entry, is
+    refused, where the bootstrap, which measures f_norm, lets torus
+    rescalings through."""
+    refused = 0
+    for label, lam in [("A2", (1, 0)), ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1))]:
+        alg = shared_type(label).algebra
+        weights, e, f = module_matrices(alg.rs, lam)
+        highest_weight_module(alg, lam)
+        for side, i in product((0, 1), range(alg.rank)):
+            for col, row in product(range(len(weights)), repeat=2):
+                mats = [[{j: dict(c) for j, c in m.items()} for m in ms] for ms in (e, f)]
+                m = mats[side][i]
+                m.setdefault(col, {})[row] = m.get(col, {}).get(row, 0) + 1
+                if not m[col][row]:
+                    del m[col][row]
+                with monkeypatch.context() as patched:
+                    patched.setattr(liealg, "module_matrices",
+                                    lambda rs, lam: (weights, mats[0], mats[1]))
+                    with pytest.raises(AssertionError):
+                        highest_weight_module(alg, lam)
+                refused += 1
+    assert refused == 2 * 2 * (3 ** 2 + 8 ** 2) + 2 * 2 * (4 ** 2 + 5 ** 2)

@@ -3,8 +3,9 @@ defined in the layer its target names, the package's imports stay at module
 level with no poisson -> bialg cycle, no module keeps state behind a global
 statement, a module-level memo or a second cached_property, root systems
 are built behind the one cache of types, ints are read from text by one
-reader, root-vector operators are built by one recurrence, and the Jacobi
-oracle shares no code with the Schouten verdict it checks beyond den_lcm."""
+reader, root-vector operators are built by one recurrence and checked
+against Serre's relations by one function, and the Jacobi oracle shares no
+code with the Schouten verdict it checks beyond den_lcm."""
 
 import ast
 import builtins
@@ -267,3 +268,25 @@ def test_jacobi_side_shares_no_loop_with_schouten_promoted():
     assert "tt_skew" in jacobi
     assert not jacobi & {"schouten_promoted", "_check_antisymmetric"}, jacobi
     assert not schouten & jacobi_roots, schouten
+
+
+def test_one_relation_check():
+    """Serre's relations are checked by one function, liealg._check_relations,
+    defined once in src/qsym and called by the Chevalley bootstrap and by
+    highest_weight_module and by nothing else: the module the Schouten
+    verdict reads on its dominant wedges is certified by the bootstrap's own
+    check, and no second copy of it (or of its Serre message) exists."""
+    defined, callers, messages = [], set(), 0
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        defined += ["%s.%s" % (path.stem, n.name) for n in ast.walk(tree)
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and n.name == "_check_relations"]
+        callers |= {"%s.%s" % (path.stem, f)
+                    for f in _calls_by_function(tree, "_check_relations")}
+        messages += text.count("Serre relation fails")
+    assert defined == ["liealg._check_relations"], defined
+    assert callers == {"liealg.ChevalleyAlgebra._bootstrap",
+                       "liealg.highest_weight_module"}, callers
+    assert messages == 1, messages
