@@ -247,7 +247,16 @@ def _cmd_donin(args):
     return _dumps(out), 0
 
 
+# the largest l `qsl2 braided` takes, refused before any computation: cold
+# on a 2-core host l = 5, 6, 7 and 8 take 0.6, 2.0, 6.8 and 23.5 s, about
+# 3.5 times more per step; it is above every l the tests and the README
+# ask for (5)
+BRAIDED_MAX_L = 6
+
+
 def _cmd_braided(args):
+    if args.l > BRAIDED_MAX_L:
+        raise BudgetExceeded("l = %d exceeds the budget %d" % (args.l, BRAIDED_MAX_L))
     report = qsl2.braided_flatness(args.l, max_degree=args.max_degree)
     return _dumps(report), 0
 

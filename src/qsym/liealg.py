@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cache, cached_property
+from itertools import combinations
 from math import gcd
 from operator import add, sub
 
@@ -348,13 +349,19 @@ def _check_relations(alg, weights, e_ops, ft_ops):
                 want = tuple(map(step, weights[j], rs.cartan[i]))
                 for k in col:
                     assert weights[k] == want, "e/f_%d off weight" % i
-        for j, ((_, ej), (_, fj)) in enumerate(gens):
+        for j, (_, (_, fj)) in enumerate(gens):
             if i != j:
                 assert not _mcomm(ei, fj), "[e_%d, f_%d] != 0" % (i, j)
-                for x, y in ((ei, ej), (fi, fj)):
-                    for _ in range(1 - rs.cartan[j][i]):
-                        y = _mcomm(x, y)
-                    assert not y, "Serre relation fails at %d, %d" % (i, j)
+    # [x_j, x_i] = -[x_i, x_j], so one commutator starts both chains of a pair
+    for i, j in combinations(range(len(gens)), 2):
+        for side in (0, 1):
+            xi, xj = gens[i][side][1], gens[j][side][1]
+            first = _mcomm(xi, xj)
+            for a, b, x in ((i, j, xi), (j, i, xj)):
+                y = first
+                for _ in range(-rs.cartan[b][a]):
+                    y = _mcomm(x, y)
+                assert not y, "Serre relation fails at %d, %d" % (a, b)
     norms = {}
     for i, (g, (e, f)) in enumerate(zip(alg.simple, gens)):
         h = 1, {k: {k: w[i]} for k, w in enumerate(weights) if w[i]}

@@ -25,8 +25,12 @@ accumulator. PBW elements, tensors and co-Poisson values are one term class
 (_Terms, its coefficient field a class attribute: QRat, or Fraction for the
 classical limit), and one printer (_signed_sum) writes every signed sum.
 Module and tensor-power actions are liealg's column-form sparse matrices: the
-tensor-square actions come from poisson._pair_matrix, the cube's braidings
-from poisson.leg_embed, and kernel dimensions from scalars.echelon.
+tensor-square and tensor-cube actions come from poisson._pair_matrix (read
+off _delta_mono and coproduct_cube), and the cube's braidings from
+poisson.leg_embed. The commutor is one polynomial in the Casimir per weight
+block, and the braided powers are counted on highest weight vectors: per
+weight, one scalars.echelon for the kernel of Delta(E) on the block and one
+rank of at most l + 1 columns.
 """
 from __future__ import annotations
 
@@ -830,6 +834,19 @@ def _pair_action(l):
                  for key in _GENERATOR_KEYS)
 
 
+def _cube_action(l, key):
+    """The generator of PBW key `key` acting on the tensor cube through
+    (Delta (x) 1)Delta, read off coproduct_cube with its q-coefficients reread
+    in v: the first two legs of each term are one _pair_matrix, paired with
+    the third leg by another."""
+    mats = dict(zip(_GENERATOR_KEYS, _rep_matrices(l)))
+    cube = {((k1, k2), k3): _q_to_v(v)
+            for (k1, k2, k3), v in coproduct_cube(PBWElement({key: one})).items()}
+    for left, _ in cube:
+        mats[left] = _pair_matrix(mats, l + 1, {left: one})
+    return _pair_matrix(mats, l + 1, cube)
+
+
 def _identity(idxs):
     return {j: {j: one} for j in idxs}
 
@@ -848,16 +865,6 @@ def _matrix_of_element(elem, mats):
     return _mscaled_sum(pairs)
 
 
-def _shifted(m, c, idxs):
-    """m - c * identity on the basis vectors idxs."""
-    return _mscaled_sum([(None, m), (-c, _identity(idxs))])
-
-
-def _casimir_eigenvalue(n):
-    # C acts on the (n+1)-dimensional component by this scalar (v-variable)
-    return (qpow(2 * (n + 1)) + qpow(-2 * (n + 1))) / (qpow(2) + qpow(-2))
-
-
 def _weight_blocks(l, degree):
     """Packed indices of the basis w_i1 (x) ... (x) w_id of V^(x)degree, one
     list per weight degree*l - 2s, where s = i1 + ... + id runs over
@@ -871,59 +878,119 @@ def _weight_blocks(l, degree):
 def commutor_matrix(l):
     """The braiding involution on the tensor square of the simple module.
 
-    Decomposes the square into highest-weight components through the central
-    element's eigenvalues and flips the sign on every other component, which
+    The square is the sum of the components V_n, n = 2l, 2l - 2, ..., 0, and
+    the commutor is +1 on V_2l, -1 on V_(2l-2), and so on alternately, which
     is the assignment whose q -> 1 limit is the classical flip. Returns a
     column-form matrix over functions of v.
 
-    C preserves the weight 2l - 2i - 2j of w_i (x) w_j, and the components
-    meeting the weight-w block are the n >= |w|, one per basis vector of the
-    block. So each projector is built on its block from those components only.
+    It is one polynomial in D = (q + q^-1) C, C the central element, which
+    acts on V_n by d_n = v^(2n+2) + v^-(2n+2) and has Laurent-polynomial
+    entries. D preserves the weight 2l - 2s of the block of w_i (x) w_j with
+    i + j = s, and the components meeting that block are the n = 2l, 2l - 2,
+    ..., |2l - 2s|, one per basis vector. Their d_n are distinct, so D is
+    diagonalisable on the block, and the commutor there is p(D) for the
+    polynomial p of degree m - 1 (m the block size) with p(d_n) = the sign of
+    V_n: the sum of sign times projector, entry for entry. p is taken in
+    Newton's form, sum over k of a_k N_k with a_k the divided differences and
+    N_k = (D - d_0) ... (D - d_(k-1)): m - 1 block products build the N_k on
+    Laurent polynomials, and the rational a_k enter once, in the sum.
     """
     gens, _ = locally_finite_generators()
-    cmat = _matrix_of_element(gens["C"], _pair_action(l))
-    pairs = []
+    dmat = _matrix_of_element(gens["C"] * (qpow(1) + qpow(-1)), _pair_action(l))
+    out = {}
     for s, idxs in enumerate(_weight_blocks(l, 2)):
-        block = {j: cmat[j] for j in idxs if j in cmat}
-        comps = list(range(2 * l, abs(2 * l - 2 * s) - 1, -2))
-        for idx, n in enumerate(comps):
-            proj = _identity(idxs)
-            cn = _casimir_eigenvalue(n)
-            scale = one
-            for k in comps:
-                if k == n:
-                    continue
-                ck = _casimir_eigenvalue(k)
-                proj = _mcompose(proj, _shifted(block, ck, idxs))
-                scale = scale * (cn - ck)
-            sign = one if idx % 2 == 0 else -one
-            pairs.append((sign / scale, proj))
-    return _mscaled_sum(pairs)
+        block = {j: dmat[j] for j in idxs if j in dmat}
+        nodes = [qpow(2 * n + 2) + qpow(-2 * n - 2)
+                 for n in range(2 * l, abs(2 * l - 2 * s) - 1, -2)]
+        coeffs = [one if k % 2 == 0 else -one for k in range(len(nodes))]
+        # in place, coeffs[k] becomes the divided difference p[d_0, ..., d_k]
+        for k in range(1, len(nodes)):
+            for i in range(len(nodes) - 1, k - 1, -1):
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (nodes[i] - nodes[i - k])
+        newton = _identity(idxs)
+        terms = [(coeffs[0], newton)]
+        for c, x in zip(coeffs[1:], nodes):
+            newton = _mscaled_sum([(None, _mcompose(newton, block)), (-x, newton)])
+            terms.append((c, newton))
+        out.update(_mscaled_sum(terms))
+    return out
 
 
-def _kernel_dim(ops, blocks):
-    """dim of the joint kernel of column-form operators that each map the
-    span of every block into itself, by one elimination per block."""
-    total = 0
-    for idxs in blocks:
-        pos = {j: p for p, j in enumerate(idxs)}
-        rows = []
-        for op in ops:
-            block_rows = {}
-            for j in idxs:
-                for i, v in op.get(j, {}).items():
-                    block_rows.setdefault(i, [zero] * len(idxs))[pos[j]] = v
-            rows.extend(block_rows[i] for i in sorted(block_rows))
-        total += len(idxs) - len(echelon(rows, len(idxs)))
-    return total
+def _highest_weight_basis(e_op, blocks, s):
+    """A basis of the vectors of blocks[s] that e_op kills, with its heads.
+
+    e_op maps block s into block s - 1. One echelon of that map gives one
+    basis vector per free column: as {index: QRat}, 1 at its head (the free
+    column's index) and 0 at the other basis vectors' heads. Returns
+    (heads, basis).
+    """
+    idxs = blocks[s]
+    pos = {j: p for p, j in enumerate(idxs)}
+    rows = {}
+    for j in idxs:
+        for i, v in e_op.get(j, {}).items():
+            rows.setdefault(i, [zero] * len(idxs))[pos[j]] = v
+    rows = [rows[i] for i in sorted(rows)]
+    pivots = echelon(rows, len(idxs))
+    frees = sorted(set(range(len(idxs))) - set(pivots))
+    basis = []
+    for free in frees:
+        vec = {idxs[free]: one}
+        for row, col in zip(rows, pivots):
+            if row[free]:
+                vec[idxs[col]] = -row[free]
+        basis.append(vec)
+    return [idxs[free] for free in frees], basis
+
+
+def _invariant_dims(e_op, blocks, top, systems):
+    """Dimensions of submodules of a tensor power, one per system.
+
+    e_op is Delta(E) on the power, blocks its weight blocks (weight top - 2s
+    for block s). A system is a list of (op, c) pairs, and its submodule is
+    the joint kernel of the op - c. Each op must commute with the action of
+    U_q, so the kernel is a U_q-submodule; over Q(v) it is completely
+    reducible, and each component V_w contributes one highest weight vector,
+    of weight w. So the dimension is the sum over w >= 0 of (w + 1) times
+    m - r: m the dimension of H_w = ker e_op on the weight-w block, r the rank
+    of the images of a basis of H_w under the op - c.
+
+    Each op - c maps H_w into itself, and a vector of H_w is fixed by its
+    entries at the basis's heads, so r is the rank of those entries: an
+    m x m block per op, and no other entry of an image is computed. m is the
+    multiplicity of V_w, at most l + 1 in the square and the cube of V_l.
+    """
+    dims = [0] * len(systems)
+    for s in range(top // 2 + 1):
+        heads, basis = _highest_weight_basis(e_op, blocks, s)
+        for k, system in enumerate(systems):
+            rows = []
+            for op, c in system:
+                # row a: the entries at heads[a] of (op - c) h over the basis
+                for a, i in enumerate(heads):
+                    row = [sum((op[j][i] * x for j, x in h.items() if i in op.get(j, ())), zero)
+                           for h in basis]
+                    row[a] = row[a] - c
+                    rows.append(row)
+            rank = len(echelon(rows, len(basis)))
+            dims[k] += (top - 2 * s + 1) * (len(basis) - rank)
+    return dims
 
 
 def braided_flatness(l, max_degree=3):
     """Braided symmetric-power dimensions of the (l+1)-dimensional module.
 
     Returns {dim_S2, dim_L2, dim_S3, classical_dims, flat_through_degree}.
-    The braided powers are the joint kernels of the adjacent commutor
-    actions minus the identity; degrees beyond 3 are out of scope.
+    S2 and L2 are the kernels of sigma - 1 and sigma + 1 on the square, S3
+    the joint kernel of sigma_12 - 1 and sigma_23 - 1 on the cube; degrees
+    beyond 3 are out of scope.
+
+    Each is counted on highest weight vectors (_invariant_dims). That is
+    exact: sigma is a polynomial in Delta(C) with C central (commutor_matrix),
+    so sigma_12 = sigma (x) 1 commutes with (Delta (x) 1)Delta(x) =
+    sum Delta(x_(1)) (x) x_(2), and sigma_23 = 1 (x) sigma with
+    (1 (x) Delta)Delta(x), the same map by coassociativity. So S2, L2 and S3
+    are U_q-submodules.
     """
     if type(l) is not int or type(max_degree) is not int:
         raise ValueError("l and max_degree must be ints, got %r and %r" % (l, max_degree))
@@ -933,9 +1000,8 @@ def braided_flatness(l, max_degree=3):
         raise ValueError("max_degree must be 2 or 3")
     n = l + 1
     sigma_m = commutor_matrix(l)
-    square = _weight_blocks(l, 2)
-    dim_s2 = _kernel_dim([_shifted(sigma_m, one, range(n * n))], square)
-    dim_l2 = _kernel_dim([_shifted(sigma_m, -one, range(n * n))], square)
+    dim_s2, dim_l2 = _invariant_dims(_pair_action(l)[0], _weight_blocks(l, 2), 2 * l,
+                                     [[(sigma_m, one)], [(sigma_m, -one)]])
     classical = {
         "S2": n * (n + 1) // 2,
         "L2": n * (n - 1) // 2,
@@ -943,10 +1009,9 @@ def braided_flatness(l, max_degree=3):
     }
     dim_s3 = None
     if max_degree >= 3:
-        # sigma_12 - 1 and sigma_23 - 1 on the cube
-        ops = [_shifted(leg_embed(sigma_m, n, legs), one, range(n ** 3))
-               for legs in ((0, 1), (1, 2))]
-        dim_s3 = _kernel_dim(ops, _weight_blocks(l, 3))
+        legs = [(leg_embed(sigma_m, n, pair), one) for pair in ((0, 1), (1, 2))]
+        (dim_s3,) = _invariant_dims(_cube_action(l, (0, 0, 1)), _weight_blocks(l, 3),
+                                    3 * l, [legs])
     flat = 1
     if dim_s2 == classical["S2"]:
         flat = 2

@@ -301,6 +301,29 @@ def test_braided_report(capsys):
     assert data["flat_through_degree"] == 3
 
 
+def test_braided_refuses_l_over_the_budget(capsys, monkeypatch):
+    """qsl2 braided checks l against cli.BRAIDED_MAX_L before any
+    computation: --l 1000, which ran without end, and --l 7 exit 1 with one
+    error line and never reach braided_flatness; l = 6, the largest taken,
+    reaches it."""
+    assert cli.BRAIDED_MAX_L == 6
+    reached = []
+
+    def recording(l, max_degree=3):
+        reached.append(l)
+        return {"l": l}
+
+    monkeypatch.setattr(cli.qsl2, "braided_flatness", recording)
+    for l in (1000, 7):
+        for extra in ([], ["--max-degree", "2"]):
+            argv = ["qsl2", "braided", "--l", str(l)] + extra
+            assert run_cli(argv, capsys) == (
+                1, "error: BudgetExceeded: l = %d exceeds the budget 6\n" % l), argv
+    assert reached == []
+    assert run_cli(["qsl2", "braided", "--l", "6"], capsys) == (0, '{\n  "l": 6\n}\n')
+    assert reached == [6]
+
+
 def test_donin_report(capsys):
     """The graded relation report carries brackets and the identity table."""
     code, out = run_cli(["qsl2", "donin"], capsys)

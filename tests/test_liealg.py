@@ -874,10 +874,12 @@ def test_e7_bootstrap_computes_no_off_root_commutator(monkeypatch):
     """A work count with no timing in it: of E7's bootstrap commutators
     (_mcomm calls, each weighed by one entry of each argument on the
     56-dimensional module), the only ones whose weight is neither a root
-    nor 0 are the 3 * 7 * 6 = 126 Serre relations: [e_i, f_j] and the last
-    step of each (ad e_i)^(1 - A[j][i]) e_j and its f twin, i != j. All
-    325 are: 2 * 56 along the descent (root_vector_ops), 42 [e_i, f_j],
-    2 * (12 * 2 + 30) Serre steps (12 ordered pairs of adjacent nodes), 7
+    nor 0 are the 42 + 2 * (12 + 15) = 96 Serre relations: [e_i, f_j],
+    i != j, and the last step of each (ad e_i)^(1 - A[j][i]) e_j and its f
+    twin, where the one [e_i, e_j] of a pair of non-adjacent nodes (15
+    pairs) serves both orders. All 283 are: 2 * 56 along the descent
+    (root_vector_ops), 42 [e_i, f_j], 2 * (6 * 3 + 15) Serre steps (a pair
+    of adjacent nodes shares its first step [e_i, e_j] = -[e_j, e_i]), 7
     [e_i, f_i] and 56 [E_gamma, F~_gamma] at the non-simple roots (f_norm);
     no root-vector pair takes a whole commutator."""
     rs = shared_type("E7").rs
@@ -900,8 +902,8 @@ def test_e7_bootstrap_computes_no_off_root_commutator(monkeypatch):
     monkeypatch.setattr(liealg, "_mcomm", counting)
     chevalley_basis(rs)
     off_root = [w for w in calls if w not in fund]
-    assert len(weights) == 56 and len(calls) == 2 * 56 + 42 + 2 * (12 * 2 + 30) + 7 + 56
-    assert len(off_root) == 3 * 7 * 6, len(off_root)
+    assert len(weights) == 56 and len(calls) == 2 * 56 + 42 + 2 * (6 * 3 + 15) + 7 + 56 == 283
+    assert len(off_root) == 42 + 2 * (12 + 15), len(off_root)
 
 
 def _ref_bootstrap(alg, weights, e_ops, ft_ops):

@@ -4,10 +4,10 @@ from fractions import Fraction as Q
 import pytest
 
 from qsym import qsl2
-from qsym.liealg import _mcompose, _vadd_into
+from qsym.liealg import _mapply, _mcompose, _mscaled_sum, _vadd_into
 from qsym.poisson import jacobi_oracle, leg_embed
 from qsym.qsl2 import CoPoissonElem, NotInLattice, NotInSpan, PBWElement, UqTensor, _binom
-from qsym.scalars import QRat, one, qpow, zero
+from qsym.scalars import QRat, echelon, one, qpow, zero
 
 
 def identity(n):
@@ -427,6 +427,9 @@ def test_braided_flatness_dimensions():
     flat4 = qsl2.braided_flatness(4)
     assert (flat4["dim_S2"], flat4["dim_L2"], flat4["dim_S3"]) == (15, 10, 28)
     assert flat4["flat_through_degree"] == 2
+    flat5 = qsl2.braided_flatness(5)
+    assert (flat5["dim_S2"], flat5["dim_L2"], flat5["dim_S3"]) == (21, 15, 36)
+    assert flat5["flat_through_degree"] == 2
     with pytest.raises(ValueError):
         qsl2.braided_flatness(0)
     with pytest.raises(ValueError):
@@ -491,3 +494,161 @@ def test_pair_and_leg_embeddings_coerce_no_scalar(monkeypatch):
     assert delta_e and all(len(c) == 4 * len(sigma) for c in cubes)
     for m in [delta_e] + cubes:
         assert all(type(v) is QRat for col in m.values() for v in col.values())
+
+
+# -- the weight-block routes that the highest-weight ones replaced ------------
+
+def _shifted(m, c, idxs):
+    """m - c * identity on the basis vectors idxs."""
+    return _mscaled_sum([(None, m), (-c, {j: {j: one} for j in idxs})])
+
+
+def _ref_commutor(l):
+    """The commutor by one projector per component: on each weight block,
+    sign_n times the product over the other components k of
+    (C - c_k) / (c_n - c_k), c_n the scalar of C on V_n; m(m - 1) block
+    products on a block of size m."""
+    gens, _ = qsl2.locally_finite_generators()
+    cmat = qsl2._matrix_of_element(gens["C"], qsl2._pair_action(l))
+
+    def casimir(n):
+        return (qpow(2 * (n + 1)) + qpow(-2 * (n + 1))) / (qpow(2) + qpow(-2))
+
+    pairs = []
+    for s, idxs in enumerate(qsl2._weight_blocks(l, 2)):
+        block = {j: cmat[j] for j in idxs if j in cmat}
+        comps = list(range(2 * l, abs(2 * l - 2 * s) - 1, -2))
+        for idx, n in enumerate(comps):
+            proj = {j: {j: one} for j in idxs}
+            scale = one
+            for k in comps:
+                if k != n:
+                    proj = _mcompose(proj, _shifted(block, casimir(k), idxs))
+                    scale = scale * (casimir(n) - casimir(k))
+            pairs.append(((one if idx % 2 == 0 else -one) / scale, proj))
+    return _mscaled_sum(pairs)
+
+
+def _ref_kernel_dim(ops, blocks):
+    """dim of the joint kernel of column-form operators that each map the
+    span of every block into itself, by one elimination per whole block."""
+    total = 0
+    for idxs in blocks:
+        pos = {j: p for p, j in enumerate(idxs)}
+        rows = []
+        for op in ops:
+            block_rows = {}
+            for j in idxs:
+                for i, v in op.get(j, {}).items():
+                    block_rows.setdefault(i, [zero] * len(idxs))[pos[j]] = v
+            rows.extend(block_rows[i] for i in sorted(block_rows))
+        total += len(idxs) - len(echelon(rows, len(idxs)))
+    return total
+
+
+def _ref_braided_dims(l):
+    """(dim S2, dim L2, dim S3) on whole weight blocks, from _ref_commutor."""
+    sigma = _ref_commutor(l)
+    n = l + 1
+    square = qsl2._weight_blocks(l, 2)
+    cube_ops = [_shifted(leg_embed(sigma, n, legs), one, range(n ** 3))
+                for legs in ((0, 1), (1, 2))]
+    return (_ref_kernel_dim([_shifted(sigma, one, range(n * n))], square),
+            _ref_kernel_dim([_shifted(sigma, -one, range(n * n))], square),
+            _ref_kernel_dim(cube_ops, qsl2._weight_blocks(l, 3)))
+
+
+def test_commutor_and_dimensions_match_the_weight_block_routes():
+    """The commutor as one polynomial in the Casimir equals the sum of signed
+    projectors entry for entry, and the dimensions counted on highest weight
+    vectors equal the joint kernels on whole weight blocks, for l <= 4."""
+    for l in (1, 2, 3, 4):
+        assert qsl2.commutor_matrix(l) == _ref_commutor(l), l
+        flat = qsl2.braided_flatness(l)
+        assert (flat["dim_S2"], flat["dim_L2"], flat["dim_S3"]) == _ref_braided_dims(l), l
+
+
+def test_cube_action_and_the_braidings_commute():
+    """The premise of the highest-weight count: Delta^(2) of E, F, K and K^-1,
+    read off coproduct_cube, satisfy [E, F] = (K^2 - K^-2)/(q - q^-1) and
+    K K^-1 = 1 on V^(x)3, and sigma_12 and sigma_23 commute with all four,
+    for l <= 3."""
+    for l in (1, 2, 3):
+        n = l + 1
+        e, f, k, kinv = (qsl2._cube_action(l, key) for key in qsl2._GENERATOR_KEYS)
+        ef = _mscaled_sum([(None, _mcompose(e, f)), (-one, _mcompose(f, e))])
+        ksq = _mscaled_sum([(None, _mcompose(k, k)), (-one, _mcompose(kinv, kinv))])
+        # q = v^2 in the module scalars
+        assert ef == _mscaled_sum([(one / (qpow(2) - qpow(-2)), ksq)]), l
+        assert _mcompose(k, kinv) == identity(n ** 3), l
+        sigma = qsl2.commutor_matrix(l)
+        for legs in ((0, 1), (1, 2)):
+            braid = leg_embed(sigma, n, legs)
+            for op in (e, f, k, kinv):
+                assert _mcompose(braid, op) == _mcompose(op, braid), (l, legs)
+
+
+def test_highest_weight_bases():
+    """Each basis of H_w = ker Delta^(d-1)(E) on a weight block of V^(x)d,
+    d = 2, 3, is killed by Delta^(d-1)(E), has |block(s)| - |block(s - 1)|
+    vectors (the multiplicity of V_w), each 1 at its head and 0 at the other
+    heads, for l <= 3."""
+    for l in (1, 2, 3):
+        for degree, e_op in ((2, qsl2._pair_action(l)[0]), (3, qsl2._cube_action(l, (0, 0, 1)))):
+            blocks = qsl2._weight_blocks(l, degree)
+            for s in range(degree * l // 2 + 1):
+                heads, basis = qsl2._highest_weight_basis(e_op, blocks, s)
+                below = len(blocks[s - 1]) if s else 0
+                assert len(heads) == len(basis) == len(blocks[s]) - below, (l, degree, s)
+                for head, vec in zip(heads, basis):
+                    assert set(vec) <= set(blocks[s])
+                    assert [vec.get(h, zero) for h in heads] == [
+                        one if h == head else zero for h in heads]
+                    assert _mapply(e_op, vec) == {}, (l, degree, s)
+
+
+def test_braided_work_is_bounded_by_the_highest_weight_spaces(monkeypatch):
+    """A work count with no timing in it, at l = 5. Every rank elimination of
+    braided_flatness has at most l + 1 columns: per weight w >= 0, one
+    kernel echelon on the block and one rank echelon per system on the
+    m = |block(s)| - |block(s - 1)| highest weight vectors (two on the square,
+    S2 and L2, one on the cube). commutor_matrix makes exactly sum (m - 1)
+    block _mcompose calls over the blocks of the square beyond those of
+    _matrix_of_element."""
+    l = 5
+    qsl2.locally_finite_generators()
+    widths, composed, inside = [], [], []
+    real_echelon, real_compose = qsl2.echelon, qsl2._mcompose
+    real_element = qsl2._matrix_of_element
+
+    def counting_echelon(rows, ncols):
+        widths.append(ncols)
+        return real_echelon(rows, ncols)
+
+    def counting_compose(a, b):
+        composed.append(1)
+        return real_compose(a, b)
+
+    def counting_element(elem, mats):
+        start = len(composed)
+        out = real_element(elem, mats)
+        inside.append(len(composed) - start)
+        return out
+
+    monkeypatch.setattr(qsl2, "echelon", counting_echelon)
+    monkeypatch.setattr(qsl2, "_mcompose", counting_compose)
+    monkeypatch.setattr(qsl2, "_matrix_of_element", counting_element)
+    qsl2.commutor_matrix(l)
+    square = qsl2._weight_blocks(l, 2)
+    assert len(composed) - sum(inside) == sum(len(b) - 1 for b in square) == 25
+    assert widths == []
+
+    qsl2.braided_flatness(l)
+    want = []
+    for degree, systems in ((2, 2), (3, 1)):
+        blocks = qsl2._weight_blocks(l, degree)
+        for s in range(degree * l // 2 + 1):
+            m = len(blocks[s]) - (len(blocks[s - 1]) if s else 0)
+            assert m <= l + 1
+            want += [len(blocks[s])] + [m] * systems
+    assert widths == want
