@@ -7,8 +7,8 @@ ChevalleyAlgebra, SemidirectAlgebra and the Drinfeld double.
 
 The CYBE tensor, the cobracket -ad r, check_cybe's invariance check and the
 bialgebra axioms run on one int reading of the bracket table, int_brackets
-(C [a, p], C the lcm of its denominators), and r times the lcm D of its own;
-a Fraction result is divided by its one scale at the end. check_cybe's
+(C [a, p], C the lcm of its denominators), and r cleared by the lcm D of
+its own; the CYBE tensor stays in ints, over one Fraction scale. check_cybe's
 tensor-cube route stays on the Fraction adjoint, independent of them.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cache
 from itertools import combinations, permutations
+from math import gcd
 
 from .liealg import (
     BracketTable,
@@ -28,12 +29,11 @@ from .liealg import (
     _vadd_into,
     int_columns,
     tt_op,
-    tt_skew,
     tt_sym,
 )
 from .poisson import _check_antisymmetric, _pair_matrix, schouten_square
 from .rootsys import cominuscule_nodes
-from .scalars import den_lcm, echelon
+from .scalars import cleared, den_lcm, echelon
 
 
 class InconsistentConstraints(ValueError):
@@ -62,30 +62,24 @@ class TripleTouchesNode(ValueError):
 
 def int_brackets(carrier):
     """(C, rows): rows[a][p] = C * [a, p] as an int vector, C > 0 the lcm of
-    the denominators of carrier.table, which is read once; the entry for
-    a > p is the negated entry for p < a. rows[a] is column form of C ad_a."""
+    the denominators of carrier.table, read once (int_columns); the entry for
+    a > p is the negated entry for p < a. rows[a] is column form of C ad_a.
+    No memo: a functools.cache keeps every carrier's rows alive, and raised
+    the rank-4 sweep's peak RSS by 11% (20.0 to 22.1 MB, CPython 3.11)."""
     table = carrier.table
     big_c = den_lcm(v for out in table.values() for v in out.values())
     rows = [{} for _ in range(carrier.dim)]
-    for (a, p), out in table.items():
-        col = {k: v.numerator * (big_c // v.denominator) for k, v in out.items() if v}
-        if col:
-            rows[a][p] = col
-            rows[p][a] = {k: -v for k, v in col.items()}
+    for (a, p), col in int_columns(table, big_c).items():
+        rows[a][p] = col
+        rows[p][a] = {k: -v for k, v in col.items()}
     return big_c, rows
 
 
-def _int_tensor(t):
-    """(D, t times D as ints), D > 0 the lcm of the denominators of t."""
-    big_d = den_lcm(t.values())
-    return big_d, {key: v.numerator * (big_d // v.denominator) for key, v in t.items()}
-
-
 def _int_cobracket(carrier, t):
-    """(C * D, {x: -ad_x t times C * D}) over ints, from int_brackets and
-    _int_tensor, with no zero entry and no entry where -ad_x t = 0."""
+    """(C * D, {x: -ad_x t times C * D}) over ints, t cleared by D, with no
+    zero entry and no entry where -ad_x t = 0."""
     big_c, rows = int_brackets(carrier)
-    big_d, ti = _int_tensor(t)
+    big_d, ti = cleared(t)
     delta = {}
     for x in range(carrier.dim):
         if d := {key: v for key, v in _ad_into({}, rows[x], ti, -1).items() if v}:
@@ -305,7 +299,9 @@ def bd_r_matrix(alg, triple):
 # ---------------------------------------------------------------------------
 
 def _cybe_tensor(carrier, r):
-    """[r12, r13] + [r12, r23] + [r13, r23] in carrier^(x)3, as Fractions.
+    """[r12, r13] + [r12, r23] + [r13, r23] in carrier^(x)3 as a pair (c, t):
+    t the int sum over the gcd of its entries, c > 0 a Fraction, the sum
+    c * t; (1, {}) for zero. Equal sums have equal pairs, and only they.
 
     This is also the Schouten square [[r, r]] expanded through the structure
     constants, which the Poisson criterion applies to modules. Summed on
@@ -313,7 +309,7 @@ def _cybe_tensor(carrier, r):
     grouped by leg, so only pairs of terms with a nonzero bracket are read.
     """
     big_c, rows = int_brackets(carrier)
-    big_d, rt = _int_tensor(r)
+    big_d, rt = cleared(r)
     by_first, by_second = {}, {}
     for (c, d), w in rt.items():
         by_first.setdefault(c, []).append((d, w))
@@ -332,14 +328,16 @@ def _cybe_tensor(carrier, r):
             for c, w in by_second.get(d, ()):
                 for k, x in col.items():
                     out[a, c, k] = out.get((a, c, k), 0) + v * w * x
-    scale = big_d * big_d * big_c
-    return {key: Q(v, scale) for key, v in out.items() if v}
+    g = gcd(*out.values())
+    if not g:
+        return Q(1), {}
+    return Q(g, big_d * big_d * big_c), {key: v // g for key, v in out.items() if v}
 
 
 def _is_invariant(alg, t):
-    """Whether a totally antisymmetric three-tensor t over a ChevalleyAlgebra
-    is g-invariant; a t that is not antisymmetric raises ValueError, as in
-    schouten_promoted (poisson._check_antisymmetric).
+    """Whether a totally antisymmetric int three-tensor t over a
+    ChevalleyAlgebra is g-invariant; a t that is not antisymmetric raises
+    ValueError, as in schouten_promoted (poisson._check_antisymmetric).
 
     Every term must have weight 0, the sum of its legs' root weights, and
     ad e_i must kill t for every simple i. That is enough: a weight-0 vector
@@ -349,15 +347,13 @@ def _is_invariant(alg, t):
     zero exactly when its entries at increasing index triples are. Those
     are summed from the terms of t at increasing triples alone: the image
     of a leg is moved into place among the other two, with the sign of the
-    move. Read on int_brackets (scale C) and t times D, so every term
-    carries C * D > 0.
+    move. Read on int_brackets (scale C), so every term carries C > 0.
     """
     weight = alg.weight
     if any(any(map(sum, zip(weight[x], weight[y], weight[z]))) for x, y, z in t):
         return False
-    _, ti = _int_tensor(t)
-    _check_antisymmetric(ti)
-    ti = [(key, v) for key, v in ti.items() if key[0] < key[1] < key[2]]
+    _check_antisymmetric(t)
+    ti = [(key, v) for key, v in t.items() if key[0] < key[1] < key[2]]
     _, rows = int_brackets(alg)
     for g in alg.simple:
         row, acc = rows[alg.e_idx[g]], {}
@@ -397,8 +393,7 @@ def check_cybe(alg, r, module=None):
     for i in range(alg.dim):
         if not mats[i]:
             raise NotFaithful("module kills %s" % alg.names[i])
-    tensor = _cybe_tensor(alg, r)
-    holds = not tensor
+    holds = not _cybe_tensor(alg, r)[1]
     if dim ** 3 <= 1000:
         cube = schouten_square(_pair_matrix(mats, dim, r), dim)
         assert (not cube) == holds, "tensor-cube route disagrees"
@@ -429,12 +424,10 @@ def cobracket_from_r(carrier, r):
 def check_lie_bialgebra(carrier, delta):
     """Axiom report: antisym, co_jacobi, cocycle (+ shape fields for semidirect).
 
-    The axioms are checked on one scaled int copy. The brackets are the
-    carrier's int_brackets, scaled by the lcm C of their denominators, and
-    delta is multiplied by the lcm D of theirs, exactly (numerator times
-    the cofactor). Every cocycle term then carries C * D, every co-Jacobi
-    term D^2 and every antisymmetry term D; a uniform positive factor does
-    not change whether an equation holds.
+    The axioms are checked on the carrier's int_brackets (scale C) and on
+    delta times the lcm D of its denominators (int_columns). Every cocycle
+    term then carries C * D, every co-Jacobi term D^2 and every antisymmetry
+    term D; a uniform positive factor does not change whether one holds.
 
     Both are read on carrier.generators, which generate the Lie algebra
     carrier (all of it when absent). The cocycle on pairs (a, b), a a
@@ -526,7 +519,7 @@ def drinfeld_double(alg, delta):
 
     jacobi = not any(jacobiator(*abc) for abc in combinations(range(2 * n), 3))
 
-    cybe = not _cybe_tensor(D, r_canonical)
+    cybe = not _cybe_tensor(D, r_canonical)[1]
 
     # the pairing is <k, partner(k)> = 1, so invariance <[a, b], c> +
     # <b, [a, c]> = 0 reads [a, b]_k = -[a, partner(k)]_partner(b)

@@ -23,12 +23,12 @@ from .bialg import (
     enumerate_bd_triples,
     parabolic_semidirect,
     standard_r,
-    tt_skew,
 )
 from .liealg import (
     abelian_radical_module,
     highest_weight_module,
     shared_type,
+    tt_skew,
 )
 from .poisson import generator_brackets, jacobi_oracle, schouten_promoted
 from .rootsys import (
@@ -254,17 +254,16 @@ class ClassificationRow:
 
 @cache
 def _r_tensor(alg, triple):
-    """(r, [[r-, r-]]) of the standard r (triple None) or of a BD triple's r-matrix."""
+    """(r, (c, t), invariant) for the standard r (triple None) or a BD
+    triple's r-matrix: [[r-, r-]] = c * t (bialg._cybe_tensor) and whether t
+    is g-invariant (bialg._is_invariant), on which schouten_promoted reads
+    dominant wedges only. A triple with the standard pair shares its entry."""
     r = standard_r(alg) if triple is None else bd_r_matrix(alg, triple)[0]
-    return r, _cybe_tensor(alg, tt_skew(r))
-
-
-@cache
-def _invariant(alg, triple):
-    """Whether _r_tensor(alg, triple)'s [[r-, r-]] is g-invariant, checked
-    once per type and triple (bialg._is_invariant). It is, by the modified
-    CYBE, but schouten_promoted reads dominant wedges only on this check."""
-    return _is_invariant(alg, _r_tensor(alg, triple)[1])
+    cybe = _cybe_tensor(alg, tt_skew(r))
+    standard = triple is not None and _r_tensor(alg, None)
+    if standard and cybe == standard[1]:
+        return (r,) + standard[1:]
+    return r, cybe, _is_invariant(alg, cybe[1])
 
 
 def classify_pair(label, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
@@ -274,12 +273,11 @@ def classify_pair(label, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     No pair operator is built: the Schouten verdict is schouten_promoted on
     the standard r's [[r-, r-]] and the module, read on the dominant wedges
     once the tensor is checked invariant, and Jacobi reads the standard r's
-    generator_brackets. Each r, its [[r-, r-]] and that check are made once
-    per type and triple (_r_tensor, _invariant), not once per row. Under
+    generator_brackets. Each r and its [[r-, r-]] are made once per type
+    and triple, that check once per distinct tensor (_r_tensor). Under
     all_bd, a triple whose [[r-, r-]] equals the standard r's takes the
-    standard verdict, which is exact because the verdict is a function of
-    (tensor, module) alone; any other triple gets its own schouten_promoted
-    call.
+    standard verdict, exact as the verdict is a function of (tensor, module)
+    alone; any other triple gets its own schouten_promoted call.
     """
     if dim_budget < 1:
         raise ValueError("dim_budget must be at least 1, got %d" % dim_budget)
@@ -296,16 +294,16 @@ def classify_pair(label, lam, dim_budget=DEFAULT_DIM_BUDGET, all_bd=False,
     alg = typ.algebra
     mod = highest_weight_module(alg, lam)
     oracle_ok = mod.dim == dim and Counter(mod.weights) == dict(mults)
-    r, tensor = _r_tensor(alg, None)
-    schouten = schouten_promoted(tensor, mod, invariant=_invariant(alg, None))
+    r, cybe, invariant = _r_tensor(alg, None)
+    schouten = schouten_promoted(cybe[1], mod, invariant=invariant)
     jacobi = jacobi_oracle(generator_brackets(r, mod))
     bd_verdicts = None
     if all_bd:
         bd_verdicts = {}
         for triple in enumerate_bd_triples(rs):
-            t = _r_tensor(alg, triple)[1]
-            bd_verdicts[triple.key()] = schouten if t == tensor else schouten_promoted(
-                t, mod, invariant=_invariant(alg, triple))
+            _, cybe_t, invariant_t = _r_tensor(alg, triple)
+            bd_verdicts[triple.key()] = schouten if cybe_t == cybe else schouten_promoted(
+                cybe_t[1], mod, invariant=invariant_t)
     ambients = geometric_ambients(letter, rank, lam, extended=extended)
     semidirect = False
     if ambients:

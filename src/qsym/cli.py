@@ -213,9 +213,17 @@ def _cmd_sigma(args):
     return qsl2.x_tensor_str(qsl2.x_basis_tensor(t)) + "\n", 0
 
 
+# the largest --power `qsl2 copoisson` takes, refused before any computation:
+# cold on a 2-core host C at powers 5, 6 and 7 takes 1.3, 5 and 13 s
+COPOISSON_MAX_POWER = 5
+
+
 def _cmd_copoisson(args):
     if args.power < 1:
         raise ValueError("--power must be at least 1, got %d" % args.power)
+    if args.power > COPOISSON_MAX_POWER:
+        raise BudgetExceeded("power %d exceeds the budget %d"
+                             % (args.power, COPOISSON_MAX_POWER))
     elem = _qsl2_element(args.element) ** args.power
     return qsl2.copoisson_limit(elem).pretty() + "\n", 0
 

@@ -45,7 +45,7 @@ from operator import add, sub
 
 from .rootsys import (_SERIES, _check_dominant, _rank_ok, build_root_system, type_label,
                       weyl_dim)
-from .scalars import den_lcm, echelon
+from .scalars import cleared, den_lcm, echelon
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +450,9 @@ class ChevalleyAlgebra(BracketTable):
 
         def coroot_op(gamma):
             # H_gamma as a scaled diagonal matrix
-            coords = coroot(gamma)
-            big_l = den_lcm(coords.values())
+            big_l, coords = cleared(coroot(gamma))
             diag = {}
-            for j, c in coords.items():
-                cj = c.numerator * (big_l // c.denominator)
+            for j, cj in coords.items():
                 for k, w in gen_h[j].items():
                     diag[k] = diag.get(k, 0) + cj * w
             return Q(1, big_l), {k: {k: v} for k, v in diag.items() if v}

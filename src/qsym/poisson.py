@@ -14,26 +14,22 @@ the criterion is checked against; generator_brackets reads that table off
 r- and the module, lazily and over ints (GeneratorBrackets).
 
 The sweep's Schouten verdict (schouten_promoted) is a function of the
-tensor [[r-, r-]] = bialg._cybe_tensor(alg, tt_skew(r)) and the module, so
-the sweep builds no pair operator; those (_pair_matrix) serve the Fraction
-references, bialg.check_cybe and qsl2. The verdict applies one ordering per
-wedge, not six, which is sound because that tensor is totally antisymmetric
-(checked exactly first), and runs on Python ints scaled by the lcm of the
-denominators. It contracts one leg at a time, the first once per i, in
-hand-written int loops, not _vadd_into: a large stage of the E6 rows. Once
-its caller has checked the tensor g-invariant, it reads only the wedges of
-dominant weight (_wedges), which decide the verdict by complete
-reducibility: 65 of E6 w1's 2,925.
+int tensor t of [[r-, r-]] = c * t (bialg._cybe_tensor(alg, tt_skew(r)),
+c > 0) and the module, so the sweep builds no pair operator; those
+(_pair_matrix) serve the Fraction references, bialg.check_cybe and qsl2.
+It applies one ordering per wedge, in hand-written int loops, and once its
+caller has checked t g-invariant reads only the wedges of dominant weight
+(_wedges): 65 of E6 w1's 2,925.
 
 Both sides read the module's int form (Module.ints over Module.den). The
-Jacobi side reads no [[r-, r-]] and shares no loop with schouten_promoted,
-only den_lcm. Its table is the bracket scaled by a constant c > 0 that
-clears every denominator, which is exact: the Jacobi sum is quadratic in
-the bracket, so it is scaled by c^2 and vanishes exactly when the unscaled
-one does. A pair is built on its first read, and the oracle stops at its
-first nonzero triple, so a failing module builds few of them. jacobi_oracle
-itself works over any exact ring: the qsl2 table it also checks is over
-Fractions.
+Jacobi side reads no [[r-, r-]] and shares no loop or helper with
+schouten_promoted. Its table is the bracket scaled by a constant c > 0 that
+clears every denominator (scalars.cleared), which is exact: the Jacobi sum
+is quadratic in the bracket, so it is scaled by c^2 and vanishes exactly
+when the unscaled one does. A pair is built on its first read, and the
+oracle stops at its first nonzero triple, so a failing module builds few
+of them. jacobi_oracle works over any exact ring: the qsl2 table it also
+checks is over Fractions.
 
 schouten_criterion and schouten_square stay on Fraction as the references
 and read no [[r-, r-]] from _cybe_tensor. They share one expansion of
@@ -46,7 +42,7 @@ for the criterion.
 from __future__ import annotations
 
 from .liealg import BracketTable, _mapply, _vadd_into, tt_skew
-from .scalars import den_lcm
+from .scalars import cleared
 
 
 def _pair_matrix(mats, dim, t):
@@ -214,10 +210,11 @@ def _wedges(weights, invariant):
 def schouten_promoted(tensor, module, invariant=False):
     """The Schouten verdict, cheap enough for a classification sweep.
 
-    tensor is [[r-, r-]] = bialg._cybe_tensor(alg, tt_skew(r)) in g^(x)3 and
-    module a built module (liealg.Module) of alg. The answer is
-    schouten_criterion(r_minus_operator(r, module), module.dim), from one
-    ordering per wedge in place of six, and no pair operator is built.
+    tensor is the int t in g^(x)3 of [[r-, r-]] = c * t, c > 0, as
+    bialg._cybe_tensor(alg, tt_skew(r)) returns it, and module a built
+    liealg.Module of alg. The answer is schouten_criterion(r_minus_operator(
+    r, module), module.dim), from one ordering per wedge, with no pair
+    operator built.
 
     For a skew r- the tensor t is totally antisymmetric, and the operator
     T = sum t_xyz rho(x) (x) rho(y) (x) rho(z) satisfies T P_s = sgn(s) P_s T
@@ -225,8 +222,8 @@ def schouten_promoted(tensor, module, invariant=False):
     sum_s sgn(s) P_s (e_i (x) e_j (x) e_k) is then
     sum_s P_s T(e_i (x) e_j (x) e_k), the symmetrization of the image of one
     pure tensor, and that vanishes exactly when T(e_i (x) e_j (x) e_k) is zero
-    in S^3 V. The antisymmetry of t is checked exactly, on D * t, before any
-    wedge is tried; a tensor that is not antisymmetric raises ValueError.
+    in S^3 V. The antisymmetry of t is checked exactly before any wedge is
+    tried; a tensor that is not antisymmetric raises ValueError.
 
     invariant says that t is g-invariant, which the caller has checked
     (bialg._is_invariant); then only the wedges of dominant weight are read
@@ -242,20 +239,18 @@ def schouten_promoted(tensor, module, invariant=False):
     w_i + w_j + w_k dominant: the map vanishes iff it kills those. No
     kernel or elimination is needed. Without invariant every wedge is read.
 
-    The kernel runs on ints: the module's matrices times L = module.den and
-    t times the lcm D of its denominators, so each term carries D * L^3 > 0.
-    The legs are contracted one at a time: for each i, first[y][(a, z)] =
+    The kernel runs on ints, t and the module's matrices times L =
+    module.den, so each term carries L^3 / c > 0 against [[r-, r-]]. The
+    legs are contracted one at a time: for each i, first[y][(a, z)] =
     sum_x t_xyz rho(x)[a, i] over the x with a nonzero column i (ops_at[i]);
     for each j > i with a wedge to read only the y in ops_at[j], and for each
     of its k only the z with a nonzero column k, are read. The first nonzero
     wedge ends it.
     """
     dim, mats = module.dim, module.ints
-    big_d = den_lcm(tensor.values())
-    scaled = {key: v.numerator * (big_d // v.denominator) for key, v in tensor.items()}
-    _check_antisymmetric(scaled)
+    _check_antisymmetric(tensor)
     by_first = {}
-    for (x, y, z), v in scaled.items():
+    for (x, y, z), v in tensor.items():
         by_first.setdefault(x, []).append((y, z, v))
     ops_at = [[x for x, m in enumerate(mats) if k in m] for k in range(dim)]
     first_of = None
@@ -307,11 +302,11 @@ def schouten_promoted(tensor, module, invariant=False):
 class GeneratorBrackets(BracketTable):
     """{v_i, v_j} = symmetrized r-(v_i (x) v_j) times scale, over ints, lazily.
 
-    t = tt_skew(r) is kept scaled by the lcm D of its denominators, grouped
-    by first leg, and the module is read in its int form, scaled by
-    L = module.den, so every bracket times scale = D * L^2 is an int
-    polynomial over sorted monomials of S^2 V. t is skew, so
-    sum t_ab rho(a) (x) rho(b) is flip-skew and its column (i, j), i < j,
+    t = tt_skew(r) is kept scaled by the lcm D of its denominators
+    (scalars.cleared), grouped by first leg, and the module is read in its
+    int form, scaled by L = module.den, so every bracket times
+    scale = D * L^2 is an int polynomial over sorted monomials of S^2 V. t
+    is skew, so sum t_ab rho(a) (x) rho(b) is flip-skew and its column (i, j), i < j,
     determines the bracket; that column is summed on the first bracket_idx
     of the pair and memoised in table. So table holds only the pairs built
     so far, empty brackets included.
@@ -319,13 +314,12 @@ class GeneratorBrackets(BracketTable):
 
     def __init__(self, r, module):
         super().__init__(module.dim, {})
-        t = tt_skew(r)
-        big_d = den_lcm(t.values())
+        big_d, t = cleared(tt_skew(r))
         self.scale = big_d * module.den ** 2
         self._mats = module.ints
         self._by_first = {}
         for (a, b), v in t.items():
-            self._by_first.setdefault(a, []).append((b, v.numerator * (big_d // v.denominator)))
+            self._by_first.setdefault(a, []).append((b, v))
 
     def bracket_idx(self, i, j):
         """Bracket of basis elements i and j, with sign, built on first read."""

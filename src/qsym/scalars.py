@@ -11,9 +11,9 @@ exactly: by Gauss's lemma the quotients have integer coefficients. Fractions
 appear only at the boundary. QRat accepts Fraction coefficients, and its
 num and den views are Fraction lists with a monic denominator.
 
-den_lcm, the one lcm-of-denominators helper, clears the denominators of
-Fraction coefficients here; liealg uses it for its scaled matrices, a
-Fraction scale times a matrix of Python ints. echelon is the one exact
+den_lcm, the one lcm-of-denominators helper, clears Fraction coefficients
+here and liealg's scaled matrices (a Fraction scale times Python ints);
+cleared applies it to one flat dict. echelon is the one exact
 elimination, over Fraction or over QRat. Sparse matrices live in liealg,
 whose column-form kernel works over any exact ring: ints, Fractions and QRat.
 ascii_int is the one reader of an int from text, ASCII digits only.
@@ -179,6 +179,12 @@ _INT = {int}
 def den_lcm(values):
     """Least common multiple of the denominators of ints and Fractions."""
     return lcm(1, *{v.denominator for v in values})
+
+
+def cleared(values):
+    """(L, {key: L * v as an int}) for a dict of ints and Fractions, L = den_lcm."""
+    big_l = den_lcm(values.values())
+    return big_l, {k: v.numerator * (big_l // v.denominator) for k, v in values.items()}
 
 
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")

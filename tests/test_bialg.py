@@ -1,12 +1,13 @@
 """r-matrices, BD triples, bialgebra axioms, doubles, parabolic restrictions."""
 
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
 from qsym.rootsys import build_root_system
 from qsym.liealg import (BracketTable, chevalley_basis, casimir, highest_weight_module,
-                         shared_type, _vadd_into)
+                         shared_type, tt_skew, _vadd_into)
 from qsym.bialg import (
     BDTriple,
     _bd_triples,
@@ -25,7 +26,6 @@ from qsym.bialg import (
     semidirect_algebra,
     standard_r,
     tt_op,
-    tt_skew,
     tt_sym,
 )
 
@@ -394,11 +394,18 @@ def _cybe_cases(alg, r):
     return [("r", r), ("skew", tt_skew(r)), ("bumped", bumped)]
 
 
+def _expand(pair):
+    """The tensor c * t of one _cybe_tensor pair (c, t), as Fractions."""
+    c, t = pair
+    return {key: c * v for key, v in t.items()}
+
+
 def test_int_cybe_kernel_matches_fraction_reference():
-    """_cybe_tensor, summed on int brackets and divided once, equals the
-    Fraction reference: on the standard r of eight types, on every BD triple
-    of A2-A4, and on the canonical r of A2's Drinfeld double. check_cybe's
-    int invariance check agrees with -ad_x of the symmetric part written out."""
+    """_cybe_tensor, summed on int brackets, returns (c, t) with c * t equal
+    to the Fraction reference, c > 0 and the entries of t coprime: on the
+    standard r of eight types, on every BD triple of A2-A4, and on the
+    canonical r of A2's Drinfeld double. check_cybe's int invariance check
+    agrees with -ad_x of the symmetric part written out."""
     cases = []
     for label in ["A1", "A2", "A3", "A4", "B2", "C3", "G2", "D4"]:
         alg = _alg(label)
@@ -409,9 +416,11 @@ def test_int_cybe_kernel_matches_fraction_reference():
             r, _ = bd_r_matrix(alg, t)
             cases += [((label, t), alg, name, rr) for name, rr in _cybe_cases(alg, r)[:2]]
     for label, alg, name, r in cases:
-        got = _cybe_tensor(alg, r)
-        assert got == _ref_cybe_tensor(alg, r), (label, name)
-        assert (not got) == (name == "r"), (label, name)
+        c, t = got = _cybe_tensor(alg, r)
+        assert _expand(got) == _ref_cybe_tensor(alg, r), (label, name)
+        assert (not t) == (name == "r"), (label, name)
+        assert all(type(v) is int for v in t.values()), (label, name)
+        assert c > 0 and (not t or gcd(*t.values()) == 1), (label, name)
         if isinstance(label, tuple):
             continue
         sym = tt_sym(r)
@@ -420,15 +429,17 @@ def test_int_cybe_kernel_matches_fraction_reference():
         assert invariant == (name != "bumped"), (label, name)
     sl3 = _alg("A2")
     D, r_can, rep = drinfeld_double(sl3, cobracket_from_r(sl3, standard_r(sl3)))
-    assert rep["canonical_r_cybe"] and _cybe_tensor(D, r_can) == {}
+    assert rep["canonical_r_cybe"] and _cybe_tensor(D, r_can) == (1, {})
     skew = tt_skew(r_can)
-    assert _cybe_tensor(D, skew) == _ref_cybe_tensor(D, skew) != {}
+    assert _expand(_cybe_tensor(D, skew)) == _ref_cybe_tensor(D, skew) != {}
 
 
 def test_bd_tensors_equal_the_standard_tensor_property():
     """[[r-, r-]] is one tensor for the standard r and every BD triple of a
     random type of rank <= 4: by the modified CYBE it is -CYB(Omega/2) for
-    every BD r-matrix, the theorem classify_pair's all_bd shortcut rests on."""
+    every BD r-matrix, the theorem classify_pair's all_bd shortcut rests on.
+    The (c, t) pairs themselves are compared, which is equality of the
+    tensors, not proportionality: both are canonical."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     labels = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
@@ -440,7 +451,7 @@ def test_bd_tensors_equal_the_standard_tensor_property():
     def check(label):
         alg = shared_type(label).algebra
         want = _cybe_tensor(alg, tt_skew(standard_r(alg)))
-        assert want, label
+        assert want[1], label
         triples = enumerate_bd_triples(alg.rs)
         for t in triples:
             assert _cybe_tensor(alg, tt_skew(bd_r_matrix(alg, t)[0])) == want, (label, t)
@@ -449,6 +460,28 @@ def test_bd_tensors_equal_the_standard_tensor_property():
     check()
     # the draws include a type with more than the empty triple
     assert max(seen) > 1
+
+
+def test_cybe_pair_scales_quadratically_property():
+    """For a positive rational k, _cybe_tensor(alg, k * r) keeps t and
+    multiplies c by k^2: the sum is quadratic in r and the pair canonical.
+    On the skew part of the standard r of a random type of rank <= 3."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ks = st.fractions(min_value=Q(1, 1000), max_value=1000, max_denominator=1000)
+
+    @hypothesis.settings(max_examples=12, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.sampled_from(["A1", "A2", "A3", "B2", "C3", "G2"]), ks)
+    def check(label, k):
+        alg = shared_type(label).algebra
+        r = tt_skew(standard_r(alg))
+        c, t = _cybe_tensor(alg, r)
+        assert t, label
+        assert _cybe_tensor(alg, {key: k * v for key, v in r.items()}) == (k * k * c, t), \
+            (label, k)
+
+    check()
 
 
 def test_cobrackets_match_written_out_delta():

@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 from qsym import classify, liealg, poisson
-from qsym.bialg import _cybe_tensor, bd_r_matrix, enumerate_bd_triples, standard_r, tt_skew
-from qsym.liealg import highest_weight_module, shared_type
+from qsym.bialg import _cybe_tensor, _is_invariant, bd_r_matrix, enumerate_bd_triples, standard_r
+from qsym.liealg import highest_weight_module, shared_type, tt_skew
 from qsym.rootsys import (_SERIES, InvalidType, NotDominant, _rank_ok, build_root_system, cominuscule_nodes,
                           weight_multiplicities, weyl_dim)
 from qsym.classify import (
@@ -273,7 +273,7 @@ def test_bd_verdicts_run_one_schouten_per_distinct_tensor(monkeypatch):
         calls.clear()
         row = classify_pair(label, lam, all_bd=True)
         assert len(row.bd_verdicts) == len(enumerate_bd_triples(shared_type(label).rs))
-        assert calls == [classify._r_tensor(shared_type(label).algebra, None)[1]], (label, lam)
+        assert calls == [classify._r_tensor(shared_type(label).algebra, None)[1][1]], (label, lam)
 
     # the zero tensor differs from the standard one, and its verdict (True)
     # differs from the adjoint row's standard verdict (False)
@@ -282,13 +282,13 @@ def test_bd_verdicts_run_one_schouten_per_distinct_tensor(monkeypatch):
     real_r_tensor = classify._r_tensor
 
     def zeroed(alg, *t):
-        r, tensor = real_r_tensor(alg, *t)
-        return (r, {}) if t == (triple,) else (r, tensor)
+        r, cybe, invariant = real_r_tensor(alg, *t)
+        return (r, (Q(1), {}), True) if t == (triple,) else (r, cybe, invariant)
 
     monkeypatch.setattr(classify, "_r_tensor", zeroed)
     calls.clear()
     row = classify_pair("A2", (1, 1), all_bd=True)
-    assert calls == [real_r_tensor(typ.algebra, None)[1], {}]
+    assert calls == [real_r_tensor(typ.algebra, None)[1][1], {}]
     assert row.schouten is False and row.bd_verdicts[triple.key()] is True
     assert [v for k, v in row.bd_verdicts.items() if k != triple.key()] == [False, False]
 
@@ -313,19 +313,22 @@ def test_r_tensor_memo_builds_once_per_type_and_triple(monkeypatch):
 
 
 def test_r_tensor_memo_holds_fresh_tensors():
-    """The memoised r and [[r-, r-]] equal freshly built ones, for the
-    standard r and every BD triple, and every spelling shares one memo."""
+    """The memoised r, [[r-, r-]] and invariance verdict equal freshly built
+    ones, for the standard r and every BD triple, and every spelling shares
+    one memo."""
+    def fresh(alg, r):
+        cybe = _cybe_tensor(alg, tt_skew(r))
+        return r, cybe, _is_invariant(alg, cybe[1])
+
     for label, lam in [("A3", (1, 0, 0)), ("C2", (0, 1))]:
         classify_pair(label, lam, all_bd=True)
         typ = shared_type(label)
         alg = typ.algebra
         misses = classify._r_tensor.cache_info().misses
-        r = standard_r(alg)
-        assert classify._r_tensor(alg, None) == (r, _cybe_tensor(alg, tt_skew(r))), label
+        assert classify._r_tensor(alg, None) == fresh(alg, standard_r(alg)), label
         for triple in enumerate_bd_triples(typ.rs):
             r_t, _ = bd_r_matrix(alg, triple)
-            assert classify._r_tensor(alg, triple) == (r_t, _cybe_tensor(alg, tt_skew(r_t))), \
-                (label, triple)
+            assert classify._r_tensor(alg, triple) == fresh(alg, r_t), (label, triple)
         assert classify._r_tensor.cache_info().misses == misses, label
     assert shared_type("so10").algebra is shared_type("D5").algebra
 

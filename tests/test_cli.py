@@ -324,6 +324,30 @@ def test_braided_refuses_l_over_the_budget(capsys, monkeypatch):
     assert reached == [6]
 
 
+def test_copoisson_refuses_a_power_over_the_budget(capsys, monkeypatch):
+    """qsl2 copoisson checks --power against cli.COPOISSON_MAX_POWER before
+    any computation: --power 1000, which ran without end, and --power 6
+    exit 1 with one error line and never reach copoisson_limit; power 5,
+    the largest taken, reaches it."""
+    assert cli.COPOISSON_MAX_POWER == 5
+    reached = []
+    real = cli.qsl2.copoisson_limit
+
+    def recording(elem):
+        reached.append(elem)
+        return real(elem)
+
+    monkeypatch.setattr(cli.qsl2, "copoisson_limit", recording)
+    for power in (1000, 6):
+        for name in ("X0", "C", "1"):
+            argv = ["qsl2", "copoisson", "--element", name, "--power", str(power)]
+            assert run_cli(argv, capsys) == (
+                1, "error: BudgetExceeded: power %d exceeds the budget 5\n" % power), argv
+    assert reached == []
+    code, _ = run_cli(["qsl2", "copoisson", "--element", "X+", "--power", "5"], capsys)
+    assert code == 0 and len(reached) == 1
+
+
 def test_donin_report(capsys):
     """The graded relation report carries brackets and the identity table."""
     code, out = run_cli(["qsl2", "donin"], capsys)

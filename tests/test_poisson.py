@@ -7,8 +7,8 @@ import pytest
 
 from qsym import poisson
 from qsym.rootsys import build_root_system, weyl_dim
-from qsym.liealg import (chevalley_basis, highest_weight_module, shared_type, _mcompose,
-                         _mscaled_sum, _vadd_into)
+from qsym.liealg import (chevalley_basis, highest_weight_module, shared_type, tt_skew,
+                         _mcompose, _mscaled_sum, _vadd_into)
 from qsym.scalars import den_lcm
 from qsym.bialg import (
     BDTriple,
@@ -18,7 +18,6 @@ from qsym.bialg import (
     enumerate_bd_triples,
     standard_r,
     tt_op,
-    tt_skew,
 )
 from qsym.poisson import (
     BracketTable,
@@ -40,7 +39,7 @@ def _comm(a, b):
 
 def _promoted(alg, r, mod):
     """The sweep's verdict for r on a built module, as classify_pair calls it."""
-    return schouten_promoted(_cybe_tensor(alg, tt_skew(r)), mod)
+    return schouten_promoted(_cybe_tensor(alg, tt_skew(r))[1], mod)
 
 
 def test_r_minus_operator_natural_module():
@@ -200,7 +199,7 @@ def test_schouten_square_is_flip_skew_and_equivariant():
     action, abstractly and on a module."""
     for label in ["A1", "A2"]:
         alg = chevalley_basis(build_root_system(label))
-        t = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+        t = _cybe_tensor(alg, tt_skew(standard_r(alg)))[1]
         assert t
         assert {(y, x, z): v for (x, y, z), v in t.items()} == \
             {k: -v for k, v in t.items()}
@@ -437,7 +436,7 @@ def test_schouten_tensor_is_totally_antisymmetric_property():
     @hypothesis.given(st.sampled_from(_SMALL_TYPES + ["A2xA1", "A1xA1xA1"]))
     def check(label):
         alg = chevalley_basis(build_root_system(label))
-        t = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+        t = _cybe_tensor(alg, tt_skew(standard_r(alg)))[1]
         assert t and _totally_antisymmetric(t), label
 
     check()
@@ -446,7 +445,7 @@ def test_schouten_tensor_is_totally_antisymmetric_property():
     assert len(triples) == 9
     for triple in triples:
         r, _ = bd_r_matrix(a3, triple)
-        t = _cybe_tensor(a3, tt_skew(r))
+        t = _cybe_tensor(a3, tt_skew(r))[1]
         assert t and _totally_antisymmetric(t), triple
 
 
@@ -455,7 +454,7 @@ def test_schouten_promoted_refuses_a_source_that_is_not_skew():
     the one-ordering kernel would not be sound, so it raises."""
     sl2 = chevalley_basis(build_root_system("A1"))
     e, h = sl2.e_idx[(1,)], sl2.h_idx[0]
-    tensor = _cybe_tensor(sl2, {(e, h): Q(1)})
+    tensor = _cybe_tensor(sl2, {(e, h): Q(1)})[1]
     assert not _totally_antisymmetric(tensor)
     for lam in [(1,), (2,), (3,)]:
         with pytest.raises(ValueError, match="not totally antisymmetric"):
@@ -465,8 +464,9 @@ def test_schouten_promoted_refuses_a_source_that_is_not_skew():
 def _ref_schouten_promoted(tensor, module):
     """schouten_promoted's verdict by the pair loop: for each pair i < j,
     every (x, y) group of the tensor is scanned for columns i and j, and the
-    first two legs are summed into S^2 V (x) g for every k > j. The same
-    terms at the same int scale D * L^3 as the kernel, in another order."""
+    first two legs are summed into S^2 V (x) g for every k > j. It clears
+    the tensor's own denominators (D = 1 on _cybe_tensor's int t), so it
+    sums the kernel's terms at the kernel's scale, in another order."""
     poisson._check_antisymmetric(tensor)
     dim, mats = module.dim, module.ints
     big_d = den_lcm(tensor.values())
@@ -508,16 +508,16 @@ def _ref_schouten_promoted(tensor, module):
 def test_schouten_kernel_matches_the_pair_loop_reference():
     """schouten_promoted, which contracts the first leg once per i, agrees
     with the pair-loop reference on every row of rank <= 4 and budget 20,
-    and on D4 w1 and E6 w1 once one antisymmetric orbit of coefficients
-    (all six orderings of one term, each with its sign) is moved by a unit,
-    which makes both rows fail."""
+    and on D4 w1 and E6 w1 once one antisymmetric orbit of the int tensor's
+    entries (all six orderings of one term, each with its sign) is moved by
+    a unit, which makes both rows fail."""
     from qsym.classify import _dominant_weights_within, _simple_types
 
     verdicts = []
     for rank in range(1, 5):
         for label in _simple_types(rank, ()):
             alg = shared_type(label).algebra
-            tensor = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+            tensor = _cybe_tensor(alg, tt_skew(standard_r(alg)))[1]
             for lam in _dominant_weights_within(alg.rs, 20):
                 mod = highest_weight_module(alg, lam)
                 got = schouten_promoted(tensor, mod)
@@ -526,7 +526,7 @@ def test_schouten_kernel_matches_the_pair_loop_reference():
     assert len(verdicts) == 66 and True in verdicts and False in verdicts
     for label, lam in [("D4", (1, 0, 0, 0)), ("E6", (1, 0, 0, 0, 0, 0))]:
         alg = shared_type(label).algebra
-        tensor = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+        tensor = _cybe_tensor(alg, tt_skew(standard_r(alg)))[1]
         mod = highest_weight_module(alg, lam)
         assert schouten_promoted(tensor, mod) is True
         term = min(tensor)
@@ -546,11 +546,12 @@ def test_dominant_wedges_match_the_pair_loop_reference():
     reads 65 of its 2,925 wedges. The unit-orbit mutation of the D4 and E6
     tensors breaks invariance; the check then sends the verdict through
     every wedge, and both routes say False; on D4 the dominant wedges alone
-    would say True, so the check is what makes the shortcut exact."""
+    would say True, so the check is what makes the shortcut exact. The
+    tensors are _cybe_tensor's int t, and the mutations units of it."""
     from qsym.classify import _dominant_weights_within, _simple_types
 
     def tensor_of(alg):
-        tensor = _cybe_tensor(alg, tt_skew(standard_r(alg)))
+        tensor = _cybe_tensor(alg, tt_skew(standard_r(alg)))[1]
         assert _is_invariant(alg, tensor), alg.rs.label
         return tensor
 

@@ -4,8 +4,9 @@ level with no poisson -> bialg cycle, no module keeps state behind a global
 statement, a module-level memo or a second cached_property, root systems
 are built behind the one cache of types, ints are read from text by one
 reader, root-vector operators are built by one recurrence and checked
-against Serre's relations by one function, and the Jacobi oracle shares no
-code with the Schouten verdict it checks beyond den_lcm."""
+against Serre's relations by one function, the Jacobi oracle shares no
+code with the Schouten verdict it checks, and denominators are cleared
+entry by entry at four sites only."""
 
 import ast
 import builtins
@@ -252,9 +253,10 @@ def test_jacobi_side_shares_no_loop_with_schouten_promoted():
     """The Jacobi oracle and its bracket table (jacobi_oracle,
     generator_brackets, GeneratorBrackets) call nothing that
     schouten_promoted calls, directly or through poisson's own helpers,
-    apart from builtins and den_lcm, which each side runs on its own
-    tensor; neither side calls the other, and neither rescales the module:
-    both read its int form, and poisson calls no int_columns."""
+    apart from builtins: schouten_promoted reads _cybe_tensor's int tensor
+    and clears no denominator; neither side calls the other, and neither
+    rescales the module: both read its int form, and poisson calls no
+    int_columns."""
     tree = ast.parse((SRC / "poisson.py").read_text())
     defs = {n.name: n for n in tree.body
             if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
@@ -263,11 +265,48 @@ def test_jacobi_side_shares_no_loop_with_schouten_promoted():
     jacobi = _reach(defs, jacobi_roots)
     schouten = _reach(defs, {"schouten_promoted"})
     shared = jacobi & schouten - set(dir(builtins))
-    assert shared == {"den_lcm"}, shared
+    assert shared == set(), shared
     assert not _calls_by_function(tree, "int_columns"), "poisson rescales a module"
     assert "tt_skew" in jacobi
     assert not jacobi & {"schouten_promoted", "_check_antisymmetric"}, jacobi
     assert not schouten & jacobi_roots, schouten
+
+
+def _clearing_sites(tree):
+    """Qualified names of the functions holding v.numerator * (L // v.denominator)."""
+    found = []
+
+    def is_clearing(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and isinstance(node.left, ast.Attribute) and node.left.attr == "numerator"
+                and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.FloorDiv)
+                and isinstance(node.right.right, ast.Attribute)
+                and node.right.right.attr == "denominator")
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif is_clearing(node):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_denominators_cleared_at_four_sites():
+    """The clearing expression v.numerator * (L // v.denominator) is written
+    once in each of four functions in src/qsym: scalars.cleared, the one
+    helper for a flat dict; scalars._ints, QRat's coefficient lists;
+    rootsys.RootSystem.__init__, the Gram rows; liealg.int_columns, the
+    column-form matrices. Every other caller goes through one of them."""
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        sites += ["%s.%s" % (path.stem, f)
+                  for f in _clearing_sites(ast.parse(path.read_text(), str(path)))]
+    assert sorted(sites) == ["liealg.int_columns", "rootsys.RootSystem.__init__",
+                             "scalars._ints", "scalars.cleared"], sites
 
 
 def test_one_relation_check():
