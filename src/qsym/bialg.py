@@ -6,10 +6,10 @@ entry where delta(x) = 0. Carriers are liealg.BracketTable with names:
 ChevalleyAlgebra, SemidirectAlgebra and the Drinfeld double.
 
 The CYBE tensor, the cobracket -ad r, check_cybe's invariance check and the
-bialgebra axioms run on one int reading of the bracket table, int_brackets
-(C [a, p], C the lcm of its denominators), and r cleared by the lcm D of
-its own; the CYBE tensor stays in ints, over one Fraction scale. check_cybe's
-tensor-cube route stays on the Fraction adjoint, independent of them.
+bialgebra axioms read a carrier's int table as it is stored (int_brackets:
+C [a, p], C = carrier.den, cleared once where the table is built), and r
+cleared by the lcm D of its own; the CYBE tensor stays in ints, over one
+Fraction scale. check_cybe's tensor-cube route stays on adjoint_rep.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cache
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 
 from .liealg import (
     BracketTable,
@@ -61,27 +61,24 @@ class TripleTouchesNode(ValueError):
 # ---------------------------------------------------------------------------
 
 def int_brackets(carrier):
-    """(C, rows): rows[a][p] = C * [a, p] as an int vector, C > 0 the lcm of
-    the denominators of carrier.table, read once (int_columns); the entry for
-    a > p is the negated entry for p < a. rows[a] is column form of C ad_a.
+    """(C, rows), rows[a] the column form of C ad_a, C = carrier.den: rows[a][p]
+    is the table's own int vector for a < p, never changed, its negation for a > p.
     No memo: a functools.cache keeps every carrier's rows alive, and raised
-    the rank-4 sweep's peak RSS by 11% (20.0 to 22.1 MB, CPython 3.11)."""
-    table = carrier.table
-    big_c = den_lcm(v for out in table.values() for v in out.values())
+    the rank-4 sweep's peak RSS by 5% (20.0 to 21.1 MB, CPython 3.11)."""
     rows = [{} for _ in range(carrier.dim)]
-    for (a, p), col in int_columns(table, big_c).items():
+    for (a, p), col in carrier.table.items():
         rows[a][p] = col
         rows[p][a] = {k: -v for k, v in col.items()}
-    return big_c, rows
+    return carrier.den, rows
 
 
-def _int_cobracket(carrier, t):
-    """(C * D, {x: -ad_x t times C * D}) over ints, t cleared by D, with no
-    zero entry and no entry where -ad_x t = 0."""
-    big_c, rows = int_brackets(carrier)
+def _int_cobracket(brackets, t, xs):
+    """(C * D, {x: -ad_x t times C * D}) over ints at each x of xs, brackets
+    = int_brackets' (C, rows), t cleared by D; no zero entry, no zero -ad_x t."""
+    big_c, rows = brackets
     big_d, ti = cleared(t)
     delta = {}
-    for x in range(carrier.dim):
+    for x in xs:
         if d := {key: v for key, v in _ad_into({}, rows[x], ti, -1).items() if v}:
             delta[x] = d
     return big_c * big_d, delta
@@ -397,7 +394,7 @@ def check_cybe(alg, r, module=None):
     if dim ** 3 <= 1000:
         cube = schouten_square(_pair_matrix(mats, dim, r), dim)
         assert (not cube) == holds, "tensor-cube route disagrees"
-    invariant = not _int_cobracket(alg, tt_sym(r))[1]
+    invariant = not _int_cobracket(int_brackets(alg), tt_sym(r), range(alg.dim))[1]
     return {"cybe_holds": holds, "symmetric_part_invariant": invariant}
 
 
@@ -414,7 +411,7 @@ def cobracket_from_r(carrier, r):
         for (a, b) in r:
             if a not in gset or b not in gset:
                 raise ValueError("r must be supported on the g-part")
-    scale, delta = _int_cobracket(carrier, r)
+    scale, delta = _int_cobracket(int_brackets(carrier), r, range(carrier.dim))
     for x, t in delta.items():
         if any(t.get((b, a)) != -v for (a, b), v in t.items()):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
@@ -492,20 +489,23 @@ def drinfeld_double(alg, delta):
     Returns (D, r_canonical, report).
     """
     n = alg.dim
+    # one denominator C, the lcm of alg's and delta's (4 at B3), cleared once
+    big_a, rows = int_brackets(alg)
+    big_c = lcm(big_a, den_lcm(v for t in delta.values() for v in t.values()))
+    dl, up = int_columns(delta, big_c), big_c // big_a
     table = {}
     for i in range(n):
-        for k in range(n):
-            out = alg.bracket_idx(i, k)
-            if out and i < k:
-                table[(i, k)] = dict(out)
+        for k, out in rows[i].items():
+            if i < k:
+                table[(i, k)] = {j: c * up for j, c in out.items()}
             for j, c in out.items():
-                _vadd_into(table.setdefault((i, n + j), {}), {n + k: -c})
-        for (j, k), v in delta.get(i, {}).items():
+                _vadd_into(table.setdefault((i, n + j), {}), {n + k: -c * up})
+        for (j, k), v in dl.get(i, {}).items():
             _vadd_into(table.setdefault((i, n + j), {}), {k: v})
             if j < k:
                 _vadd_into(table.setdefault((n + j, n + k), {}), {n + i: v})
     table = {key: out for key, out in table.items() if out}
-    D = BracketTable(2 * n, table)
+    D = BracketTable(2 * n, table, big_c)
     D.names = list(alg.names) + [s + "*" for s in alg.names]
 
     r_canonical = {(i, n + i): Q(1) for i in range(n)}
@@ -547,33 +547,31 @@ def drinfeld_double(alg, delta):
 class SemidirectAlgebra(BracketTable):
     """g acting on an abelian ideal V: [x + v, x' + v'] = [x,x'] + x.v' - x'.v."""
 
-    def __init__(self, names, table, g_indices, v_indices):
-        super().__init__(len(names), table)
+    def __init__(self, names, table, g_indices, v_indices, den=1):
+        super().__init__(len(names), table, den)
         self.names = names
         self.g_indices = list(g_indices)
         self.v_indices = list(v_indices)
 
 
 def semidirect_algebra(alg, lam):
-    """g acting on V(lam); mixed Jacobi verified."""
+    """g acting on V(lam) over den L = module.den; mixed Jacobi verified."""
     mod = highest_weight_module(alg, lam)
-    mats = mod.fractions()
+    mats, den = mod.ints, mod.den
     n = alg.dim
     names = list(alg.names) + ["v%d" % (k + 1) for k in range(mod.dim)]
-    table = {ij: dict(v) for ij, v in alg.table.items()}
+    table = {ij: {k: v * den for k, v in out.items()} for ij, out in alg.table.items()}
     for i in range(n):
-        for a in range(mod.dim):
-            col = mats[i].get(a, {})
-            if col:
-                table[(i, n + a)] = {n + b: v for b, v in col.items()}
-    # mixed Jacobi <=> the action matrices represent the brackets
+        for a, col in mats[i].items():
+            table[(i, n + a)] = {n + b: v for b, v in col.items()}
+    # mixed Jacobi <=> the action matrices represent the brackets (times L^2)
     for i in range(n):
         for j in range(i + 1, n):
             lhs = _mcomm(mats[i], mats[j])
-            rhs = _mscaled_sum([(v, mats[k])
+            rhs = _mscaled_sum([(v * den, mats[k])
                                 for k, v in alg.bracket_idx(i, j).items()])
             assert lhs == rhs, "module is not a representation at (%d, %d)" % (i, j)
-    return SemidirectAlgebra(names, table, range(n), range(n, n + mod.dim))
+    return SemidirectAlgebra(names, table, range(n), range(n, n + mod.dim), den)
 
 
 def parabolic_semidirect(label, node, triple=None):
@@ -616,17 +614,18 @@ def _parabolic(alg, node, triple):
     p_indices = levi + radical
     pos = {amb: loc for loc, amb in enumerate(p_indices)}
     names = [alg.names[i] for i in p_indices]
+    # one int reading of the ambient (int_brackets) gives the table and delta
+    brackets = big_c, rows = int_brackets(alg)
     table = {}
     for a_loc, a_amb in enumerate(p_indices):
-        for b_loc in range(a_loc + 1, len(p_indices)):
-            b_amb = p_indices[b_loc]
-            out = alg.bracket_idx(a_amb, b_amb)
-            if out:
+        for b_amb, out in rows[a_amb].items():
+            b_loc = pos.get(b_amb)
+            if b_loc is not None and b_loc > a_loc:
                 assert all(k2 in pos for k2 in out), "parabolic not closed"
                 table[(a_loc, b_loc)] = {pos[k2]: v for k2, v in out.items()}
     S = SemidirectAlgebra(names, table,
                           range(len(levi)),
-                          range(len(levi), len(p_indices)))
+                          range(len(levi), len(p_indices)), big_c)
     # e_i for every i, f_i off the node and the Cartan generate p: E at the
     # node's simple root is the lowest weight vector of the irreducible
     # radical, so it generates the radical as a Levi module
@@ -634,14 +633,13 @@ def _parabolic(alg, node, triple):
                           + [alg.f_idx[g] for g in alg.simple if not g[k]]
                           + list(alg.h_idx.values()))
 
-    scale, amb_delta = _int_cobracket(alg, r)
+    scale, amb_delta = _int_cobracket(brackets, r, p_indices)
     closure = True
     delta = {}
-    for x_amb in p_indices:
-        t = amb_delta.get(x_amb, {})
+    for x_amb, t in amb_delta.items():
         if any(a not in pos or b not in pos for (a, b) in t):
             closure = False
-        elif t:
+        else:
             delta[pos[x_amb]] = {(pos[a], pos[b]): Q(v, scale) for (a, b), v in t.items()}
     S.cobracket = delta
     report = {"closure": closure}

@@ -27,6 +27,7 @@ from .bialg import (
 from .liealg import (
     abelian_radical_module,
     highest_weight_module,
+    levi_components,
     shared_type,
     tt_skew,
 )
@@ -36,6 +37,7 @@ from .rootsys import (
     NotDominant,
     _check_dominant,
     _rank_ok,
+    cartan_matrix,
     cominuscule_nodes,
     normalize_type,
     type_label,
@@ -181,6 +183,12 @@ def geometric_ambients(letter, rank, lam, extended=False):
     wanted = _weight_spellings(letter, rank, tuple(lam))
     found = []
     for label in _simple_types(rank + 1, (6, 7, 8) if extended else (6, 8)):
+        # build a root system only where some node's Levi is the pair's type;
+        # a Levi is simple only at a leaf, a node with one neighbour
+        cartan = cartan_matrix(*normalize_type(label))
+        if not any(levi_components(cartan, k)[0][:2] in {w[:2] for w in wanted}
+                   for k, row in enumerate(cartan) if sum(map(bool, row)) == 2):
+            continue
         ambient = shared_type(label)
         for node in cominuscule_nodes(ambient.rs):
             levi, lam_levi, abelian = abelian_radical_module(ambient.rs, node)

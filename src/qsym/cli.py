@@ -214,8 +214,8 @@ def _cmd_sigma(args):
 
 
 # the largest --power `qsl2 copoisson` takes, refused before any computation:
-# cold on a 2-core host C at powers 5, 6 and 7 takes 1.3, 5 and 13 s
-COPOISSON_MAX_POWER = 5
+# cold on a 2-core host C and X0 at power 8 take 0.9 s, at 9 2.1 s and at 10 4 s
+COPOISSON_MAX_POWER = 8
 
 
 def _cmd_copoisson(args):

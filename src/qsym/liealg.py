@@ -24,10 +24,10 @@ QRat matrices keep their type; the two-tensor helpers (tt_op, tt_skew,
 tt_sym) sum through the same _vadd_into. The scaled form sits on the
 kernel: a Fraction scale times a matrix of Python ints (scaled,
 scaled_comm, scaled_ratio). The bootstrap runs on it: commutators multiply
-ints, and the rescaling factors and structure constants are exact Fraction
-ratios found by integer cross-multiplication. A Module (highest_weight_module)
-holds the int form of those scaled operators, Fractions on request, checked
-against the Weyl/Freudenthal oracle; every function acting on one takes it built.
+ints, and each structure constant is an int quotient asserted exact. A
+BracketTable holds ints over one den, as a Module (highest_weight_module) holds
+the int form of its scaled operators, Fractions on request, checked against
+the Weyl/Freudenthal oracle; every function acting on one takes it built.
 
 shared_type is the one cache of root systems and Chevalley algebras, one
 entry per type whatever its spelling, and no root system is built outside
@@ -43,9 +43,9 @@ from itertools import combinations
 from math import gcd
 from operator import add, sub
 
-from .rootsys import (_SERIES, _check_dominant, _rank_ok, build_root_system, type_label,
-                      weyl_dim)
-from .scalars import cleared, den_lcm, echelon
+from .rootsys import (_SERIES, _check_dominant, _pairing, _rank_ok, build_root_system,
+                      cartan_matrix, weyl_dim)
+from .scalars import den_lcm, echelon
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +157,13 @@ def scaled_comm(a, b):
     """The scaled commutator a * b - b * a."""
     (sa, ma), (sb, mb) = a, b
     return sa * sb, _mcomm(ma, mb)
+
+
+def _exact(num, den):
+    """num / den, asserted to be an int as every Chevalley constant is."""
+    q, rem = divmod(num, den)
+    assert not rem, "structure constant %d/%d is not an integer" % (num, den)
+    return q
 
 
 def scaled_ratio(m, base):
@@ -278,18 +285,21 @@ def module_matrices(rs, lam):
 class BracketTable:
     """A skew bracket on the basis 0..dim-1, stored for i < j only.
 
-    table[(i, j)] is the bracket of basis elements i < j as a sparse map;
-    the other order is its negative and the diagonal is empty. The values
-    are vectors over the basis for a Lie algebra, and polynomials keyed by
-    sorted monomials for a Poisson bracket table on S(V).
+    table[(i, j)] is den times the bracket of basis elements i < j as a
+    sparse map; the other order is its negative and the diagonal is empty.
+    Values are int vectors over one den for a Lie algebra (den 1 on a Chevalley
+    basis), and polynomials keyed by sorted monomials for a table on S(V).
     """
 
-    def __init__(self, dim, table):
-        self.dim = dim
-        self.table = table
+    def __init__(self, dim, table, den=1):
+        self.dim, self.table, self.den = dim, table, den
+
+    def fractions(self):
+        """The Fraction table, table / den, built anew on each call."""
+        return {ij: {k: Q(v, self.den) for k, v in o.items()} for ij, o in self.table.items()}
 
     def bracket_idx(self, i, j):
-        """Bracket of basis elements i and j, with sign, for any index order."""
+        """den times the bracket of basis elements i and j, any index order."""
         if i == j:
             return {}
         if i < j:
@@ -444,18 +454,17 @@ class ChevalleyAlgebra(BracketTable):
         # each root's coroot is read up to twice: built once
         @cache
         def coroot(gamma):
-            # H_gamma in coroot coordinates: gamma^ = sum gamma_j (a_j,a_j)/(g,g) a_j^
-            gnorm = rs.inner(gamma, gamma)
-            return {j: gamma[j] * rs.norms[j] / gnorm for j in range(rank) if gamma[j]}
+            # gamma^ = sum gamma_j (a_j,a_j)/(g,g) a_j^ on _pairing's ints: 2L (g,g), L (a_j,a_j)
+            gnorm = _pairing(rs, rs.root_to_fund(gamma), gamma)
+            return {j: _exact(2 * c * rs.norm_ints[j], gnorm) for j, c in enumerate(gamma) if c}
 
         def coroot_op(gamma):
-            # H_gamma as a scaled diagonal matrix
-            big_l, coords = cleared(coroot(gamma))
+            # H_gamma as a diagonal int matrix at scale 1
             diag = {}
-            for j, cj in coords.items():
+            for j, cj in coroot(gamma).items():
                 for k, w in gen_h[j].items():
                     diag[k] = diag.get(k, 0) + cj * w
-            return Q(1, big_l), {k: {k: v} for k, v in diag.items() if v}
+            return 1, {k: {k: v} for k, v in diag.items() if v}
 
         # Serre's relations (_check_relations) make V a g-module: E_gamma and
         # F~_gamma lie in rho(g_(+-gamma)), and f_norm absorbs [e_i, f_i] in Q^* h_i
@@ -480,9 +489,8 @@ class ChevalleyAlgebra(BracketTable):
         # So c is read off one entry: the first nonzero entry y of E_gamma's
         # int matrix, in row i0 of column j0 (anchors), gives
         # c = sa sb x / (s_gamma y), x the entry of the int commutator there,
-        # (M_a M_b - M_b M_a) e_j0 at i0. No commutator matrix is formed.
+        # (M_a M_b - M_b M_a) e_j0 at i0; c is an int (_exact), and no commutator is formed.
         table = {}
-        n_basis = 2 * len(self.pos_roots) + rank
         anchors = {}
         for k, (s, m) in ops.items():
             j0 = min(m)
@@ -495,17 +503,15 @@ class ChevalleyAlgebra(BracketTable):
 
         hspace = {self.h_idx[i] for i in range(rank)}
         root_at = {w: k for k, w in enumerate(self.weight) if any(w)}  # E or F by weight
-        for a in range(n_basis):
-            for b in range(a + 1, n_basis):
+        for a in range(self.dim):
+            for b in range(a + 1, self.dim):
                 wa, wb = self.weight[a], self.weight[b]
                 if a in hspace and b in hspace:
                     continue
                 if a in hspace or b in hspace:
                     hi = (a if a in hspace else b) - self.h_idx[0]
                     other = b if a in hspace else a
-                    scal = Q(rs.copair(self.weight[other], hi))
-                    if b in hspace:
-                        scal = -scal
+                    scal = rs.copair(self.weight[other], hi) * (1 if a in hspace else -1)
                     put(a, b, {other: scal} if scal else {})
                     continue
                 target = tuple(map(add, wa, wb))
@@ -523,9 +529,10 @@ class ChevalleyAlgebra(BracketTable):
                 for k, c in ma.get(j0, {}).items():
                     x -= c * mb.get(k, {}).get(i0, 0)
                 if x:
-                    put(a, b, {tgt: sa * sb * x / y})
+                    put(a, b, {tgt: _exact(sa.numerator * sb.numerator * x * y.denominator,
+                                           sa.denominator * sb.denominator * y.numerator)})
 
-        self.table = table
+        self.table, self.den = table, 1
 
     def _build_form(self):
         rs = self.rs
@@ -654,7 +661,7 @@ def _match_subdiagram(nodes, cartan):
     """Classify the Dynkin diagram induced on `nodes` (indices into cartan).
 
     Returns (series, rank, mapping) where mapping[k] = the node playing the
-    role of canonical simple root k+1 of shared_type(type_label(series, rank)).rs.
+    role of canonical simple root k+1 of rootsys.cartan_matrix(series, rank).
     """
     n = len(nodes)
 
@@ -676,7 +683,7 @@ def _match_subdiagram(nodes, cartan):
     # at most one series matches, but for D3 = A3 and B2 = C2 (transposed),
     # where the first in series order wins
     for letter in (x for x in _SERIES if _rank_ok(x, n)):
-        mapping = extend([], shared_type(type_label(letter, n)).rs.cartan)
+        mapping = extend([], cartan_matrix(letter, n))
         if mapping:
             return letter, n, mapping
     raise AssertionError("unclassifiable subdiagram %r" % (nodes,))
@@ -713,25 +720,23 @@ def _abelian_radical(rs, node):
                 break
         if not abelian:
             break
-    levi_nodes = [i for i in range(rs.rank) if i != k]
-    levi_type = []
-    lam_levi = []
-    seen = set()
+    theta = max(radical, key=lambda g: (sum(g), g))
+    levi = levi_components(rs.cartan, k)
+    lam_levi = tuple(rs.copair(theta, src) for _, _, mapping in levi for src in mapping)
+    return tuple((letter, n) for letter, n, _ in levi), lam_levi, abelian
+
+
+def levi_components(cartan, k):
+    """_match_subdiagram of each component of cartan's diagram less node k."""
+    levi_nodes = [i for i in range(len(cartan)) if i != k]
+    comps = []
     for i in levi_nodes:
-        if i in seen:
-            continue
-        comp = {i}
-        frontier = [i]
-        while frontier:
-            a = frontier.pop()
-            for b in levi_nodes:
-                if b not in comp and rs.cartan[a][b]:
-                    comp.add(b)
-                    frontier.append(b)
-        seen |= comp
-        letter, n, mapping = _match_subdiagram(sorted(comp), rs.cartan)
-        levi_type.append((letter, n))
-        theta = max(radical, key=lambda g: (sum(g), g))
-        for src in mapping:
-            lam_levi.append(rs.copair(theta, src))
-    return tuple(levi_type), tuple(lam_levi), abelian
+        if not any(i in comp for comp in comps):
+            comp, frontier = {i}, [i]
+            while frontier:
+                a = frontier.pop()
+                new = [b for b in levi_nodes if b not in comp and cartan[a][b]]
+                comp.update(new)
+                frontier += new
+            comps.append(comp)
+    return [_match_subdiagram(sorted(comp), cartan) for comp in comps]

@@ -37,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import cache, reduce
 from itertools import product
+from math import comb
 
 from .liealg import BracketTable, _mcompose, _mscaled_sum, _vadd_into
 from .poisson import _pair_matrix, leg_embed
@@ -613,52 +614,43 @@ def _mu(t):
 # ---------------------------------------------------------------------------
 
 def _binom(b, j):
-    out = Q(1)
-    for i in range(j):
-        out = out * Q(b - i, i + 1)
-    return out
+    """b choose j for an int b of either sign: (-m choose j) = (-1)^j (m+j-1 choose j)."""
+    return comb(b, j) if b >= 0 else (-1) ** j * comb(j - b - 1, j)
 
 
 def _shift_poly(cs):
-    """Coefficients of p(1 + t) from coefficients of p(q), little-endian."""
-    out = [Q(0)] * max(len(cs), 1)
-    row = [Q(1)]  # (1 + t)^k
-    for k, c in enumerate(cs):
+    """Int coefficients of p(1 + t) from int coefficients of p(q), little-endian."""
+    out = [0] * max(len(cs), 1)
+    row = [1]  # (1 + t)^k, a Pascal row
+    for c in cs:
         if c:
             for i, r in enumerate(row):
                 out[i] += c * r
-        nxt = [Q(0)] * (len(row) + 1)
-        for i, r in enumerate(row):
-            nxt[i] += r
-            nxt[i + 1] += r
-        row = nxt
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
     while out and out[-1] == 0:
         out.pop()
     return out
 
 
 def _laurent_q1(v, hi):
-    """(valuation, coefficients) of v expanded at q = 1 + t up to order hi."""
-    num = _shift_poly(v.num)
-    den = _shift_poly(v.den)
-    vn = 0
-    while vn < len(num) and num[vn] == 0:
-        vn += 1
-    vd = 0
-    while vd < len(den) and den[vd] == 0:
-        vd += 1
+    """(valuation, coefficients) of v expanded at q = 1 + t up to order hi,
+    from v's own int polynomials: v.num and v.den over a scale that cancels."""
+    num = _shift_poly(v._n)
+    den = _shift_poly(v._d)
+    vn = next((i for i, c in enumerate(num) if c), len(num))
+    vd = next((i for i, c in enumerate(den) if c), len(den))
     val = vn - vd
     if val > hi:
         return val, []
     n = hi - val + 1
-    a = [(num[vn + i] if vn + i < len(num) else Q(0)) for i in range(n)]
-    b = [(den[vd + i] if vd + i < len(den) else Q(0)) for i in range(n)]
+    a = [(num[vn + i] if vn + i < len(num) else 0) for i in range(n)]
+    b = [(den[vd + i] if vd + i < len(den) else 0) for i in range(n)]
     out = []
     for i in range(n):
         c = a[i]
         for j in range(i):
             c -= out[j] * b[i - j]
-        out.append(c / b[0])
+        out.append(Q(c) / b[0])
     return val, out
 
 

@@ -4,8 +4,9 @@ Roots are int tuples in simple-root coordinates and weights are int tuples
 in fundamental coordinates; simple root alpha_i is row i of the Cartan matrix
 A[i][j] = 2(alpha_i, alpha_j)/(alpha_j, alpha_j) there. The invariant form is
 Fraction (bform, norms, inner), normalized so long roots have squared length
-2; inner sums over its int copy _gram and divides once. fund_to_root and
-fundamental_weights give the Fraction root-coordinate view of a weight.
+2; inner sums over its int copy _gram and divides once. A simple type's
+Cartan matrix is read off its diagram (cartan_matrix) with no root system
+built. fund_to_root and fundamental_weights give the Fraction view of a weight.
 Weyl's dimension formula and Freudenthal's multiplicities run on ints: the
 Weyl group acts by s_j(mu) = mu - mu_j alpha_j, and the form enters as the
 int norms norm_ints, the diagonal of _gram, whose common factor cancels.
@@ -34,42 +35,52 @@ _SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 def _norms_and_bonds(letter, n):
-    """Squared lengths (alpha_i, alpha_i) and off-diagonal products (i<j)."""
+    """Squared lengths (alpha_i, alpha_i) and, per bond i < j of the Dynkin
+    diagram, its Cartan entries (A[i][j], A[j][i]) as ints."""
     norms = [Q(2)] * n
     bonds = {}
     if letter == "A":
         for i in range(n - 1):
-            bonds[(i, i + 1)] = Q(-1)
+            bonds[(i, i + 1)] = (-1, -1)
     elif letter == "B":
         norms[n - 1] = Q(1)
         for i in range(n - 1):
-            bonds[(i, i + 1)] = Q(-1)
+            bonds[(i, i + 1)] = (-1, -1)
+        bonds[(n - 2, n - 1)] = (-2, -1)
     elif letter == "C":
         for i in range(n - 1):
             norms[i] = Q(1)
         for i in range(n - 2):
-            bonds[(i, i + 1)] = Q(-1, 2)
-        bonds[(n - 2, n - 1)] = Q(-1)
+            bonds[(i, i + 1)] = (-1, -1)
+        bonds[(n - 2, n - 1)] = (-1, -2)
     elif letter == "D":
         for i in range(n - 3):
-            bonds[(i, i + 1)] = Q(-1)
-        bonds[(n - 3, n - 2)] = Q(-1)
-        bonds[(n - 3, n - 1)] = Q(-1)
+            bonds[(i, i + 1)] = (-1, -1)
+        bonds[(n - 3, n - 2)] = (-1, -1)
+        bonds[(n - 3, n - 1)] = (-1, -1)
     elif letter == "E":
         # Bourbaki: chain 1-3-4-5-6(-7-8), node 2 hangs off node 4
         chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
         for a, b in zip(chain, chain[1:]):
-            bonds[(a, b)] = Q(-1)
-        bonds[(1, 3)] = Q(-1)
+            bonds[(a, b)] = (-1, -1)
+        bonds[(1, 3)] = (-1, -1)
     elif letter == "F":
         norms[2] = norms[3] = Q(1)
-        bonds[(0, 1)] = Q(-1)
-        bonds[(1, 2)] = Q(-1)
-        bonds[(2, 3)] = Q(-1, 2)
+        bonds[(0, 1)] = (-1, -1)
+        bonds[(1, 2)] = (-2, -1)
+        bonds[(2, 3)] = (-1, -1)
     elif letter == "G":
         norms[0] = Q(2, 3)
-        bonds[(0, 1)] = Q(-1)
+        bonds[(0, 1)] = (-1, -3)
     return norms, bonds
+
+
+def cartan_matrix(letter, n):
+    """The int Cartan matrix of the simple type letter n, read off its diagram."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for (i, j), pair in _norms_and_bonds(letter, n)[1].items():
+        a[i][j], a[j][i] = pair
+    return a
 
 
 def _rank_ok(letter, n):
@@ -113,16 +124,16 @@ class RootSystem:
         self.rank = sum(n for _, n in self.components)
         # block-diagonal symmetric form (alpha_i, alpha_j)
         self.bform = [[Q(0)] * self.rank for _ in range(self.rank)]
+        self.cartan = [[0] * self.rank for _ in range(self.rank)]
         off = 0
         self._offsets = []
         for letter, n in self.components:
             self._offsets.append(off)
-            norms, bonds = _norms_and_bonds(letter, n)
-            for i in range(n):
-                self.bform[off + i][off + i] = norms[i]
-            for (i, j), v in bonds.items():
-                self.bform[off + i][off + j] = v
-                self.bform[off + j][off + i] = v
+            norms, _ = _norms_and_bonds(letter, n)
+            # (alpha_i, alpha_j) = A[i][j] (alpha_j, alpha_j) / 2
+            for i, row in enumerate(cartan_matrix(letter, n)):
+                self.cartan[off + i][off:off + n] = row
+                self.bform[off + i][off:off + n] = [a * norms[j] / 2 for j, a in enumerate(row)]
             off += n
         self.norms = [self.bform[i][i] for i in range(self.rank)]
         # bform times the lcm of its denominators, as ints (see inner, _pairing)
@@ -130,10 +141,6 @@ class RootSystem:
         self._gram = [[v.numerator * (self._gram_den // v.denominator) for v in row]
                       for row in self.bform]
         self.norm_ints = [self._gram[i][i] for i in range(self.rank)]
-        self.cartan = [
-            [int(2 * self.bform[i][j] / self.bform[j][j]) for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
         # fundamental weights: row i of the inverse Cartan matrix
         inv = _inv([[Q(x) for x in row] for row in self.cartan])
         self.fundamental_weights = [tuple(inv[i]) for i in range(self.rank)]

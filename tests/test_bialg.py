@@ -314,15 +314,53 @@ def test_double_table_matches_written_out_brackets():
         delta = cobracket_from_r(alg, standard_r(alg))
         D, _, rep = drinfeld_double(alg, delta)
         assert D.dim == 2 * alg.dim and all(rep.values()), label
+        table = D.fractions()
         for a in range(D.dim):
             for b in range(a + 1, D.dim):
                 want = _ref_double_bracket(alg, delta, a, b)
-                assert D.bracket_idx(a, b) == want, (label, D.names[a], D.names[b])
+                assert table.get((a, b), {}) == want, (label, D.names[a], D.names[b])
     alg = _alg("D5")
     D, _, rep = drinfeld_double(alg, cobracket_from_r(alg, standard_r(alg)))
     assert D.dim == 90
     assert rep == {"jacobi_holds": True, "canonical_r_cybe": True,
                    "manin_triple": True}
+
+
+def test_double_and_semidirect_tables_are_ints_over_one_denominator():
+    """The double and semidirect_algebra store int tables over one den, the
+    lcm of delta's denominators and the module's den, and fractions() equals
+    the Fraction table built here as before: the double from alg's brackets
+    and delta as written in drinfeld_double's docstring, the semidirect
+    algebra from alg's brackets and the module's Fraction matrices."""
+    for label, lam, dens in [("A2", (1, 1), (2, 2)), ("B3", (0, 1, 0), (4, 4)),
+                             ("G2", (0, 1), (6, 12))]:
+        alg = _alg(label)
+        n = alg.dim
+        delta = cobracket_from_r(alg, standard_r(alg))
+        D, _, _ = drinfeld_double(alg, delta)
+        want = {}
+        for i in range(n):
+            for k in range(n):
+                out = {j: Q(c) for j, c in alg.bracket_idx(i, k).items()}
+                if out and i < k:
+                    want[(i, k)] = out
+                for j, c in out.items():
+                    _vadd_into(want.setdefault((i, n + j), {}), {n + k: -c})
+            for (j, k), v in delta.get(i, {}).items():
+                _vadd_into(want.setdefault((i, n + j), {}), {k: v})
+                if j < k:
+                    _vadd_into(want.setdefault((n + j, n + k), {}), {n + i: v})
+        assert D.fractions() == {key: out for key, out in want.items() if out}, label
+        mod = highest_weight_module(alg, lam)
+        S = semidirect_algebra(alg, lam)
+        want = {ij: {k: Q(v) for k, v in out.items()} for ij, out in alg.table.items()}
+        for i, m in enumerate(mod.fractions()):
+            for a, col in m.items():
+                want[(i, n + a)] = {n + b: v for b, v in col.items()}
+        assert S.fractions() == want, label
+        assert (D.den, S.den) == dens and S.den == mod.den, label
+        for t in (D, S):
+            assert all(type(v) is int for out in t.table.values() for v in out.values()), label
 
 
 def test_parabolic_semidirect_examples():
@@ -374,7 +412,9 @@ def _ref_delta(alg, r, x):
 
 def _ref_cybe_tensor(carrier, r):
     """[r12, r13] + [r12, r23] + [r13, r23] written out over Fractions, pair
-    of terms by pair of terms, through the carrier's bracket_idx."""
+    of terms by pair of terms, through the bracket_idx of the carrier's
+    Fraction table (fractions())."""
+    carrier = BracketTable(carrier.dim, carrier.fractions())
     out = {}
     items = list(r.items())
     for (a, b), v in items:

@@ -146,6 +146,29 @@ def test_geometric_ambients_memoises_radicals():
         assert isinstance(levi, tuple) and isinstance(lam_levi, tuple), node
 
 
+def test_geometric_ambients_asks_only_for_ambients_with_a_matching_levi(monkeypatch):
+    """An ambient's type is built only when some node's Levi, read off its
+    Dynkin diagram, is the pair's type: the E6 row asks for E7 and not for
+    A7, B7, C7 or D7, and classifying a Levi diagram builds no type at all."""
+    asked = []
+    real = classify.shared_type
+
+    def recording(label):
+        asked.append(label)
+        return real(label)
+
+    def refused(label):
+        raise AssertionError("type %s built behind the ambient search" % label)
+
+    monkeypatch.setattr(classify, "shared_type", recording)
+    monkeypatch.setattr(liealg, "shared_type", refused)
+    liealg._abelian_radical.cache_clear()
+    assert geometric_ambients("E", 6, (1, 0, 0, 0, 0, 0), extended=True) == [("E7", 7)]
+    assert geometric_ambients("D", 5, (0, 0, 0, 0, 1)) == [("E6", 1), ("E6", 6)]
+    assert geometric_ambients("A", 1, (2,)) == [("C2", 2)]
+    assert asked == ["E7", "D6", "E6", "A2", "C2", "G2"]
+
+
 def test_simple_types_written_out():
     """The sweep's and the ambient search's simple types per rank, in series
     order: B2 and D3 are left out (they land on C2 and A3), and E only at

@@ -326,10 +326,10 @@ def test_braided_refuses_l_over_the_budget(capsys, monkeypatch):
 
 def test_copoisson_refuses_a_power_over_the_budget(capsys, monkeypatch):
     """qsl2 copoisson checks --power against cli.COPOISSON_MAX_POWER before
-    any computation: --power 1000, which ran without end, and --power 6
-    exit 1 with one error line and never reach copoisson_limit; power 5,
+    any computation: --power 1000, which ran without end, and --power 9
+    exit 1 with one error line and never reach copoisson_limit; power 8,
     the largest taken, reaches it."""
-    assert cli.COPOISSON_MAX_POWER == 5
+    assert cli.COPOISSON_MAX_POWER == 8
     reached = []
     real = cli.qsl2.copoisson_limit
 
@@ -338,13 +338,13 @@ def test_copoisson_refuses_a_power_over_the_budget(capsys, monkeypatch):
         return real(elem)
 
     monkeypatch.setattr(cli.qsl2, "copoisson_limit", recording)
-    for power in (1000, 6):
+    for power in (1000, 9):
         for name in ("X0", "C", "1"):
             argv = ["qsl2", "copoisson", "--element", name, "--power", str(power)]
             assert run_cli(argv, capsys) == (
-                1, "error: BudgetExceeded: power %d exceeds the budget 5\n" % power), argv
+                1, "error: BudgetExceeded: power %d exceeds the budget 8\n" % power), argv
     assert reached == []
-    code, _ = run_cli(["qsl2", "copoisson", "--element", "X+", "--power", "5"], capsys)
+    code, _ = run_cli(["qsl2", "copoisson", "--element", "X+", "--power", "8"], capsys)
     assert code == 0 and len(reached) == 1
 
 

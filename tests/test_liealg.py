@@ -30,7 +30,7 @@ from qsym.liealg import (
 )
 from qsym.poisson import generator_brackets
 from qsym.rootsys import (_SERIES, InvalidType, _rank_ok, build_root_system,
-                         weight_multiplicities, weyl_dim)
+                         cominuscule_nodes, weight_multiplicities, weyl_dim)
 from qsym.scalars import QRat, den_lcm, echelon
 
 
@@ -624,11 +624,50 @@ _TABLE_SHA256 = {
 def test_bootstrapped_table_golden_e6_e7():
     """The E6 and E7 structure constants are those of the adjoint bootstrap,
     and a product type's are those of its components' blocks: the
-    tensor-product module gives the same table."""
+    tensor-product module gives the same table. Every value is an int, and
+    is hashed as the Fraction it was recorded as."""
     for label, want in _TABLE_SHA256.items():
         alg = chevalley_basis(build_root_system(label))
-        normalized = repr([(k, sorted(v.items())) for k, v in sorted(alg.table.items())])
+        assert all(type(v) is int for out in alg.table.values() for v in out.values()), label
+        normalized = repr([(k, sorted((i, Q(v)) for i, v in out.items()))
+                           for k, out in sorted(alg.table.items())])
         assert hashlib.sha256(normalized.encode()).hexdigest() == want, label
+
+
+def test_chevalley_and_parabolic_tables_are_ints_over_den_one():
+    """Every structure constant of a Chevalley basis is an int and den is 1,
+    for each simple type of rank <= 8 (E8 included) and for A2xA1, and so is
+    every bracket of the parabolic at each cominuscule node of the simple
+    types: cut from the ambient's int table, with nothing to clear."""
+    labels = ["%s%d" % (letter, n) for n in range(1, 9) for letter in _SERIES
+              if _rank_ok(letter, n) and (letter, n) not in (("B", 2), ("D", 3))]
+    assert len(labels) == 31
+    for label in labels + ["A2xA1"]:
+        typ = shared_type(label)
+        nodes = cominuscule_nodes(typ.rs) if typ.rs.is_simple else ()
+        tables = [typ.algebra] + [parabolic_semidirect(label, node)[0] for node in nodes]
+        for t in tables:
+            assert t.den == 1 and t.table, label
+            assert all(type(v) is int for out in t.table.values() for v in out.values()), label
+
+
+def test_bootstrap_asserts_every_constant_is_an_int(monkeypatch):
+    """The bootstrap divides each root-vector constant as one int quotient
+    and asserts it exact: with E_(1,1) of A2 doubled off Chevalley's
+    normalisation, [E_1, E_2] = E_(1,1) / 2 and the assertion fires."""
+    real = liealg.root_vector_ops
+
+    def doubled(alg, e, f):
+        e_ops, ft_ops = real(alg, e, f)
+        if (1, 1) in e_ops:
+            s, m = e_ops[(1, 1)]
+            e_ops[(1, 1)] = 2 * s, m
+        return e_ops, ft_ops
+
+    monkeypatch.setattr(liealg, "root_vector_ops", doubled)
+    with pytest.raises(AssertionError, match=r"structure constant -?\d+/-?\d+ is not an integer"):
+        liealg.ChevalleyAlgebra(build_root_system("A2"))
+    assert liealg.ChevalleyAlgebra(build_root_system("A1")).table
 
 
 def test_bootstrap_builds_the_smallest_fundamental_module(monkeypatch):

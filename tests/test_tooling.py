@@ -5,8 +5,9 @@ statement, a module-level memo or a second cached_property, root systems
 are built behind the one cache of types, ints are read from text by one
 reader, root-vector operators are built by one recurrence and checked
 against Serre's relations by one function, the Jacobi oracle shares no
-code with the Schouten verdict it checks, and denominators are cleared
-entry by entry at four sites only."""
+code with the Schouten verdict it checks, denominators are cleared
+entry by entry at four sites only, and bialg.int_brackets only re-indexes
+a bracket table that is already int, which _parabolic reads once."""
 
 import ast
 import builtins
@@ -329,3 +330,19 @@ def test_one_relation_check():
     assert callers == {"liealg.ChevalleyAlgebra._bootstrap",
                        "liealg.highest_weight_module"}, callers
     assert messages == 1, messages
+
+
+def test_int_brackets_clears_nothing():
+    """bialg.int_brackets calls neither den_lcm nor int_columns: every
+    bracket table is stored as ints over its own den, so reading it is a
+    re-indexing. _parabolic reads the ambient through one int_brackets call,
+    which gives both its table and delta, and calls no bracket_idx."""
+    tree = ast.parse((SRC / "bialg.py").read_text())
+    for name in ("den_lcm", "int_columns", "cleared"):
+        assert "int_brackets" not in _calls_by_function(tree, name), name
+    assert "int_brackets" in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    parabolic = next(n for n in tree.body if getattr(n, "name", None) == "_parabolic")
+    calls = [n.func.id for n in ast.walk(parabolic)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert calls.count("int_brackets") == 1, calls
+    assert "_parabolic" not in _calls_by_function(tree, "bracket_idx")
