@@ -173,6 +173,16 @@ def _simple_types(rank, e_ranks):
             and (letter != "E" or rank in e_ranks)]
 
 
+@cache
+def _leaf_levi_types(label):
+    """The (letter, rank) of the Levi at each leaf of label's Dynkin diagram,
+    a node with one neighbour: the only nodes whose Levi is simple. Read off
+    the diagram, so no root system is built."""
+    cartan = cartan_matrix(*normalize_type(label))
+    return frozenset(levi_components(cartan, k)[0][:2]
+                     for k, row in enumerate(cartan) if sum(map(bool, row)) == 2)
+
+
 def geometric_ambients(letter, rank, lam, extended=False):
     """Ambient (label, node) pairs whose cominuscule radical realizes (g, V).
 
@@ -183,11 +193,8 @@ def geometric_ambients(letter, rank, lam, extended=False):
     wanted = _weight_spellings(letter, rank, tuple(lam))
     found = []
     for label in _simple_types(rank + 1, (6, 7, 8) if extended else (6, 8)):
-        # build a root system only where some node's Levi is the pair's type;
-        # a Levi is simple only at a leaf, a node with one neighbour
-        cartan = cartan_matrix(*normalize_type(label))
-        if not any(levi_components(cartan, k)[0][:2] in {w[:2] for w in wanted}
-                   for k, row in enumerate(cartan) if sum(map(bool, row)) == 2):
+        # build a root system only where some leaf's Levi is the pair's type
+        if _leaf_levi_types(label).isdisjoint(w[:2] for w in wanted):
             continue
         ambient = shared_type(label)
         for node in cominuscule_nodes(ambient.rs):

@@ -300,12 +300,12 @@ def schouten_promoted(tensor, module, invariant=False):
 # ---------------------------------------------------------------------------
 
 class GeneratorBrackets(BracketTable):
-    """{v_i, v_j} = symmetrized r-(v_i (x) v_j) times scale, over ints, lazily.
+    """{v_i, v_j} = symmetrized r-(v_i (x) v_j) times den, over ints, lazily.
 
     t = tt_skew(r) is kept scaled by the lcm D of its denominators
     (scalars.cleared), grouped by first leg, and the module is read in its
     int form, scaled by L = module.den, so every bracket times
-    scale = D * L^2 is an int polynomial over sorted monomials of S^2 V. t
+    den = D * L^2 is an int polynomial over sorted monomials of S^2 V. t
     is skew, so sum t_ab rho(a) (x) rho(b) is flip-skew and its column (i, j), i < j,
     determines the bracket; that column is summed on the first bracket_idx
     of the pair and memoised in table. So table holds only the pairs built
@@ -313,9 +313,8 @@ class GeneratorBrackets(BracketTable):
     """
 
     def __init__(self, r, module):
-        super().__init__(module.dim, {})
         big_d, t = cleared(tt_skew(r))
-        self.scale = big_d * module.den ** 2
+        super().__init__(module.dim, {}, big_d * module.den ** 2)
         self._mats = module.ints
         self._by_first = {}
         for (a, b), v in t.items():

@@ -26,11 +26,14 @@ accumulator. PBW elements, tensors and co-Poisson values are one term class
 classical limit), and one printer (_signed_sum) writes every signed sum.
 Module and tensor-power actions are liealg's column-form sparse matrices: the
 tensor-square and tensor-cube actions come from poisson._pair_matrix (read
-off _delta_mono and coproduct_cube), and the cube's braidings from
-poisson.leg_embed. The commutor is one polynomial in the Casimir per weight
-block, and the braided powers are counted on highest weight vectors: per
-weight, one scalars.echelon for the kernel of Delta(E) on the block and one
-rank of at most l + 1 columns.
+off _delta_mono and coproduct_cube), and D = (q + q^-1) Delta(C) on the cube's
+pairs of legs from poisson.leg_embed. The braided powers are counted on
+highest weight vectors, with no braiding matrix: per weight, one
+scalars.echelon for the kernel of Delta(E) on the block, D read there as a
+block of at most l + 1 columns, and one rank of products of its shifts by
+the Casimir's eigenvalues. commutor_matrix, the braiding itself as one
+polynomial in D per weight block, is a library function that braided_flatness
+does not read.
 """
 from __future__ import annotations
 
@@ -457,6 +460,29 @@ def locally_finite_generators():
     return dict(gens), dict(report)
 
 
+def _central_element():
+    """The central element C, with the record of how it was selected.
+
+    Two candidates K^-b + (q - q^-1) X0, b = 2 and 1, are tested against E,
+    F and K; exactly one commutes with all three, else ArithmeticError.
+    Returns (C, central, selected): central maps each candidate's label to
+    the outcome of its test, and selected is the label of C.
+    """
+    x0 = _x_generators()["X0"]
+    dq = qpow(1) - qpow(-1)
+    candidates = {
+        "K^-2 + (q - q^-1) X0": PBWElement({(0, -2, 0): one}) + x0 * dq,
+        "K^-1 + (q - q^-1) X0": PBWElement({(0, -1, 0): one}) + x0 * dq,
+    }
+    named = generators()
+    central = {label: all(cand * named[g] == named[g] * cand for g in "EFK")
+               for label, cand in candidates.items()}
+    selected = [label for label, ok in central.items() if ok]
+    if len(selected) != 1:
+        raise ArithmeticError("central element selection failed: %r" % central)
+    return candidates[selected[0]], central, selected[0]
+
+
 @cache
 def _compute_locally_finite():
     gens = dict(_x_generators())
@@ -464,19 +490,7 @@ def _compute_locally_finite():
     f = PBWElement({(1, 0, 0): one})
     k = PBWElement({(0, 1, 0): one})
     dq = qpow(1) - qpow(-1)
-    x0 = gens["X0"]
-
-    candidates = {
-        "K^-2 + (q - q^-1) X0": PBWElement({(0, -2, 0): one}) + x0 * dq,
-        "K^-1 + (q - q^-1) X0": PBWElement({(0, -1, 0): one}) + x0 * dq,
-    }
-    central = {}
-    for label, cand in candidates.items():
-        central[label] = all(cand * g == g * cand for g in (e, f, k))
-    selected = [label for label, ok in central.items() if ok]
-    if len(selected) != 1:
-        raise ArithmeticError("central element selection failed: %r" % central)
-    c_elem = candidates[selected[0]]
+    c_elem, central, selected = _central_element()
     gens["C"] = c_elem
 
     # coproduct shape: Delta(x) - x (x) C has all right legs in the span
@@ -521,7 +535,7 @@ def _compute_locally_finite():
                          for k2, v2 in c_elem.terms.items()})
     report = {
         "central": central,
-        "selected": selected[0],
+        "selected": selected,
         "coproduct_shape": shape_ok,
         "ad_stable": ad_stable,
         "ad_stable_dimension": 3,
@@ -935,37 +949,63 @@ def _highest_weight_basis(e_op, blocks, s):
     return [idxs[free] for free in frees], basis
 
 
-def _invariant_dims(e_op, blocks, top, systems):
+def _on_heads(op, heads, basis):
+    """op on the span of basis, which op maps into itself, as an m x m
+    column-form block: column b holds the entries of op h_b at the heads.
+
+    A vector of the span is fixed by its entries at the heads (each h_a is 1
+    at its own head and 0 at the others), so this block is op's matrix in
+    the basis, and no other entry of an image is computed.
+    """
+    out = {}
+    for b, h in enumerate(basis):
+        col = {}
+        for a, i in enumerate(heads):
+            v = sum((op[j][i] * x for j, x in h.items() if i in op.get(j, ())), zero)
+            if v:
+                col[a] = v
+        if col:
+            out[b] = col
+    return out
+
+
+def _shifted_product(block, shifts, m):
+    """The product over d in shifts of block - d, on an m-dimensional space."""
+    ident = _identity(range(m))
+    return reduce(_mcompose, [_mscaled_sum([(None, block), (-d, ident)]) for d in shifts],
+                  ident)
+
+
+def _invariant_dims(e_op, blocks, top, ops, systems):
     """Dimensions of submodules of a tensor power, one per system.
 
     e_op is Delta(E) on the power, blocks its weight blocks (weight top - 2s
-    for block s). A system is a list of (op, c) pairs, and its submodule is
-    the joint kernel of the op - c. Each op must commute with the action of
-    U_q, so the kernel is a U_q-submodule; over Q(v) it is completely
+    for block s), and each of ops commutes with the action of U_q, so it
+    maps H_w = ker e_op on the weight-w block into itself. A system is a
+    list of (k, shifts) pairs, shifts(w) a list of scalars, and its
+    submodule meets H_w in the joint kernel of the products over d in
+    shifts(w) of ops[k] - d. Over Q(v) the submodule is completely
     reducible, and each component V_w contributes one highest weight vector,
     of weight w. So the dimension is the sum over w >= 0 of (w + 1) times
-    m - r: m the dimension of H_w = ker e_op on the weight-w block, r the rank
-    of the images of a basis of H_w under the op - c.
+    m - r: m = dim H_w, r the rank of the system's products on H_w.
 
-    Each op - c maps H_w into itself, and a vector of H_w is fixed by its
-    entries at the basis's heads, so r is the rank of those entries: an
-    m x m block per op, and no other entry of an image is computed. m is the
-    multiplicity of V_w, at most l + 1 in the square and the cube of V_l.
+    Each op is read once per weight as the m x m block M of its entries at
+    the heads of H_w's basis (_on_heads), shared by every system, and a
+    product of shifts of op on H_w is the same product of shifts of M. m is
+    the multiplicity of V_w, at most l + 1 in the square and the cube of V_l.
     """
     dims = [0] * len(systems)
     for s in range(top // 2 + 1):
         heads, basis = _highest_weight_basis(e_op, blocks, s)
+        m = len(basis)
+        blocks_m = [_on_heads(op, heads, basis) for op in ops]
         for k, system in enumerate(systems):
             rows = []
-            for op, c in system:
-                # row a: the entries at heads[a] of (op - c) h over the basis
-                for a, i in enumerate(heads):
-                    row = [sum((op[j][i] * x for j, x in h.items() if i in op.get(j, ())), zero)
-                           for h in basis]
-                    row[a] = row[a] - c
-                    rows.append(row)
-            rank = len(echelon(rows, len(basis)))
-            dims[k] += (top - 2 * s + 1) * (len(basis) - rank)
+            for op_k, shifts in system:
+                prod = _shifted_product(blocks_m[op_k], shifts(top - 2 * s), m)
+                rows += [[prod.get(b, {}).get(a, zero) for b in range(m)] for a in range(m)]
+            rank = len(echelon(rows, m))
+            dims[k] += (top - 2 * s + 1) * (m - rank)
     return dims
 
 
@@ -975,14 +1015,28 @@ def braided_flatness(l, max_degree=3):
     Returns {dim_S2, dim_L2, dim_S3, classical_dims, flat_through_degree}.
     S2 and L2 are the kernels of sigma - 1 and sigma + 1 on the square, S3
     the joint kernel of sigma_12 - 1 and sigma_23 - 1 on the cube; degrees
-    beyond 3 are out of scope.
+    beyond 3 are out of scope. sigma itself is never formed: each kernel is
+    that of a product of shifts of D = (q + q^-1) Delta(C), counted on
+    highest weight vectors (_invariant_dims). That is exact:
 
-    Each is counted on highest weight vectors (_invariant_dims). That is
-    exact: sigma is a polynomial in Delta(C) with C central (commutor_matrix),
-    so sigma_12 = sigma (x) 1 commutes with (Delta (x) 1)Delta(x) =
-    sum Delta(x_(1)) (x) x_(2), and sigma_23 = 1 (x) sigma with
-    (1 (x) Delta)Delta(x), the same map by coassociativity. So S2, L2 and S3
-    are U_q-submodules.
+    - D acts on V_n in V (x) V by d_n = v^(2n+2) + v^-(2n+2), n = 2l, 2l - 2,
+      ..., 0. The d_n are pairwise distinct, so V (x) V is the direct sum of
+      the eigenspaces ker(D - d_n).
+    - sigma is +1 exactly on the V_n with n in N+ = {2l, 2l - 4, ...} and -1
+      on those with n in N- = {2l - 2, 2l - 6, ...} (commutor_matrix). Hence
+      ker(sigma - 1) = ker P+(D) and ker(sigma + 1) = ker P-(D), with
+      P+-(x) the product over n in N+- of x - d_n.
+    - On V (x)3, sigma_12 = p(D) (x) 1 = p(D_12) for the polynomial p with
+      sigma = p(D), and sigma_23 = p(D_23) with D_23 = 1 (x) D. So
+      S3 = ker P+(D_12) cap ker P+(D_23).
+    - C is central, so D_12 = D (x) 1 commutes with (Delta (x) 1)Delta(x) =
+      sum Delta(x_(1)) (x) x_(2), and D_23 with (1 (x) Delta)Delta(x), the
+      same map by coassociativity. So D, D_12 and D_23 map each highest
+      weight space H_w into itself, and every kernel above is a
+      U_q-submodule.
+    - Read on H_w at the heads of its basis, each operator is an m x m block
+      M, m <= l + 1, and S3 meets H_w in the joint kernel of P+(M_12) and
+      P+(M_23); the count (w + 1)(m - rank) is that of _invariant_dims.
     """
     if type(l) is not int or type(max_degree) is not int:
         raise ValueError("l and max_degree must be ints, got %r and %r" % (l, max_degree))
@@ -991,9 +1045,25 @@ def braided_flatness(l, max_degree=3):
     if max_degree not in (2, 3):
         raise ValueError("max_degree must be 2 or 3")
     n = l + 1
-    sigma_m = commutor_matrix(l)
-    dim_s2, dim_l2 = _invariant_dims(_pair_action(l)[0], _weight_blocks(l, 2), 2 * l,
-                                     [[(sigma_m, one)], [(sigma_m, -one)]])
+    c_elem, _, _ = _central_element()
+    pair = _pair_action(l)
+    dmat = _matrix_of_element(c_elem * (qpow(1) + qpow(-1)), pair)
+    d = {k: qpow(2 * k + 2) + qpow(-2 * k - 2) for k in range(0, 2 * l + 1, 2)}
+    plus, minus = range(2 * l, -1, -4), range(2 * l - 2, -1, -4)
+
+    # Of the factors x - d_n of P+-, only those whose V_n meets H_w are kept:
+    # the others are invertible on H_w, where D has no other eigenvalue, and
+    # change no kernel. On the square H_w lies in V_w; on the cube D_12 and
+    # D_23 take the d_n of the V_n with V_w in V_n (x) V_l, that is
+    # |n - l| <= w <= n + l (Clebsch-Gordan).
+    def square(signs):
+        return lambda w: [d[w]] if w in signs else []
+
+    def cube(w):
+        return [d[k] for k in plus if abs(k - l) <= w <= k + l]
+
+    dim_s2, dim_l2 = _invariant_dims(pair[0], _weight_blocks(l, 2), 2 * l, [dmat],
+                                     [[(0, square(plus))], [(0, square(minus))]])
     classical = {
         "S2": n * (n + 1) // 2,
         "L2": n * (n - 1) // 2,
@@ -1001,9 +1071,9 @@ def braided_flatness(l, max_degree=3):
     }
     dim_s3 = None
     if max_degree >= 3:
-        legs = [(leg_embed(sigma_m, n, pair), one) for pair in ((0, 1), (1, 2))]
+        d12_d23 = [leg_embed(dmat, n, legs) for legs in ((0, 1), (1, 2))]
         (dim_s3,) = _invariant_dims(_cube_action(l, (0, 0, 1)), _weight_blocks(l, 3),
-                                    3 * l, [legs])
+                                    3 * l, d12_d23, [[(0, cube), (1, cube)]])
     flat = 1
     if dim_s2 == classical["S2"]:
         flat = 2

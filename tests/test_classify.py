@@ -9,8 +9,8 @@ import pytest
 from qsym import classify, liealg, poisson
 from qsym.bialg import _cybe_tensor, _is_invariant, bd_r_matrix, enumerate_bd_triples, standard_r
 from qsym.liealg import highest_weight_module, shared_type, tt_skew
-from qsym.rootsys import (_SERIES, InvalidType, NotDominant, _rank_ok, build_root_system, cominuscule_nodes,
-                          weight_multiplicities, weyl_dim)
+from qsym.rootsys import (_SERIES, InvalidType, NotDominant, _rank_ok, build_root_system, cartan_matrix,
+                          cominuscule_nodes, normalize_type, weight_multiplicities, weyl_dim)
 from qsym.classify import (
     BudgetExceeded,
     classification_table,
@@ -167,6 +167,24 @@ def test_geometric_ambients_asks_only_for_ambients_with_a_matching_levi(monkeypa
     assert geometric_ambients("D", 5, (0, 0, 0, 0, 1)) == [("E6", 1), ("E6", 6)]
     assert geometric_ambients("A", 1, (2,)) == [("C2", 2)]
     assert asked == ["E7", "D6", "E6", "A2", "C2", "G2"]
+
+
+def test_leaf_levi_types_are_the_simple_levis_of_each_ambient():
+    """The one memo of an ambient's Levi types holds the (letter, rank) of
+    each node whose Levi, read by levi_components, has a single component,
+    for every simple type of rank 2..9, and a second read is a cache hit."""
+    for rank in range(2, 10):
+        for label in classify._simple_types(rank, (6, 7, 8)):
+            cartan = cartan_matrix(*normalize_type(label))
+            want = set()
+            for k in range(rank):
+                comps = liealg.levi_components(cartan, k)
+                if len(comps) == 1:
+                    want.add(comps[0][:2])
+            assert classify._leaf_levi_types(label) == want, label
+            hits = classify._leaf_levi_types.cache_info().hits
+            classify._leaf_levi_types(label)
+            assert classify._leaf_levi_types.cache_info().hits == hits + 1, label
 
 
 def test_simple_types_written_out():

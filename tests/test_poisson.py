@@ -122,9 +122,8 @@ def test_generator_brackets_quantum_plane():
     """{v1, v2} = -(1/2) v1 v2 on the natural sl2 module."""
     sl2 = chevalley_basis(build_root_system("A1"))
     B = generator_brackets(standard_r(sl2), highest_weight_module(sl2, (1,)))
-    assert {k: Q(v, B.scale) for k, v in B.bracket_idx(1, 0).items()} == {(0, 1): Q(1, 2)}
-    assert {ij: {k: Q(v, B.scale) for k, v in poly.items()}
-            for ij, poly in B.table.items()} == {(0, 1): {(0, 1): Q(-1, 2)}}
+    assert {k: Q(v, B.den) for k, v in B.bracket_idx(1, 0).items()} == {(0, 1): Q(1, 2)}
+    assert B.fractions() == {(0, 1): {(0, 1): Q(-1, 2)}}
 
 
 def test_generator_brackets_2x2_matrix_entries():
@@ -139,7 +138,7 @@ def test_generator_brackets_2x2_matrix_entries():
     x22 = by_weight[(-1, -1)]
 
     def bracket(i, j):
-        return {k: Q(v, B.scale) for k, v in B.bracket_idx(i, j).items()}
+        return {k: Q(v, B.den) for k, v in B.bracket_idx(i, j).items()}
 
     assert bracket(x11, x12) == {tuple(sorted((x11, x12))): Q(-1, 2)}
     assert bracket(x11, x21) == {tuple(sorted((x11, x21))): Q(-1, 2)}
@@ -165,11 +164,11 @@ def test_jacobi_oracle_examples():
 
 
 def test_generator_brackets_are_built_on_first_read():
-    """The table starts empty, is over ints with a positive scale, and a
+    """The table starts empty, is over ints with a positive den, and a
     failing Jacobi verdict reads fewer pairs than there are."""
     sl2 = chevalley_basis(build_root_system("A1"))
     B = generator_brackets(standard_r(sl2), highest_weight_module(sl2, (3,)))
-    assert B.table == {} and B.scale > 0
+    assert B.table == {} and B.den > 0
     assert jacobi_oracle(B) is False
     assert 0 < len(B.table) < B.dim * (B.dim - 1) // 2
     assert all(type(v) is int for poly in B.table.values() for v in poly.values())
@@ -337,7 +336,7 @@ def test_schouten_equals_jacobi_property():
 
 def test_jacobi_on_the_int_table_equals_jacobi_on_fractions_property():
     """Jacobi on the scaled int table equals Jacobi on the plain Fraction
-    table of every pair divided by the scale: the sum is quadratic in the
+    table of every pair divided by its den: the sum is quadratic in the
     bracket, and the oracle runs over either ring. Random small (type,
     weight, r), r the standard r-matrix (None) or a BD triple's."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -362,7 +361,7 @@ def test_jacobi_on_the_int_table_equals_jacobi_on_fractions_property():
         plain = {}
         for i in range(mod.dim):
             for j in range(i + 1, mod.dim):
-                poly = {k: Q(v, B.scale) for k, v in B.bracket_idx(i, j).items()}
+                poly = {k: Q(v, B.den) for k, v in B.bracket_idx(i, j).items()}
                 if poly:
                     plain[(i, j)] = poly
         verdict = jacobi_oracle(generator_brackets(r, mod))
@@ -409,8 +408,11 @@ def test_generator_brackets_equal_the_flip_skew_operator():
                 B = generator_brackets(r, mod)
                 ref = _brackets_off_operator(r_minus_operator(r, mod), mod.dim)
                 for (i, j), poly in ref.items():
-                    got = {k: Q(v, B.scale) for k, v in B.bracket_idx(i, j).items()}
+                    got = {k: Q(v, B.den) for k, v in B.bracket_idx(i, j).items()}
                     assert got == poly, (label, lam, i, j)
+                # every pair is read now, so the table is whole, over its den
+                assert B.fractions() == {(i, j): poly for (i, j), poly in ref.items()
+                                         if i < j}, (label, lam)
     assert {"A2", "A3", "B3", "C3"} <= bd_types
 
 

@@ -652,3 +652,89 @@ def test_braided_work_is_bounded_by_the_highest_weight_spaces(monkeypatch):
             assert m <= l + 1
             want += [len(blocks[s])] + [m] * systems
     assert widths == want
+
+
+# -- the route braided_flatness takes: shifts of D = (q + q^-1) Delta(C) -------
+
+def _casimir_square(l):
+    """D = (q + q^-1) Delta(C) on V (x) V, as braided_flatness builds it."""
+    c_elem, _, _ = qsl2._central_element()
+    return qsl2._matrix_of_element(c_elem * (qpow(1) + qpow(-1)), qsl2._pair_action(l))
+
+
+def test_casimir_commutes_with_the_square_and_cube_actions():
+    """D commutes with Delta(E), Delta(F), Delta(K) and Delta(K^-1) on the
+    square, and D_12 = D (x) 1 and D_23 = 1 (x) D commute with the four
+    operators of _cube_action, for l <= 3."""
+    for l in (1, 2, 3):
+        dmat = _casimir_square(l)
+        for op in qsl2._pair_action(l):
+            assert _mcompose(dmat, op) == _mcompose(op, dmat), l
+        cube = [qsl2._cube_action(l, key) for key in qsl2._GENERATOR_KEYS]
+        for legs in ((0, 1), (1, 2)):
+            d_legs = leg_embed(dmat, l + 1, legs)
+            for op in cube:
+                assert _mcompose(d_legs, op) == _mcompose(op, d_legs), (l, legs)
+
+
+def test_casimir_is_d_w_on_each_highest_weight_space_of_the_square():
+    """V_l (x) V_l holds each V_w once, so H_w is a line, and D h = d_w h
+    there with d_w = v^(2w+2) + v^-(2w+2), for l <= 4."""
+    for l in (1, 2, 3, 4):
+        dmat = _casimir_square(l)
+        e_op = qsl2._pair_action(l)[0]
+        blocks = qsl2._weight_blocks(l, 2)
+        for s in range(l + 1):
+            w = 2 * l - 2 * s
+            d_w = qpow(2 * w + 2) + qpow(-2 * w - 2)
+            _, basis = qsl2._highest_weight_basis(e_op, blocks, s)
+            assert len(basis) == 1, (l, w)
+            assert _mapply(dmat, basis[0]) == {j: d_w * x for j, x in basis[0].items()}, (l, w)
+
+
+def test_cube_casimirs_on_heads_take_only_the_clebsch_gordan_eigenvalues():
+    """On each H_w of the cube, D_12 and D_23 map every basis vector to the
+    combination of the basis that _on_heads reads at the heads, and that
+    m x m block is killed by the product of x - d_n over the n with
+    |n - l| <= w <= n + l, which are m in number: the shifts braided_flatness
+    drops are invertible on H_w. For l <= 4."""
+    for l in (1, 2, 3, 4):
+        dmat = _casimir_square(l)
+        ops = [leg_embed(dmat, l + 1, legs) for legs in ((0, 1), (1, 2))]
+        e_op = qsl2._cube_action(l, (0, 0, 1))
+        blocks = qsl2._weight_blocks(l, 3)
+        for s in range(3 * l // 2 + 1):
+            w = 3 * l - 2 * s
+            heads, basis = qsl2._highest_weight_basis(e_op, blocks, s)
+            comps = [n for n in range(0, 2 * l + 1, 2) if abs(n - l) <= w <= n + l]
+            assert len(comps) == len(basis), (l, w)
+            shifts = [qpow(2 * n + 2) + qpow(-2 * n - 2) for n in comps]
+            for op in ops:
+                block = qsl2._on_heads(op, heads, basis)
+                for b, h in enumerate(basis):
+                    image = {}
+                    for a, v in block.get(b, {}).items():
+                        _vadd_into(image, basis[a], v)
+                    assert _mapply(op, h) == image, (l, w, b)
+                assert qsl2._shifted_product(block, shifts, len(basis)) == {}, (l, w)
+
+
+def test_braided_flatness_reads_neither_the_commutor_nor_the_report(monkeypatch):
+    """braided_flatness takes C from _central_element and forms no braiding:
+    with _compute_locally_finite and commutor_matrix patched to raise, it
+    gives the recorded dimensions for l <= 3."""
+    def refused(*args):
+        raise AssertionError("braided_flatness read the commutor or the report")
+
+    monkeypatch.setattr(qsl2, "_compute_locally_finite", refused)
+    monkeypatch.setattr(qsl2, "commutor_matrix", refused)
+    got = [(f["dim_S2"], f["dim_L2"], f["dim_S3"], f["flat_through_degree"])
+           for f in map(qsl2.braided_flatness, (1, 2, 3))]
+    assert got == [(3, 1, 4, 3), (6, 3, 10, 3), (10, 6, 16, 2)]
+
+
+def test_dimensions_match_the_weight_block_route_at_l5():
+    """At l = 5, where the cube's H_w reach m = 6, the count on shifts of D
+    equals the joint kernels of the commutor's legs on whole weight blocks."""
+    flat = qsl2.braided_flatness(5)
+    assert (flat["dim_S2"], flat["dim_L2"], flat["dim_S3"]) == _ref_braided_dims(5)

@@ -7,7 +7,9 @@ reader, root-vector operators are built by one recurrence and checked
 against Serre's relations by one function, the Jacobi oracle shares no
 code with the Schouten verdict it checks, denominators are cleared
 entry by entry at four sites only, and bialg.int_brackets only re-indexes
-a bracket table that is already int, which _parabolic reads once."""
+a bracket table that is already int, which _parabolic reads once, and
+qsl2 tests its central element's centrality in one function, which the
+braided powers read in place of the commutor and the X-generator report."""
 
 import ast
 import builtins
@@ -346,3 +348,44 @@ def test_int_brackets_clears_nothing():
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
     assert calls.count("int_brackets") == 1, calls
     assert "_parabolic" not in _calls_by_function(tree, "bracket_idx")
+
+
+def _commutation_tests(tree):
+    """Qualified names of the functions holding a comparison x * y == y * x."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif (isinstance(node, ast.Compare) and len(node.ops) == 1
+              and isinstance(node.ops[0], ast.Eq)):
+            a, b = node.left, node.comparators[0]
+            if (all(isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult) for x in (a, b))
+                    and ast.dump(a.left) == ast.dump(b.right)
+                    and ast.dump(a.right) == ast.dump(b.left)):
+                found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_centrality_test():
+    """The central element's commutation test, x * g == g * x, is written
+    once in src/qsym, in qsl2._central_element, whose callers are exactly
+    _compute_locally_finite and braided_flatness; braided_flatness, nested
+    functions included, calls neither commutor_matrix nor
+    locally_finite_generators."""
+    sites, callers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sites |= {"%s.%s" % (path.stem, f) for f in _commutation_tests(tree)}
+        callers |= {"%s.%s" % (path.stem, f)
+                    for f in _calls_by_function(tree, "_central_element")}
+    assert sites == {"qsl2._central_element"}, sites
+    assert callers == {"qsl2._compute_locally_finite", "qsl2.braided_flatness"}, callers
+    tree = ast.parse((SRC / "qsl2.py").read_text())
+    for name in ("commutor_matrix", "locally_finite_generators"):
+        assert not any(f.split(".")[0] == "braided_flatness"
+                       for f in _calls_by_function(tree, name)), name
