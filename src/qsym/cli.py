@@ -256,8 +256,8 @@ def _cmd_donin(args):
 
 
 # the largest l `qsl2 braided` takes, refused before any computation: cold
-# on a 2-core host l = 5, 6, 7 and 8 take 0.4-0.55, 1.2-1.7, 4.7 and 16.3 s,
-# about 3.3 times more per step; it is above every l the tests and the README
+# on a 2-core host l = 5, 6, 7 and 8 take 0.27-0.36, 0.95-1.02, 3.1 and 12.1 s,
+# about 3.5 times more per step; it is above every l the tests and the README
 # ask for (5)
 BRAIDED_MAX_L = 6
 

@@ -649,8 +649,7 @@ def _shift_poly(cs):
 def _laurent_q1(v, hi):
     """(valuation, coefficients) of v expanded at q = 1 + t up to order hi,
     from v's own int polynomials: v.num and v.den over a scale that cancels."""
-    num = _shift_poly(v._n)
-    den = _shift_poly(v._d)
+    num, den = map(_shift_poly, v.int_parts())
     vn = next((i for i, c in enumerate(num) if c), len(num))
     vd = next((i for i, c in enumerate(den) if c), len(den))
     val = vn - vd

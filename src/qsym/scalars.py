@@ -1,15 +1,17 @@
 """Exact scalar arithmetic: rationals and rational functions of q.
 
 Everything downstream works over Fraction or over QRat, a rational function of
-q stored as two coprime polynomials with integer coefficients, that is, over
-Z[q]. Negative powers of q are ordinary QRat values with a q-power
-denominator, so no separate Laurent type exists.
+q stored as q^e times a quotient of two coprime polynomials with integer
+coefficients, that is, over Z[q], both prime to q. A Laurent polynomial, such
+as K^-1 = q^-n or a quantum integer, has denominator 1, so no separate
+Laurent type exists, and its products and sums need no gcd.
 
 QRat arithmetic stays in Python ints. A primitive pseudo-remainder sequence
 finds the gcd of numerator and denominator, and both are divided by it
 exactly: by Gauss's lemma the quotients have integer coefficients. Fractions
 appear only at the boundary. QRat accepts Fraction coefficients, and its
-num and den views are Fraction lists with a monic denominator.
+num and den views are Fraction lists with a monic denominator, and
+int_parts is the same pair in ints, read by qsl2's expansion at q = 1.
 
 den_lcm, the one lcm-of-denominators helper, clears Fraction coefficients
 here and liealg's scaled matrices (a Fraction scale times Python ints);
@@ -54,7 +56,7 @@ def _zmul(a, b):
         return []
     if len(b) == 1:
         c = b[0]
-        return [x * c for x in a]
+        return a if c == 1 else [x * c for x in a]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -108,69 +110,79 @@ def _zprim(a):
 def _zgcd(a, b):
     """The gcd in Z[q] of two nonzero polynomials, leading coefficient > 0.
 
-    Common powers of q and the integer content are split off first; the
-    rest is a primitive pseudo-remainder sequence.
+    The integer content is split off first; the rest is a primitive
+    pseudo-remainder sequence.
     """
-    i = next(k for k, x in enumerate(a) if x)
-    j = next(k for k, x in enumerate(b) if x)
-    shift = [0] * min(i, j)
-    a, b = a[i:], b[j:]
     c = gcd(*a, *b)
-    if len(a) == 1 or len(b) == 1:
-        return shift + [c]
     if len(a) < len(b):
         a, b = b, a
     a, b = _zprim(a), _zprim(b)
     while True:
         r = _zprem(a, b)
         if not r:
-            return shift + (b if c == 1 else [c * x for x in b])
+            return b if c == 1 else [c * x for x in b]
         if len(r) == 1:
-            return shift + [c]
+            return [c]
         a, b = b, _zprim(r)
 
 
+def _val(a):
+    """The power of q dividing a nonzero polynomial a."""
+    return next(k for k, x in enumerate(a) if x)
+
+
 def _cancel(a, b):
-    """a and b divided by their gcd; b's leading coefficient keeps its sign."""
+    """a and b divided by their gcd (an int's gcd when either is a constant);
+    b's leading coefficient keeps its sign."""
     if b == _ONE:
         return a, b
-    g = _zgcd(a, b)
+    g = [gcd(*a, *b)] if len(a) == 1 or len(b) == 1 else _zgcd(a, b)
     if g == _ONE:
         return a, b
     return _zquo(a, g), _zquo(b, g)
 
 
 def _reduce(n, d):
-    """The canonical form of n / d: coprime, positive leading denominator."""
+    """The canonical form (n, d, e) of n / d = q^e n / d: n and d prime to q
+    and coprime, d's leading coefficient positive."""
     if not n:
-        return [], _ONE
-    n, d = _cancel(n, d)
+        return [], _ONE, 0
+    i, j = _val(n), _val(d)
+    n, d = _cancel(n[i:], d[j:])
     if d[-1] < 0:
         n, d = [-x for x in n], [-x for x in d]
-    return n, d
+    return n, d, i - j
 
 
-def _mul(a, b, c, d):
-    """(a/b) * (c/d) for canonical inputs, cancelling across before multiplying."""
+def _mul(a, b, e, c, d, f):
+    """(q^e a/b) * (q^f c/d) for canonical inputs, cancelling across before
+    multiplying; a product of polynomials prime to q is prime to q."""
     if not a or not c:
-        return [], _ONE
+        return [], _ONE, 0
     a, d = _cancel(a, d)
     c, b = _cancel(c, b)
-    return _zmul(a, c), _zmul(b, d)
+    return _zmul(a, c), _zmul(b, d), e + f
 
 
-def _add(a, b, c, d):
-    """(a/b) + (c/d) for canonical inputs: with g = gcd(b, d), only g can
-    share a factor with the new numerator."""
+def _add(a, b, e, c, d, f):
+    """(q^e a/b) + (q^f c/d) for canonical inputs, over q^min(e, f): with
+    g = gcd(b, d), only g can share a factor with the new numerator, once q
+    is stripped from it (b and d, hence g, are prime to q)."""
+    if not a or not c:
+        return (a, b, e) if a else (c, d, f)
+    if e > f:
+        a, b, e, c, d, f = c, d, f, a, b, e
+    if f > e:
+        c = [0] * (f - e) + c
     g = b if b == d else _zgcd(b, d)
-    if g == _ONE:
-        return _zadd(_zmul(a, d), _zmul(c, b)), _zmul(b, d)
-    b1, d1 = _zquo(b, g), _zquo(d, g)
-    t = _zadd(_zmul(a, d1), _zmul(c, b1))
+    if g != _ONE:
+        b, d = _zquo(b, g), _zquo(d, g)
+    t = _zadd(_zmul(a, d), _zmul(c, b))
     if not t:
-        return [], _ONE
-    t, g = _cancel(t, g)
-    return t, _zmul(_zmul(b1, d1), g)
+        return [], _ONE, 0
+    k = _val(t)
+    t, g = _cancel(t[k:], g)
+    return t, _zmul(_zmul(b, d), g), e + k
 
 
 _INT = {int}
@@ -252,23 +264,30 @@ def _pstr(cs, var="q"):
 # ---------------------------------------------------------------------------
 
 class QRat:
-    """A rational function of q in lowest terms over Z[q].
+    """A rational function of q in lowest terms over Z[q], as q^e * n / d.
 
-    The numerator and denominator are coprime integer polynomials with the
-    content included: no integer > 1 divides every coefficient of both, and
-    the denominator's leading coefficient is positive. That form is unique,
-    so equality and hashing compare coefficient lists. The constructor takes
-    int or Fraction coefficients (little-endian lists, or a constant) and
-    reduces them. num and den read the same value as Fraction lists with a
-    monic denominator.
+    e is an int, and n and d are integer polynomials, both prime to q
+    (nonzero constant term) and coprime with the content included: no
+    integer > 1 divides every coefficient of both, and d's leading
+    coefficient is positive. Zero is n = [], d = [1], e = 0. The form is
+    unique: q^e n / d = q^e' n' / d' gives q^e n d' = q^e' n' d, and the
+    power of q dividing both sides is e on the left and e' on the right, so
+    e = e' and n / d = n' / d' in lowest terms. So equality and hashing
+    compare (n, d, e). Every Laurent polynomial has d = 1, and its products
+    and sums take no gcd; num, den and int_parts fold q^e back into one
+    coprime pair, since d is prime to q.
+
+    The constructor takes int or Fraction coefficients (little-endian
+    lists, or a constant) and reduces them. num and den read the same value
+    as Fraction lists with a monic denominator.
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_n", "_d", "_e")
 
-    def __init__(self, num, den=None, _reduced=False):
-        if _reduced:
+    def __init__(self, num, den=None, _e=None):
+        if _e is not None:
             # int lists already in canonical form, from the arithmetic below
-            self._n, self._d = num, den
+            self._n, self._d, self._e = num, den, _e
             return
         n, scale_n = _ints(num)
         if den is None:
@@ -280,19 +299,25 @@ class QRat:
         if scale_n != scale_d:
             n = [c * scale_d for c in n]
             d = [c * scale_n for c in d]
-        self._n, self._d = _reduce(n, d)
+        self._n, self._d, self._e = _reduce(n, d)
+
+    def int_parts(self):
+        """(numerator, denominator) as coprime int lists, q^e folded in."""
+        if self._e < 0:
+            return self._n, [0] * -self._e + self._d
+        return [0] * self._e + self._n, self._d
 
     @property
     def num(self):
         """Numerator coefficients as Fractions, over the monic denominator."""
-        lead = self._d[-1]
-        return [Q(c, lead) for c in self._n]
+        n, d = self.int_parts()
+        return [Q(c, d[-1]) for c in n]
 
     @property
     def den(self):
         """Denominator coefficients as Fractions, divided to be monic."""
-        lead = self._d[-1]
-        return [Q(c, lead) for c in self._d]
+        d = self.int_parts()[1]
+        return [Q(c, d[-1]) for c in d]
 
     # -- constructors ------------------------------------------------------
 
@@ -313,13 +338,14 @@ class QRat:
 
     def __add__(self, other):
         other = QRat.of(other)
-        return QRat(*_add(self._n, self._d, other._n, other._d), _reduced=True)
+        n, d, e = _add(self._n, self._d, self._e, other._n, other._d, other._e)
+        return QRat(n, d, _e=e)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = QRat.__new__(QRat)
-        out._n, out._d = [-c for c in self._n], self._d
+        out._n, out._d, out._e = [-c for c in self._n], self._d, self._e
         return out
 
     def __sub__(self, other):
@@ -330,7 +356,8 @@ class QRat:
 
     def __mul__(self, other):
         other = QRat.of(other)
-        return QRat(*_mul(self._n, self._d, other._n, other._d), _reduced=True)
+        n, d, e = _mul(self._n, self._d, self._e, other._n, other._d, other._e)
+        return QRat(n, d, _e=e)
 
     __rmul__ = __mul__
 
@@ -341,7 +368,8 @@ class QRat:
             raise ZeroDivisionError("division by zero rational function")
         if c[-1] < 0:
             c, d = [-x for x in c], [-x for x in d]
-        return QRat(*_mul(self._n, self._d, d, c), _reduced=True)
+        n, d, e = _mul(self._n, self._d, self._e, d, c, -other._e)
+        return QRat(n, d, _e=e)
 
     def __rtruediv__(self, other):
         return QRat.of(other) / self
@@ -363,13 +391,13 @@ class QRat:
             other = QRat.of(other)
         except TypeError:
             return NotImplemented
-        return self._n == other._n and self._d == other._d
+        return self._n == other._n and self._d == other._d and self._e == other._e
 
     def __hash__(self):
         # a constant equals an int or Fraction, so it hashes like one
-        if len(self._n) <= 1 and len(self._d) == 1:
+        if not self._e and len(self._n) <= 1 and len(self._d) == 1:
             return hash(Q(self._n[0] if self._n else 0, self._d[0]))
-        return hash((tuple(self._n), tuple(self._d)))
+        return hash((tuple(self._n), tuple(self._d), self._e))
 
     # -- evaluation --------------------------------------------------------
 
@@ -380,10 +408,11 @@ class QRat:
         a zero denominator is a genuine pole, with no factor to cancel.
         """
         point = Q(point)
-        den = _peval(self._d, point)
+        n, d = self.int_parts()
+        den = _peval(d, point)
         if den == 0:
             raise PoleAtOne("pole at q = %s" % point)
-        return _peval(self._n, point) / den
+        return _peval(n, point) / den
 
     # -- formatting --------------------------------------------------------
 
@@ -407,9 +436,7 @@ zero = QRat(0)
 
 def qpow(k):
     """q**k for any integer k, as a QRat."""
-    if k >= 0:
-        return QRat([0] * k + [1])
-    return QRat([1], [0] * (-k) + [1])
+    return QRat(_ONE, _ONE, _e=k)
 
 
 def specialize_q1(x):
@@ -438,11 +465,12 @@ def echelon(rows, ncols):
             continue
         rows[prow], rows[piv] = rows[piv], rows[prow]
         lead = rows[prow][col]
-        top = rows[prow] = [x / lead for x in rows[prow]]
+        # the pivot row's zeros stay zero and leave other rows unchanged
+        top = rows[prow] = [x / lead if x else x for x in rows[prow]]
         for r in range(m):
             if r != prow and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+                rows[r] = [x - f * y if y else x for x, y in zip(rows[r], top)]
         pivots.append(col)
     return pivots
 

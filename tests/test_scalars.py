@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from qsym import scalars
 from qsym.liealg import _mcompose, scaled, scaled_comm, scaled_ratio
 from qsym.scalars import (PoleAtOne, QRat, ascii_int, den_lcm, divided_bracket, echelon,
                           one, q, qpow, specialize_q1, zero)
@@ -302,7 +303,8 @@ def _random_poly(rng, lo, hi):
 def test_qrat_matches_sympy_cancel():
     """QRat(n, d) against sympy.cancel in monic-denominator form, on fixed-seed
     random integer pairs built with common factors so that most gcds are
-    nontrivial; the same pair with Fraction coefficients reduces alike."""
+    nontrivial, and with powers of q on both sides; the same pair with
+    Fraction coefficients reduces alike."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("q")
 
@@ -316,8 +318,8 @@ def test_qrat_matches_sympy_cancel():
     for _ in range(80):
         g = rng.choice([[1], [0, 1], [-1, 1], [1, 2, 1], [0, 0, 3],
                         _random_poly(rng, 2, 3)])
-        n = _conv(_random_poly(rng, 1, 4), g)
-        d = _conv(_random_poly(rng, 1, 4), g)
+        n = [0] * rng.randint(0, 3) + _conv(_random_poly(rng, 1, 4), g)
+        d = [0] * rng.randint(0, 3) + _conv(_random_poly(rng, 1, 4), g)
         if rng.random() < 0.2:
             n = [0] * len(n)
         num, den = sympy.fraction(sympy.cancel(expr(n) / expr(d)))
@@ -407,5 +409,129 @@ def test_qrat_eval_with_cancelling_factors_property():
         if want:
             with pytest.raises(PoleAtOne):
                 (x / QRat(lin)).eval(point)
+
+    check()
+
+
+def test_qrat_q_power_factors_property():
+    """q^a n / (q^b d), however it is built, is QRat(n, d) * q^(a - b): one
+    value, one hash, one num and den."""
+    hypothesis, st, poly, settings = _hypothesis()
+
+    @settings
+    @hypothesis.given(poly, poly.filter(any), st.integers(0, 4), st.integers(0, 4))
+    def check(n, d, a, b):
+        want = QRat(n, d) * qpow(a - b)
+        built = [QRat([0] * a + n, [0] * b + d),
+                 QRat(n) * qpow(a) / (QRat(d) * qpow(b)),
+                 QRat(n, d) * q ** a / q ** b,
+                 qpow(-b) * QRat([0] * a + n, d)]
+        for x in built:
+            assert x == want and hash(x) == hash(want)
+            assert (x.num, x.den) == (want.num, want.den)
+
+    check()
+
+
+def _laurent(rng):
+    """A random Laurent polynomial in q as {exponent: int coefficient}."""
+    return {k: rng.randint(-3, 3) for k in rng.sample(range(-4, 5), rng.randint(1, 4))}
+
+
+def _laurent_qrat(terms):
+    """The dict as a QRat, built as one integer quotient over q^s, s >= 0."""
+    s = max(0, -min(terms, default=0))
+    top = max(terms, default=0) + s
+    return QRat([terms.get(k - s, 0) for k in range(top + 1)], [0] * s + [1])
+
+
+def _laurent_op(a, b, op):
+    out = {}
+    if op == "*":
+        for i, x in a.items():
+            for j, y in b.items():
+                out[i + j] = out.get(i + j, 0) + x * y
+    else:
+        sign = 1 if op == "+" else -1
+        for k in set(a) | set(b):
+            out[k] = a.get(k, 0) + sign * b.get(k, 0)
+    return out
+
+
+def test_laurent_polynomials_store_denominator_one():
+    """Every Laurent polynomial, built or computed, is stored as q^e n / 1."""
+    rng = random.Random(20261022)
+    values = [qpow(-3), divided_bracket(4), q + qpow(-1), QRat([1], [0, 0, 1])]
+    values += [_laurent_qrat(_laurent(rng)) for _ in range(20)]
+    values += [a * b for a in values[:6] for b in values[:6]]
+    values += [a - b for a in values[:6] for b in values[:6]]
+    for x in values:
+        assert x._d == [1], x
+        assert not x._n or x._n[0], x
+
+
+def test_laurent_arithmetic_runs_no_gcd(monkeypatch):
+    """Products, sums and differences of Laurent polynomials take no
+    polynomial gcd, and equal the same operations on exponent dicts."""
+    rng = random.Random(20261023)
+    pairs = [(_laurent(rng), _laurent(rng)) for _ in range(60)]
+    values = [(_laurent_qrat(a), _laurent_qrat(b)) for a, b in pairs]
+
+    def refuse(a, b):
+        raise AssertionError("polynomial gcd on Laurent polynomials")
+
+    monkeypatch.setattr(scalars, "_zgcd", refuse)
+    got = [(x * y, x + y, x - y) for x, y in values]
+    monkeypatch.undo()
+    for (a, b), results in zip(pairs, got):
+        assert results == tuple(_laurent_qrat(_laurent_op(a, b, op)) for op in "*+-")
+
+
+def _dense_echelon(rows, ncols):
+    """Gauss-Jordan on every entry of the pivot row: the reference for
+    echelon, which leaves an entry alone where the pivot row has a zero."""
+    pivots = []
+    m = len(rows)
+    for col in range(ncols):
+        prow = len(pivots)
+        piv = next((r for r in range(prow, m) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[prow], rows[piv] = rows[piv], rows[prow]
+        lead = rows[prow][col]
+        top = rows[prow] = [x / lead for x in rows[prow]]
+        for r in range(m):
+            if r != prow and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        pivots.append(col)
+    return pivots
+
+
+def test_echelon_sparse_rows_match_dense_reference_property():
+    """Sparse rows over Fraction and over QRat, some of them combinations of
+    others (rank deficient), with augmented columns past ncols: echelon
+    gives the dense loop's pivots and rows."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    zeros = [Q(0)] * 6
+    fractions = st.sampled_from(zeros + [Q(1), Q(-2), Q(1, 3), Q(-5, 2)])
+    qrats = st.sampled_from([zero] * 6 + [one, q, qpow(-2), q + 1, 1 / (q - 1),
+                                          (q * q + 1) / (q + 2), QRat(Q(-3, 2))])
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(st.data(), st.integers(1, 5), st.integers(1, 6))
+    def check(data, m, width):
+        entry = data.draw(st.sampled_from([fractions, qrats]))
+        rows = [[data.draw(entry) for _ in range(width)] for _ in range(m)]
+        for _ in range(data.draw(st.integers(0, m - 1))):
+            i, j, k = (data.draw(st.integers(0, m - 1)) for _ in range(3))
+            c = data.draw(entry)
+            rows[i] = [x + c * y for x, y in zip(rows[j], rows[k])]
+        ncols = data.draw(st.integers(0, width))
+        ref = [row[:] for row in rows]
+        assert echelon(rows, ncols) == _dense_echelon(ref, ncols)
+        assert rows == ref
 
     check()

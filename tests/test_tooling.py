@@ -7,9 +7,10 @@ reader, root-vector operators are built by one recurrence and checked
 against Serre's relations by one function, the Jacobi oracle shares no
 code with the Schouten verdict it checks, denominators are cleared
 entry by entry at four sites only, and bialg.int_brackets only re-indexes
-a bracket table that is already int, which _parabolic reads once, and
+a bracket table that is already int, which _parabolic reads once,
 qsl2 tests its central element's centrality in one function, which the
-braided powers read in place of the commutor and the X-generator report."""
+braided powers read in place of the commutor and the X-generator report,
+and only scalars reads a QRat's stored form."""
 
 import ast
 import builtins
@@ -348,6 +349,20 @@ def test_int_brackets_clears_nothing():
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
     assert calls.count("int_brackets") == 1, calls
     assert "_parabolic" not in _calls_by_function(tree, "bracket_idx")
+
+
+def test_qrat_format_read_only_in_scalars():
+    """No module of src/qsym but scalars reads a QRat's _n, _d or _e: the
+    stored form (q^e times n / d, n and d prime to q) is scalars' own, and
+    every other reader goes through num, den or int_parts."""
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "scalars":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        readers += ["%s:%d" % (path.stem, n.lineno) for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr in ("_n", "_d", "_e")]
+    assert readers == [], readers
 
 
 def _commutation_tests(tree):
