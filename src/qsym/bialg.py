@@ -1,9 +1,10 @@
 """Classical r-matrices, Lie bialgebra axioms, doubles, semidirect cobrackets.
 
 Two-tensors are sparse maps (basis index, basis index) -> Fraction over a
-carrier algebra; a cobracket is a dict basis index -> two-tensor, with no
-entry where delta(x) = 0. Carriers are liealg.BracketTable with names:
-ChevalleyAlgebra, SemidirectAlgebra and the Drinfeld double.
+carrier algebra; a cobracket is one pair (E, {x: E * delta(x)}) of ints in
+lowest terms (_int_cobracket), with no entry where delta(x) = 0. Carriers
+are liealg.BracketTable with names: ChevalleyAlgebra, SemidirectAlgebra and
+the Drinfeld double.
 
 The CYBE tensor, the cobracket -ad r, check_cybe's invariance check and the
 bialgebra axioms read a carrier's int table as it is stored (int_brackets:
@@ -27,13 +28,12 @@ from .liealg import (
     _mcomm,
     _mscaled_sum,
     _vadd_into,
-    int_columns,
     tt_op,
     tt_sym,
 )
 from .poisson import _check_antisymmetric, _pair_matrix, schouten_square
 from .rootsys import cominuscule_nodes
-from .scalars import cleared, den_lcm, echelon
+from .scalars import cleared, echelon
 
 
 class InconsistentConstraints(ValueError):
@@ -73,15 +73,17 @@ def int_brackets(carrier):
 
 
 def _int_cobracket(brackets, t, xs):
-    """(C * D, {x: -ad_x t times C * D}) over ints at each x of xs, brackets
-    = int_brackets' (C, rows), t cleared by D; no zero entry, no zero -ad_x t."""
+    """(E, {x: E * (-ad_x t)}) over ints in lowest terms at each x of xs:
+    summed on int_brackets' (C, rows) and t cleared by D at scale C * D, then
+    divided by its gcd with every entry. No zero entry, no zero -ad_x t."""
     big_c, rows = brackets
     big_d, ti = cleared(t)
     delta = {}
     for x in xs:
         if d := {key: v for key, v in _ad_into({}, rows[x], ti, -1).items() if v}:
             delta[x] = d
-    return big_c * big_d, delta
+    g = gcd(big_c * big_d, *(v for d in delta.values() for v in d.values()))
+    return big_c * big_d // g, {x: {k: v // g for k, v in d.items()} for x, d in delta.items()}
 
 
 def _ad_into(acc, row, t, scale=1):
@@ -401,9 +403,9 @@ def check_cybe(alg, r, module=None):
 def cobracket_from_r(carrier, r):
     """delta(x) = [r, x (x) 1 + 1 (x) x] = -ad_x r, verified antisymmetric.
 
-    Returns delta as a dict {x: delta(x)} over basis indices, with no entry
-    for an x whose delta(x) is zero; a delta(x) that is not antisymmetric
-    raises NotAntisymmetric. delta is summed on ints (_int_cobracket).
+    Returns delta as _int_cobracket's pair (E, {x: E * delta(x)}) over basis
+    indices, with no entry for an x whose delta(x) is zero; a delta(x) that
+    is not antisymmetric raises NotAntisymmetric, tested on the ints.
     """
     g_indices = getattr(carrier, "g_indices", None)
     if g_indices is not None:
@@ -411,20 +413,20 @@ def cobracket_from_r(carrier, r):
         for (a, b) in r:
             if a not in gset or b not in gset:
                 raise ValueError("r must be supported on the g-part")
-    scale, delta = _int_cobracket(int_brackets(carrier), r, range(carrier.dim))
-    for x, t in delta.items():
+    delta = _int_cobracket(int_brackets(carrier), r, range(carrier.dim))
+    for x, t in delta[1].items():
         if any(t.get((b, a)) != -v for (a, b), v in t.items()):
             raise NotAntisymmetric("delta(%s) is not antisymmetric" % carrier.names[x])
-    return {x: {key: Q(v, scale) for key, v in t.items()} for x, t in delta.items()}
+    return delta
 
 
 def check_lie_bialgebra(carrier, delta):
     """Axiom report: antisym, co_jacobi, cocycle (+ shape fields for semidirect).
 
     The axioms are checked on the carrier's int_brackets (scale C) and on
-    delta times the lcm D of its denominators (int_columns). Every cocycle
-    term then carries C * D, every co-Jacobi term D^2 and every antisymmetry
-    term D; a uniform positive factor does not change whether one holds.
+    the ints of the cobracket pair delta (scale E) as stored. Every cocycle
+    term then carries C * E, every co-Jacobi term E^2 and every antisymmetry
+    term E; a uniform positive factor does not change whether one holds.
 
     Both are read on carrier.generators, which generate the Lie algebra
     carrier (all of it when absent). The cocycle on pairs (a, b), a a
@@ -438,7 +440,7 @@ def check_lie_bialgebra(carrier, delta):
     gens = getattr(carrier, "generators", range(n))
     # rows[a][p] = [a, p] and dl[x] = delta(x), scaled to ints
     _, rows = int_brackets(carrier)
-    dl = int_columns(delta, den_lcm(v for t in delta.values() for v in t.values()))
+    _, dl = delta
     antisym = all(not _vadd_into(dict(t), tt_op(t)) for t in dl.values())
 
     def cyc_ok(x):
@@ -468,10 +470,10 @@ def check_lie_bialgebra(carrier, delta):
         vset = set(carrier.v_indices)
         report["g_subbialgebra"] = all(
             a in gset and b in gset
-            for x in gset for (a, b) in delta.get(x, {}))
+            for x in gset for (a, b) in dl.get(x, {}))
         report["v_shape"] = all(
             (a in gset) != (b in gset)
-            for x in vset for (a, b) in delta.get(x, {}))
+            for x in vset for (a, b) in dl.get(x, {}))
     return report
 
 
@@ -482,17 +484,17 @@ def check_lie_bialgebra(carrier, delta):
 def drinfeld_double(alg, delta):
     """D = L + L*, the canonical element, and a Jacobi/CYBE/Manin report.
 
-    delta is a cobracket {x: delta(x)} as cobracket_from_r returns it. With
+    delta is a cobracket pair (E, ints) as cobracket_from_r returns it. With
     x_i the basis of L and xi_i = n + i its dual basis, the brackets of D are
     [x_i, x_j] of L, [xi_i, xi_j] = sum_k delta(x_k)_ij xi_k for i < j, and
     [x_i, xi_j] = -sum_k [x_i, x_k]_j xi_k + sum_k delta(x_i)_jk x_k.
     Returns (D, r_canonical, report).
     """
     n = alg.dim
-    # one denominator C, the lcm of alg's and delta's (4 at B3), cleared once
-    big_a, rows = int_brackets(alg)
-    big_c = lcm(big_a, den_lcm(v for t in delta.values() for v in t.values()))
-    dl, up = int_columns(delta, big_c), big_c // big_a
+    # one denominator C, the lcm of alg's and delta's E (4 at B3)
+    (big_a, rows), (big_e, dl) = int_brackets(alg), delta
+    big_c = lcm(big_a, big_e)
+    up, up_delta = big_c // big_a, big_c // big_e
     table = {}
     for i in range(n):
         for k, out in rows[i].items():
@@ -501,14 +503,14 @@ def drinfeld_double(alg, delta):
             for j, c in out.items():
                 _vadd_into(table.setdefault((i, n + j), {}), {n + k: -c * up})
         for (j, k), v in dl.get(i, {}).items():
-            _vadd_into(table.setdefault((i, n + j), {}), {k: v})
+            _vadd_into(table.setdefault((i, n + j), {}), {k: v * up_delta})
             if j < k:
-                _vadd_into(table.setdefault((n + j, n + k), {}), {n + i: v})
+                _vadd_into(table.setdefault((n + j, n + k), {}), {n + i: v * up_delta})
     table = {key: out for key, out in table.items() if out}
     D = BracketTable(2 * n, table, big_c)
     D.names = list(alg.names) + [s + "*" for s in alg.names]
 
-    r_canonical = {(i, n + i): Q(1) for i in range(n)}
+    r_canonical = {(i, n + i): 1 for i in range(n)}
 
     def jacobiator(a, b, c):
         acc = {}
@@ -530,10 +532,8 @@ def drinfeld_double(alg, delta):
                 for a in range(2 * n) for b in range(2 * n)
                 for k, v in D.bracket_idx(a, b).items())
     # halves are isotropic and closed by construction; record the checks
-    closed = all(all(k < n for k in table.get((i, j), {}))
-                 for i in range(n) for j in range(i + 1, n))
-    closed = closed and all(all(k >= n for k in table.get((n + i, n + j), {}))
-                            for i in range(n) for j in range(i + 1, n))
+    closed = all((k < n) == (i < n) for (i, j), out in table.items()
+                 if (i < n) == (j < n) for k in out)
     report = {"jacobi_holds": jacobi,
               "canonical_r_cybe": cybe,
               "manin_triple": manin and closed}
@@ -633,15 +633,10 @@ def _parabolic(alg, node, triple):
                           + [alg.f_idx[g] for g in alg.simple if not g[k]]
                           + list(alg.h_idx.values()))
 
-    scale, amb_delta = _int_cobracket(brackets, r, p_indices)
-    closure = True
-    delta = {}
-    for x_amb, t in amb_delta.items():
-        if any(a not in pos or b not in pos for (a, b) in t):
-            closure = False
-        else:
-            delta[pos[x_amb]] = {(pos[a], pos[b]): Q(v, scale) for (a, b), v in t.items()}
-    S.cobracket = delta
-    report = {"closure": closure}
-    report.update(check_lie_bialgebra(S, delta))
+    big_e, amb_delta = _int_cobracket(brackets, r, p_indices)
+    closed = {x: t for x, t in amb_delta.items() if all(a in pos and b in pos for a, b in t)}
+    S.cobracket = big_e, {pos[x]: {(pos[a], pos[b]): v for (a, b), v in t.items()}
+                          for x, t in closed.items()}
+    report = {"closure": len(closed) == len(amb_delta)}
+    report.update(check_lie_bialgebra(S, S.cobracket))
     return S, report

@@ -7,7 +7,8 @@ import pytest
 
 from qsym.rootsys import build_root_system
 from qsym.liealg import (BracketTable, chevalley_basis, casimir, highest_weight_module,
-                         shared_type, tt_skew, _vadd_into)
+                         int_columns, shared_type, tt_skew, _vadd_into)
+from qsym.scalars import den_lcm
 from qsym.bialg import (
     BDTriple,
     _bd_triples,
@@ -38,6 +39,19 @@ def _ungated_cobracket(alg, r):
     """delta(x) = -ad_x r with no antisymmetry gate, for broken r whose
     reports are wanted downstream (cobracket_from_r refuses them)."""
     return {x: t for x in range(alg.dim) if (t := _ref_delta(alg, r, x))}
+
+
+def _pair(delta):
+    """The cobracket pair (E, {x: E * delta(x)}) of a Fraction cobracket,
+    E the lcm of its denominators; it is already in lowest terms."""
+    big_e = den_lcm(v for t in delta.values() for v in t.values())
+    return big_e, int_columns(delta, big_e)
+
+
+def _fractions(pair):
+    """The Fraction cobracket {x: delta(x)} of a pair (E, ints)."""
+    big_e, delta = pair
+    return {x: {key: Q(v, big_e) for key, v in t.items()} for x, t in delta.items()}
 
 
 def _rank_of(rows):
@@ -75,7 +89,7 @@ def test_standard_r_golden_and_casimir_symmetrization():
 def test_standard_cobracket_golden():
     """delta(E) = (1/2)(H@E - E@H) and delta(H) = 0 for sl2."""
     sl2 = _alg("A1")
-    cob = cobracket_from_r(sl2, standard_r(sl2))
+    cob = _fractions(cobracket_from_r(sl2, standard_r(sl2)))
     e, h = sl2.e_idx[(1,)], sl2.h_idx[0]
     assert cob[e] == {(h, e): Q(1, 2), (e, h): Q(-1, 2)}
     assert cob.get(h, {}) == {}
@@ -198,7 +212,7 @@ def test_cobracket_antisymmetry_gate():
     with pytest.raises(NotAntisymmetric):
         cobracket_from_r(sl2, bad)
     cob = _ungated_cobracket(sl2, bad)
-    rep = check_lie_bialgebra(sl2, cob)
+    rep = check_lie_bialgebra(sl2, _pair(cob))
     assert not rep["antisym"]
     assert not rep["co_jacobi"]
 
@@ -225,7 +239,7 @@ def test_semidirect_cobracket_shape():
     cob = cobracket_from_r(S, tt_skew(standard_r(sl2)))
     e = sl2.e_idx[(1,)]
     v1, v2 = S.v_indices
-    assert cob[v1] == {(e, v2): Q(1, 2), (v2, e): Q(-1, 2)}
+    assert _fractions(cob)[v1] == {(e, v2): Q(1, 2), (v2, e): Q(-1, 2)}
     rep = check_lie_bialgebra(S, cob)
     assert rep["antisym"] and rep["g_subbialgebra"] and rep["v_shape"]
 
@@ -253,7 +267,7 @@ def test_drinfeld_double_sl2():
 def test_double_jacobi_iff_bialgebra_axioms():
     """jacobi_holds of the double agrees with the axiom report, valid or not."""
     sl2 = _alg("A1")
-    std = cobracket_from_r(sl2, standard_r(sl2))
+    std = _fractions(cobracket_from_r(sl2, standard_r(sl2)))
 
     ab = BracketTable(2, {})
     ab.names = ["x1", "x2"]
@@ -269,15 +283,15 @@ def test_double_jacobi_iff_bialgebra_axioms():
         (sl2, broken),
     ]
     for carrier, cob in cases:
-        _, _, rep = drinfeld_double(carrier, cob)
-        axioms = check_lie_bialgebra(carrier, cob)
+        _, _, rep = drinfeld_double(carrier, _pair(cob))
+        axioms = check_lie_bialgebra(carrier, _pair(cob))
         assert rep["jacobi_holds"] == all(axioms.values())
     # on the abelian carrier the antisymmetric delta gives a double, and the
     # one-sided delta breaks every check, the invariant pairing included
-    _, _, rep = drinfeld_double(ab, {0: {(0, 1): Q(1), (1, 0): Q(-1)}})
+    _, _, rep = drinfeld_double(ab, _pair({0: {(0, 1): Q(1), (1, 0): Q(-1)}}))
     assert rep == {"jacobi_holds": True, "canonical_r_cybe": True,
                    "manin_triple": True}
-    _, _, rep = drinfeld_double(ab, {0: {(0, 1): Q(1)}})
+    _, _, rep = drinfeld_double(ab, _pair({0: {(0, 1): Q(1)}}))
     assert rep == {"jacobi_holds": False, "canonical_r_cybe": False,
                    "manin_triple": False}
 
@@ -317,7 +331,7 @@ def test_double_table_matches_written_out_brackets():
         table = D.fractions()
         for a in range(D.dim):
             for b in range(a + 1, D.dim):
-                want = _ref_double_bracket(alg, delta, a, b)
+                want = _ref_double_bracket(alg, _fractions(delta), a, b)
                 assert table.get((a, b), {}) == want, (label, D.names[a], D.names[b])
     alg = _alg("D5")
     D, _, rep = drinfeld_double(alg, cobracket_from_r(alg, standard_r(alg)))
@@ -338,6 +352,7 @@ def test_double_and_semidirect_tables_are_ints_over_one_denominator():
         n = alg.dim
         delta = cobracket_from_r(alg, standard_r(alg))
         D, _, _ = drinfeld_double(alg, delta)
+        delta = _fractions(delta)
         want = {}
         for i in range(n):
             for k in range(n):
@@ -395,7 +410,7 @@ def test_parabolic_semidirect_with_bd_triple():
     assert len(S.v_indices) == 3
     v_set = set(S.v_indices)
     for v in S.v_indices:
-        for (a, b) in S.cobracket[v]:
+        for (a, b) in S.cobracket[1][v]:
             assert (a in v_set) != (b in v_set)
 
 
@@ -532,7 +547,7 @@ def test_cobrackets_match_written_out_delta():
     for label in ["A1", "A2", "C2", "G2"]:
         alg = _alg(label)
         r = standard_r(alg)
-        cob = cobracket_from_r(alg, r)
+        cob = _fractions(cobracket_from_r(alg, r))
         for x in range(alg.dim):
             assert cob.get(x, {}) == _ref_delta(alg, r, x), (label, x)
     for label, node, triple in [("A2", 1, BDTriple((), (), {})),
@@ -543,9 +558,10 @@ def test_cobrackets_match_written_out_delta():
         r, _ = bd_r_matrix(alg, triple)
         amb = [alg.names.index(name) for name in S.names]
         pos = {a: loc for loc, a in enumerate(amb)}
+        cob = _fractions(S.cobracket)
         for loc, x in enumerate(amb):
             want = {(pos[a], pos[b]): v for (a, b), v in _ref_delta(alg, r, x).items()}
-            assert S.cobracket.get(loc, {}) == want, (label, node, S.names[loc])
+            assert cob.get(loc, {}) == want, (label, node, S.names[loc])
 
 
 def test_parabolic_semidirect_is_memoised(monkeypatch):
@@ -629,7 +645,7 @@ def test_int_axiom_check_matches_fraction_reference():
     cases = []
     for label in ["A1", "A2", "C2", "G2"]:
         alg = _alg(label)
-        cases.append((label, alg, cobracket_from_r(alg, standard_r(alg))))
+        cases.append((label, alg, _fractions(cobracket_from_r(alg, standard_r(alg)))))
     sl2 = _alg("A1")
     e, h, f = sl2.e_idx[(1,)], sl2.h_idx[0], sl2.f_idx[(1,)]
     broken = _ungated_cobracket(sl2, {(e, f): Q(1), (h, h): Q(1, 3)})
@@ -640,7 +656,7 @@ def test_int_axiom_check_matches_fraction_reference():
     wedge = {(e, f): Q(1, 3), (f, e): Q(-1, 3)}
     cases.append(("cocycle only", sl2, {h: dict(wedge)}))
     # on the standard cobracket the same addition also breaks co-Jacobi
-    both = {x: dict(t) for x, t in cobracket_from_r(sl2, standard_r(sl2)).items()}
+    both = _fractions(cobracket_from_r(sl2, standard_r(sl2)))
     both[h] = dict(wedge)
     cases.append(("co-Jacobi and cocycle", sl2, both))
     want = {"A1": (True, True, True), "A2": (True, True, True),
@@ -650,7 +666,7 @@ def test_int_axiom_check_matches_fraction_reference():
             "co-Jacobi and cocycle": (True, False, False)}
     for name, carrier, delta in cases:
         ref = _ref_axioms(carrier, delta)
-        assert check_lie_bialgebra(carrier, delta) == ref, name
+        assert check_lie_bialgebra(carrier, _pair(delta)) == ref, name
         assert (ref["antisym"], ref["co_jacobi"], ref["cocycle"]) == want[name], name
 
 
@@ -663,15 +679,16 @@ def test_parabolic_delta_mutations_are_caught():
         S, rep = parabolic_semidirect(label, node)
         assert all(rep.values())
         tried = 0
-        for x, t in S.cobracket.items():
+        delta = _fractions(S.cobracket)
+        for x, t in delta.items():
             for (a, b) in t:
                 for transposed in (False, True):
-                    bad = {y: dict(s) for y, s in S.cobracket.items()}
+                    bad = {y: dict(s) for y, s in delta.items()}
                     bad[x][(a, b)] += 1
                     if transposed:
                         bad[x][(b, a)] -= 1
                     ref = _ref_axioms(S, bad)
-                    got = check_lie_bialgebra(S, bad)
+                    got = check_lie_bialgebra(S, _pair(bad))
                     assert {k: got[k] for k in ref} == ref, (label, x, a, b)
                     assert not all(ref.values()), (label, x, a, b, transposed)
                     assert ref["antisym"] == transposed, (label, x, a, b)
@@ -709,11 +726,41 @@ def test_axioms_on_generators_match_the_all_pairs_reference():
     for label, node, triple in cases:
         S, rep = parabolic_semidirect(label, node, triple)
         assert set(S.generators) <= set(range(S.dim))
-        ref = _ref_axioms(S, S.cobracket)
+        ref = _ref_axioms(S, _fractions(S.cobracket))
         got = check_lie_bialgebra(S, S.cobracket)
         assert list(got)[:3] == ["antisym", "co_jacobi", "cocycle"]
         assert {k: got[k] for k in ref} == ref, (label, node, triple)
         assert all(ref.values()) and all(rep.values()), (label, node, triple)
+
+
+def test_cobracket_pairs_are_canonical():
+    """cobracket_from_r and S.cobracket equal the pair of the Fraction
+    reference exactly, and no integer > 1 divides E and every entry: on the
+    standard r and every BD triple of A2, B3, C3 and G2, and on every
+    parabolic of _parabolic_cases()."""
+    def assert_lowest_terms(pair, case):
+        big_e, delta = pair
+        assert type(big_e) is int and big_e > 0, case
+        assert all(type(v) is int for t in delta.values() for v in t.values()), case
+        assert gcd(big_e, *(v for t in delta.values() for v in t.values())) == 1, case
+
+    for label in ["A2", "B3", "C3", "G2"]:
+        alg = shared_type(label).algebra
+        rs = [standard_r(alg)] + [bd_r_matrix(alg, t)[0] for t in enumerate_bd_triples(alg.rs)]
+        for k, r in enumerate(rs):
+            got = cobracket_from_r(alg, r)
+            assert got == _pair(_ungated_cobracket(alg, r)), (label, k)
+            assert_lowest_terms(got, (label, k))
+    for label, node, triple in _parabolic_cases():
+        S, _ = parabolic_semidirect(label, node, triple)
+        alg = shared_type(label).algebra
+        r, _ = bd_r_matrix(alg, triple or BDTriple((), (), {}))
+        amb = [alg.names.index(name) for name in S.names]
+        pos = {a: loc for loc, a in enumerate(amb)}
+        want = {loc: {(pos[a], pos[b]): v for (a, b), v in t.items()}
+                for loc, x in enumerate(amb) if (t := _ref_delta(alg, r, x))}
+        assert S.cobracket == _pair(want), (label, node, triple)
+        assert_lowest_terms(S.cobracket, (label, node, triple))
 
 
 def test_parabolic_generators_span_the_parabolic():

@@ -324,6 +324,34 @@ def test_braided_refuses_l_over_the_budget(capsys, monkeypatch):
     assert reached == [6]
 
 
+def test_bd_refuses_a_rank_over_the_budget(capsys, monkeypatch):
+    """bd checks the rank against cli.BD_MAX_RANK, and with --check against
+    cli.BD_CHECK_MAX_RANK, before any enumeration: E8 and A9, whose plain
+    enumeration takes 14 s and more, and A6, D6 and E8 under --check exit 1
+    with one error line and never reach enumerate_bd_triples; rank 7, and
+    rank 5 under --check, the largest taken, reach it."""
+    assert (cli.BD_MAX_RANK, cli.BD_CHECK_MAX_RANK) == (7, 5)
+    reached = []
+
+    def recording(rs):
+        reached.append(rs.label)
+        return []
+
+    monkeypatch.setattr(cli, "enumerate_bd_triples", recording)
+    for argv, rank, limit in [(["--type", "E8"], 8, 7),
+                              (["--type", "A", "--rank", "9"], 9, 7),
+                              (["--type", "A6", "--check"], 6, 5),
+                              (["--type", "D6", "--check"], 6, 5),
+                              (["--type", "E8", "--check"], 8, 5)]:
+        assert run_cli(["bd"] + argv, capsys) == (
+            1, "error: BudgetExceeded: rank %d exceeds the budget %d\n" % (rank, limit)), argv
+    assert reached == []
+    for argv in (["--type", "A7"], ["--type", "E7"], ["--type", "D5", "--check"]):
+        code, out = run_cli(["bd"] + argv, capsys)
+        assert code == 0 and json.loads(out)["count"] == 0, argv
+    assert reached == ["A7", "E7", "D5"]
+
+
 def test_copoisson_refuses_a_power_over_the_budget(capsys, monkeypatch):
     """qsl2 copoisson checks --power against cli.COPOISSON_MAX_POWER before
     any computation: --power 1000, which ran without end, and --power 9

@@ -7,7 +7,8 @@ reader, root-vector operators are built by one recurrence and checked
 against Serre's relations by one function, the Jacobi oracle shares no
 code with the Schouten verdict it checks, denominators are cleared
 entry by entry at four sites only, and bialg.int_brackets only re-indexes
-a bracket table that is already int, which _parabolic reads once,
+a bracket table that is already int, which _parabolic reads once, a
+cobracket stays _int_cobracket's int pair with no Fraction built or cleared,
 qsl2 tests its central element's centrality in one function, which the
 braided powers read in place of the commutor and the X-generator report,
 and only scalars reads a QRat's stored form."""
@@ -349,6 +350,22 @@ def test_int_brackets_clears_nothing():
              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
     assert calls.count("int_brackets") == 1, calls
     assert "_parabolic" not in _calls_by_function(tree, "bracket_idx")
+
+
+def test_int_cobracket_path_builds_no_fraction():
+    """A cobracket is _int_cobracket's (E, ints) pair from its sum to every
+    reader: no function of bialg calls den_lcm or int_columns, and none of
+    _int_cobracket, cobracket_from_r, _parabolic, check_lie_bialgebra and
+    drinfeld_double calls Q or Fraction."""
+    tree = ast.parse((SRC / "bialg.py").read_text())
+    for name in ("den_lcm", "int_columns"):
+        assert not _calls_by_function(tree, name), name
+    path = {"_int_cobracket", "cobracket_from_r", "_parabolic", "check_lie_bialgebra",
+            "drinfeld_double"}
+    assert path <= {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("Q", "Fraction"):
+        callers = {scope.split(".")[0] for scope in _calls_by_function(tree, name)}
+        assert not callers & path, (name, callers & path)
 
 
 def test_qrat_format_read_only_in_scalars():
